@@ -18,7 +18,6 @@ from .tree_core import (
     CaretTree,
     TreePairDiagram,
     canonical_encode,
-    infix_numbering,
     is_reduced,
     reduce,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "generator_diagram",
     "identity",
     "in_ball_geodesic",
-    "infix_numbering",
     "invert",
     "is_reduced",
     "l_infinity",

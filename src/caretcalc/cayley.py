@@ -65,7 +65,7 @@ class BallIndex:
 
     def _key(self, item) -> str:
         if isinstance(item, TreePairDiagram):
-            return canonical_encode(item if item.reduced else reduce(item))
+            return canonical_encode(reduce(item))
         return item
 
     def length_of(self, item) -> int:
@@ -136,7 +136,7 @@ def lengths_for(
     search from the identity that stops when every target has been seen."""
     wanted = set()
     for t in targets:
-        wanted.add(canonical_encode(t if t.reduced else reduce(t)))
+        wanted.add(canonical_encode(reduce(t)))
     letters = gens.letters()
     start = identity()
     table: dict = {canonical_encode(start): (0, None, start)}
@@ -159,7 +159,7 @@ def bfs_length(
     pair: TreePairDiagram, gens: GeneratingSet, cap: int = DEFAULT_STATE_CAP
 ) -> int:
     """Exact word length of one element, by search."""
-    enc = canonical_encode(pair if pair.reduced else reduce(pair))
+    enc = canonical_encode(reduce(pair))
     return lengths_for([pair], gens, cap=cap)[enc]
 
 
@@ -184,13 +184,10 @@ def in_ball_geodesic(
     elif ball_index.gens != gens or ball_index.radius < radius:
         raise ValueError("ball index does not cover the requested ball")
 
-    def key_of(p: TreePairDiagram) -> str:
-        return canonical_encode(p if p.reduced else reduce(p))
-
     def inside(enc: str) -> bool:
         return enc in ball_index.table and ball_index.table[enc][0] <= radius
 
-    start, goal = key_of(a), key_of(b)
+    start, goal = canonical_encode(reduce(a)), canonical_encode(reduce(b))
     for name, enc in (("a", start), ("b", goal)):
         if not inside(enc):
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")

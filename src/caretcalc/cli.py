@@ -2,10 +2,12 @@
 
 Subcommands: eval, len, ball, probe-mac, check-ci, probe-monotone.
 Exit codes: 0 success (probes: claim confirmed), 1 probe refuted,
-2 usage or parse error, 3 resource cap exceeded.  The CARETCALC_CAP
-environment variable overrides the default search cap; --cap overrides
-both.  Output is plain tab-separated text, or JSON with --format
-structured; identical invocations produce byte-identical output.
+2 usage or parse error, 3 resource cap exceeded, 4 internal error (any
+other exception, e.g. RecursionError or MemoryError, reported in one
+stderr line).  The CARETCALC_CAP environment variable overrides the
+default search cap; --cap overrides both.  Output is plain
+tab-separated text, or JSON with --format structured; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 ENV_CAP = "CARETCALC_CAP"
 
@@ -270,6 +273,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Left uncaught it would exit 1, the code for "probe refuted".
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,6 +12,11 @@ Right multiplication by a single generator only rearranges three adjacent
 subtrees along the right spine of the positive tree; apply_generator does
 that surgery directly, and multiplying by the generator's diagram must give
 the identical result (both routes are kept and tested against each other).
+
+Both routes build an unreduced result and hand it to ``reduce``, the one
+place that settles reducedness; their inputs pass through it too, which
+is a flag check when they are already reduced.  Tree walks are loops over
+explicit stacks, as in ``tree_core``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .tree_core import (
     TreePairDiagram,
     add_caret_at_leaf,
     attach_at_leaf,
+    count_carets,
     count_leaves,
     reduce,
     spine,
@@ -108,16 +114,9 @@ def identity() -> TreePairDiagram:
 @lru_cache(maxsize=None)
 def _generator_nodes(index: int) -> tuple[Node, Node]:
     hang: Node = ((None, None), None)
-    negative = _attach_rightmost(spine(index), hang)
+    negative = attach_at_leaf(spine(index), index, hang)
     positive = spine(index + 2)
     return negative, positive
-
-
-def _attach_rightmost(node: Node, sub: Node) -> Node:
-    if node is None:
-        return sub
-    left, right = node
-    return (left, _attach_rightmost(right, sub))
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
@@ -137,48 +136,48 @@ def invert(pair: TreePairDiagram) -> TreePairDiagram:
     return TreePairDiagram(pair.positive, pair.negative, pair.reduced)
 
 
-def _join(a: Node, b: Node) -> Node:
-    """Smallest tree containing both arguments as refinements."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (_join(a[0], b[0]), _join(a[1], b[1]))
+Grafts = list[tuple[int, Node]]  # (leaf number, subtree), in leaf order
 
 
-def _overhang(base: Node, refined: Node) -> list[tuple[int, Node]]:
-    """Subtrees of ``refined`` sticking out below each leaf of ``base``."""
-    out: list[tuple[int, Node]] = []
+def _overhangs(a: Node, b: Node) -> tuple[Grafts, Grafts]:
+    """Walk two trees side by side and list the subtrees of ``b`` hanging
+    below leaves of ``a``, and those of ``a`` below leaves of ``b``;
+    grafting each list onto its tree gives the smallest tree that refines
+    both."""
+    below_a: Grafts = []
+    below_b: Grafts = []
+    leaf_a = leaf_b = 0
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is not None and y is not None:
+            stack.append((x[1], y[1]))
+            stack.append((x[0], y[0]))
+            continue
+        if y is not None:
+            below_a.append((leaf_a, y))
+        elif x is not None:
+            below_b.append((leaf_b, x))
+        leaf_a += count_leaves(x)
+        leaf_b += count_leaves(y)
+    return below_a, below_b
 
-    def go(b: Node, r: Node, offset: int) -> int:
-        if b is None:
-            if r is not None:
-                out.append((offset, r))
-            return 1
-        nl = go(b[0], r[0], offset)
-        nr = go(b[1], r[1], offset + nl)
-        return nl + nr
 
-    go(base, refined, 0)
-    return out
-
-
-def _graft(node: Node, extras: list[tuple[int, Node]]) -> Node:
-    for leaf, sub in sorted(extras, reverse=True):
+def _graft(node: Node, extras: Grafts) -> Node:
+    # right to left, so the leaf numbers still to come stay valid
+    for leaf, sub in reversed(extras):
         node = attach_at_leaf(node, leaf, sub)
     return node
 
 
 def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
     """Reduced product g * h via a common refinement of the middle trees."""
-    if not g.reduced:
-        g = reduce(g)
-    if not h.reduced:
-        h = reduce(h)
-    middle = _join(g.positive.root, h.negative.root)
-    new_negative = _graft(g.negative.root, _overhang(g.positive.root, middle))
-    new_positive = _graft(h.positive.root, _overhang(h.negative.root, middle))
-    return reduce(TreePairDiagram.from_nodes(new_negative, new_positive))
+    g = reduce(g)
+    h = reduce(h)
+    into_g, into_h = _overhangs(g.positive.root, h.negative.root)
+    negative = _graft(g.negative.root, into_g)
+    positive = _graft(h.positive.root, into_h)
+    return reduce(TreePairDiagram(CaretTree(negative), CaretTree(positive), False))
 
 
 def _spine_split(node: Node) -> list[Node]:
@@ -197,58 +196,37 @@ def _spine_build(subtrees: list[Node], rest: Node = None) -> Node:
     return node
 
 
-def rearrange_positive(tree: Node, index: int, sign: int) -> Node:
-    """Subtree rearrangement of a right multiplication on the positive tree.
-
-    For sign +1 the caret at right-spine position index + 1 must carry a
-    caret on its left; its two subtrees and everything below slide one
-    notch:  (A ^ B) ^ C  ->  A ^ (B ^ C)  at that position.  Sign -1 is the
-    inverse move and needs spine length at least index + 2.  Callers pad
-    the tree first; this function raises if the shape is missing.
-    """
-    parts = _spine_split(tree)
-    if sign == 1:
-        if len(parts) < index + 1 or parts[index] is None:
-            raise ValueError("tree lacks the caret to unhook; pad it first")
-        a, b = parts[index]
-        rest = _spine_build(parts[index + 1 :])
-        return _spine_build(parts[:index], (a, (b, rest)))
-    if len(parts) < index + 2:
-        raise ValueError("right spine too short; pad the tree first")
-    a = parts[index]
-    b = parts[index + 1]
-    rest = _spine_build(parts[index + 2 :])
-    return _spine_build(parts[:index], ((a, b), rest))
-
-
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
-    """Right-multiply by x_index^sign using direct subtree surgery."""
+    """Right-multiply by x_index^sign using direct subtree surgery.
+
+    The move acts on the subtrees hanging left off the right spine of the
+    positive tree, numbered from 0 at the top.  For sign +1 subtree number
+    index must be a caret A ^ B, and with C the spine below it,
+    (A ^ B) ^ C becomes A ^ (B ^ C); sign -1 is the inverse move on
+    subtrees index and index + 1.  Spine carets or the caret A ^ B that
+    are missing are first added to both trees at the same leaves.
+    """
     if index < 0:
         raise ValueError(f"generator index must be >= 0, got {index}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not pair.reduced:
-        pair = reduce(pair)
+    pair = reduce(pair)
     neg = pair.negative.root
-    pos = pair.positive.root
-
-    # Pad the right spine of the positive tree; the negative tree gains a
-    # caret at the same leaf number to keep representing the same element.
+    parts = _spine_split(pair.positive.root)
     need = index + 1 if sign == 1 else index + 2
-    parts = _spine_split(pos)
-    while len(parts) < need:
-        last = count_leaves(pos) - 1
-        pos = add_caret_at_leaf(pos, last)
-        neg = add_caret_at_leaf(neg, last)
-        parts.append(None)
-    if sign == 1 and parts[index] is None:
-        at = sum(count_leaves(p) for p in parts[:index])
-        pos = add_caret_at_leaf(pos, at)
-        neg = add_caret_at_leaf(neg, at)
-        parts[index] = (None, None)
-
-    new_pos = rearrange_positive(pos, index, sign)
-    return reduce(TreePairDiagram.from_nodes(neg, new_pos))
+    if len(parts) < need:
+        neg = attach_at_leaf(neg, count_carets(neg), spine(need - len(parts)))
+        parts += [None] * (need - len(parts))
+    if sign == 1:
+        if parts[index] is None:
+            neg = add_caret_at_leaf(neg, sum(count_leaves(p) for p in parts[:index]))
+            parts[index] = (None, None)
+        a, b = parts[index]
+        moved = (a, (b, _spine_build(parts[index + 1 :])))
+    else:
+        moved = ((parts[index], parts[index + 1]), _spine_build(parts[index + 2 :]))
+    pos = _spine_build(parts[:index], moved)
+    return reduce(TreePairDiagram(CaretTree(neg), CaretTree(pos), False))
 
 
 def evaluate_word(word: GeneratorWord) -> TreePairDiagram:
@@ -263,18 +241,17 @@ def _leaf_exponents(node: Node) -> list[int]:
     """Exponent of each leaf: carets off the right spine whose leftmost
     descendant leaf is that leaf."""
     counts = [0] * count_leaves(node)
-
-    def go(nd: Node, base_leaf: int, on_right_spine: bool) -> int:
+    seen = 0
+    stack = [(node, True)]
+    while stack:
+        nd, on_right_spine = stack.pop()
         if nd is None:
-            return 1
-        left, right = nd
+            seen += 1
+            continue
         if not on_right_spine:
-            counts[base_leaf] += 1
-        nl = go(left, base_leaf, False)
-        nr = go(right, base_leaf + nl, on_right_spine)
-        return nl + nr
-
-    go(node, 0, True)
+            counts[seen] += 1
+        stack.append((nd[1], on_right_spine))
+        stack.append((nd[0], False))
     return counts
 
 
@@ -285,8 +262,7 @@ def normal_form(pair: TreePairDiagram) -> GeneratorWord:
     index order; the negative part reads the positive tree's in descending
     order.  Evaluating the word returns the original reduced pair.
     """
-    if not pair.reduced:
-        pair = reduce(pair)
+    pair = reduce(pair)
     letters: list[Letter] = []
     pos_part = _leaf_exponents(pair.negative.root)
     for k, count in enumerate(pos_part):

@@ -5,6 +5,12 @@ missing child is ``None``.  The empty tree (a single exposed leaf) is ``None``.
 Carets are numbered 1..n in infix order (left subtree, caret, right subtree)
 and leaves 0..n from left to right.  The caret at the top has level 1.
 
+Every walk here is a loop over an explicit stack, so tree depth is bounded
+by memory, not by the interpreter's recursion limit.  For the same reason
+the walks never compare or hash whole trees: both recurse in C.  An edit
+copies only the path from the root to the edited subtree and shares every
+other subtree with its input.
+
 Serialized form of a tree::
 
     tree := "." | "(" tree tree ")"
@@ -12,6 +18,8 @@ Serialized form of a tree::
 and a pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
 exposed (two leaf children) in both trees over the same pair of leaf numbers.
+``reduce`` is the one function that turns a pair into its reduced form;
+``TreePairDiagram.of`` only computes the ``reduced`` flag of outside input.
 
 Convention: a caret whose side lies on the left (right) boundary of its tree
 is a left (right) caret, everything else is interior.  The top caret sits on
@@ -21,7 +29,8 @@ both boundaries; this module classifies it as a right caret throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Optional
 
 from .errors import MalformedPairError, UnreducedDiagramError
 
@@ -80,78 +89,96 @@ def spine(n: int) -> Node:
     return node
 
 
+def _frames(node: Node, starts: set[int], old: Node) -> dict[int, tuple]:
+    """Frame of each subtree ``old`` (a leaf or an exposed caret) whose
+    leftmost leaf is in ``starts``.  A frame is (subtree, went_left, parent
+    frame), the root's parent frame is None: the chain of parent frames is
+    the path to the root.  The preorder scan meets the leaves left to right
+    and stops after the last one wanted."""
+    found: dict[int, tuple] = {}
+    seen, last = 0, max(starts)
+    stack = [(node, None, None)]
+    while stack and seen <= last:
+        frame = stack.pop()
+        nd = frame[0]
+        if seen in starts and nd == old:
+            found[seen] = frame
+        if nd is None:
+            seen += 1
+        else:
+            stack += ((nd[1], False, frame), (nd[0], True, frame))
+    return found
+
+
+def _replace(frames: list[tuple], new: Node = None) -> Node:
+    """The tree with ``new`` in place of the subtree at each of ``frames``
+    (disjoint, all of one tree), copying only their ancestors."""
+    copies: dict[int, Node] = {}
+    node = new
+    for frame in frames:
+        node = new
+        while frame[2] is not None:
+            up = frame[2]
+            left, right = copies.get(id(up), up[0])
+            node = copies[id(up)] = (node, right) if frame[1] else (left, node)
+            frame = up
+    return node
+
+
+def _splice(node: Node, leaf: int, old: Node, new: Node) -> Node:
+    """Copy of ``node`` with ``new`` in place of the subtree ``old`` (a leaf
+    or an exposed caret) whose leftmost leaf is ``leaf``; ValueError if
+    there is none."""
+    found = _frames(node, {leaf}, old)
+    if not found:
+        raise ValueError(f"no subtree {serialize_node(old)} at leaf {leaf}")
+    return _replace([found[leaf]], new)
+
+
 def attach_at_leaf(node: Node, leaf: int, sub: Node) -> Node:
     """Replace leaf number ``leaf`` with the subtree ``sub``."""
-    if node is None:
-        if leaf != 0:
-            raise IndexError(f"leaf {leaf} out of range")
-        return sub
-    left, right = node
-    nl = count_leaves(left)
-    if leaf < nl:
-        return (attach_at_leaf(left, leaf, sub), right)
-    return (left, attach_at_leaf(right, leaf - nl, sub))
+    return _splice(node, leaf, None, sub)
 
 
 def add_caret_at_leaf(node: Node, leaf: int) -> Node:
     return attach_at_leaf(node, leaf, (None, None))
 
 
-def exposed_leaf_starts(node: Node) -> set[int]:
-    """Left-leaf numbers of exposed carets (both children leaves)."""
-    out: set[int] = set()
-
-    def scan(nd: Node, offset: int) -> int:
-        if nd is None:
-            return 1
-        left, right = nd
-        nl = scan(left, offset)
-        nr = scan(right, offset + nl)
-        if left is None and right is None:
-            out.add(offset)
-        return nl + nr
-
-    scan(node, 0)
-    return out
-
-
 def remove_exposed_at(node: Node, leaf: int) -> Node:
     """Collapse the exposed caret whose leaves are (leaf, leaf + 1)."""
-    if node is None:
-        raise ValueError("no caret to remove in an empty tree")
-    left, right = node
-    if left is None and right is None:
-        if leaf != 0:
-            raise ValueError(f"exposed caret does not start at leaf {leaf}")
-        return None
-    nl = count_leaves(left)
-    # Both leaves of one exposed caret sit on the same side of this node;
-    # a caret spanning the split could only be this node itself, which the
-    # base case above already handled.
-    if leaf + 1 < nl:
-        return (remove_exposed_at(left, leaf), right)
-    if leaf >= nl:
-        return (left, remove_exposed_at(right, leaf - nl))
-    raise ValueError(f"no exposed caret at leaves ({leaf}, {leaf + 1})")
+    return _splice(node, leaf, (None, None), None)
 
 
-@dataclass(frozen=True)
-class CaretInfo:
-    """Per-caret facts from one infix numbering pass."""
+def _exposed(node: Node) -> tuple[set[int], int]:
+    """Left-leaf numbers of exposed carets, and the number of leaves."""
+    starts: set[int] = set()
+    seen = 0
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if nd is None:
+            seen += 1
+        elif nd == (None, None):
+            starts.add(seen)
+            seen += 2
+        else:
+            stack.append(nd[1])
+            stack.append(nd[0])
+    return starts, seen
 
-    index: int
-    level: int
-    kind: str  # one of LEFT / RIGHT / INTERIOR
-    left_exposed: bool
-    right_exposed: bool
+
+def exposed_leaf_starts(node: Node) -> set[int]:
+    """Left-leaf numbers of exposed carets (both children leaves)."""
+    return _exposed(node)[0]
 
 
 class TreeSurvey:
     """Structural tables for one tree, indexed by infix caret number.
 
     Index 0 is unused so that ``left_child[p]`` works directly with caret
-    numbers 1..n.  ``on_left_spine`` / ``on_right_spine`` include the top
-    caret on both spines; ``kind`` resolves the tie to RIGHT.
+    numbers 1..n.  ``on_left_spine`` includes the top caret, which ``kind``
+    calls RIGHT.  A survey lives as long as its tree (``CaretTree.survey``
+    keeps it), so every table here costs memory per surveyed tree.
     """
 
     __slots__ = (
@@ -162,50 +189,47 @@ class TreeSurvey:
         "level",
         "kind",
         "on_left_spine",
-        "on_right_spine",
         "exposed",
-        "_next",
     )
 
     def __init__(self, root: Node):
         n = count_carets(root)
         self.carets = n
-        self.left_child: list[Optional[int]] = [None] * (n + 1)
-        self.right_child: list[Optional[int]] = [None] * (n + 1)
-        self.parent: list[Optional[int]] = [None] * (n + 1)
-        self.level = [0] * (n + 1)
-        self.kind = [""] * (n + 1)
-        self.on_left_spine = [False] * (n + 1)
-        self.on_right_spine = [False] * (n + 1)
-        self.exposed = [False] * (n + 1)
-        self._next = 1
-        if root is not None:
-            self._walk(root, 1, True, True)
-        del self._next
-
-    def _walk(self, node: tuple, level: int, on_left: bool, on_right: bool) -> int:
-        left, right = node
-        li = self._walk(left, level + 1, on_left, False) if left is not None else None
-        idx = self._next
-        self._next += 1
-        ri = self._walk(right, level + 1, False, on_right) if right is not None else None
-        self.left_child[idx] = li
-        self.right_child[idx] = ri
-        if li is not None:
-            self.parent[li] = idx
-        if ri is not None:
-            self.parent[ri] = idx
-        self.level[idx] = level
-        self.on_left_spine[idx] = on_left
-        self.on_right_spine[idx] = on_right
-        if on_right or level == 1:
-            self.kind[idx] = RIGHT
-        elif on_left:
-            self.kind[idx] = LEFT
-        else:
-            self.kind[idx] = INTERIOR
-        self.exposed[idx] = left is None and right is None
-        return idx
+        self.left_child = left_child = [None] * (n + 1)
+        self.right_child = right_child = [None] * (n + 1)
+        self.parent = parent = [None] * (n + 1)
+        self.level = levels = [0] * (n + 1)
+        self.kind = kinds = [""] * (n + 1)
+        self.on_left_spine = on_left_spine = [False] * (n + 1)
+        self.exposed = exposed = [False] * (n + 1)
+        # In infix order a caret's left child is the last caret seen one
+        # level below it, and a right child's parent is the last caret seen
+        # one level above it: everything in between lies deeper.
+        latest = [0] * (n + 2)
+        stack: list = []
+        idx = 0
+        node, level, on_left, on_right, is_right = root, 1, True, True, False
+        while stack or node is not None:
+            while node is not None:
+                stack.append((node, level, on_left, on_right, is_right))
+                node, level, on_right, is_right = node[0], level + 1, False, False
+            node, level, on_left, on_right, is_right = stack.pop()
+            idx += 1
+            left, right = node
+            if left is not None:
+                child = latest[level + 1]
+                left_child[idx] = child
+                parent[child] = idx
+            if is_right:
+                up = latest[level - 1]
+                right_child[up] = idx
+                parent[idx] = up
+            levels[idx] = level
+            on_left_spine[idx] = on_left
+            kinds[idx] = RIGHT if on_right else LEFT if on_left else INTERIOR
+            exposed[idx] = left is None and right is None
+            latest[level] = idx
+            node, level, on_left, is_right = right, level + 1, False, True
 
 
 @dataclass(frozen=True)
@@ -219,10 +243,6 @@ class CaretTree:
         return count_carets(self.root)
 
     @property
-    def leaves(self) -> int:
-        return count_carets(self.root) + 1
-
-    @property
     def is_empty(self) -> bool:
         return self.root is None
 
@@ -230,34 +250,20 @@ class CaretTree:
         return serialize_node(self.root)
 
     def survey(self) -> TreeSurvey:
+        """Structural tables, built on the first call and kept with the tree."""
+        return self._survey
+
+    @cached_property
+    def _survey(self) -> TreeSurvey:
         return TreeSurvey(self.root)
-
-
-def infix_numbering(tree: CaretTree) -> list[CaretInfo]:
-    """CaretInfo for carets 1..n in infix order; empty tree gives []."""
-    sv = tree.survey()
-    out = []
-    for idx in range(1, sv.carets + 1):
-        left_exposed = sv.left_child[idx] is None
-        right_exposed = sv.right_child[idx] is None
-        out.append(
-            CaretInfo(
-                index=idx,
-                level=sv.level[idx],
-                kind=sv.kind[idx],
-                left_exposed=left_exposed,
-                right_exposed=right_exposed,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
 class TreePairDiagram:
     """A pair (negative, positive) of trees with equal caret counts.
 
-    The ``reduced`` flag is trusted by internal callers that construct
-    already-reduced pairs; use :meth:`of` for external input.
+    ``reduced`` is trusted by :func:`reduce`; use :meth:`of` for external
+    input, which computes it.
     """
 
     negative: CaretTree
@@ -266,11 +272,6 @@ class TreePairDiagram:
 
     @classmethod
     def of(cls, negative: CaretTree, positive: CaretTree) -> "TreePairDiagram":
-        if negative.carets != positive.carets:
-            raise MalformedPairError(
-                f"caret counts differ: negative has {negative.carets}, "
-                f"positive has {positive.carets}"
-            )
         flag = not _common_exposed(negative.root, positive.root)
         return cls(negative, positive, flag)
 
@@ -290,38 +291,72 @@ class TreePairDiagram:
         return self.negative.serialize() + "|" + self.positive.serialize()
 
 
-def _common_exposed(neg: Node, pos: Node) -> list[int]:
-    common = exposed_leaf_starts(neg) & exposed_leaf_starts(pos)
-    return sorted(common)
+def _common_exposed(neg: Node, pos: Node) -> set[int]:
+    """Leaf numbers where both trees have an exposed caret; raises
+    MalformedPairError when the caret counts differ."""
+    neg_starts, neg_leaves = _exposed(neg)
+    pos_starts, pos_leaves = _exposed(pos)
+    if neg_leaves != pos_leaves:
+        raise MalformedPairError(
+            f"caret counts differ: negative has {neg_leaves - 1}, "
+            f"positive has {pos_leaves - 1}"
+        )
+    return neg_starts & pos_starts
 
 
 def is_reduced(pair: TreePairDiagram) -> bool:
     return not _common_exposed(pair.negative.root, pair.positive.root)
 
 
-def reduce(pair: TreePairDiagram) -> TreePairDiagram:
-    """Cancel matching exposed carets until none remain.
+def _same_shape(a: Node, b: Node) -> bool:
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is not y:
+            if x is None or y is None:
+                return False
+            stack += ((x[0], y[0]), (x[1], y[1]))
+    return True
 
-    Repeatedly removes the lowest-numbered caret that is exposed in both
-    trees over the same leaf pair; leaf and caret numbers are recomputed
-    from scratch after each removal.  The result is independent of the
-    removal order.
+
+def reduce(pair: TreePairDiagram) -> TreePairDiagram:
+    """The reduced pair of the same element.
+
+    A pair flagged ``reduced`` comes back unchanged: the flag is trusted, so
+    set it only on pairs known to be reduced (generators, the identity,
+    results of this function); :meth:`TreePairDiagram.of` computes it for
+    outside input.  Otherwise one scan of each tree looks for carets
+    exposed in both over the same leaves.  From each, the cancellation
+    climbs both trees while the parents hold it on the same side and their
+    other subtrees have the same shape; the largest subtree so shared over
+    the same leaves collapses to a leaf.  This ends where cancelling exposed
+    carets one at a time, in any order, ends, and costs the paths to those
+    carets and the collapsed subtrees, not whole trees.  Raises
+    MalformedPairError when the caret counts differ.
     """
-    neg = pair.negative.root
-    pos = pair.positive.root
-    if count_carets(neg) != count_carets(pos):
-        raise MalformedPairError(
-            f"caret counts differ: negative has {count_carets(neg)}, "
-            f"positive has {count_carets(pos)}"
-        )
-    while True:
-        common = _common_exposed(neg, pos)
-        if not common:
-            break
-        leaf = common[0]
-        neg = remove_exposed_at(neg, leaf)
-        pos = remove_exposed_at(pos, leaf)
-    return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
+    if pair.reduced:
+        return pair
+    common = _common_exposed(pair.negative.root, pair.positive.root)
+    if not common:
+        return TreePairDiagram(pair.negative, pair.positive, True)
+    neg_frames = _frames(pair.negative.root, common, (None, None))
+    pos_frames = _frames(pair.positive.root, common, (None, None))
+    climbed: set[int] = set()
+    neg_tops, pos_tops = [], []
+    for leaf in common:
+        neg, pos = neg_frames[leaf], pos_frames[leaf]
+        # A climb that reaches a parent an earlier climb went into ends there.
+        while neg[2] is None or id(neg[2]) not in climbed:
+            up, up_pos, went_left = neg[2], pos[2], neg[1]
+            other = 1 if went_left else 0  # the parent's other child
+            if (up is None or up_pos is None or went_left != pos[1]
+                    or not _same_shape(up[0][other], up_pos[0][other])):
+                neg_tops.append(neg)
+                pos_tops.append(pos)
+                break
+            neg, pos = up, up_pos
+            climbed.add(id(up))
+    return TreePairDiagram(CaretTree(_replace(neg_tops)), CaretTree(_replace(pos_tops)), True)
 
 
 def canonical_encode(pair: TreePairDiagram) -> str:
@@ -331,18 +366,3 @@ def canonical_encode(pair: TreePairDiagram) -> str:
             "canonical_encode requires a reduced pair; call reduce() first"
         )
     return pair.serialize()
-
-
-def iter_subtrees(node: Node) -> Iterator[Node]:
-    """All caret nodes of a tree, preorder."""
-    if node is None:
-        return
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        yield nd
-        left, right = nd
-        if right is not None:
-            stack.append(right)
-        if left is not None:
-            stack.append(left)

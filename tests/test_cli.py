@@ -163,6 +163,17 @@ def test_cap_env_var_invalid(capsys, monkeypatch):
     assert code == 2
 
 
+def test_internal_error_exit(capsys, monkeypatch):
+    def broken(letters):
+        raise RuntimeError("kernel\nfault")
+
+    monkeypatch.setattr("caretcalc.cli.evaluate_word", broken)
+    code, out, err = run(capsys, "eval", "x0")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: kernel fault\n"
+
+
 def test_missing_subcommand(capsys):
     assert main([]) == 2
 

@@ -133,6 +133,13 @@ def test_normal_form_round_trip():
         assert neg == sorted(neg, reverse=True)
 
 
+def test_deep_power_round_trip():
+    g = evaluate_word([(0, 1)] * 1200)
+    assert g.carets == 1201
+    # compare encodings: == on 1200-deep nested tuples recurses too deep
+    assert encode(evaluate_word(normal_form(g))) == encode(g)
+
+
 def test_normal_form_goldens():
     assert normal_form(identity()).letters == ()
     for i in range(5):

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,11 @@ from caretcalc.tree_core import (
     CaretTree,
     TreePairDiagram,
     add_caret_at_leaf,
+    attach_at_leaf,
     canonical_encode,
     count_carets,
     count_leaves,
     exposed_leaf_starts,
-    infix_numbering,
     is_reduced,
     reduce,
     remove_exposed_at,
@@ -83,9 +85,9 @@ def test_remove_inverts_add():
 
 
 def test_infix_numbering_right_spine():
-    info = infix_numbering(CaretTree(spine(3)))
-    assert [c.kind for c in info] == [RIGHT, RIGHT, RIGHT]
-    assert [c.level for c in info] == [1, 2, 3]
+    sv = CaretTree(spine(3)).survey()
+    assert sv.kind[1:] == [RIGHT, RIGHT, RIGHT]
+    assert sv.level[1:] == [1, 2, 3]
 
 
 def test_infix_numbering_left_comb():
@@ -93,43 +95,50 @@ def test_infix_numbering_left_comb():
     comb = None
     for _ in range(3):
         comb = (comb, None)
-    info = infix_numbering(CaretTree(comb))
-    assert [c.kind for c in info] == [LEFT, LEFT, RIGHT]
-    assert [c.level for c in info] == [3, 2, 1]
+    sv = CaretTree(comb).survey()
+    assert sv.kind[1:] == [LEFT, LEFT, RIGHT]
+    assert sv.level[1:] == [3, 2, 1]
 
 
 def test_infix_numbering_mixed():
     # (( . (..) ) .) : caret 1 at the top-left, caret 2 hanging interior
-    tree = CaretTree(((None, (None, None)), None))
-    info = infix_numbering(tree)
-    assert [(c.index, c.level, c.kind) for c in info] == [
+    sv = CaretTree(((None, (None, None)), None)).survey()
+    assert [(i, sv.level[i], sv.kind[i]) for i in range(1, sv.carets + 1)] == [
         (1, 2, LEFT),
         (2, 3, INTERIOR),
         (3, 1, RIGHT),
     ]
 
 
+def check_survey(tree):
+    sv = tree.survey()
+    assert tree.survey() is sv
+    for idx in range(1, sv.carets + 1):
+        li, ri = sv.left_child[idx], sv.right_child[idx]
+        if li is not None:
+            assert sv.parent[li] == idx
+            assert li < idx
+            assert sv.level[li] == sv.level[idx] + 1
+        if ri is not None:
+            assert sv.parent[ri] == idx
+            assert ri > idx
+            assert sv.level[ri] == sv.level[idx] + 1
+        assert sv.exposed[idx] == (li is None and ri is None)
+    roots = [i for i in range(1, sv.carets + 1) if sv.parent[i] is None]
+    assert len(roots) == 1
+    assert sv.level[roots[0]] == 1
+    # number of Right carets in a right spine of length n is n
+    assert sum(1 for k in sv.kind[1:] if k == RIGHT) >= 1
+
+
 def test_survey_tables_consistent():
     rng = random.Random(23)
     for _ in range(100):
-        tree = CaretTree(random_node(rng, rng.randrange(1, 15)))
-        sv = tree.survey()
-        for idx in range(1, sv.carets + 1):
-            li, ri = sv.left_child[idx], sv.right_child[idx]
-            if li is not None:
-                assert sv.parent[li] == idx
-                assert li < idx
-                assert sv.level[li] == sv.level[idx] + 1
-            if ri is not None:
-                assert sv.parent[ri] == idx
-                assert ri > idx
-                assert sv.level[ri] == sv.level[idx] + 1
-            assert sv.exposed[idx] == (li is None and ri is None)
-        roots = [i for i in range(1, sv.carets + 1) if sv.parent[i] is None]
-        assert len(roots) == 1
-        assert sv.level[roots[0]] == 1
-        # number of Right carets in a right spine of length n is n
-        assert sum(1 for k in sv.kind[1:] if k == RIGHT) >= 1
+        check_survey(CaretTree(random_node(rng, rng.randrange(1, 15))))
+    comb = None
+    for _ in range(3000):
+        comb = (comb, None)
+    check_survey(CaretTree(comb))
 
 
 def test_pair_construction_and_encoding():
@@ -168,8 +177,49 @@ def test_reduce_confluent_all_orders():
         assert outcomes == {reduce(pair).serialize()}
 
 
+def test_reduce_collapses_shared_subtrees():
+    # Equal subtrees grafted at the same leaves of both trees cancel, down
+    # to the element itself; equal trees cancel to the identity.  The
+    # grafts are equal copies, not one shared object, so shapes get compared.
+    rng = random.Random(8)
+    for _ in range(200):
+        g = random_element(rng)
+        neg, pos = g.negative.root, g.positive.root
+        for _ in range(rng.randrange(1, 5)):
+            leaf = rng.randrange(count_leaves(neg))
+            carets, seed = rng.randrange(1, 7), rng.random()
+            neg = attach_at_leaf(neg, leaf, random_node(random.Random(seed), carets))
+            pos = attach_at_leaf(pos, leaf, random_node(random.Random(seed), carets))
+        assert reduce(TreePairDiagram.from_nodes(neg, pos)).serialize() == g.serialize()
+        tree = random_node(rng, rng.randrange(1, 30))
+        assert reduce(TreePairDiagram.from_nodes(tree, tree)).is_identity
+
+
 def test_reduce_idempotent_on_elements():
     rng = random.Random(6)
     for _ in range(100):
         g = random_element(rng)
         assert reduce(g).serialize() == g.serialize()
+
+
+def test_no_recursive_tree_walks():
+    # Deep trees must not hit the interpreter's recursion limit, so no
+    # function in the tree kernel may call itself.
+    src = Path(__file__).resolve().parent.parent / "src" / "caretcalc"
+    for module in ("tree_core.py", "group_ops.py"):
+        tree = ast.parse((src / module).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                target = call.func
+                by_name = isinstance(target, ast.Name) and target.id == fn.name
+                by_method = (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == fn.name
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id in ("self", "cls")
+                )
+                assert not (by_name or by_method), f"{module}: {fn.name} recurses"

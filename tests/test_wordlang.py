@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from caretcalc import canonical_encode, evaluate_word
+from caretcalc import canonical_encode, evaluate_word, reduce
 from caretcalc.errors import ParseError
 from caretcalc.group_ops import GeneratorWord
 from caretcalc.wordlang import format_word, parse_pair, parse_tree, parse_word
@@ -111,6 +111,9 @@ def test_deep_nesting_does_not_crash():
     for _ in range(5000):
         text = "(" + text + ".)"
     assert parse_tree(text).serialize() == text
+    pair = parse_pair(text + "|" + text)
+    assert not pair.reduced
+    assert reduce(pair).is_identity
 
 
 def test_parser_totality_fuzz():
