@@ -1,10 +1,15 @@
 """Brute-force word metrics on the Cayley graph, for arbitrary finite
 generating subsets {x_i : i in X} with 0 in X.
 
-Everything here is search: balls are enumerated breadth-first with
-elements deduplicated by their canonical encodings, so the lengths are
-exact and serve as the independent oracle for the closed-form machinery
-in :mod:`caretcalc.metrics`.  On top of the ball index sit three probes:
+Everything here is search, and all of it runs on one breadth-first
+shell expander (``_shell``) that deduplicates elements by their canonical
+encodings, so the lengths are exact and serve as the independent oracle
+for the closed-form machinery in :mod:`caretcalc.metrics`.  Balls and
+batched lengths grow one side from the identity.  A single length, and a
+shortest path inside a ball, are searched from both ends at once: the
+side with the smaller frontier grows by one shell until it reaches the
+other side's seen set, which gives the distance exactly.  On top of the
+ball index sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
@@ -15,14 +20,16 @@ in :mod:`caretcalc.metrics`.  On top of the ball index sit three probes:
 * ``probe_subset_monotonicity`` confirms that enlarging the generating
   set never increases word length.
 
-State caps make every search abort loudly (SearchCapExceededError)
-instead of returning a silently truncated answer.
+State caps make every search abort loudly (SearchCapExceededError, which
+says the radius or the depth of each side reached) instead of returning a
+silently truncated answer; a two-sided search counts the states of both
+sides against one cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SearchCapExceededError
 from .group_ops import (
@@ -33,6 +40,7 @@ from .group_ops import (
     identity,
     invert,
     multiply,
+    normal_form,
 )
 from .metrics import length_consecutive
 from .tree_core import TreePairDiagram, canonical_encode, reduce
@@ -89,29 +97,48 @@ class BallIndex:
         return [f"{enc}\t{length}" for length, enc in rows]
 
 
-def _expand(
-    table: dict,
+def _shell(
+    seen: dict,
     frontier: list[TreePairDiagram],
-    length: int,
+    depth: int,
     letters: tuple[Letter, ...],
     cap: int,
-) -> list[TreePairDiagram]:
-    """One breadth-first shell; mutates table, returns the new frontier."""
+    overflow: str,
+    inside: Optional[Callable[[str], bool]] = None,
+    meet: Optional[dict] = None,
+) -> Optional[list[TreePairDiagram]]:
+    """One breadth-first shell: record every unseen neighbour of the
+    frontier in ``seen`` as (depth, letter, pair) and return the new
+    frontier.
+
+    Neighbours whose encoding fails ``inside`` are skipped.  With ``meet``
+    (the other side's seen dict) the shell stops at the first neighbour
+    the other side has seen and returns None.  The cap counts the states
+    of both dicts; recording one beyond it raises SearchCapExceededError
+    with the message ``overflow``.
+    """
+    held = len(meet) if meet is not None else 0
     new: list[TreePairDiagram] = []
     for g in frontier:
         for index, sign in letters:
             h = apply_generator(g, index, sign)
             key = canonical_encode(h)
-            if key not in table:
-                if len(table) >= cap:
-                    raise SearchCapExceededError(
-                        f"ball enumeration exceeded the state cap of {cap} "
-                        f"elements at radius {length}",
-                        len(table),
-                    )
-                table[key] = (length, (index, sign), h)
-                new.append(h)
+            if key in seen:
+                continue
+            if meet is not None and key in meet:
+                return None
+            if inside is not None and not inside(key):
+                continue
+            if len(seen) + held >= cap:
+                raise SearchCapExceededError(overflow, len(seen) + held)
+            seen[key] = (depth, (index, sign), h)
+            new.append(h)
     return new
+
+
+def _seed(pair: TreePairDiagram) -> dict:
+    """A seen dict holding only the start of a search."""
+    return {canonical_encode(pair): (0, None, pair)}
 
 
 def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> BallIndex:
@@ -120,11 +147,26 @@ def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> Ball
         raise ValueError(f"radius must be >= 0, got {radius}")
     letters = gens.letters()
     start = identity()
-    table: dict = {canonical_encode(start): (0, None, start)}
+    table = _seed(start)
     frontier = [start]
     for r in range(1, radius + 1):
-        frontier = _expand(table, frontier, r, letters, cap)
+        frontier = _shell(
+            table, frontier, r, letters, cap,
+            f"ball enumeration exceeded the state cap of {cap} elements "
+            f"at radius {r}",
+        )
     return BallIndex(gens=gens, radius=radius, table=table)
+
+
+def _check_reachable(pair: TreePairDiagram, gens: GeneratingSet) -> None:
+    """Refuse an element outside <x0> when the set is {x0}: that search
+    would never end, since each shell adds only two states.  Any other
+    set holds x0 and some x_i, which generate F (x1 is x0^(i-1) x_i
+    x0^(1-i)), so every element is reachable."""
+    if gens.indices == (0,) and any(i != 0 for i, _ in normal_form(pair)):
+        raise ValueError(
+            f"{canonical_encode(pair)} is not in the subgroup generated by x0"
+        )
 
 
 def lengths_for(
@@ -136,31 +178,76 @@ def lengths_for(
     search from the identity that stops when every target has been seen."""
     wanted = set()
     for t in targets:
-        wanted.add(canonical_encode(reduce(t)))
+        t = reduce(t)
+        _check_reachable(t, gens)
+        wanted.add(canonical_encode(t))
     letters = gens.letters()
     start = identity()
-    table: dict = {canonical_encode(start): (0, None, start)}
+    table = _seed(start)
     frontier = [start]
-    missing = wanted - set(table)
+    missing = wanted - table.keys()
     r = 0
     while missing:
         r += 1
-        frontier = _expand(table, frontier, r, letters, cap)
+        frontier = _shell(
+            table, frontier, r, letters, cap,
+            f"length search exceeded the state cap of {cap} states at radius {r}",
+        )
         if not frontier:
             raise ValueError(
                 f"{len(missing)} targets unreachable with generators "
                 f"{list(gens)} (search closed at radius {r - 1})"
             )
-        missing -= set(table)
+        missing = {enc for enc in missing if enc not in table}
     return {enc: table[enc][0] for enc in wanted}
+
+
+def _meet(
+    a: TreePairDiagram,
+    b: TreePairDiagram,
+    letters: tuple[Letter, ...],
+    cap: int,
+    what: str,
+    inside: Optional[Callable[[str], bool]] = None,
+) -> Optional[int]:
+    """Distance from a to b by breadth-first search from both ends.
+
+    Each step grows the side with the smaller frontier by one shell.
+    While the two seen sets are disjoint the distance exceeds the sum of
+    the two depths, so the first shell that reaches the other side's seen
+    set ends the search with exactly that sum.  The cap counts the states
+    of both sides together.  None means one side ran out of vertices.
+    """
+    seen = (_seed(a), _seed(b))
+    if seen[0].keys() == seen[1].keys():
+        return 0
+    frontiers = [[a], [b]]
+    depths = [0, 0]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        depths[side] += 1
+        frontier = _shell(
+            seen[side], frontiers[side], depths[side], letters, cap,
+            f"{what} exceeded the state cap of {cap} states (both sides) "
+            f"at depth {depths[0]} from the start and {depths[1]} from the goal",
+            inside, seen[1 - side],
+        )
+        if frontier is None:
+            return depths[0] + depths[1]
+        frontiers[side] = frontier
+    return None
 
 
 def bfs_length(
     pair: TreePairDiagram, gens: GeneratingSet, cap: int = DEFAULT_STATE_CAP
 ) -> int:
-    """Exact word length of one element, by search."""
-    enc = canonical_encode(reduce(pair))
-    return lengths_for([pair], gens, cap=cap)[enc]
+    """Exact word length of one element, by a two-sided search from the
+    identity and from the element at once; the state cap counts both
+    sides.  The Cayley graph of an infinite group has no last shell, so
+    the search ends by meeting or at the cap."""
+    pair = reduce(pair)
+    _check_reachable(pair, gens)
+    return _meet(identity(), pair, gens.letters(), cap, "length search")
 
 
 def in_ball_geodesic(
@@ -173,50 +260,31 @@ def in_ball_geodesic(
 ) -> Optional[int]:
     """Length of the shortest path from a to b that never leaves the ball.
 
-    Both endpoints must lie in the ball.  Breadth-first search over the
-    in-ball subgraph only; vertices outside the ball are never expanded.
-    Returns None only if the search exhausts without reaching b, which
-    cannot happen for a genuine ball (it is connected through the
-    identity) but is reported rather than asserted.
+    Both endpoints must lie in the ball.  Breadth-first search from both
+    endpoints at once over the in-ball subgraph only: vertices outside
+    the ball are never expanded, and the state cap counts both sides.
+    Returns None only if one side exhausts its component without meeting
+    the other, which cannot happen for a genuine ball (it is connected
+    through the identity) but is reported rather than asserted.
     """
     if ball_index is None:
         ball_index = ball(gens, radius, cap=cap)
     elif ball_index.gens != gens or ball_index.radius < radius:
         raise ValueError("ball index does not cover the requested ball")
+    table = ball_index.table
 
     def inside(enc: str) -> bool:
-        return enc in ball_index.table and ball_index.table[enc][0] <= radius
+        row = table.get(enc)
+        return row is not None and row[0] <= radius
 
     start, goal = canonical_encode(reduce(a)), canonical_encode(reduce(b))
     for name, enc in (("a", start), ("b", goal)):
         if not inside(enc):
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")
-    if start == goal:
-        return 0
-    letters = gens.letters()
-    seen = {start}
-    frontier = [ball_index.pair_of(start)]
-    steps = 0
-    while frontier:
-        steps += 1
-        new: list[TreePairDiagram] = []
-        for g in frontier:
-            for index, sign in letters:
-                h = apply_generator(g, index, sign)
-                enc = canonical_encode(h)
-                if enc in seen or not inside(enc):
-                    continue
-                if enc == goal:
-                    return steps
-                if len(seen) >= cap:
-                    raise SearchCapExceededError(
-                        f"in-ball search exceeded the state cap of {cap}",
-                        len(seen),
-                    )
-                seen.add(enc)
-                new.append(h)
-        frontier = new
-    return None
+    return _meet(
+        ball_index.pair_of(start), ball_index.pair_of(goal), gens.letters(),
+        cap, "in-ball search", inside,
+    )
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 Everything here is deliberately written against the *meaning* of the
 operations, not their implementations: adjacency from leaf intervals
 instead of child-pointer walks, penalty-tree weights from explicit path
-distances, reduction by trying every removal order.  The tests compare
-the package against these.
+distances, reduction by trying every removal order, in-ball distances by
+plain one-sided breadth-first search.  The tests compare the package
+against these.
 """
 
 import random
+from collections import deque
 
-from caretcalc import TreePairDiagram, evaluate_word
+from caretcalc import (
+    TreePairDiagram,
+    apply_generator,
+    canonical_encode,
+    evaluate_word,
+)
 from caretcalc.tree_core import Node
 
 
@@ -173,3 +180,26 @@ def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
 
     step(pair.negative.root, pair.positive.root)
     return results
+
+
+# ---------------------------------------------------------------------------
+# in-ball distance oracle: plain one-sided breadth-first search
+
+
+def in_ball_distances(index, source: str, radius: int) -> dict:
+    """Encoding -> length of the shortest path from ``source`` that stays
+    among the elements of length <= radius in the ball index, found by
+    breadth-first search from the source alone until the in-ball
+    component is exhausted."""
+    inside = {enc for enc, length, _ in index.elements() if length <= radius}
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        enc = queue.popleft()
+        pair = index.pair_of(enc)
+        for letter in index.gens.letters():
+            nxt = canonical_encode(apply_generator(pair, *letter))
+            if nxt in inside and nxt not in dist:
+                dist[nxt] = dist[enc] + 1
+                queue.append(nxt)
+    return dist

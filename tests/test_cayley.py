@@ -24,6 +24,7 @@ from caretcalc import (
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
+from helpers import in_ball_distances
 
 
 def test_ball_radius_zero_and_one():
@@ -88,6 +89,80 @@ def test_bfs_length_goldens():
     assert bfs_length(h2, X2) == 6
     g1 = evaluate_word([(2, 1), (1, 1), (1, 1), (0, -1)])
     assert bfs_length(g1, X2) == 4
+
+
+def test_sphere_size_goldens(ball_x1_r8):
+    spheres = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
+    assert ball_x1_r8.sphere_sizes() == spheres
+    # conjugation by x0 fixes x0 and sends x1 to x2 (x0^-1 x1 x0 = x2), so
+    # it carries the {x0, x1} spheres onto the {x0, x2} ones
+    assert ball(GeneratingSet.of([0, 2]), 6).sphere_sizes() == spheres[:7]
+
+
+def _sample_with_outer_sphere(index, rng, count, outer):
+    """Seeded encodings of the index, plus ``outer`` from its last sphere."""
+    encs = sorted(index.table)
+    last = [e for e in encs if index.length_of(e) == index.radius]
+    return rng.sample(encs, count) + rng.sample(last, outer)
+
+
+def test_bfs_length_matches_ball(ball_x1_r8, ball_x2_r7, ball_x3_r6):
+    # the two-sided search against the one-sided enumeration
+    rng = random.Random(109)
+    small = [ball(GeneratingSet.of([0, 2]), 5),
+             ball(GeneratingSet.of([0, 1, 3]), 4)]
+    for index in [ball_x1_r8, ball_x2_r7, ball_x3_r6] + small:
+        for enc in _sample_with_outer_sphere(index, rng, 10, 4):
+            pair = index.pair_of(enc)
+            assert bfs_length(pair, index.gens) == index.length_of(enc), enc
+
+
+def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
+    rng = random.Random(113)
+    encs = sorted(ball_x2_r6.table)
+
+    def seeded(count):
+        return [ball_x2_r6.pair_of(enc) for enc in rng.sample(encs, count)]
+
+    g1, h1 = mac_witness_pair(X2, 1)
+    g2, h2 = mac_witness_pair(X2, 2)
+    cases = [(g1, 4, [h1]), (g2, 6, [h2] + seeded(8)), (seeded(1)[0], 6, seeded(8))]
+    for a, radius, targets in cases:
+        oracle = in_ball_distances(ball_x2_r6, canonical_encode(a), radius)
+        for b in targets:
+            got = in_ball_geodesic(a, b, X2, radius, ball_index=ball_x2_r6)
+            assert got == oracle[canonical_encode(b)]
+    # the MAC witnesses' in-ball distances, exactly
+    assert in_ball_geodesic(g1, h1, X2, 4, ball_index=ball_x2_r6) == 8
+    assert in_ball_geodesic(g2, h2, X2, 6, ball_index=ball_x2_r6) == 12
+
+
+def test_search_outside_x0_subgroup_rejected():
+    x0_only = GeneratingSet.of([0])
+    x1 = generator_diagram(1, 1)
+    with pytest.raises(ValueError, match="not in the subgroup generated by x0"):
+        bfs_length(x1, x0_only)
+    with pytest.raises(ValueError, match="not in the subgroup generated by x0"):
+        lengths_for([generator_diagram(0, 1), x1], x0_only)
+    power = evaluate_word([(0, -1)] * 4)
+    assert bfs_length(power, x0_only) == 4
+    assert lengths_for([power], x0_only) == {canonical_encode(power): 4}
+
+
+def test_cap_errors_say_how_far_the_search_got():
+    h2 = evaluate_word([(1, 1)] * 3 + [(0, -1)] * 3)
+    with pytest.raises(SearchCapExceededError, match="at depth 2 from the "
+                       "start and 1 from the goal") as err:
+        bfs_length(h2, X2, cap=20)
+    assert err.value.states == 20
+    with pytest.raises(SearchCapExceededError, match="at radius 2"):
+        lengths_for([h2], X2, cap=20)
+    with pytest.raises(SearchCapExceededError, match="at radius 2"):
+        ball(X2, 3, cap=20)
+    g, h = mac_witness_pair(X2, 1)
+    with pytest.raises(SearchCapExceededError, match=r"at depth \d+ from the "
+                       r"start and \d+ from the goal"):
+        in_ball_geodesic(g, h, X2, 4, ball_index=ball(X2, 4), cap=20)
 
 
 def test_lengths_for_matches_bfs_length(ball_x2_r7):

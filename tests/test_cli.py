@@ -62,6 +62,16 @@ def test_len_bfs(capsys):
     assert "length\t6" in out and "method\tbfs" in out
 
 
+def test_len_bfs_outside_x0_subgroup(capsys):
+    # <x0> is infinite cyclic: a search for x1 would never end
+    code, out, err = run(capsys, "len", "x1", "--gens", "0", "--method", "bfs")
+    assert code == 2
+    assert out == ""
+    assert "not in the subgroup generated by x0" in err
+    code, out, _ = run(capsys, "len", "x0^-3", "--gens", "0", "--method", "bfs")
+    assert code == 0 and "length\t3" in out
+
+
 def test_len_nonconsecutive_auto_uses_bfs(capsys):
     code, out, _ = run(capsys, "len", "x2", "--gens", "0,2")
     assert code == 0
@@ -145,6 +155,15 @@ def test_cap_flag_resource_exit(capsys):
                        "--cap", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_cap_bfs_reports_depth(capsys):
+    code, out, err = run(capsys, "len", "x1^3 x0^-3", "--gens", "0,1,2",
+                         "--method", "bfs", "--cap", "20")
+    assert code == 3
+    assert out == ""
+    assert "state cap of 20" in err
+    assert "at depth 2 from the start and 1 from the goal" in err
 
 
 def test_cap_env_var(capsys, monkeypatch):
