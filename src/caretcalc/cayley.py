@@ -4,12 +4,15 @@ generating subsets {x_i : i in X} with 0 in X.
 Everything here is search, and all of it runs on one breadth-first
 shell expander (``_shell``) that deduplicates elements by their canonical
 encodings, so the lengths are exact and serve as the independent oracle
-for the closed-form machinery in :mod:`caretcalc.metrics`.  Balls and
-batched lengths grow one side from the identity.  A single length, and a
-shortest path inside a ball, are searched from both ends at once: the
-side with the smaller frontier grows by one shell until it reaches the
-other side's seen set, which gives the distance exactly.  On top of the
-ball index sit three probes:
+for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
+remembers each element it has seen as its encoding, its length and the
+letter that reached it; trees live only on the frontier, for the one
+shell that expands them.  Balls and batched lengths grow one side from
+the identity, and a ball's last shell keeps no trees at all.  A single
+length, and a shortest path inside a ball, are searched from both ends at
+once: the side with the smaller frontier grows by one shell until it
+reaches the other side's seen set, which gives the distance exactly.  On
+top of the ball index sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
@@ -29,7 +32,7 @@ sides against one cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import SearchCapExceededError
 from .group_ops import (
@@ -44,6 +47,7 @@ from .group_ops import (
 )
 from .metrics import length_consecutive
 from .tree_core import TreePairDiagram, canonical_encode, reduce
+from .wordlang import parse_pair
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -53,11 +57,14 @@ REFUTED = "refuted"
 
 @dataclass(frozen=True)
 class BallIndex:
-    """All elements with l_X <= radius: encoding -> (length, letter, pair).
+    """All elements with l_X <= radius: encoding -> (length, letter).
 
     The letter is the last generator of some geodesic spelling (None for
     the identity), so walking letters backwards always descends one
-    length level per step.
+    length level per step.  It is one of the tuples ``gens.letters()``
+    gave the search, and rows of one length and letter are one shared
+    tuple, so the table costs little more than its keys.  It holds no trees: ``pair_of``
+    rebuilds an element's reduced pair by parsing its canonical encoding.
     """
 
     gens: GeneratingSet
@@ -80,48 +87,71 @@ class BallIndex:
         return self.table[self._key(item)][0]
 
     def pair_of(self, encoding: str) -> TreePairDiagram:
-        return self.table[encoding][2]
+        """The reduced pair of a member; KeyError for anything else."""
+        if encoding not in self.table:
+            raise KeyError(encoding)
+        return parse_pair(encoding)
 
-    def elements(self) -> Iterable[tuple[str, int, TreePairDiagram]]:
-        for enc, (length, _, pair) in self.table.items():
-            yield enc, length, pair
+    def elements(self) -> Iterator[tuple[str, int, TreePairDiagram]]:
+        """(encoding, length, pair) for each element, the pair rebuilt as
+        it is reached; read ``table`` when the lengths are enough."""
+        for enc, (length, _) in self.table.items():
+            yield enc, length, parse_pair(enc)
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
-        for length, _, _ in self.table.values():
+        for length, _ in self.table.values():
             counts[length] += 1
         return counts
 
     def export_lines(self) -> list[str]:
-        rows = sorted((length, enc) for enc, (length, _, _) in self.table.items())
+        rows = sorted((length, enc) for enc, (length, _) in self.table.items())
         return [f"{enc}\t{length}" for length, enc in rows]
+
+
+# A frontier entry: a tree, and the inverse of the letter that reached it
+# (None at the start of a search).
+Frontier = list[tuple[TreePairDiagram, Optional[Letter]]]
 
 
 def _shell(
     seen: dict,
-    frontier: list[TreePairDiagram],
+    frontier: Frontier,
     depth: int,
     letters: tuple[Letter, ...],
     cap: int,
     overflow: str,
     inside: Optional[Callable[[str], bool]] = None,
     meet: Optional[dict] = None,
-) -> Optional[list[TreePairDiagram]]:
+    keep: bool = True,
+) -> Optional[Frontier]:
     """One breadth-first shell: record every unseen neighbour of the
-    frontier in ``seen`` as (depth, letter, pair) and return the new
-    frontier.
+    frontier in ``seen`` as (depth, letter) and return the new frontier.
 
-    Neighbours whose encoding fails ``inside`` are skipped.  With ``meet``
-    (the other side's seen dict) the shell stops at the first neighbour
-    the other side has seen and returns None.  The cap counts the states
-    of both dicts; recording one beyond it raises SearchCapExceededError
-    with the message ``overflow``.
+    The shell consumes ``frontier``, dropping each tree once its
+    neighbours are recorded, and never applies an entry's back letter:
+    that neighbour is the element it was reached from, already seen.  Each
+    new tree is kept, with the inverse of its letter, only for the next
+    shell; without ``keep`` the shell records keys alone and returns an
+    empty frontier.  Neighbours whose encoding fails ``inside`` are
+    skipped.  With ``meet`` (the other side's seen dict) the shell stops at
+    the first neighbour the other side has seen and returns None.  The cap
+    counts the states of both dicts; recording one beyond it raises
+    SearchCapExceededError with the message ``overflow``.
     """
     held = len(meet) if meet is not None else 0
-    new: list[TreePairDiagram] = []
-    for g in frontier:
-        for index, sign in letters:
-            h = apply_generator(g, index, sign)
+    # each letter with its inverse and its row, all shared by the shell
+    shared = {letter: letter for letter in letters}
+    steps = [(letter, shared[letter[0], -letter[1]], (depth, letter))
+             for letter in letters]
+    new: Frontier = []
+    frontier.reverse()  # popped from the end, so taken in the given order
+    while frontier:
+        g, back = frontier.pop()
+        for letter, undo, row in steps:
+            if letter is back:
+                continue
+            h = apply_generator(g, *letter)
             key = canonical_encode(h)
             if key in seen:
                 continue
@@ -131,14 +161,15 @@ def _shell(
                 continue
             if len(seen) + held >= cap:
                 raise SearchCapExceededError(overflow, len(seen) + held)
-            seen[key] = (depth, (index, sign), h)
-            new.append(h)
+            seen[key] = row
+            if keep:
+                new.append((h, undo))
     return new
 
 
-def _seed(pair: TreePairDiagram) -> dict:
-    """A seen dict holding only the start of a search."""
-    return {canonical_encode(pair): (0, None, pair)}
+def _seed(pair: TreePairDiagram) -> tuple[dict, Frontier]:
+    """The seen dict and the frontier of a search that starts at pair."""
+    return {canonical_encode(pair): (0, None)}, [(pair, None)]
 
 
 def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> BallIndex:
@@ -146,14 +177,13 @@ def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> Ball
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     letters = gens.letters()
-    start = identity()
-    table = _seed(start)
-    frontier = [start]
+    table, frontier = _seed(identity())
     for r in range(1, radius + 1):
         frontier = _shell(
             table, frontier, r, letters, cap,
             f"ball enumeration exceeded the state cap of {cap} elements "
             f"at radius {r}",
+            keep=r < radius,
         )
     return BallIndex(gens=gens, radius=radius, table=table)
 
@@ -182,9 +212,7 @@ def lengths_for(
         _check_reachable(t, gens)
         wanted.add(canonical_encode(t))
     letters = gens.letters()
-    start = identity()
-    table = _seed(start)
-    frontier = [start]
+    table, frontier = _seed(identity())
     missing = wanted - table.keys()
     r = 0
     while missing:
@@ -218,10 +246,10 @@ def _meet(
     set ends the search with exactly that sum.  The cap counts the states
     of both sides together.  None means one side ran out of vertices.
     """
-    seen = (_seed(a), _seed(b))
+    seen, frontiers = zip(_seed(a), _seed(b))
     if seen[0].keys() == seen[1].keys():
         return 0
-    frontiers = [[a], [b]]
+    frontiers = list(frontiers)
     depths = [0, 0]
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
@@ -277,14 +305,11 @@ def in_ball_geodesic(
         row = table.get(enc)
         return row is not None and row[0] <= radius
 
-    start, goal = canonical_encode(reduce(a)), canonical_encode(reduce(b))
-    for name, enc in (("a", start), ("b", goal)):
-        if not inside(enc):
+    a, b = reduce(a), reduce(b)
+    for name, p in (("a", a), ("b", b)):
+        if not inside(canonical_encode(p)):
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")
-    return _meet(
-        ball_index.pair_of(start), ball_index.pair_of(goal), gens.letters(),
-        cap, "in-ball search", inside,
-    )
+    return _meet(a, b, gens.letters(), cap, "in-ball search", inside)
 
 
 @dataclass(frozen=True)
@@ -466,8 +491,8 @@ def coarse_isometry_check(
     """Sweep both balls of the given radius and measure max |l_X - l_Y|."""
     ball_x = ball(x_gens, radius, cap=cap)
     ball_y = ball(y_gens, radius, cap=cap)
-    lengths_x = {enc: length for enc, length, _ in ball_x.elements()}
-    lengths_y = {enc: length for enc, length, _ in ball_y.elements()}
+    lengths_x = {enc: length for enc, (length, _) in ball_x.table.items()}
+    lengths_y = {enc: length for enc, (length, _) in ball_y.table.items()}
     only_y = [ball_y.pair_of(e) for e in lengths_y.keys() - lengths_x.keys()]
     only_x = [ball_x.pair_of(e) for e in lengths_x.keys() - lengths_y.keys()]
     if only_y:
@@ -501,7 +526,7 @@ def probe_subset_monotonicity(
         )
     ball_small = ball(small, radius, cap=cap)
     ball_large = ball(large, radius, cap=cap)
-    for enc, length, _ in ball_small.elements():
+    for enc, (length, _) in ball_small.table.items():
         if enc not in ball_large or ball_large.length_of(enc) > length:
             return False
     return True

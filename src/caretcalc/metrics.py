@@ -35,6 +35,10 @@ TYPE_N_POSITIVE = "TypeN-positive"
 RIGHT_IN_BOTH = "Right-in-both-not-final"
 
 
+class _Done(Exception):
+    """Ends the penalty search early once a weight-0 tree is found."""
+
+
 def _require_reduced(pair: TreePairDiagram, op: str) -> None:
     if not pair.reduced:
         raise UnreducedDiagramError(f"{op} requires a reduced pair")
@@ -281,9 +285,6 @@ def penalty_weight(
 
     weight = 0
     states = 0
-
-    class _Done(Exception):
-        pass
 
     def attach(c: int, p: int):
         nonlocal weight

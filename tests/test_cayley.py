@@ -4,6 +4,7 @@ import pytest
 
 from caretcalc import (
     GeneratingSet,
+    TreePairDiagram,
     apply_generator,
     ball,
     bfs_length,
@@ -21,6 +22,7 @@ from caretcalc import (
     probe_subset_monotonicity,
     reduce,
 )
+from caretcalc import cayley
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
@@ -71,9 +73,44 @@ def test_ball_descent_via_stored_letter():
     for enc, length, pair in index.elements():
         if length == 0:
             continue
-        _, letter, _ = index.table[enc]
+        _, letter = index.table[enc]
         back = apply_generator(pair, letter[0], -letter[1])
         assert index.length_of(back) == length - 1
+
+
+def test_ball_rows_hold_no_trees_and_pairs_rebuild():
+    index = ball(X2, 4)
+    for enc, row in index.table.items():
+        assert len(row) == 2
+        assert not any(isinstance(field, TreePairDiagram) for field in row)
+        pair = index.pair_of(enc)
+        assert pair.reduced and canonical_encode(pair) == enc
+    lengths = {enc: length for enc, length, _ in index.elements()}
+    assert lengths == {enc: row[0] for enc, row in index.table.items()}
+
+
+def test_pair_of_non_member():
+    index = ball(X2, 2)
+    outside = canonical_encode(evaluate_word([(1, 1)] * 3))
+    assert outside not in index
+    with pytest.raises(KeyError):
+        index.pair_of(outside)
+
+
+def test_ball_never_applies_the_parent_letter(monkeypatch):
+    # each element past the identity skips the inverse of the letter that
+    # reached it: 6 + 5 * (6 + 26 + 104) calls, not 6 * (1 + 6 + 26 + 104)
+    calls = 0
+    real = cayley.apply_generator
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(cayley, "apply_generator", counted)
+    assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
+    assert calls == 686
 
 
 def test_ball_cap():

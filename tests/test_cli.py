@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import caretcalc
 from caretcalc.cli import main
 
 H1_ENCODING = "(.(((..).).))|(((..).)(..))"
@@ -198,10 +201,15 @@ def test_missing_subcommand(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    env = dict(os.environ)
+    source = str(Path(caretcalc.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "caretcalc", "eval", "x0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "((..).)|(.(..))" in proc.stdout
