@@ -11,12 +11,21 @@ shell that expands them.  Balls and batched lengths grow one side from
 the identity, and a ball's last shell keeps no trees at all.  A single
 length, and a shortest path inside a ball, are searched from both ends at
 once: the side with the smaller frontier grows by one shell until it
-reaches the other side's seen set, which gives the distance exactly.  On
-top of the ball index sit three probes:
+reaches the other side's seen set, which gives the distance exactly.
+
+The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
+has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
+edge changes its parity, and the lengths of two neighbours differ by
+exactly 1.  So the ball of radius R - 1 decides membership in the ball of
+radius R: a neighbour v of a vertex u of the ball lies in it exactly when
+l(u) <= R - 1 or l(v) <= R - 1, and a vertex lies in it exactly when it,
+or (for R >= 1) one of its neighbours, is within R - 1.  The in-ball
+search therefore never enumerates the outer sphere, which is most of the
+ball.  On top of the ball index sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
-  defining properties by search;
+  defining properties by search, on the ball one radius smaller;
 * ``coarse_isometry_check`` measures the largest observed additive gap
   between two word metrics and compares it against the claimed constant
   when one set is a shifted copy of the other;
@@ -121,7 +130,7 @@ def _shell(
     letters: tuple[Letter, ...],
     cap: int,
     overflow: str,
-    inside: Optional[Callable[[str], bool]] = None,
+    inner: Optional[Callable[[str], bool]] = None,
     meet: Optional[dict] = None,
     keep: bool = True,
 ) -> Optional[Frontier]:
@@ -133,11 +142,13 @@ def _shell(
     that neighbour is the element it was reached from, already seen.  Each
     new tree is kept, with the inverse of its letter, only for the next
     shell; without ``keep`` the shell records keys alone and returns an
-    empty frontier.  Neighbours whose encoding fails ``inside`` are
-    skipped.  With ``meet`` (the other side's seen dict) the shell stops at
-    the first neighbour the other side has seen and returns None.  The cap
-    counts the states of both dicts; recording one beyond it raises
-    SearchCapExceededError with the message ``overflow``.
+    empty frontier.  With ``inner`` (a test of an encoding for length
+    <= R - 1) the shell stays in the ball of radius R: an entry that
+    fails it keeps only the neighbours that pass it.  With ``meet`` (the
+    other side's seen dict) the shell stops at the first neighbour the
+    other side has seen and returns None.  The cap counts the states of
+    both dicts; recording one beyond it raises SearchCapExceededError with
+    the message ``overflow``.
     """
     held = len(meet) if meet is not None else 0
     # each letter with its inverse and its row, all shared by the shell
@@ -148,6 +159,7 @@ def _shell(
     frontier.reverse()  # popped from the end, so taken in the given order
     while frontier:
         g, back = frontier.pop()
+        free = inner is None or inner(canonical_encode(g))
         for letter, undo, row in steps:
             if letter is back:
                 continue
@@ -157,7 +169,7 @@ def _shell(
                 continue
             if meet is not None and key in meet:
                 return None
-            if inside is not None and not inside(key):
+            if not free and not inner(key):
                 continue
             if len(seen) + held >= cap:
                 raise SearchCapExceededError(overflow, len(seen) + held)
@@ -236,7 +248,7 @@ def _meet(
     letters: tuple[Letter, ...],
     cap: int,
     what: str,
-    inside: Optional[Callable[[str], bool]] = None,
+    inner: Optional[Callable[[str], bool]] = None,
 ) -> Optional[int]:
     """Distance from a to b by breadth-first search from both ends.
 
@@ -258,7 +270,7 @@ def _meet(
             seen[side], frontiers[side], depths[side], letters, cap,
             f"{what} exceeded the state cap of {cap} states (both sides) "
             f"at depth {depths[0]} from the start and {depths[1]} from the goal",
-            inside, seen[1 - side],
+            inner, seen[1 - side],
         )
         if frontier is None:
             return depths[0] + depths[1]
@@ -294,22 +306,39 @@ def in_ball_geodesic(
     Returns None only if one side exhausts its component without meeting
     the other, which cannot happen for a genuine ball (it is connected
     through the identity) but is reported rather than asserted.
+
+    Neighbours' lengths differ by exactly 1 (see the module docstring),
+    so the search reads only rows of length <= radius - 1: an edge from
+    u to v stays in the ball exactly when u or v has such a row, and an
+    endpoint lies in it exactly when it or one of its neighbours does (for
+    radius 0, when it is the identity).  Without ``ball_index`` it
+    enumerates the ball of radius ``radius - 1``; a given index must have
+    at least that radius, and its longer rows are never read.
     """
     if ball_index is None:
-        ball_index = ball(gens, radius, cap=cap)
-    elif ball_index.gens != gens or ball_index.radius < radius:
+        ball_index = ball(gens, max(radius - 1, 0), cap=cap)
+    elif ball_index.gens != gens or ball_index.radius < radius - 1:
         raise ValueError("ball index does not cover the requested ball")
     table = ball_index.table
+    letters = gens.letters()
 
-    def inside(enc: str) -> bool:
+    def inner(enc: str) -> bool:
         row = table.get(enc)
-        return row is not None and row[0] <= radius
+        return row is not None and row[0] < radius
+
+    def within(p: TreePairDiagram) -> bool:
+        if radius <= 0:
+            return radius == 0 and p.is_identity
+        return inner(canonical_encode(p)) or any(
+            inner(canonical_encode(apply_generator(p, *letter)))
+            for letter in letters
+        )
 
     a, b = reduce(a), reduce(b)
     for name, p in (("a", a), ("b", b)):
-        if not inside(canonical_encode(p)):
+        if not within(p):
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")
-    return _meet(a, b, gens.letters(), cap, "in-ball search", inside)
+    return _meet(a, b, letters, cap, "in-ball search", inner)
 
 
 @dataclass(frozen=True)
@@ -379,21 +408,21 @@ def probe_mac(
     ball_index: Optional[BallIndex] = None,
 ) -> MacProbeReport:
     """Check the witness pair: both on the sphere of radius 2k+2, at
-    distance 2 from each other, yet at in-ball distance >= 4k+4."""
+    distance 2 from each other, yet at in-ball distance >= 4k+4.
+
+    The in-ball search needs only the ball of radius 2k+1 (see
+    ``in_ball_geodesic``), so that is the ball enumerated when
+    ``ball_index`` is None; a given index must have radius >= 2k+1.  The
+    lengths of g and h, which lie beyond it, come from ``bfs_length``.
+    """
     g, h = mac_witness_pair(gens, k)
     radius = 2 * k + 2
     if ball_index is None:
-        ball_index = ball(gens, radius, cap=cap)
-    elif ball_index.gens != gens or ball_index.radius < radius:
+        ball_index = ball(gens, radius - 1, cap=cap)
+    elif ball_index.gens != gens or ball_index.radius < radius - 1:
         raise ValueError("ball index does not cover the requested ball")
-
-    def exact_length(p: TreePairDiagram) -> int:
-        if p in ball_index:
-            return ball_index.length_of(p)
-        return bfs_length(p, gens, cap=cap)
-
-    g_length = exact_length(g)
-    h_length = exact_length(h)
+    g_length = bfs_length(g, gens, cap=cap)
+    h_length = bfs_length(h, gens, cap=cap)
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)
     min_path: Optional[int] = None
     if g_length <= radius and h_length <= radius:

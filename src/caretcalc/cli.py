@@ -20,9 +20,9 @@ from typing import Optional
 
 from . import cayley, metrics
 from .errors import ParseError, SearchCapExceededError
-from .group_ops import GeneratingSet, evaluate_word, normal_form
+from .group_ops import GeneratingSet, GeneratorWord, evaluate_word, normal_form
 from .tree_core import canonical_encode
-from .wordlang import format_word, parse_word
+from .wordlang import expand_runs, format_word, parse_runs
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -63,6 +63,26 @@ def _cap(args, fallback: int) -> int:
     return fallback
 
 
+def _word(args) -> GeneratorWord:
+    """The word argument.  One whose letter count or largest generator
+    index exceeds the cap is refused before any letter list or tree is
+    built: its cost grows with both."""
+    runs = parse_runs(args.word)
+    budget = _cap(args, cayley.DEFAULT_STATE_CAP)
+    letters = sum(abs(exponent) for _, exponent in runs)
+    if letters > budget:
+        raise SearchCapExceededError(
+            f"the word has {letters} letters, more than the cap of {budget}",
+            letters,
+        )
+    top = max((index for index, _ in runs), default=0)
+    if top > budget:
+        raise SearchCapExceededError(
+            f"the word uses generator x{top}, beyond the cap of {budget}", top
+        )
+    return expand_runs(runs)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -91,7 +111,7 @@ def _emit_record(args, record: dict, order: list[str]) -> None:
 
 
 def cmd_eval(args) -> int:
-    word = parse_word(args.word)
+    word = _word(args)
     pair = evaluate_word(word.letters)
     record = {
         "pair": canonical_encode(pair),
@@ -103,7 +123,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_len(args) -> int:
-    word = parse_word(args.word)
+    word = _word(args)
     pair = evaluate_word(word.letters)
     gens = args.gens
     method = args.method

@@ -35,10 +35,6 @@ TYPE_N_POSITIVE = "TypeN-positive"
 RIGHT_IN_BOTH = "Right-in-both-not-final"
 
 
-class _Done(Exception):
-    """Ends the penalty search early once a weight-0 tree is found."""
-
-
 def _require_reduced(pair: TreePairDiagram, op: str) -> None:
     if not pair.reduced:
         raise UnreducedDiagramError(f"{op} requires a reduced pair")
@@ -285,80 +281,82 @@ def penalty_weight(
 
     weight = 0
     states = 0
-
-    def attach(c: int, p: int):
-        nonlocal weight
-        included[c] = 1
-        parent[c] = p
-        depth[c] = depth[p] + 1
-        height[c] = 0
-        nchild[p] += 1
-        log: list[tuple[int, int]] = []
-        added = 0
-        if depth[c] >= 2 and 0 >= n - 1:
-            weight += 1
-            added += 1
-        a, k = p, 1
-        while height[a] < k:
-            log.append((a, height[a]))
-            if depth[a] >= 2 and height[a] < n - 1 <= k:
-                weight += 1
-                added += 1
-            height[a] = k
-            if a == 0:
-                break
-            a = parent[a]
-            k += 1
-        return c, p, log, added
-
-    def detach(token) -> None:
-        nonlocal weight
-        c, p, log, added = token
-        for a, old in reversed(log):
-            height[a] = old
-        weight -= added
-        nchild[p] -= 1
-        included[c] = 0
-        parent[c] = -1
-
-    def search(c: int) -> None:
-        nonlocal best_weight, best_parents, states
-        if weight >= best_weight:
-            return
-        for v in range(1, c):
-            if included[v] and nchild[v] == 0 and not is_required[v]:
-                if last_child_option[v] < c:
-                    return
-        if c > top:
-            best_weight = weight
-            best_parents = tuple(
-                (v, parent[v]) for v in range(1, top + 1) if included[v]
-            )
-            if best_weight == 0:
-                raise _Done
-            return
-        states += 1
-        if states > cap:
-            raise SearchCapExceededError(
-                f"penalty search exceeded {cap} states", states
-            )
-        if not is_required[c]:
-            search(c + 1)
-            if not useful[c]:
-                return
-        candidates = [p for p in preds[c] if included[p]]
-        if not candidates:
-            return
-        candidates.sort(key=lambda p: depth[p])
-        for p in candidates:
-            token = attach(c, p)
-            search(c + 1)
-            detach(token)
-
-    try:
-        search(1)
-    except _Done:
-        pass
+    # Depth first over an explicit stack, so that the search depth is not
+    # bounded by the interpreter's.  A frame holds a caret, the choices
+    # for it still to try, in order (None leaves it out, p hangs it under
+    # p), and what undoes the current choice: (p, height log, old weight).
+    frames: list[list] = []
+    c = 1
+    while True:
+        # a partial tree is a dead end when it weighs too much or when some
+        # routing leaf can no longer get a child from caret c on
+        alive = weight < best_weight
+        if alive:
+            for v in range(1, c):
+                if included[v] and nchild[v] == 0 and not is_required[v]:
+                    if last_child_option[v] < c:
+                        alive = False
+                        break
+        if alive:
+            if c > top:
+                best_weight = weight
+                best_parents = tuple(
+                    (v, parent[v]) for v in range(1, top + 1) if included[v]
+                )
+                if best_weight == 0:
+                    break
+            else:
+                states += 1
+                if states > cap:
+                    raise SearchCapExceededError(
+                        f"penalty search exceeded {cap} states", states
+                    )
+                choices = [] if is_required[c] else [None]
+                if useful[c]:
+                    choices += sorted((p for p in preds[c] if included[p]),
+                                      key=depth.__getitem__)
+                frames.append([c, iter(choices), None])
+        # go on with the next choice of the deepest frame that has one
+        while frames:
+            frame = frames[-1]
+            c = frame[0]
+            if frame[2] is not None:
+                p, log, weight = frame[2]
+                for a, old in reversed(log):
+                    height[a] = old
+                nchild[p] -= 1
+                included[c] = 0
+                parent[c] = -1
+                frame[2] = None
+            p = next(frame[1], -1)
+            if p == -1:
+                frames.pop()
+                continue
+            if p is not None:
+                # hang c under p and raise the heights above it
+                log = []
+                frame[2] = (p, log, weight)
+                included[c] = 1
+                parent[c] = p
+                depth[c] = depth[p] + 1
+                height[c] = 0
+                nchild[p] += 1
+                if depth[c] >= 2 and 0 >= n - 1:
+                    weight += 1
+                a, k = p, 1
+                while height[a] < k:
+                    log.append((a, height[a]))
+                    if depth[a] >= 2 and height[a] < n - 1 <= k:
+                        weight += 1
+                    height[a] = k
+                    if a == 0:
+                        break
+                    a = parent[a]
+                    k += 1
+            c += 1
+            break
+        else:
+            break
     witness = PenaltyTree(best_parents, adjacency=adj, required=required)
     return best_weight, witness
 

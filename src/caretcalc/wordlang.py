@@ -12,6 +12,7 @@ Canonical output uses a single space between letters and omits "^1".
 Parsing never crashes: malformed text raises ParseError with a byte
 offset, `expected`, and `found`.  Exponents expand, so "x1^-3" is the
 three letters (1,-1),(1,-1),(1,-1); an exponent of 0 is rejected.
+``parse_runs`` keeps each letter as written, exponent unexpanded.
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
 
-def parse_word(text: str) -> GeneratorWord:
-    """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"."""
+def parse_runs(text: str) -> list[tuple[int, int]]:
+    """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"
+    into one (index, exponent) run per letter as written.  Nothing is
+    expanded, so a caller can see what a word costs before building it."""
     cur = _Cursor(text)
     cur.skip_spaces()
-    letters: list[tuple[int, int]] = []
+    runs: list[tuple[int, int]] = []
     if cur.at_end():
-        return GeneratorWord(())
+        return runs
     while True:
         if cur.peek() != "x":
             cur.fail("a generator letter starting with 'x'")
@@ -94,8 +97,7 @@ def parse_word(text: str) -> GeneratorWord:
                 diag = ParseDiagnostic(mark, "a nonzero exponent", "0")
                 raise ParseError(str(diag), diag)
             exponent = sign * magnitude
-        step = 1 if exponent > 0 else -1
-        letters.extend([(index, step)] * abs(exponent))
+        runs.append((index, exponent))
         spaces = cur.skip_spaces()
         if cur.at_end():
             break
@@ -103,7 +105,21 @@ def parse_word(text: str) -> GeneratorWord:
             if cur.peek() != "*":
                 cur.fail("a separator (' ' or '*') or end of input")
             cur.take()
+    return runs
+
+
+def expand_runs(runs: list[tuple[int, int]]) -> GeneratorWord:
+    """The word of (index, exponent) runs, each exponent spelled out."""
+    letters: list[tuple[int, int]] = []
+    for index, exponent in runs:
+        step = 1 if exponent > 0 else -1
+        letters.extend([(index, step)] * abs(exponent))
     return GeneratorWord(tuple(letters))
+
+
+def parse_word(text: str) -> GeneratorWord:
+    """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"."""
+    return expand_runs(parse_runs(text))
 
 
 def format_word(word: GeneratorWord) -> str:

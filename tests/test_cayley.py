@@ -3,6 +3,7 @@ import random
 import pytest
 
 from caretcalc import (
+    BallIndex,
     GeneratingSet,
     TreePairDiagram,
     apply_generator,
@@ -18,6 +19,8 @@ from caretcalc import (
     lengths_for,
     mac_witness_pair,
     multiply,
+    normal_form,
+    parse_pair,
     probe_mac,
     probe_subset_monotonicity,
     reduce,
@@ -27,6 +30,16 @@ from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
 from helpers import in_ball_distances
+
+
+def _restricted(index, radius):
+    """The elements of the index within the given radius, as an index."""
+    table = {enc: row for enc, row in index.table.items() if row[0] <= radius}
+    return BallIndex(gens=index.gens, radius=radius, table=table)
+
+
+def _exponent_sum(pair):
+    return sum(sign for _, sign in normal_form(pair))
 
 
 def test_ball_radius_zero_and_one():
@@ -166,9 +179,11 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     cases = [(g1, 4, [h1]), (g2, 6, [h2] + seeded(8)), (seeded(1)[0], 6, seeded(8))]
     for a, radius, targets in cases:
         oracle = in_ball_distances(ball_x2_r6, canonical_encode(a), radius)
-        for b in targets:
-            got = in_ball_geodesic(a, b, X2, radius, ball_index=ball_x2_r6)
-            assert got == oracle[canonical_encode(b)]
+        # the ball one radius smaller decides membership just as well
+        for index in (ball_x2_r6, _restricted(ball_x2_r6, radius - 1)):
+            for b in targets:
+                got = in_ball_geodesic(a, b, X2, radius, ball_index=index)
+                assert got == oracle[canonical_encode(b)]
     # the MAC witnesses' in-ball distances, exactly
     assert in_ball_geodesic(g1, h1, X2, 4, ball_index=ball_x2_r6) == 8
     assert in_ball_geodesic(g2, h2, X2, 6, ball_index=ball_x2_r6) == 12
@@ -249,6 +264,80 @@ def test_in_ball_geodesic_basics():
         in_ball_geodesic(x0, outside, X2, 3, ball_index=index)
     with pytest.raises(ValueError):
         in_ball_geodesic(x0, x0, X2, 5, ball_index=index)  # index too small
+
+
+def test_every_edge_flips_length_parity(ball_x2_r7):
+    # the exponent sum is a homomorphism F -> Z, so every letter moves it
+    # by one, and the length of each element has its parity
+    rng = random.Random(127)
+    for enc in rng.sample(sorted(ball_x2_r7.table), 40):
+        pair = ball_x2_r7.pair_of(enc)
+        for index, sign in X3.letters():
+            stepped = apply_generator(pair, index, sign)
+            assert _exponent_sum(stepped) == _exponent_sum(pair) + sign
+    for enc, (length, _) in ball_x2_r7.table.items():
+        assert (length - _exponent_sum(ball_x2_r7.pair_of(enc))) % 2 == 0
+
+
+def test_probe_mac_same_report_for_any_covering_index(ball_x2_r7):
+    # radius 2k+1 is enough; larger indexes give the same report
+    x013 = GeneratingSet.of([0, 1, 3])
+    for gens, k, index in ((X2, 2, ball_x2_r7), (x013, 1, ball(x013, 5))):
+        reports = [probe_mac(gens, k).to_dict()]
+        for radius in (2 * k + 1, 2 * k + 2, 2 * k + 3):
+            reports.append(
+                probe_mac(gens, k, ball_index=_restricted(index, radius)).to_dict()
+            )
+        assert all(report == reports[0] for report in reports)
+        assert reports[0]["verdict"] == "witness-confirmed"
+
+
+def test_in_ball_geodesic_radius_zero_and_one():
+    one = identity()
+    x0, x1 = generator_diagram(0, 1), generator_diagram(1, 1)
+    assert in_ball_geodesic(one, one, X1, 0) == 0
+    assert in_ball_geodesic(one, one, X1, 0, ball_index=ball(X1, 0)) == 0
+    with pytest.raises(ValueError, match="outside the ball of radius 0"):
+        in_ball_geodesic(one, x0, X1, 0)
+    # radius 1: the only path between two generators runs through 1
+    for index in (None, ball(X1, 0), ball(X1, 2)):
+        assert in_ball_geodesic(x0, x1, X1, 1, ball_index=index) == 2
+        assert in_ball_geodesic(one, x1, X1, 1, ball_index=index) == 1
+        with pytest.raises(ValueError, match="outside the ball of radius 1"):
+            in_ball_geodesic(x0, multiply(x0, x1), X1, 1, ball_index=index)
+
+
+def test_in_ball_path_through_the_outer_sphere():
+    # the only in-ball path of length 3 runs through sphere 3, which the
+    # radius-2 index does not hold; kept inside radius 2 it needs 5 steps
+    a = parse_pair("(.((..)(.(..))))|(.(.((.(..)).)))")
+    b = parse_pair("(.((..).))|((..)(..))")
+    for index in (None, ball(X2, 2), ball(X2, 3)):
+        assert in_ball_geodesic(a, b, X2, 3, ball_index=index) == 3
+    assert in_ball_geodesic(a, b, X2, 4) == 3
+
+
+def test_index_two_radii_short_is_refused():
+    g, h = mac_witness_pair(X2, 1)
+    with pytest.raises(ValueError, match="does not cover"):
+        probe_mac(X2, 1, ball_index=ball(X2, 2))
+    with pytest.raises(ValueError, match="does not cover"):
+        in_ball_geodesic(g, h, X2, 4, ball_index=ball(X2, 2))
+
+
+def test_probe_mac_enumerates_radius_2k_plus_1_once(monkeypatch):
+    radii = []
+    real = cayley.ball
+
+    def recorded(gens, radius, cap=cayley.DEFAULT_STATE_CAP):
+        radii.append(radius)
+        return real(gens, radius, cap=cap)
+
+    monkeypatch.setattr(cayley, "ball", recorded)
+    for k in (1, 2):
+        radii.clear()
+        assert probe_mac(X2, k).confirmed
+        assert radii == [2 * k + 1]
 
 
 def test_in_ball_geodesic_witness_detour():

@@ -131,6 +131,95 @@ def test_probe_mac_cli(capsys):
     assert "min_in_ball_path\t8" in out
 
 
+PROBE_X2_K2 = """\
+gens	0,1,2
+k	2
+g	(.((((..).).)((..).)))|(((..).)(.(.(.(..)))))
+h	(.((((..).).).))|((((..).).)(..))
+g_length	6
+h_length	6
+distance	2
+min_in_ball_path	12
+formula_g_length	6
+formula_h_length	6
+verdict	witness-confirmed
+"""
+
+PROBE_X2_K2_STRUCTURED = """\
+{
+  "distance": 2,
+  "formula_g_length": 6,
+  "formula_h_length": 6,
+  "g": "(.((((..).).)((..).)))|(((..).)(.(.(.(..)))))",
+  "g_length": 6,
+  "gens": [
+    0,
+    1,
+    2
+  ],
+  "h": "(.((((..).).).))|((((..).).)(..))",
+  "h_length": 6,
+  "k": 2,
+  "min_in_ball_path": 12,
+  "verdict": "witness-confirmed"
+}
+"""
+
+PROBE_013_K1 = """\
+gens	0,1,3
+k	1
+g	(.(((..).)(.((..).))))|((..)(.(.(.(.(..))))))
+h	(.(((..).).))|(((..).)(..))
+g_length	4
+h_length	4
+distance	2
+min_in_ball_path	8
+verdict	witness-confirmed
+"""
+
+PROBE_013_K1_STRUCTURED = """\
+{
+  "distance": 2,
+  "formula_g_length": null,
+  "formula_h_length": null,
+  "g": "(.(((..).)(.((..).))))|((..)(.(.(.(.(..))))))",
+  "g_length": 4,
+  "gens": [
+    0,
+    1,
+    3
+  ],
+  "h": "(.(((..).).))|(((..).)(..))",
+  "h_length": 4,
+  "k": 1,
+  "min_in_ball_path": 8,
+  "verdict": "witness-confirmed"
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--gens", "0,1,2", "--k", "2"], PROBE_X2_K2),
+    (["--gens", "0,1,2", "--k", "2", "--format", "structured"],
+     PROBE_X2_K2_STRUCTURED),
+    (["--gens", "0,1,3", "--k", "1"], PROBE_013_K1),
+    (["--gens", "0,1,3", "--k", "1", "--format", "structured"],
+     PROBE_013_K1_STRUCTURED),
+])
+def test_probe_mac_goldens(capsys, argv, expected):
+    assert run(capsys, "probe-mac", *argv) == (0, expected, "")
+
+
+def test_probe_mac_cap_names_the_radius(capsys):
+    # the probe enumerates the ball of radius 2k+1 = 5, which holds 2067
+    # elements
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "2",
+                         "--cap", "1000")
+    assert code == 3
+    assert out == ""
+    assert "state cap of 1000" in err and "at radius 5" in err
+
+
 def test_check_ci_cli(capsys):
     code, out, _ = run(capsys, "check-ci", "--gens-a", "0,2", "--gens-b", "0,1",
                        "--radius", "4")
@@ -167,6 +256,40 @@ def test_cap_bfs_reports_depth(capsys):
     assert out == ""
     assert "state cap of 20" in err
     assert "at depth 2 from the start and 1 from the goal" in err
+
+
+def test_word_over_cap_refused_before_expanding(capsys, monkeypatch):
+    def never(runs):
+        raise AssertionError("expanded a word over the cap")
+
+    monkeypatch.setattr("caretcalc.cli.expand_runs", never)
+    for argv in (["eval", "x0^999999999"], ["eval", "x100000000"],
+                 ["len", "x1 x0^-999999999", "--gens", "0,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("resource limit: ") and "cap of 5000000" in err
+
+
+def test_word_cap_flag(capsys, monkeypatch):
+    code, out, err = run(capsys, "eval", "x0^50", "--cap", "10")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: the word has 50 letters, more than the "
+                   "cap of 10\n")
+    code, _, err = run(capsys, "eval", "x11", "--cap", "10")
+    assert code == 3
+    assert err == "resource limit: the word uses generator x11, beyond the cap of 10\n"
+    code, out, _ = run(capsys, "eval", "x10 x0^9", "--cap", "10")
+    assert code == 0 and "carets\t" in out
+    monkeypatch.setenv("CARETCALC_CAP", "10")
+    code, _, _ = run(capsys, "len", "x0^11", "--gens", "0,1")
+    assert code == 3
+
+
+def test_len_penalty_search_deeper_than_the_interpreter_stack(capsys):
+    code, out, err = run(capsys, "len", "x1200", "--gens", "0,1")
+    assert (code, err) == (0, "")
+    assert "length\t2399\n" in out
 
 
 def test_cap_env_var(capsys, monkeypatch):

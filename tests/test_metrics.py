@@ -25,7 +25,7 @@ from caretcalc.errors import (
 from caretcalc.group_ops import GeneratingSet
 from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
 from caretcalc.tree_core import INTERIOR, RIGHT, TreePairDiagram, spine
-from caretcalc.wordlang import parse_tree
+from caretcalc.wordlang import parse_tree, parse_word
 from helpers import (
     brute_force_min_weight,
     interval_adjacency,
@@ -297,6 +297,17 @@ def test_penalty_weight_cap():
     assert err.value.states > 0
 
 
+def test_penalty_search_deeper_than_the_interpreter_stack():
+    # x1200 over {x0, x1} needs a 1200-caret penalty chain; the search
+    # once recursed once per caret and died with RecursionError
+    g = generator_diagram(1200, 1)
+    weight, witness = penalty_weight(g, 1)
+    assert weight == 1199
+    assert witness.parents == tuple((c, c - 1) for c in range(1, 1201))
+    assert penalty_weight_of_tree(witness, 1) == weight
+    assert length_consecutive(g, 1).length == 2399
+
+
 # --- length_consecutive ---------------------------------------------------
 
 
@@ -319,6 +330,21 @@ def test_length_report_serialize_golden():
         "(.(((..).).))|(((..).)(..))\tn=2\tl_inf=4\tpenalty=0\tlength=4"
         "\twitness=0>1"
     )
+    # witnesses that depend on the order in which the search tries parents
+    for word, pair, l_inf, penalties, witness in (
+        ("x3 x1 x0^-1 x1 x0 x0^-1",
+         "(.((.(..))(.((..).))))|((..)(.(.(.(.(..))))))", 4, (2, 1, 0),
+         "0>1,0>2,1>4,4>5"),
+        ("x0 x3 x2 x1^-1 x0^-1 x2 x3 x1^-1 x2 x2^-1 x3^-1",
+         "((..)((..)(((.(..)).).)))|((.(..))((..)(.((..).))))", 9, (3, 1, 0),
+         "0>1,0>2,0>3,2>4,3>5,5>6"),
+    ):
+        g = evaluate_word(parse_word(word).letters)
+        for n, penalty in zip((1, 2, 3), penalties):
+            assert length_consecutive(g, n).serialize() == (
+                f"{pair}\tn={n}\tl_inf={l_inf}\tpenalty={penalty}"
+                f"\tlength={l_inf + 2 * penalty}\twitness={witness}"
+            )
 
 
 def test_length_matches_bfs_on_sample():

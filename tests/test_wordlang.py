@@ -5,7 +5,14 @@ import pytest
 from caretcalc import canonical_encode, evaluate_word, reduce
 from caretcalc.errors import ParseError
 from caretcalc.group_ops import GeneratorWord
-from caretcalc.wordlang import format_word, parse_pair, parse_tree, parse_word
+from caretcalc.wordlang import (
+    expand_runs,
+    format_word,
+    parse_pair,
+    parse_runs,
+    parse_tree,
+    parse_word,
+)
 
 
 def test_parse_word_examples():
@@ -16,6 +23,14 @@ def test_parse_word_examples():
     assert parse_word("x0").letters == ((0, 1),)
     assert parse_word("x10^+2").letters == ((10, 1), (10, 1))
     assert parse_word("  x3   x3  ").letters == ((3, 1), (3, 1))
+
+
+def test_parse_runs_leave_exponents_unexpanded():
+    assert parse_runs("x1^2 x0^-2") == [(1, 2), (0, -2)]
+    assert parse_runs("x2*x1^999999999 x2") == [(2, 1), (1, 999999999), (2, 1)]
+    assert parse_runs("  ") == []
+    for text in ("x1^2 x0^-2", "x10^+2 x3", "x0 x0^-1", ""):
+        assert expand_runs(parse_runs(text)) == parse_word(text)
 
 
 @pytest.mark.parametrize(
