@@ -6,9 +6,10 @@ shell expander (``_shell``) that deduplicates elements by their canonical
 encodings, so the lengths are exact and serve as the independent oracle
 for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
 remembers each element it has seen as its encoding, its length and the
-letter that reached it; trees live only on the frontier, for the one
-shell that expands them.  Balls and batched lengths grow one side from
-the identity, and a ball's last shell keeps no trees at all.  A single
+letter that reached it.  The encoding is the element, so the frontier
+holds encodings too, and a shell makes an element's tree pair from its
+encoding only while it expands it.  Balls and batched lengths grow one
+side from the identity, and a ball's last shell keeps no frontier.  A single
 length, and a shortest path inside a ball, are searched from both ends at
 once: the side with the smaller frontier grows by one shell until it
 reaches the other side's seen set, which gives the distance exactly.
@@ -55,13 +56,18 @@ from .group_ops import (
     normal_form,
 )
 from .metrics import length_consecutive
-from .tree_core import TreePairDiagram, canonical_encode, reduce
-from .wordlang import parse_pair
+from .tree_core import CaretTree, TreePairDiagram, canonical_encode, reduce
 
 DEFAULT_STATE_CAP = 5_000_000
 
 CONFIRMED = "witness-confirmed"
 REFUTED = "refuted"
+
+
+def _decode(encoding: str) -> TreePairDiagram:
+    """The reduced pair whose canonical encoding this is."""
+    negative, positive = encoding.split("|")
+    return TreePairDiagram(CaretTree(negative), CaretTree(positive), True)
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,9 @@ class BallIndex:
     the identity), so walking letters backwards always descends one
     length level per step.  It is one of the tuples ``gens.letters()``
     gave the search, and rows of one length and letter are one shared
-    tuple, so the table costs little more than its keys.  It holds no trees: ``pair_of``
-    rebuilds an element's reduced pair by parsing its canonical encoding.
+    tuple, so the table costs little more than its keys.  A key is the
+    element's canonical encoding, so it is the element: ``pair_of`` and
+    ``elements`` cut it at "|" and parse nothing.
     """
 
     gens: GeneratingSet
@@ -99,13 +106,13 @@ class BallIndex:
         """The reduced pair of a member; KeyError for anything else."""
         if encoding not in self.table:
             raise KeyError(encoding)
-        return parse_pair(encoding)
+        return _decode(encoding)
 
     def elements(self) -> Iterator[tuple[str, int, TreePairDiagram]]:
-        """(encoding, length, pair) for each element, the pair rebuilt as
-        it is reached; read ``table`` when the lengths are enough."""
+        """(encoding, length, pair) for each element, the pair made as it
+        is reached; read ``table`` when the lengths are enough."""
         for enc, (length, _) in self.table.items():
-            yield enc, length, parse_pair(enc)
+            yield enc, length, _decode(enc)
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
@@ -118,9 +125,9 @@ class BallIndex:
         return [f"{enc}\t{length}" for length, enc in rows]
 
 
-# A frontier entry: a tree, and the inverse of the letter that reached it
-# (None at the start of a search).
-Frontier = list[tuple[TreePairDiagram, Optional[Letter]]]
+# A frontier entry: an element's encoding, and the inverse of the letter
+# that reached it (None at the start of a search).
+Frontier = list[tuple[str, Optional[Letter]]]
 
 
 def _shell(
@@ -137,18 +144,17 @@ def _shell(
     """One breadth-first shell: record every unseen neighbour of the
     frontier in ``seen`` as (depth, letter) and return the new frontier.
 
-    The shell consumes ``frontier``, dropping each tree once its
-    neighbours are recorded, and never applies an entry's back letter:
-    that neighbour is the element it was reached from, already seen.  Each
-    new tree is kept, with the inverse of its letter, only for the next
-    shell; without ``keep`` the shell records keys alone and returns an
-    empty frontier.  With ``inner`` (a test of an encoding for length
-    <= R - 1) the shell stays in the ball of radius R: an entry that
-    fails it keeps only the neighbours that pass it.  With ``meet`` (the
-    other side's seen dict) the shell stops at the first neighbour the
-    other side has seen and returns None.  The cap counts the states of
-    both dicts; recording one beyond it raises SearchCapExceededError with
-    the message ``overflow``.
+    The shell consumes ``frontier``, making each entry's pair from its
+    encoding only while it expands it, and never applies an entry's back
+    letter: that neighbour is the element it was reached from, already
+    seen.  Each new key is kept, with the inverse of its letter, for the
+    next shell; without ``keep`` the shell returns an empty frontier.
+    With ``inner`` (a test of an encoding for length <= R - 1) the shell
+    stays in the ball of radius R: an entry that fails it keeps only the
+    neighbours that pass it.  With ``meet`` (the other side's seen dict)
+    the shell stops at the first neighbour the other side has seen and
+    returns None.  The cap counts the states of both dicts; recording one
+    beyond it raises SearchCapExceededError with the message ``overflow``.
     """
     held = len(meet) if meet is not None else 0
     # each letter with its inverse and its row, all shared by the shell
@@ -158,8 +164,9 @@ def _shell(
     new: Frontier = []
     frontier.reverse()  # popped from the end, so taken in the given order
     while frontier:
-        g, back = frontier.pop()
-        free = inner is None or inner(canonical_encode(g))
+        enc, back = frontier.pop()
+        g = _decode(enc)
+        free = inner is None or inner(enc)
         for letter, undo, row in steps:
             if letter is back:
                 continue
@@ -175,13 +182,14 @@ def _shell(
                 raise SearchCapExceededError(overflow, len(seen) + held)
             seen[key] = row
             if keep:
-                new.append((h, undo))
+                new.append((key, undo))
     return new
 
 
 def _seed(pair: TreePairDiagram) -> tuple[dict, Frontier]:
     """The seen dict and the frontier of a search that starts at pair."""
-    return {canonical_encode(pair): (0, None)}, [(pair, None)]
+    key = canonical_encode(pair)
+    return {key: (0, None)}, [(key, None)]
 
 
 def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> BallIndex:

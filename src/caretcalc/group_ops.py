@@ -15,23 +15,22 @@ the identical result (both routes are kept and tested against each other).
 
 Both routes build an unreduced result and hand it to ``reduce``, the one
 place that settles reducedness; their inputs pass through it too, which
-is a flag check when they are already reduced.  Tree walks are loops over
-explicit stacks, as in ``tree_core``.
+is a flag check when they are already reduced.  Trees are text, as in
+``tree_core``, and every edit here is a scan and a few slices of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .tree_core import (
     CaretTree,
-    Node,
     TreePairDiagram,
     add_caret_at_leaf,
     attach_at_leaf,
-    count_carets,
-    count_leaves,
+    graft,
     reduce,
     spine,
 )
@@ -108,13 +107,12 @@ class GeneratingSet:
 
 
 def identity() -> TreePairDiagram:
-    return TreePairDiagram(CaretTree(None), CaretTree(None), True)
+    return TreePairDiagram(CaretTree("."), CaretTree("."), True)
 
 
 @lru_cache(maxsize=None)
-def _generator_nodes(index: int) -> tuple[Node, Node]:
-    hang: Node = ((None, None), None)
-    negative = attach_at_leaf(spine(index), index, hang)
+def _generator_trees(index: int) -> tuple[str, str]:
+    negative = attach_at_leaf(spine(index), index, "((..).)")
     positive = spine(index + 2)
     return negative, positive
 
@@ -125,7 +123,7 @@ def generator_diagram(index: int, sign: int) -> TreePairDiagram:
         raise ValueError(f"generator index must be >= 0, got {index}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    negative, positive = _generator_nodes(index)
+    negative, positive = _generator_trees(index)
     if sign == 1:
         return TreePairDiagram(CaretTree(negative), CaretTree(positive), True)
     return TreePairDiagram(CaretTree(positive), CaretTree(negative), True)
@@ -136,38 +134,40 @@ def invert(pair: TreePairDiagram) -> TreePairDiagram:
     return TreePairDiagram(pair.positive, pair.negative, pair.reduced)
 
 
-Grafts = list[tuple[int, Node]]  # (leaf number, subtree), in leaf order
+# Depth change of each character; a running sum gives the depth after it.
+_STEP = {"(": 1, ".": 0, ")": -1}
 
 
-def _overhangs(a: Node, b: Node) -> tuple[Grafts, Grafts]:
-    """Walk two trees side by side and list the subtrees of ``b`` hanging
-    below leaves of ``a``, and those of ``a`` below leaves of ``b``;
-    grafting each list onto its tree gives the smallest tree that refines
-    both."""
-    below_a: Grafts = []
-    below_b: Grafts = []
-    leaf_a = leaf_b = 0
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is not None and y is not None:
-            stack.append((x[1], y[1]))
-            stack.append((x[0], y[0]))
-            continue
-        if y is not None:
-            below_a.append((leaf_a, y))
-        elif x is not None:
-            below_b.append((leaf_b, x))
-        leaf_a += count_leaves(x)
-        leaf_b += count_leaves(y)
+def _subtree_end(tree: str, start: int) -> int:
+    """End of the subtree whose text begins at ``start``: the first
+    position past it where as many ")" as "(" have been read."""
+    depth, end = _STEP[tree[start]], start + 1
+    while depth:
+        depth += _STEP[tree[end]]
+        end += 1
+    return end
+
+
+def _overhangs(a: str, b: str) -> tuple[dict[int, str], dict[int, str]]:
+    """Walk two trees side by side and map leaves of ``a`` to the subtrees
+    of ``b`` hanging below them, and leaves of ``b`` to those of ``a``;
+    grafting each onto its tree gives the smallest tree that refines
+    both.  Where the texts differ, one has a leaf and the other a caret."""
+    below_a: dict[int, str] = {}
+    below_b: dict[int, str] = {}
+    i = j = 0
+    while i < len(a):
+        if a[i] == b[j]:
+            i, j = i + 1, j + 1
+        elif a[i] == ".":
+            end = _subtree_end(b, j)
+            below_a[a.count(".", 0, i)] = b[j:end]
+            i, j = i + 1, end
+        else:
+            end = _subtree_end(a, i)
+            below_b[b.count(".", 0, j)] = a[i:end]
+            i, j = end, j + 1
     return below_a, below_b
-
-
-def _graft(node: Node, extras: Grafts) -> Node:
-    # right to left, so the leaf numbers still to come stay valid
-    for leaf, sub in reversed(extras):
-        node = attach_at_leaf(node, leaf, sub)
-    return node
 
 
 def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
@@ -175,25 +175,45 @@ def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
     g = reduce(g)
     h = reduce(h)
     into_g, into_h = _overhangs(g.positive.root, h.negative.root)
-    negative = _graft(g.negative.root, into_g)
-    positive = _graft(h.positive.root, into_h)
+    negative = graft(g.negative.root, into_g)
+    positive = graft(h.positive.root, into_h)
     return reduce(TreePairDiagram(CaretTree(negative), CaretTree(positive), False))
 
 
-def _spine_split(node: Node) -> list[Node]:
-    """Left subtrees hanging off the right spine, top to bottom."""
-    out: list[Node] = []
-    while node is not None:
-        out.append(node[0])
-        node = node[1]
-    return out
+def _grow_spine(tree: str, carets: int) -> str:
+    """``tree`` with a right spine of ``carets`` carets at its last leaf."""
+    last = tree.rindex(".")
+    return tree[:last] + spine(carets) + tree[last + 1 :]
 
 
-def _spine_build(subtrees: list[Node], rest: Node = None) -> Node:
-    node = rest
-    for sub in reversed(subtrees):
-        node = (sub, node)
-    return node
+def _move(pos: str, index: int, sign: int) -> tuple[str, int]:
+    """The positive tree after the move of x_index^sign, and the leaf at
+    which a caret A ^ B was added first (-1 if there was one already).
+    The right spine of ``pos`` must be long enough for the move.
+
+    Spine caret k opens at depth k + 1, and the subtree hanging off it
+    ends at the next character back at that depth, so one list of depths
+    cuts every subtree the move needs.
+    """
+    depth = list(accumulate(map(_STEP.__getitem__, pos)))
+    top = 0  # the "(" of spine caret k, for k = 0 .. index
+    for k in range(1, index + 1):
+        top = depth.index(k, top + 1) + 1
+    if sign == 1 and pos[top + 1] == ".":
+        return pos[: top + 1] + ".(." + pos[top + 2 :] + ")", pos.count(".", 0, top)
+    if sign == 1:
+        # ((A B) C) -> (A (B C)): the "(" of A ^ B moves to after A and
+        # its ")" to the end
+        a_end = depth.index(index + 2, top + 2) + 1
+        b_end = depth.index(index + 1, top + 1)
+        return (pos[: top + 1] + pos[top + 2 : a_end] + "(" + pos[a_end:b_end]
+                + pos[b_end + 1 :] + ")"), -1
+    # (X (Y R)) -> ((X Y) R): the "(" of spine caret index + 1 moves to
+    # before X and its ")" to after Y
+    below = depth.index(index + 1, top + 1) + 1
+    y_end = depth.index(index + 2, below + 1) + 1
+    return (pos[: top + 1] + "(" + pos[top + 1 : below] + pos[below + 1 : y_end]
+            + ")" + pos[y_end:-1]), -1
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
@@ -211,21 +231,14 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     pair = reduce(pair)
-    neg = pair.negative.root
-    parts = _spine_split(pair.positive.root)
+    neg, pos = pair.negative.root, pair.positive.root
     need = index + 1 if sign == 1 else index + 2
-    if len(parts) < need:
-        neg = attach_at_leaf(neg, count_carets(neg), spine(need - len(parts)))
-        parts += [None] * (need - len(parts))
-    if sign == 1:
-        if parts[index] is None:
-            neg = add_caret_at_leaf(neg, sum(count_leaves(p) for p in parts[:index]))
-            parts[index] = (None, None)
-        a, b = parts[index]
-        moved = (a, (b, _spine_build(parts[index + 1 :])))
-    else:
-        moved = ((parts[index], parts[index + 1]), _spine_build(parts[index + 2 :]))
-    pos = _spine_build(parts[:index], moved)
+    missing = need - (len(pos) - len(pos.rstrip(")")))
+    if missing > 0:
+        neg, pos = _grow_spine(neg, missing), _grow_spine(pos, missing)
+    pos, added = _move(pos, index, sign)
+    if added >= 0:
+        neg = add_caret_at_leaf(neg, added)
     return reduce(TreePairDiagram(CaretTree(neg), CaretTree(pos), False))
 
 
@@ -237,21 +250,23 @@ def evaluate_word(word: GeneratorWord) -> TreePairDiagram:
     return pair
 
 
-def _leaf_exponents(node: Node) -> list[int]:
+def _leaf_exponents(tree: str) -> list[int]:
     """Exponent of each leaf: carets off the right spine whose leftmost
-    descendant leaf is that leaf."""
-    counts = [0] * count_leaves(node)
-    seen = 0
-    stack = [(node, True)]
-    while stack:
-        nd, on_right_spine = stack.pop()
-        if nd is None:
-            seen += 1
-            continue
-        if not on_right_spine:
-            counts[seen] += 1
-        stack.append((nd[1], on_right_spine))
-        stack.append((nd[0], False))
+    descendant leaf is that leaf.  Those are the carets opened just before
+    the leaf's dot, less the first of them when it is the next caret of
+    the right spine, which is so exactly when every caret still open is a
+    right-spine caret."""
+    counts = []
+    depth = on_spine = start = 0
+    for _ in range(tree.count(".")):
+        at = tree.find(".", start)
+        opens = tree.count("(", start, at)
+        depth -= at - start - opens
+        spine_here = opens > 0 and depth == on_spine
+        on_spine += spine_here
+        counts.append(opens - spine_here)
+        depth += opens
+        start = at + 1
     return counts
 
 

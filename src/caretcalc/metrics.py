@@ -259,11 +259,15 @@ def penalty_weight(
     useful = bytearray(top + 1)
     for c in range(top, 0, -1):
         useful[c] = is_required[c] or any(useful[q] for q in succs[c])
-    last_child_option = [-1] * (top + 1)
+    # A routing vertex with no child is a dead end once caret c passes the
+    # last useful caret it could take as a child.  That happens at one c,
+    # so each caret c checks only the routing vertices expiring there:
+    # every earlier deadline was checked, and met, on the same branch.
+    expiring: list[list[int]] = [[] for _ in range(top + 2)]
     for c in range(1, top + 1):
         options = [q for q in succs[c] if useful[q]]
-        if options:
-            last_child_option[c] = max(options)
+        if options and not is_required[c]:
+            expiring[max(options) + 1].append(c)
 
     included = bytearray(top + 1)
     included[0] = 1
@@ -281,6 +285,10 @@ def penalty_weight(
 
     weight = 0
     states = 0
+    # Heights are kept capped at n - 1: the weight only asks whether one
+    # reaches n - 1, and with the cap the raise above a new vertex stops at
+    # the first ancestor that high instead of climbing a chain to the root.
+    rise = min(1, n - 1)  # the height a new vertex gives its parent
     # Depth first over an explicit stack, so that the search depth is not
     # bounded by the interpreter's.  A frame holds a caret, the choices
     # for it still to try, in order (None leaves it out, p hangs it under
@@ -292,11 +300,10 @@ def penalty_weight(
         # routing leaf can no longer get a child from caret c on
         alive = weight < best_weight
         if alive:
-            for v in range(1, c):
-                if included[v] and nchild[v] == 0 and not is_required[v]:
-                    if last_child_option[v] < c:
-                        alive = False
-                        break
+            for v in expiring[c]:
+                if included[v] and nchild[v] == 0:
+                    alive = False
+                    break
         if alive:
             if c > top:
                 best_weight = weight
@@ -343,7 +350,7 @@ def penalty_weight(
                 nchild[p] += 1
                 if depth[c] >= 2 and 0 >= n - 1:
                     weight += 1
-                a, k = p, 1
+                a, k = p, rise
                 while height[a] < k:
                     log.append((a, height[a]))
                     if depth[a] >= 2 and height[a] < n - 1 <= k:
@@ -352,7 +359,8 @@ def penalty_weight(
                     if a == 0:
                         break
                     a = parent[a]
-                    k += 1
+                    if k < n - 1:
+                        k += 1
             c += 1
             break
         else:

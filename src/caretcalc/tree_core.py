@@ -1,24 +1,30 @@
 """Finite rooted binary trees and tree pair diagrams.
 
-A tree is stored as nested tuples: a caret is a pair ``(left, right)`` and a
-missing child is ``None``.  The empty tree (a single exposed leaf) is ``None``.
-Carets are numbered 1..n in infix order (left subtree, caret, right subtree)
-and leaves 0..n from left to right.  The caret at the top has level 1.
-
-Every walk here is a loop over an explicit stack, so tree depth is bounded
-by memory, not by the interpreter's recursion limit.  For the same reason
-the walks never compare or hash whole trees: both recurse in C.  An edit
-copies only the path from the root to the edited subtree and shares every
-other subtree with its input.
-
-Serialized form of a tree::
+A tree is its canonical text, and that string is the only form the package
+keeps in memory::
 
     tree := "." | "(" tree tree ")"
 
-and a pair is ``negative "|" positive``.  Group elements are represented by
+A "." is a leaf and "(" L R ")" a caret with subtrees L and R.  Leaves are
+numbered 0..n from left to right, which is the order of their dots, and
+carets 1..n in infix order (left subtree, caret, right subtree): caret i is
+the one whose left subtree ends at leaf i - 1.  The caret at the top has
+level 1.  Split at its dots, a tree of n carets falls into n + 2 pieces;
+piece i, between leaves i - 1 and i, closes the carets that end at leaf
+i - 1 and opens those that start at leaf i.  Two adjacent dots, that is an
+empty piece, can only be the two leaves of one caret: ".." marks an
+exposed caret.
+
+Every function here works with string methods, slices and loops, never by
+recursion, so tree depth is bounded by memory, not by the interpreter's
+recursion limit.  Nested tuples appear only at one boundary:
+``serialize_node`` turns a tuple tree (a caret is ``(left, right)``, a leaf
+``None``) into text, and ``TreePairDiagram.from_nodes`` builds a pair of two.
+
+A pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
-exposed (two leaf children) in both trees over the same pair of leaf numbers.
-``reduce`` is the one function that turns a pair into its reduced form;
+exposed in both trees over the same pair of leaf numbers.  ``reduce`` is the
+one function that turns a pair into its reduced form;
 ``TreePairDiagram.of`` only computes the ``reduced`` flag of outside input.
 
 Convention: a caret whose side lies on the left (right) boundary of its tree
@@ -29,12 +35,12 @@ both boundaries; this module classifies it as a right caret throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .errors import MalformedPairError, UnreducedDiagramError
 
-# A tree node: None for a leaf, or a (left, right) tuple for a caret.
+# A tuple tree, accepted only by serialize_node and from_nodes: None for a
+# leaf, or a (left, right) tuple for a caret.
 Node = Optional[tuple]
 
 LEFT = "left"
@@ -42,26 +48,16 @@ RIGHT = "right"
 INTERIOR = "interior"
 
 
-def count_carets(node: Node) -> int:
-    if node is None:
-        return 0
-    total = 0
-    stack = [node]
-    while stack:
-        left, right = stack.pop()
-        total += 1
-        if left is not None:
-            stack.append(left)
-        if right is not None:
-            stack.append(right)
-    return total
+def count_carets(tree: str) -> int:
+    return tree.count("(")
 
 
-def count_leaves(node: Node) -> int:
-    return count_carets(node) + 1
+def count_leaves(tree: str) -> int:
+    return tree.count(".")
 
 
 def serialize_node(node: Node) -> str:
+    """The text of a tuple tree."""
     if node is None:
         return "."
     parts: list[str] = []
@@ -81,95 +77,57 @@ def serialize_node(node: Node) -> str:
     return "".join(parts)
 
 
-def spine(n: int) -> Node:
+def spine(n: int) -> str:
     """Right spine with n carets (the all-right 'vine')."""
-    node: Node = None
-    for _ in range(n):
-        node = (None, node)
-    return node
+    return "(." * n + "." + ")" * n
 
 
-def _frames(node: Node, starts: set[int], old: Node) -> dict[int, tuple]:
-    """Frame of each subtree ``old`` (a leaf or an exposed caret) whose
-    leftmost leaf is in ``starts``.  A frame is (subtree, went_left, parent
-    frame), the root's parent frame is None: the chain of parent frames is
-    the path to the root.  The preorder scan meets the leaves left to right
-    and stops after the last one wanted."""
-    found: dict[int, tuple] = {}
-    seen, last = 0, max(starts)
-    stack = [(node, None, None)]
-    while stack and seen <= last:
-        frame = stack.pop()
-        nd = frame[0]
-        if seen in starts and nd == old:
-            found[seen] = frame
-        if nd is None:
-            seen += 1
-        else:
-            stack += ((nd[1], False, frame), (nd[0], True, frame))
-    return found
+def graft(tree: str, subtrees: dict[int, str]) -> str:
+    """``tree`` with ``subtrees[leaf]`` in place of each of those leaves,
+    which come in ascending order; ValueError for a leaf it lacks."""
+    out: list[str] = []
+    done, at, seen = 0, -1, -1
+    for leaf, sub in subtrees.items():
+        if leaf <= seen:
+            raise ValueError(f"leaf {leaf} is negative or out of order")
+        for _ in range(leaf - seen):
+            at = tree.find(".", at + 1)
+            if at < 0:
+                raise ValueError(f"no leaf {leaf} in {tree}")
+        out += (tree[done:at], sub)
+        done, seen = at + 1, leaf
+    out.append(tree[done:])
+    return "".join(out)
 
 
-def _replace(frames: list[tuple], new: Node = None) -> Node:
-    """The tree with ``new`` in place of the subtree at each of ``frames``
-    (disjoint, all of one tree), copying only their ancestors."""
-    copies: dict[int, Node] = {}
-    node = new
-    for frame in frames:
-        node = new
-        while frame[2] is not None:
-            up = frame[2]
-            left, right = copies.get(id(up), up[0])
-            node = copies[id(up)] = (node, right) if frame[1] else (left, node)
-            frame = up
-    return node
-
-
-def _splice(node: Node, leaf: int, old: Node, new: Node) -> Node:
-    """Copy of ``node`` with ``new`` in place of the subtree ``old`` (a leaf
-    or an exposed caret) whose leftmost leaf is ``leaf``; ValueError if
-    there is none."""
-    found = _frames(node, {leaf}, old)
-    if not found:
-        raise ValueError(f"no subtree {serialize_node(old)} at leaf {leaf}")
-    return _replace([found[leaf]], new)
-
-
-def attach_at_leaf(node: Node, leaf: int, sub: Node) -> Node:
+def attach_at_leaf(tree: str, leaf: int, sub: str) -> str:
     """Replace leaf number ``leaf`` with the subtree ``sub``."""
-    return _splice(node, leaf, None, sub)
+    return graft(tree, {leaf: sub})
 
 
-def add_caret_at_leaf(node: Node, leaf: int) -> Node:
-    return attach_at_leaf(node, leaf, (None, None))
+def add_caret_at_leaf(tree: str, leaf: int) -> str:
+    return attach_at_leaf(tree, leaf, "(..)")
 
 
-def remove_exposed_at(node: Node, leaf: int) -> Node:
-    """Collapse the exposed caret whose leaves are (leaf, leaf + 1)."""
-    return _splice(node, leaf, (None, None), None)
+# One character per leaf: "1" for the left leaf of an exposed caret, "0"
+# for any other leaf.
+_MARKS = str.maketrans(".", "0", "()")
 
 
-def _exposed(node: Node) -> tuple[set[int], int]:
-    """Left-leaf numbers of exposed carets, and the number of leaves."""
-    starts: set[int] = set()
-    seen = 0
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if nd is None:
-            seen += 1
-        elif nd == (None, None):
-            starts.add(seen)
-            seen += 2
-        else:
-            stack.append(nd[1])
-            stack.append(nd[0])
-    return starts, seen
+def _exposure_marks(tree: str) -> str:
+    return tree.replace("..", "1.").translate(_MARKS)
 
 
-def exposed_leaf_starts(node: Node) -> set[int]:
+def exposed_leaf_starts(tree: str) -> set[int]:
     """Left-leaf numbers of exposed carets (both children leaves)."""
-    return _exposed(node)[0]
+    return {leaf for leaf, mark in enumerate(_exposure_marks(tree)) if mark == "1"}
+
+
+def remove_exposed_at(tree: str, leaf: int) -> str:
+    """Collapse the exposed caret whose leaves are (leaf, leaf + 1)."""
+    if leaf not in exposed_leaf_starts(tree):
+        raise ValueError(f"no exposed caret at leaf {leaf} in {tree}")
+    return _collapse(tree, [leaf]).root
 
 
 class TreeSurvey:
@@ -177,8 +135,8 @@ class TreeSurvey:
 
     Index 0 is unused so that ``left_child[p]`` works directly with caret
     numbers 1..n.  ``on_left_spine`` includes the top caret, which ``kind``
-    calls RIGHT.  A survey lives as long as its tree (``CaretTree.survey``
-    keeps it), so every table here costs memory per surveyed tree.
+    calls RIGHT.  One scan of the tree's pieces builds every table; nothing
+    is kept with the tree, so each call of ``CaretTree.survey`` scans again.
     """
 
     __slots__ = (
@@ -192,8 +150,9 @@ class TreeSurvey:
         "exposed",
     )
 
-    def __init__(self, root: Node):
-        n = count_carets(root)
+    def __init__(self, root: str):
+        pieces = root.split(".")
+        n = len(pieces) - 2
         self.carets = n
         self.left_child = left_child = [None] * (n + 1)
         self.right_child = right_child = [None] * (n + 1)
@@ -202,41 +161,47 @@ class TreeSurvey:
         self.kind = kinds = [""] * (n + 1)
         self.on_left_spine = on_left_spine = [False] * (n + 1)
         self.exposed = exposed = [False] * (n + 1)
-        # In infix order a caret's left child is the last caret seen one
-        # level below it, and a right child's parent is the last caret seen
-        # one level above it: everything in between lies deeper.
+        # Caret i sits in piece i, after the carets that piece closes.  Its
+        # left child, when that is a caret, is the last caret seen one level
+        # below it; when piece i opens carets, the first of them is its
+        # right child, the next caret seen one level below it.  Everything
+        # in between lies deeper.
         latest = [0] * (n + 2)
-        stack: list = []
-        idx = 0
-        node, level, on_left, on_right, is_right = root, 1, True, True, False
-        while stack or node is not None:
-            while node is not None:
-                stack.append((node, level, on_left, on_right, is_right))
-                node, level, on_right, is_right = node[0], level + 1, False, False
-            node, level, on_left, on_right, is_right = stack.pop()
-            idx += 1
-            left, right = node
-            if left is not None:
+        waiting = [0] * (n + 2)
+        depth = len(pieces[0])
+        highest = depth + 1
+        for idx in range(1, n + 1):
+            piece = pieces[idx]
+            opens = piece.count("(")
+            level = depth - (len(piece) - opens)
+            if opens < len(piece):
                 child = latest[level + 1]
                 left_child[idx] = child
                 parent[child] = idx
-            if is_right:
-                up = latest[level - 1]
+            up = waiting[level]
+            if up:
                 right_child[up] = idx
                 parent[idx] = up
+                waiting[level] = 0
+            if opens:
+                waiting[level + 1] = idx
+            on_left = level < highest
+            if on_left:
+                highest = level
+            on_right = level == 1 or (up and kinds[up] == RIGHT)
             levels[idx] = level
             on_left_spine[idx] = on_left
             kinds[idx] = RIGHT if on_right else LEFT if on_left else INTERIOR
-            exposed[idx] = left is None and right is None
+            exposed[idx] = not piece
             latest[level] = idx
-            node, level, on_left, is_right = right, level + 1, False, True
+            depth = level + opens
 
 
 @dataclass(frozen=True)
 class CaretTree:
-    """Immutable wrapper around a tree node."""
+    """Immutable wrapper around a tree's text."""
 
-    root: Node
+    root: str
 
     @property
     def carets(self) -> int:
@@ -244,17 +209,13 @@ class CaretTree:
 
     @property
     def is_empty(self) -> bool:
-        return self.root is None
+        return self.root == "."
 
     def serialize(self) -> str:
-        return serialize_node(self.root)
+        return self.root
 
     def survey(self) -> TreeSurvey:
-        """Structural tables, built on the first call and kept with the tree."""
-        return self._survey
-
-    @cached_property
-    def _survey(self) -> TreeSurvey:
+        """Structural tables, built afresh by one scan of the tree."""
         return TreeSurvey(self.root)
 
 
@@ -277,6 +238,7 @@ class TreePairDiagram:
 
     @classmethod
     def from_nodes(cls, negative: Node, positive: Node) -> "TreePairDiagram":
+        negative, positive = serialize_node(negative), serialize_node(positive)
         return cls.of(CaretTree(negative), CaretTree(positive))
 
     @property
@@ -285,38 +247,55 @@ class TreePairDiagram:
 
     @property
     def is_identity(self) -> bool:
-        return self.negative.root is None and self.positive.root is None
+        return self.negative.root == "." and self.positive.root == "."
 
     def serialize(self) -> str:
-        return self.negative.serialize() + "|" + self.positive.serialize()
+        return self.negative.root + "|" + self.positive.root
 
 
-def _common_exposed(neg: Node, pos: Node) -> set[int]:
-    """Leaf numbers where both trees have an exposed caret; raises
-    MalformedPairError when the caret counts differ."""
-    neg_starts, neg_leaves = _exposed(neg)
-    pos_starts, pos_leaves = _exposed(pos)
-    if neg_leaves != pos_leaves:
+def _common_exposed(neg: str, pos: str) -> list[int]:
+    """Left-leaf numbers of the carets exposed in both trees over the same
+    leaves, ascending: where the two trees' exposure marks, read as binary
+    numbers, share a 1.  Raises MalformedPairError when the caret counts
+    differ."""
+    marks, other = _exposure_marks(neg), _exposure_marks(pos)
+    if len(marks) != len(other):
         raise MalformedPairError(
-            f"caret counts differ: negative has {neg_leaves - 1}, "
-            f"positive has {pos_leaves - 1}"
+            f"caret counts differ: negative has {len(marks) - 1}, "
+            f"positive has {len(other) - 1}"
         )
-    return neg_starts & pos_starts
+    both = int(marks, 2) & int(other, 2)
+    if not both:
+        return []
+    marks = format(both, f"0{len(marks)}b")
+    leaves = []
+    leaf = marks.find("1")
+    while leaf >= 0:
+        leaves.append(leaf)
+        leaf = marks.find("1", leaf + 1)
+    return leaves
 
 
 def is_reduced(pair: TreePairDiagram) -> bool:
     return not _common_exposed(pair.negative.root, pair.positive.root)
 
 
-def _same_shape(a: Node, b: Node) -> bool:
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is not y:
-            if x is None or y is None:
-                return False
-            stack += ((x[0], y[0]), (x[1], y[1]))
-    return True
+def _collapse(tree: str, leaves: list[int]) -> CaretTree:
+    """``tree`` with the exposed caret over each of ``leaves`` (left-leaf
+    numbers, ascending) made a leaf.  The scan goes from one ".." to the
+    next, counting the dots it passes; each "(..)" to go is overwritten
+    with a "." between marks, and the marks are dropped at the end."""
+    text = bytearray(tree, "ascii")
+    # the last ".." passed and the dots before it, starting from a virtual
+    # ".." just before the text
+    at = dots = -2
+    for leaf in leaves:
+        while dots != leaf:
+            after = tree.find("..", at + 2)
+            dots += 2 + tree.count(".", at + 2, after)
+            at = after
+        text[at - 1 : at + 3] = b"x.xx"
+    return CaretTree(text.translate(None, b"x").decode("ascii"))
 
 
 def reduce(pair: TreePairDiagram) -> TreePairDiagram:
@@ -325,38 +304,19 @@ def reduce(pair: TreePairDiagram) -> TreePairDiagram:
     A pair flagged ``reduced`` comes back unchanged: the flag is trusted, so
     set it only on pairs known to be reduced (generators, the identity,
     results of this function); :meth:`TreePairDiagram.of` computes it for
-    outside input.  Otherwise one scan of each tree looks for carets
-    exposed in both over the same leaves.  From each, the cancellation
-    climbs both trees while the parents hold it on the same side and their
-    other subtrees have the same shape; the largest subtree so shared over
-    the same leaves collapses to a leaf.  This ends where cancelling exposed
-    carets one at a time, in any order, ends, and costs the paths to those
-    carets and the collapsed subtrees, not whole trees.  Raises
-    MalformedPairError when the caret counts differ.
+    outside input.  Otherwise each round collapses every caret exposed in
+    both trees over the same leaves, and the rounds go on until there is
+    none.  Cancelling exposed carets one at a time, in any order, ends in
+    the same pair.  Raises MalformedPairError when the caret counts differ.
     """
     if pair.reduced:
         return pair
-    common = _common_exposed(pair.negative.root, pair.positive.root)
-    if not common:
-        return TreePairDiagram(pair.negative, pair.positive, True)
-    neg_frames = _frames(pair.negative.root, common, (None, None))
-    pos_frames = _frames(pair.positive.root, common, (None, None))
-    climbed: set[int] = set()
-    neg_tops, pos_tops = [], []
-    for leaf in common:
-        neg, pos = neg_frames[leaf], pos_frames[leaf]
-        # A climb that reaches a parent an earlier climb went into ends there.
-        while neg[2] is None or id(neg[2]) not in climbed:
-            up, up_pos, went_left = neg[2], pos[2], neg[1]
-            other = 1 if went_left else 0  # the parent's other child
-            if (up is None or up_pos is None or went_left != pos[1]
-                    or not _same_shape(up[0][other], up_pos[0][other])):
-                neg_tops.append(neg)
-                pos_tops.append(pos)
-                break
-            neg, pos = up, up_pos
-            climbed.add(id(up))
-    return TreePairDiagram(CaretTree(_replace(neg_tops)), CaretTree(_replace(pos_tops)), True)
+    neg, pos = pair.negative, pair.positive
+    while True:
+        common = _common_exposed(neg.root, pos.root)
+        if not common:
+            return TreePairDiagram(neg, pos, True)
+        neg, pos = _collapse(neg.root, common), _collapse(pos.root, common)
 
 
 def canonical_encode(pair: TreePairDiagram) -> str:

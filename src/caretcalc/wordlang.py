@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .group_ops import GeneratorWord
-from .tree_core import CaretTree, Node, TreePairDiagram, count_carets
+from .tree_core import CaretTree, TreePairDiagram, count_carets
 
 
 @dataclass(frozen=True)
@@ -138,32 +138,30 @@ def format_word(word: GeneratorWord) -> str:
     return " ".join(out)
 
 
-def _parse_node(cur: _Cursor) -> Node:
-    # explicit stack instead of recursion so deep nesting cannot blow the
-    # interpreter stack on hostile input
-    stack: list[list[Node]] = []
+def _parse_tree_text(cur: _Cursor) -> str:
+    """The text of the tree at the cursor, checked against the grammar.
+    The stack counts the finished subtrees of each open caret: a loop, not
+    recursion, so deep nesting cannot blow the interpreter stack."""
+    start = cur.pos
+    stack: list[int] = []
     while True:
         ch = cur.peek()
-        if ch == ".":
+        if ch == "(":
             cur.take()
-            node: Node = None
-        elif ch == "(":
-            cur.take()
-            stack.append([])
+            stack.append(0)
             continue
-        else:
+        if ch != ".":
             cur.fail("'.' or '('")
+        cur.take()
         while True:
             if not stack:
-                return node
-            top = stack[-1]
-            top.append(node)
-            if len(top) == 1:
+                return cur.text[start : cur.pos]
+            stack[-1] += 1
+            if stack[-1] == 1:
                 break
             if cur.peek() != ")":
                 cur.fail("')'")
             cur.take()
-            node = (top[0], top[1])
             stack.pop()
 
 
@@ -171,23 +169,23 @@ def parse_tree(text: str) -> CaretTree:
     """Parse dot-parenthesis tree notation; inverse of CaretTree.serialize."""
     cur = _Cursor(text)
     cur.skip_spaces()
-    node = _parse_node(cur)
+    tree = _parse_tree_text(cur)
     cur.skip_spaces()
     if not cur.at_end():
         cur.fail("end of input")
-    return CaretTree(node)
+    return CaretTree(tree)
 
 
 def parse_pair(text: str) -> TreePairDiagram:
     """Parse "negative|positive"; the result is reduced or not as given."""
     cur = _Cursor(text)
     cur.skip_spaces()
-    negative = _parse_node(cur)
+    negative = _parse_tree_text(cur)
     if cur.peek() != "|":
         cur.fail("'|' between the two trees")
     cur.take()
     mark = cur.pos
-    positive = _parse_node(cur)
+    positive = _parse_tree_text(cur)
     cur.skip_spaces()
     if not cur.at_end():
         cur.fail("end of input")

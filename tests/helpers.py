@@ -17,7 +17,7 @@ from caretcalc import (
     canonical_encode,
     evaluate_word,
 )
-from caretcalc.tree_core import Node
+from caretcalc.tree_core import Node, serialize_node
 
 
 def random_letters(rng: random.Random, max_index=3, max_len=10):
@@ -36,6 +36,26 @@ def random_node(rng: random.Random, carets: int) -> Node:
         return None
     left = rng.randrange(0, carets)
     return (random_node(rng, left), random_node(rng, carets - 1 - left))
+
+
+def random_tree(rng: random.Random, carets: int) -> str:
+    return serialize_node(random_node(rng, carets))
+
+
+def to_node(text: str) -> Node:
+    """The tuple tree of a tree's text, for the oracles below, which walk
+    tuples: a caret is (left, right), a leaf None."""
+    stack: list = []
+    for ch in text:
+        if ch == "(":
+            stack.append("(")
+        elif ch == ".":
+            stack.append(None)
+        else:
+            right, left, _ = stack.pop(), stack.pop(), stack.pop()
+            stack.append((left, right))
+    (node,) = stack
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +90,7 @@ def _intervals(node: Node):
 def interval_adjacency(pair: TreePairDiagram) -> frozenset:
     edges = set()
     for tree in (pair.negative, pair.positive):
-        iv = _intervals(tree.root)
+        iv = _intervals(to_node(tree.root))
         for p, (lo_p, mid_p, hi_p) in iv.items():
             if lo_p == 0:
                 edges.add((0, p))
@@ -154,14 +174,40 @@ def brute_force_min_weight(pair: TreePairDiagram, n: int):
 # reduction oracle: every removal order gives the same answer
 
 
-def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
-    """Serializations of fully reduced diagrams over all removal orders."""
-    from caretcalc.tree_core import (
-        CaretTree,
-        exposed_leaf_starts,
-        remove_exposed_at,
-    )
+def _exposed_starts(node: Node) -> set:
+    """Left-leaf numbers of the carets with two leaf children."""
+    starts, seen, stack = set(), 0, [node]
+    while stack:
+        nd = stack.pop()
+        if nd is None:
+            seen += 1
+        elif nd == (None, None):
+            starts.add(seen)
+            seen += 2
+        else:
+            stack += (nd[1], nd[0])
+    return starts
 
+
+def _collapse_at(node: Node, leaf: int) -> Node:
+    """The tree with the exposed caret over leaves (leaf, leaf + 1) made a
+    leaf."""
+
+    def walk(nd, first):  # the new subtree, and the leaves under nd
+        if nd is None:
+            return None, 1
+        if nd == (None, None) and first == leaf:
+            return None, 2
+        left, left_leaves = walk(nd[0], first)
+        right, right_leaves = walk(nd[1], first + left_leaves)
+        return (left, right), left_leaves + right_leaves
+
+    return walk(node, 0)[0]
+
+
+def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
+    """Serializations of fully reduced diagrams over all removal orders,
+    found on tuple trees, apart from the package's reduction."""
     results = set()
     budget = [limit]
 
@@ -169,16 +215,14 @@ def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
         if budget[0] <= 0:
             raise AssertionError("all-orders reduction budget exhausted")
         budget[0] -= 1
-        common = exposed_leaf_starts(neg) & exposed_leaf_starts(pos)
+        common = _exposed_starts(neg) & _exposed_starts(pos)
         if not common:
-            results.add(
-                TreePairDiagram(CaretTree(neg), CaretTree(pos), True).serialize()
-            )
+            results.add(serialize_node(neg) + "|" + serialize_node(pos))
             return
         for leaf in common:
-            step(remove_exposed_at(neg, leaf), remove_exposed_at(pos, leaf))
+            step(_collapse_at(neg, leaf), _collapse_at(pos, leaf))
 
-    step(pair.negative.root, pair.positive.root)
+    step(to_node(pair.negative.root), to_node(pair.positive.root))
     return results
 
 

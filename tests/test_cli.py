@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,17 @@ def test_ball_out_file(capsys, tmp_path):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert len(target.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("gens, radius, digest", [
+    ("0,1,2", "7", "7be20bafd60e02836e397934741f836077e2c19288e27388cd35690dc668f3f5"),
+    ("0,1,3", "6", "50e9cc8e3112f006791c28836e1d0e7dd02e477cfc706bb5cea3643d6a5ebaa6"),
+], ids=["0,1,2-r7", "0,1,3-r6"])
+def test_ball_export_pinned(capsys, gens, radius, digest):
+    # every line of two full ball exports, byte for byte
+    code, out, err = run(capsys, "ball", "--gens", gens, "--radius", radius)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_ball_requires_zero_in_gens(capsys):

@@ -24,7 +24,7 @@ from caretcalc.errors import (
 )
 from caretcalc.group_ops import GeneratingSet
 from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
-from caretcalc.tree_core import INTERIOR, RIGHT, TreePairDiagram, spine
+from caretcalc.tree_core import INTERIOR, RIGHT, CaretTree, TreePairDiagram, spine
 from caretcalc.wordlang import parse_tree, parse_word
 from helpers import (
     brute_force_min_weight,
@@ -80,7 +80,7 @@ def test_adjacency_single_caret():
 
 
 def test_adjacency_right_spine():
-    pair = TreePairDiagram.from_nodes(spine(4), spine(4))
+    pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
     assert adjacency(pair).edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
 
 
@@ -111,7 +111,7 @@ def test_adjacency_matches_interval_oracle():
 
 
 def test_adjacency_helpers():
-    pair = TreePairDiagram.from_nodes(spine(3), spine(3))
+    pair = TreePairDiagram.of(CaretTree(spine(3)), CaretTree(spine(3)))
     rel = adjacency(pair)
     assert rel.predecessors(2) == [1]
     assert rel.successors(0) == [1]
@@ -125,7 +125,7 @@ def test_penalty_carets_identity_empty():
 
 
 def test_penalty_carets_right_spine_pair():
-    pair = TreePairDiagram.from_nodes(spine(4), spine(4))
+    pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
     flagged = penalty_carets(pair)
     assert flagged.indices == frozenset({1, 2, 3})
     for p in (1, 2, 3):
@@ -208,7 +208,7 @@ def test_weight_validation_errors():
         penalty_weight_of_tree(PenaltyTree(((2, 1),)), 2)  # parent absent
     with pytest.raises(InvalidPenaltyTreeError):
         penalty_weight_of_tree(PenaltyTree(((1, 0), (1, 0))), 2)  # dup child
-    spine_pair = TreePairDiagram.from_nodes(spine(4), spine(4))
+    spine_pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
     rel = adjacency(spine_pair)
     with pytest.raises(InvalidPenaltyTreeError):
         # (1,3) is not an allowed edge on a right spine
@@ -298,14 +298,15 @@ def test_penalty_weight_cap():
 
 
 def test_penalty_search_deeper_than_the_interpreter_stack():
-    # x1200 over {x0, x1} needs a 1200-caret penalty chain; the search
+    # x1200 over {x0, ..., xn} needs a 1200-caret penalty chain; the search
     # once recursed once per caret and died with RecursionError
     g = generator_diagram(1200, 1)
-    weight, witness = penalty_weight(g, 1)
-    assert weight == 1199
-    assert witness.parents == tuple((c, c - 1) for c in range(1, 1201))
-    assert penalty_weight_of_tree(witness, 1) == weight
-    assert length_consecutive(g, 1).length == 2399
+    for n, weight, length in ((1, 1199, 2399), (2, 1198, 2397), (3, 1197, 2395)):
+        found, witness = penalty_weight(g, n)
+        assert found == weight
+        assert witness.parents == tuple((c, c - 1) for c in range(1, 1201))
+        assert penalty_weight_of_tree(witness, n) == weight
+        assert length_consecutive(g, n).length == length
 
 
 # --- length_consecutive ---------------------------------------------------

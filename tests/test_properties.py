@@ -1,0 +1,90 @@
+"""Property tests (hypothesis, a test-only dependency) of the tree kernel
+against independent routes: the tuple form of the trees, reduction in
+every removal order on tuples, and products with generator diagrams.
+Examples are drawn deterministically, so every run checks the same ones."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caretcalc import apply_generator, evaluate_word, generator_diagram, multiply
+from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
+from caretcalc.wordlang import parse_tree
+from helpers import reductions_all_orders, to_node
+
+checked = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+@st.composite
+def tuple_trees(draw, carets):
+    """A tuple tree with the given number of carets."""
+    if carets == 0:
+        return None
+    left = draw(st.integers(0, carets - 1))
+    return (draw(tuple_trees(left)), draw(tuple_trees(carets - 1 - left)))
+
+
+def sized_trees(max_carets):
+    return st.integers(0, max_carets).flatmap(tuple_trees)
+
+
+@st.composite
+def tree_pairs(draw, max_carets):
+    carets = draw(st.integers(0, max_carets))
+    return draw(tuple_trees(carets)), draw(tuple_trees(carets))
+
+
+letters = st.tuples(st.integers(0, 5), st.sampled_from((1, -1)))
+elements = st.lists(letters, max_size=25).map(evaluate_word)
+
+
+@checked
+@given(sized_trees(30))
+def test_tuple_string_round_trip(node):
+    text = serialize_node(node)
+    assert to_node(text) == node
+    assert parse_tree(text).root == text
+    assert count_carets(text) == text.count(".") - 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.integers(3000, 4000), st.sampled_from(("left", "right", "zigzag")))
+def test_comb_round_trip(carets, shape):
+    # thousands of carets deep: every conversion is a loop, not recursion
+    node = None
+    for i in range(carets):
+        goes_left = shape == "left" or (shape == "zigzag" and i % 2 == 0)
+        node = (node, None) if goes_left else (None, node)
+    text = serialize_node(node)
+    assert count_carets(text) == carets
+    assert parse_tree(text).root == text
+    back = to_node(text)
+    assert serialize_node(back) == text
+    # walk both tuple trees down the comb; == would recurse in C
+    for _ in range(carets):
+        assert [c is None for c in node] == [c is None for c in back]
+        node, back = (node[0], back[0]) if node[1] is None else (node[1], back[1])
+    assert node is None and back is None
+
+
+@checked
+@given(tree_pairs(7))
+def test_reduce_matches_every_removal_order(trees):
+    pair = TreePairDiagram.from_nodes(*trees)
+    assert reductions_all_orders(pair) == {reduce(pair).serialize()}
+
+
+@checked
+@given(elements, st.integers(0, 7), st.sampled_from((1, -1)))
+def test_apply_generator_is_multiplying_by_its_diagram(g, index, sign):
+    direct = apply_generator(g, index, sign)
+    product = multiply(g, generator_diagram(index, sign))
+    assert direct.reduced and product.reduced
+    assert direct.serialize() == product.serialize()
+
+
+@checked
+@given(tree_pairs(12), st.integers(0, 7), st.sampled_from((1, -1)))
+def test_apply_generator_on_random_pairs(trees, index, sign):
+    g = TreePairDiagram.from_nodes(*trees)
+    direct = apply_generator(g, index, sign)
+    assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
