@@ -128,7 +128,8 @@ def cmd_len(args) -> int:
     gens = args.gens
     method = args.method
     if method == "auto":
-        method = "formula" if gens.is_consecutive else "bfs"
+        # the closed form needs x1; {x0} alone is searched
+        method = "formula" if gens.is_consecutive and 1 in gens else "bfs"
     if method == "formula" and not gens.is_consecutive:
         raise ParseError(
             f"--method formula needs a consecutive generating set, got {list(gens)}"

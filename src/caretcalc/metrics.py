@@ -26,7 +26,7 @@ from .errors import (
     SearchCapExceededError,
     UnreducedDiagramError,
 )
-from .tree_core import INTERIOR, RIGHT, TreePairDiagram, TreeSurvey
+from .tree_core import TreePairDiagram, TreeSurvey
 
 DEFAULT_PENALTY_CAP = 10_000_000
 
@@ -40,18 +40,20 @@ def _require_reduced(pair: TreePairDiagram, op: str) -> None:
         raise UnreducedDiagramError(f"{op} requires a reduced pair")
 
 
+def _trailing_closes(tree: str) -> int:
+    return len(tree) - len(tree.rstrip(")"))
+
+
 def l_infinity(pair: TreePairDiagram) -> int:
     """Carets that are not right carets, summed over both trees.
 
     The top caret counts as a right caret.  This is the word length with
-    respect to the full infinite generating set.
+    respect to the full infinite generating set.  The ")" characters that
+    end a tree's text close exactly the carets of its right spine.
     """
     _require_reduced(pair, "l_infinity")
-    total = 0
-    for tree in (pair.negative, pair.positive):
-        sv = tree.survey()
-        total += sum(1 for k in sv.kind[1:] if k != RIGHT)
-    return total
+    neg, pos = pair.negative.root, pair.positive.root
+    return 2 * pair.carets - _trailing_closes(neg) - _trailing_closes(pos)
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,11 @@ class AdjacencyRelation:
     """Caret order: (p, q) present when the space of caret p touches the
     space of caret q along a shared edge in either tree.  Vertex 0 stands
     for the space left of the trees and precedes every left-boundary caret.
+
+    In leaf intervals (see ``tree_core``): in each tree, every caret q
+    comes after the caret numbered by the leaf its interval starts at
+    (vertex 0 for leaf 0), and before the caret numbered by the leaf just
+    past its interval, when there is one.
     """
 
     carets: int
@@ -72,21 +79,11 @@ class AdjacencyRelation:
 
 
 def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
-    for p in range(1, sv.carets + 1):
-        # the spaces below p's right edge: p comes before every caret on
-        # the left spine of its right subtree
-        q = sv.right_child[p]
-        while q is not None:
-            edges.add((p, q))
-            q = sv.left_child[q]
-        # the spaces above p's left edge: every caret on the right spine
-        # of p's left subtree comes before p
-        s = sv.left_child[p]
-        while s is not None:
-            edges.add((s, p))
-            s = sv.right_child[s]
-        if sv.on_left_spine[p]:
-            edges.add((0, p))
+    n, lo, hi = sv.carets, sv.lo, sv.hi
+    for q in range(1, n + 1):
+        edges.add((lo[q], q))
+        if hi[q] <= n:
+            edges.add((q, hi[q]))
 
 
 def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
@@ -118,15 +115,16 @@ def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
     in both trees and is not the final caret.
     """
     n = pair.carets
-    sv_neg = pair.negative.survey()
-    sv_pos = pair.positive.survey()
+    neg, pos = pair.negative.survey(), pair.positive.survey()
     flags: list[tuple[int, str]] = []
-    for p in range(1, n + 1):
-        if sv_neg.right_child[p] is not None and sv_neg.kind[p + 1] == INTERIOR:
+    # p + 1 hangs inside p's right subtree when its interval starts at leaf
+    # p, which is not leaf 0, so it is interior unless it reaches leaf n.
+    for p in range(1, n):
+        if neg.lo[p + 1] == p and neg.hi[p + 1] <= n:
             flags.append((p, TYPE_N_NEGATIVE))
-        if sv_pos.right_child[p] is not None and sv_pos.kind[p + 1] == INTERIOR:
+        if pos.lo[p + 1] == p and pos.hi[p + 1] <= n:
             flags.append((p, TYPE_N_POSITIVE))
-        if p != n and sv_neg.kind[p] == RIGHT and sv_pos.kind[p] == RIGHT:
+        if neg.hi[p] == pos.hi[p] == n + 1:
             flags.append((p, RIGHT_IN_BOTH))
     return PenaltyCaretSet(flags=tuple(flags))
 

@@ -8,12 +8,20 @@ keeps in memory::
 A "." is a leaf and "(" L R ")" a caret with subtrees L and R.  Leaves are
 numbered 0..n from left to right, which is the order of their dots, and
 carets 1..n in infix order (left subtree, caret, right subtree): caret i is
-the one whose left subtree ends at leaf i - 1.  The caret at the top has
-level 1.  Split at its dots, a tree of n carets falls into n + 2 pieces;
-piece i, between leaves i - 1 and i, closes the carets that end at leaf
-i - 1 and opens those that start at leaf i.  Two adjacent dots, that is an
-empty piece, can only be the two leaves of one caret: ".." marks an
-exposed caret.
+the one whose left subtree ends at leaf i - 1.  Split at its dots, a tree
+of n carets falls into n + 2 pieces; piece i, between leaves i - 1 and i,
+closes the carets that end at leaf i - 1 and opens those that start at
+leaf i.  Two adjacent dots, that is an empty piece, can only be the two
+leaves of one caret: ".." marks an exposed caret.
+
+A caret's leaf interval is the run of leaves below it: caret q spans leaves
+lo .. hi - 1 and splits them at leaf q, its left subtree holding lo .. q - 1
+and its right subtree q .. hi - 1.  A caret whose interval reaches the last
+leaf (hi = n + 1) has its right side on the right boundary of the tree and
+is a right caret; otherwise it is a left caret when its interval starts at
+leaf 0, its left side on the left boundary, and interior when neither
+holds.  The top caret spans every leaf, so it is a right caret like the
+rest of the right spine.
 
 Every function here works with string methods, slices and loops, never by
 recursion, so tree depth is bounded by memory, not by the interpreter's
@@ -26,10 +34,6 @@ pairs of trees with equal caret counts; a pair is reduced when no caret is
 exposed in both trees over the same pair of leaf numbers.  ``reduce`` is the
 one function that turns a pair into its reduced form;
 ``TreePairDiagram.of`` only computes the ``reduced`` flag of outside input.
-
-Convention: a caret whose side lies on the left (right) boundary of its tree
-is a left (right) caret, everything else is interior.  The top caret sits on
-both boundaries; this module classifies it as a right caret throughout.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from .errors import MalformedPairError, UnreducedDiagramError
 # A tuple tree, accepted only by serialize_node and from_nodes: None for a
 # leaf, or a (left, right) tuple for a caret.
 Node = Optional[tuple]
-
-LEFT = "left"
-RIGHT = "right"
-INTERIOR = "interior"
 
 
 def count_carets(tree: str) -> int:
@@ -131,70 +131,40 @@ def remove_exposed_at(tree: str, leaf: int) -> str:
 
 
 class TreeSurvey:
-    """Structural tables for one tree, indexed by infix caret number.
+    """The leaf interval of every caret of one tree, by infix caret number.
 
-    Index 0 is unused so that ``left_child[p]`` works directly with caret
-    numbers 1..n.  ``on_left_spine`` includes the top caret, which ``kind``
-    calls RIGHT.  One scan of the tree's pieces builds every table; nothing
-    is kept with the tree, so each call of ``CaretTree.survey`` scans again.
+    Caret q spans leaves ``lo[q] .. hi[q] - 1`` and splits them at leaf q.
+    Index 0 is unused, so that both lists take caret numbers 1..n directly.
+    One scan of the tree's pieces builds them; nothing is kept with the
+    tree, so each call of ``CaretTree.survey`` scans again.
     """
 
-    __slots__ = (
-        "carets",
-        "left_child",
-        "right_child",
-        "parent",
-        "level",
-        "kind",
-        "on_left_spine",
-        "exposed",
-    )
+    __slots__ = ("carets", "lo", "hi")
 
     def __init__(self, root: str):
         pieces = root.split(".")
         n = len(pieces) - 2
         self.carets = n
-        self.left_child = left_child = [None] * (n + 1)
-        self.right_child = right_child = [None] * (n + 1)
-        self.parent = parent = [None] * (n + 1)
-        self.level = levels = [0] * (n + 1)
-        self.kind = kinds = [""] * (n + 1)
-        self.on_left_spine = on_left_spine = [False] * (n + 1)
-        self.exposed = exposed = [False] * (n + 1)
-        # Caret i sits in piece i, after the carets that piece closes.  Its
-        # left child, when that is a caret, is the last caret seen one level
-        # below it; when piece i opens carets, the first of them is its
-        # right child, the next caret seen one level below it.  Everything
-        # in between lies deeper.
-        latest = [0] * (n + 2)
-        waiting = [0] * (n + 2)
+        self.lo = lo = [0] * (n + 1)
+        self.hi = hi = [n + 1] * (n + 1)
+        # Piece q closes one level per ")", numbers caret q at the level it
+        # comes back to and opens one level per "(".  A caret starts at the
+        # piece that opened its level and ends at the piece that closes it;
+        # the carets still open after piece n reach the last leaf.
+        caret_at = [0] * (n + 2)  # the caret numbered at each open level
+        opened_at = [0] * (n + 2)  # the piece that opened each level
         depth = len(pieces[0])
-        highest = depth + 1
-        for idx in range(1, n + 1):
-            piece = pieces[idx]
+        for q in range(1, n + 1):
+            piece = pieces[q]
             opens = piece.count("(")
             level = depth - (len(piece) - opens)
-            if opens < len(piece):
-                child = latest[level + 1]
-                left_child[idx] = child
-                parent[child] = idx
-            up = waiting[level]
-            if up:
-                right_child[up] = idx
-                parent[idx] = up
-                waiting[level] = 0
-            if opens:
-                waiting[level + 1] = idx
-            on_left = level < highest
-            if on_left:
-                highest = level
-            on_right = level == 1 or (up and kinds[up] == RIGHT)
-            levels[idx] = level
-            on_left_spine[idx] = on_left
-            kinds[idx] = RIGHT if on_right else LEFT if on_left else INTERIOR
-            exposed[idx] = not piece
-            latest[level] = idx
+            for closed in range(level + 1, depth + 1):
+                hi[caret_at[closed]] = q
+            lo[q] = opened_at[level]
+            caret_at[level] = q
             depth = level + opens
+            for opened in range(level + 1, depth + 1):
+                opened_at[opened] = q
 
 
 @dataclass(frozen=True)
@@ -215,7 +185,7 @@ class CaretTree:
         return self.root
 
     def survey(self) -> TreeSurvey:
-        """Structural tables, built afresh by one scan of the tree."""
+        """Every caret's leaf interval, built afresh by one scan of the tree."""
         return TreeSurvey(self.root)
 
 

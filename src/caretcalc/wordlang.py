@@ -141,27 +141,33 @@ def format_word(word: GeneratorWord) -> str:
 def _parse_tree_text(cur: _Cursor) -> str:
     """The text of the tree at the cursor, checked against the grammar.
     The stack counts the finished subtrees of each open caret: a loop, not
-    recursion, so deep nesting cannot blow the interpreter stack."""
-    start = cur.pos
+    recursion, so deep nesting cannot blow the interpreter stack.  The
+    scan reads a copy of the text with one character past its end, which
+    no tree takes, and moves the cursor only when it stops."""
+    start = at = cur.pos
+    text = cur.text + " "
     stack: list[int] = []
     while True:
-        ch = cur.peek()
+        ch = text[at]
         if ch == "(":
-            cur.take()
+            at += 1
             stack.append(0)
             continue
         if ch != ".":
+            cur.pos = at
             cur.fail("'.' or '('")
-        cur.take()
+        at += 1
         while True:
             if not stack:
-                return cur.text[start : cur.pos]
+                cur.pos = at
+                return text[start:at]
             stack[-1] += 1
             if stack[-1] == 1:
                 break
-            if cur.peek() != ")":
+            if text[at] != ")":
+                cur.pos = at
                 cur.fail("')'")
-            cur.take()
+            at += 1
             stack.pop()
 
 

@@ -69,22 +69,45 @@ def to_node(text: str) -> Node:
 
 
 def _intervals(node: Node):
-    """infix caret index -> (lo, mid, hi) in leaf coordinates."""
+    """infix caret index -> (lo, mid, hi) in leaf coordinates, by an
+    explicit-stack walk of the tuple tree, so that combs thousands of
+    carets deep work."""
     table = {}
-    counter = [0]  # next caret index
-    def walk(nd, lo):
-        # returns number of leaves under nd
-        if nd is None:
-            return 1
-        left, right = nd
-        left_leaves = walk(left, lo)
-        counter[0] += 1
-        index = counter[0]
-        right_leaves = walk(right, lo + left_leaves)
-        table[index] = (lo, lo + left_leaves, lo + left_leaves + right_leaves)
-        return left_leaves + right_leaves
-    walk(node, 0)
+    index = leaves = 0
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            leaves += 1
+        elif item[0] == "mid":
+            index += 1
+            item[1].extend((leaves, index))
+        elif item[0] == "hi":
+            lo, mid, at = item[1]
+            table[at] = (lo, mid, leaves)
+        else:
+            entry = [leaves]
+            stack += [("hi", entry), item[1], ("mid", entry), item[0]]
     return table
+
+
+def infix_carets(node: Node) -> list:
+    """(subtree, on left boundary, on right boundary) of each caret in
+    infix order, index 0 unused.  A caret is on the left (right) boundary
+    when the path down to it from the top takes left (right) steps only."""
+    out: list = [None]
+    stack = [(False, node, True, True)]
+    while stack:
+        ready, nd, left, right = stack.pop()
+        if ready:
+            out.append((nd, left, right))
+        elif nd is not None:
+            stack += [
+                (False, nd[1], False, right),
+                (True, nd, left, right),
+                (False, nd[0], left, False),
+            ]
+    return out
 
 
 def interval_adjacency(pair: TreePairDiagram) -> frozenset:

@@ -76,6 +76,18 @@ def test_len_bfs_outside_x0_subgroup(capsys):
     assert code == 0 and "length\t3" in out
 
 
+def test_len_x0_alone_auto_uses_bfs(capsys):
+    code, out, err = run(capsys, "len", "x0^3", "--gens", "0")
+    assert code == 0 and err == ""
+    assert "method\tbfs" in out and "length\t3" in out
+    code, out, err = run(capsys, "len", "x1", "--gens", "0")
+    assert code == 2 and out == ""
+    assert "not in the subgroup generated by x0" in err
+    code, out, err = run(capsys, "len", "x0", "--gens", "0", "--method", "formula")
+    assert code == 2 and out == ""
+    assert "must be >= 1" in err
+
+
 def test_len_nonconsecutive_auto_uses_bfs(capsys):
     code, out, _ = run(capsys, "len", "x2", "--gens", "0,2")
     assert code == 0

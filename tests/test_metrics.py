@@ -24,13 +24,15 @@ from caretcalc.errors import (
 )
 from caretcalc.group_ops import GeneratingSet
 from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
-from caretcalc.tree_core import INTERIOR, RIGHT, CaretTree, TreePairDiagram, spine
+from caretcalc.tree_core import CaretTree, TreePairDiagram, spine
 from caretcalc.wordlang import parse_tree, parse_word
 from helpers import (
     brute_force_min_weight,
+    infix_carets,
     interval_adjacency,
     naive_tree_weight,
     random_element,
+    to_node,
 )
 
 # an 11-caret tree whose doubled pair realizes a rich adjacency pattern
@@ -133,23 +135,25 @@ def test_penalty_carets_right_spine_pair():
 
 
 def test_penalty_flags_honour_their_definitions():
+    # Each rule read off the tuple trees: Type N at p when p has a caret
+    # as its right child and p + 1 is interior; right-in-both at p when p
+    # is a right caret in both trees and not the final caret.
     rng = random.Random(37)
     for _ in range(200):
         g = random_element(rng, max_index=4, max_len=12)
-        sv = {
-            TYPE_N_NEGATIVE: g.negative.survey(),
-            TYPE_N_POSITIVE: g.positive.survey(),
-        }
+        neg = infix_carets(to_node(g.negative.root))
+        pos = infix_carets(to_node(g.positive.root))
         n = g.carets
-        for p, reason in penalty_carets(g).flags:
-            if reason == RIGHT_IN_BOTH:
-                assert p != n
-                assert g.negative.survey().kind[p] == RIGHT
-                assert g.positive.survey().kind[p] == RIGHT
-            else:
-                table = sv[reason]
-                assert table.right_child[p] is not None
-                assert table.kind[p + 1] == INTERIOR
+        expected = []
+        for p in range(1, n + 1):
+            for carets, reason in ((neg, TYPE_N_NEGATIVE), (pos, TYPE_N_POSITIVE)):
+                if carets[p][0][1] is not None:
+                    _, left, right = carets[p + 1]
+                    if not left and not right:
+                        expected.append((p, reason))
+            if p != n and neg[p][2] and pos[p][2]:
+                expected.append((p, RIGHT_IN_BOTH))
+        assert penalty_carets(g).flags == tuple(expected), canonical_encode(g)
 
 
 def test_penalty_carets_of_witness_family():

@@ -1,15 +1,27 @@
 """Property tests (hypothesis, a test-only dependency) of the tree kernel
 against independent routes: the tuple form of the trees, reduction in
-every removal order on tuples, and products with generator diagrams.
+every removal order on tuples, products with generator diagrams and with
+letter-by-letter folds, leaf intervals for the flat length, and the word
+parser against the word printer.
 Examples are drawn deterministically, so every run checks the same ones."""
+
+from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caretcalc import apply_generator, evaluate_word, generator_diagram, multiply
+from caretcalc import (
+    apply_generator,
+    evaluate_word,
+    generator_diagram,
+    l_infinity,
+    multiply,
+    normal_form,
+)
+from caretcalc.group_ops import GeneratorWord
 from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
-from caretcalc.wordlang import parse_tree
-from helpers import reductions_all_orders, to_node
+from caretcalc.wordlang import format_word, parse_runs, parse_tree, parse_word
+from helpers import _intervals, reductions_all_orders, to_node
 
 checked = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -88,3 +100,35 @@ def test_apply_generator_on_random_pairs(trees, index, sign):
     g = TreePairDiagram.from_nodes(*trees)
     direct = apply_generator(g, index, sign)
     assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
+
+
+@checked
+@given(elements, elements)
+def test_multiply_matches_letter_by_letter_fold(g, h):
+    folded = g
+    for index, sign in normal_form(h):
+        folded = apply_generator(folded, index, sign)
+    assert multiply(g, h).serialize() == folded.serialize()
+
+
+@checked
+@given(elements)
+def test_l_infinity_counts_intervals_short_of_the_last_leaf(g):
+    n = g.carets
+    short = sum(
+        1
+        for tree in (g.negative, g.positive)
+        for _, _, hi in _intervals(to_node(tree.root)).values()
+        if hi <= n
+    )
+    assert l_infinity(g) == short
+
+
+@checked
+@given(st.lists(letters, max_size=30))
+def test_word_parser_round_trip(word_letters):
+    word = GeneratorWord(tuple(word_letters))
+    text = format_word(word)
+    assert parse_word(text) == word
+    runs = [(i, s * len(list(run))) for (i, s), run in groupby(word_letters)]
+    assert parse_runs(text) == runs

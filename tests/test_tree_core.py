@@ -1,14 +1,12 @@
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from caretcalc.errors import MalformedPairError, UnreducedDiagramError
 from caretcalc.tree_core import (
-    INTERIOR,
-    LEFT,
-    RIGHT,
     CaretTree,
     TreePairDiagram,
     add_caret_at_leaf,
@@ -23,7 +21,16 @@ from caretcalc.tree_core import (
     serialize_node,
     spine,
 )
-from helpers import random_element, random_node, random_tree, reductions_all_orders
+from helpers import (
+    _intervals,
+    random_element,
+    random_node,
+    random_tree,
+    reductions_all_orders,
+    to_node,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "caretcalc"
 
 
 def test_serialize_basics():
@@ -85,53 +92,44 @@ def test_remove_inverts_add():
 
 
 def test_infix_numbering_right_spine():
+    # every interval reaches the last leaf: three right carets
     sv = CaretTree(spine(3)).survey()
-    assert sv.kind[1:] == [RIGHT, RIGHT, RIGHT]
-    assert sv.level[1:] == [1, 2, 3]
+    assert sv.lo[1:] == [0, 1, 2]
+    assert sv.hi[1:] == [4, 4, 4]
 
 
 def test_infix_numbering_left_comb():
-    # left comb: every caret on the left boundary; the top one counts Right
+    # left comb: every interval starts at leaf 0; only the top one reaches
+    # the last leaf, so carets 1 and 2 are left carets and 3 is right
     comb = None
     for _ in range(3):
         comb = (comb, None)
     sv = CaretTree(serialize_node(comb)).survey()
-    assert sv.kind[1:] == [LEFT, LEFT, RIGHT]
-    assert sv.level[1:] == [3, 2, 1]
+    assert sv.lo[1:] == [0, 0, 0]
+    assert sv.hi[1:] == [2, 3, 4]
 
 
 def test_infix_numbering_mixed():
     # (( . (..) ) .) : caret 1 at the top-left, caret 2 hanging interior
     sv = CaretTree(serialize_node(((None, (None, None)), None))).survey()
-    assert [(i, sv.level[i], sv.kind[i]) for i in range(1, sv.carets + 1)] == [
-        (1, 2, LEFT),
-        (2, 3, INTERIOR),
-        (3, 1, RIGHT),
+    assert [(q, sv.lo[q], sv.hi[q]) for q in range(1, sv.carets + 1)] == [
+        (1, 0, 3),
+        (2, 1, 3),
+        (3, 0, 4),
     ]
 
 
 def check_survey(tree):
     sv = tree.survey()
-    for idx in range(1, sv.carets + 1):
-        li, ri = sv.left_child[idx], sv.right_child[idx]
-        if li is not None:
-            assert sv.parent[li] == idx
-            assert li < idx
-            assert sv.level[li] == sv.level[idx] + 1
-        if ri is not None:
-            assert sv.parent[ri] == idx
-            assert ri > idx
-            assert sv.level[ri] == sv.level[idx] + 1
-        assert sv.exposed[idx] == (li is None and ri is None)
-    roots = [i for i in range(1, sv.carets + 1) if sv.parent[i] is None]
-    assert len(roots) == 1
-    assert sv.level[roots[0]] == 1
-    # number of Right carets in a right spine of length n is n
-    assert sum(1 for k in sv.kind[1:] if k == RIGHT) >= 1
+    assert sv.carets == tree.carets
+    oracle = _intervals(to_node(tree.root))
+    for q in range(1, sv.carets + 1):
+        assert oracle[q] == (sv.lo[q], q, sv.hi[q])
 
 
 def test_survey_tables_consistent():
     rng = random.Random(23)
+    check_survey(CaretTree("."))
     for _ in range(100):
         check_survey(CaretTree(random_tree(rng, rng.randrange(1, 15))))
     comb = None
@@ -203,11 +201,11 @@ def test_reduce_idempotent_on_elements():
 
 def test_no_recursive_tree_walks():
     # Deep trees must not hit the interpreter's recursion limit, so no
-    # function in the tree kernel, the search engine or the penalty
-    # search may call itself.
-    src = Path(__file__).resolve().parent.parent / "src" / "caretcalc"
-    for module in ("tree_core.py", "group_ops.py", "cayley.py", "metrics.py"):
-        tree = ast.parse((src / module).read_text(encoding="utf-8"))
+    # function in the tree kernel, the search engine, the penalty search
+    # or the parsers may call itself.
+    modules = ("tree_core.py", "group_ops.py", "cayley.py", "metrics.py", "wordlang.py")
+    for module in modules:
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -223,3 +221,19 @@ def test_no_recursive_tree_walks():
                     and target.value.id in ("self", "cls")
                 )
                 assert not (by_name or by_method), f"{module}: {fn.name} recurses"
+
+
+def test_runtime_imports_are_stdlib_only():
+    # The package has no runtime dependencies: every import is relative or
+    # names a module of the standard library.
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -6,6 +6,7 @@ from caretcalc import canonical_encode, evaluate_word, reduce
 from caretcalc.errors import ParseError
 from caretcalc.group_ops import GeneratorWord
 from caretcalc.wordlang import (
+    ParseDiagnostic,
     expand_runs,
     format_word,
     parse_pair,
@@ -108,6 +109,31 @@ def test_parse_tree_rejects(text):
 def test_parse_pair_rejects(text):
     with pytest.raises(ParseError):
         parse_pair(text)
+
+
+@pytest.mark.parametrize(
+    "parser,text,offset,expected,found",
+    [
+        (parse_tree, "", 0, "'.' or '('", "end of input"),
+        (parse_tree, "(", 1, "'.' or '('", "end of input"),
+        (parse_tree, "(.)", 2, "'.' or '('", "')'"),
+        (parse_tree, "(..", 3, "')'", "end of input"),
+        (parse_tree, "..", 1, "end of input", "'.'"),
+        (parse_tree, "(..))", 4, "end of input", "')'"),
+        (parse_tree, "x", 0, "'.' or '('", "'x'"),
+        (parse_tree, "((..).·)", 6, "')'", "'·'"),
+        (parse_pair, "(..)", 4, "'|' between the two trees", "end of input"),
+        (parse_pair, "(..)|", 5, "'.' or '('", "end of input"),
+        (parse_pair, "|(..)", 0, "'.' or '('", "'|'"),
+        (parse_pair, "(..)|(..)|(..)", 9, "end of input", "'|'"),
+    ],
+)
+def test_tree_diagnostics_pinned(parser, text, offset, expected, found):
+    # every text rejected above, with its whole diagnostic
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.diagnostic == ParseDiagnostic(offset, expected, found)
+    assert str(err.value) == f"at offset {offset}: expected {expected}, found {found}"
 
 
 def test_pair_round_trip_random():
