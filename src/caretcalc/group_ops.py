@@ -13,6 +13,11 @@ subtrees along the right spine of the positive tree; apply_generator does
 that surgery directly, and multiplying by the generator's diagram must give
 the identical result (both routes are kept and tested against each other).
 
+A word is evaluated as a product of its runs, not letter by letter: each
+run x_i^a is built by repeated squaring, and the runs are multiplied as a
+balanced product, so a letter takes part in O(log) products rather than
+one step over the whole tree each.  ``x0^k`` costs O(k log k), not O(k^2).
+
 Both routes build an unreduced result and hand it to ``reduce``, the one
 place that settles reducedness; their inputs pass through it too, which
 is a flag check when they are already reduced.  Trees are text, as in
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from typing import Iterable
 
 from .tree_core import (
     CaretTree,
@@ -152,20 +158,28 @@ def _overhangs(a: str, b: str) -> tuple[dict[int, str], dict[int, str]]:
     """Walk two trees side by side and map leaves of ``a`` to the subtrees
     of ``b`` hanging below them, and leaves of ``b`` to those of ``a``;
     grafting each onto its tree gives the smallest tree that refines
-    both.  Where the texts differ, one has a leaf and the other a caret."""
+    both.  Where the texts differ, one has a leaf and the other a caret.
+    Leaves are counted on from the last difference, so the walk is linear."""
     below_a: dict[int, str] = {}
     below_b: dict[int, str] = {}
     i = j = 0
+    # the dots of a before counted_a and of b before counted_b, which are
+    # the positions of the last difference
+    leaves_a = leaves_b = counted_a = counted_b = 0
     while i < len(a):
         if a[i] == b[j]:
             i, j = i + 1, j + 1
-        elif a[i] == ".":
+            continue
+        leaves_a += a.count(".", counted_a, i)
+        leaves_b += b.count(".", counted_b, j)
+        counted_a, counted_b = i, j
+        if a[i] == ".":
             end = _subtree_end(b, j)
-            below_a[a.count(".", 0, i)] = b[j:end]
+            below_a[leaves_a] = b[j:end]
             i, j = i + 1, end
         else:
             end = _subtree_end(a, i)
-            below_b[b.count(".", 0, j)] = a[i:end]
+            below_b[leaves_b] = a[i:end]
             i, j = end, j + 1
     return below_a, below_b
 
@@ -242,12 +256,45 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     return reduce(TreePairDiagram(CaretTree(neg), CaretTree(pos), False))
 
 
-def evaluate_word(word: GeneratorWord) -> TreePairDiagram:
-    """Fold the word left to right starting from the identity."""
-    pair = identity()
-    for index, sign in word:
-        pair = apply_generator(pair, index, sign)
-    return pair
+def _power(index: int, sign: int, count: int) -> TreePairDiagram:
+    """x_index^(sign * count), count >= 1, by repeated squaring: at most
+    two products per bit of count."""
+    square = generator_diagram(index, sign)
+    power = None
+    while True:
+        if count & 1:
+            power = square if power is None else multiply(power, square)
+        count >>= 1
+        if not count:
+            return power
+        square = multiply(square, square)
+
+
+def evaluate_word(word: Iterable[Letter]) -> TreePairDiagram:
+    """The reduced pair of a word of (index, sign) letters.
+
+    Equal adjacent letters form a run x_i^a, built by ``_power``.  The
+    runs are multiplied as a balanced product: the stack holds products of
+    runs, each covering fewer runs than the one below it, and after a run
+    is pushed the top two merge while they cover equally many runs, like
+    the carries of a binary counter.  The stack, folded right to left,
+    is the word.  Only O(log runs) partial products are alive at once,
+    and each run's pair takes part in O(log runs) products.  The empty
+    word is the identity; ValueError for a bad index or sign.
+    """
+    stack: list[tuple[int, TreePairDiagram]] = []
+    for (index, sign), run in groupby(word):
+        runs, product = 1, _power(index, sign, sum(1 for _ in run))
+        while stack and stack[-1][0] == runs:
+            below, left = stack.pop()
+            runs, product = runs + below, multiply(left, product)
+        stack.append((runs, product))
+    if not stack:
+        return identity()
+    _, product = stack.pop()
+    while stack:
+        product = multiply(stack.pop()[1], product)
+    return product
 
 
 def _leaf_exponents(tree: str) -> list[int]:

@@ -86,11 +86,15 @@ def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
             edges.add((q, hi[q]))
 
 
-def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
+def _adjacency(neg: TreeSurvey, pos: TreeSurvey) -> AdjacencyRelation:
     edges: set[tuple[int, int]] = set()
-    _tree_edges(pair.negative.survey(), edges)
-    _tree_edges(pair.positive.survey(), edges)
-    return AdjacencyRelation(carets=pair.carets, edges=frozenset(edges))
+    _tree_edges(neg, edges)
+    _tree_edges(pos, edges)
+    return AdjacencyRelation(carets=neg.carets, edges=frozenset(edges))
+
+
+def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
+    return _adjacency(pair.negative.survey(), pair.positive.survey())
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,11 @@ def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
     inside p's right subtree (in either tree), or when p is a right caret
     in both trees and is not the final caret.
     """
-    n = pair.carets
-    neg, pos = pair.negative.survey(), pair.positive.survey()
+    return _penalty_carets(pair.negative.survey(), pair.positive.survey())
+
+
+def _penalty_carets(neg: TreeSurvey, pos: TreeSurvey) -> PenaltyCaretSet:
+    n = neg.carets
     flags: list[tuple[int, str]] = []
     # p + 1 hangs inside p's right subtree when its interval starts at leaf
     # p, which is not leaf 0, so it is interior unless it reaches leaf n.
@@ -232,9 +239,12 @@ def penalty_weight(
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
     _require_reduced(pair, "penalty_weight")
-    adj = adjacency(pair)
-    pen = penalty_carets(pair)
-    required = pen.indices
+    # one survey per tree, shared by the caret order and the penalty flags
+    # and dropped before the search
+    neg, pos = pair.negative.survey(), pair.positive.survey()
+    adj = _adjacency(neg, pos)
+    required = _penalty_carets(neg, pos).indices
+    del neg, pos
     if not required:
         return 0, PenaltyTree((), adjacency=adj, required=required)
 

@@ -34,77 +34,72 @@ class ParseDiagnostic:
         return f"at offset {self.offset}: expected {self.expected}, found {self.found}"
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Every scanner reads its text with _END appended, which no rule takes, so
+# it moves a local index and never checks for the end of the string.
+_END = "\0"
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+def _fail(padded: str, at: int, expected: str):
+    found = repr(padded[at]) if at < len(padded) - 1 else "end of input"
+    diag = ParseDiagnostic(at, expected, found)
+    raise ParseError(str(diag), diag)
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
 
-    def skip_spaces(self) -> int:
-        n = 0
-        while self.peek() == " ":
-            self.pos += 1
-            n += 1
-        return n
+def _skip_spaces(padded: str, at: int) -> int:
+    while padded[at] == " ":
+        at += 1
+    return at
 
-    def fail(self, expected: str):
-        found = repr(self.peek()) if not self.at_end() else "end of input"
-        diag = ParseDiagnostic(self.pos, expected, found)
-        raise ParseError(str(diag), diag)
 
-    def digits(self, what: str) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail(what)
-        return int(self.text[start : self.pos])
+def _digits_end(padded: str, at: int) -> int:
+    while padded[at].isdigit():
+        at += 1
+    return at
 
 
 def parse_runs(text: str) -> list[tuple[int, int]]:
     """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"
     into one (index, exponent) run per letter as written.  Nothing is
     expanded, so a caller can see what a word costs before building it."""
-    cur = _Cursor(text)
-    cur.skip_spaces()
+    end = len(text)
+    padded = text + _END
+    at = _skip_spaces(padded, 0)
     runs: list[tuple[int, int]] = []
-    if cur.at_end():
+    if at == end:
         return runs
     while True:
-        if cur.peek() != "x":
-            cur.fail("a generator letter starting with 'x'")
-        cur.take()
-        index = cur.digits("a generator index (digits)")
+        if padded[at] != "x":
+            _fail(padded, at, "a generator letter starting with 'x'")
+        mark = at + 1
+        at = _digits_end(padded, mark)
+        if at == mark:
+            _fail(padded, at, "a generator index (digits)")
+        index = int(padded[mark:at])
         exponent = 1
-        if cur.peek() == "^":
-            cur.take()
+        if padded[at] == "^":
+            at += 1
             sign = 1
-            if cur.peek() in ("+", "-"):
-                sign = -1 if cur.take() == "-" else 1
-            mark = cur.pos
-            magnitude = cur.digits("an exponent (digits)")
+            if padded[at] in "+-":
+                sign = -1 if padded[at] == "-" else 1
+                at += 1
+            mark = at
+            at = _digits_end(padded, mark)
+            if at == mark:
+                _fail(padded, at, "an exponent (digits)")
+            magnitude = int(padded[mark:at])
             if magnitude == 0:
                 diag = ParseDiagnostic(mark, "a nonzero exponent", "0")
                 raise ParseError(str(diag), diag)
             exponent = sign * magnitude
         runs.append((index, exponent))
-        spaces = cur.skip_spaces()
-        if cur.at_end():
+        mark = at
+        at = _skip_spaces(padded, at)
+        if at == end:
             break
-        if spaces == 0:
-            if cur.peek() != "*":
-                cur.fail("a separator (' ' or '*') or end of input")
-            cur.take()
+        if at == mark:
+            if padded[at] != "*":
+                _fail(padded, at, "a separator (' ' or '*') or end of input")
+            at += 1
     return runs
 
 
@@ -138,63 +133,55 @@ def format_word(word: GeneratorWord) -> str:
     return " ".join(out)
 
 
-def _parse_tree_text(cur: _Cursor) -> str:
-    """The text of the tree at the cursor, checked against the grammar.
-    The stack counts the finished subtrees of each open caret: a loop, not
-    recursion, so deep nesting cannot blow the interpreter stack.  The
-    scan reads a copy of the text with one character past its end, which
-    no tree takes, and moves the cursor only when it stops."""
-    start = at = cur.pos
-    text = cur.text + " "
+def _parse_tree_text(padded: str, start: int) -> tuple[str, int]:
+    """The tree whose text begins at ``start``, checked against the
+    grammar, and the position just past it.  The stack counts the finished
+    subtrees of each open caret: a loop, not recursion, so deep nesting
+    cannot blow the interpreter stack."""
+    at = start
     stack: list[int] = []
     while True:
-        ch = text[at]
+        ch = padded[at]
         if ch == "(":
             at += 1
             stack.append(0)
             continue
         if ch != ".":
-            cur.pos = at
-            cur.fail("'.' or '('")
+            _fail(padded, at, "'.' or '('")
         at += 1
         while True:
             if not stack:
-                cur.pos = at
-                return text[start:at]
+                return padded[start:at], at
             stack[-1] += 1
             if stack[-1] == 1:
                 break
-            if text[at] != ")":
-                cur.pos = at
-                cur.fail("')'")
+            if padded[at] != ")":
+                _fail(padded, at, "')'")
             at += 1
             stack.pop()
 
 
 def parse_tree(text: str) -> CaretTree:
     """Parse dot-parenthesis tree notation; inverse of CaretTree.serialize."""
-    cur = _Cursor(text)
-    cur.skip_spaces()
-    tree = _parse_tree_text(cur)
-    cur.skip_spaces()
-    if not cur.at_end():
-        cur.fail("end of input")
+    padded = text + _END
+    tree, at = _parse_tree_text(padded, _skip_spaces(padded, 0))
+    at = _skip_spaces(padded, at)
+    if at < len(text):
+        _fail(padded, at, "end of input")
     return CaretTree(tree)
 
 
 def parse_pair(text: str) -> TreePairDiagram:
     """Parse "negative|positive"; the result is reduced or not as given."""
-    cur = _Cursor(text)
-    cur.skip_spaces()
-    negative = _parse_tree_text(cur)
-    if cur.peek() != "|":
-        cur.fail("'|' between the two trees")
-    cur.take()
-    mark = cur.pos
-    positive = _parse_tree_text(cur)
-    cur.skip_spaces()
-    if not cur.at_end():
-        cur.fail("end of input")
+    padded = text + _END
+    negative, at = _parse_tree_text(padded, _skip_spaces(padded, 0))
+    if padded[at] != "|":
+        _fail(padded, at, "'|' between the two trees")
+    mark = at + 1
+    positive, at = _parse_tree_text(padded, mark)
+    at = _skip_spaces(padded, at)
+    if at < len(text):
+        _fail(padded, at, "end of input")
     n_neg, n_pos = count_carets(negative), count_carets(positive)
     if n_neg != n_pos:
         diag = ParseDiagnostic(

@@ -4,8 +4,8 @@ Everything here is deliberately written against the *meaning* of the
 operations, not their implementations: adjacency from leaf intervals
 instead of child-pointer walks, penalty-tree weights from explicit path
 distances, reduction by trying every removal order, in-ball distances by
-plain one-sided breadth-first search.  The tests compare the package
-against these.
+plain one-sided breadth-first search, words by one generator move per
+letter.  The tests compare the package against these.
 """
 
 import random
@@ -16,6 +16,7 @@ from caretcalc import (
     apply_generator,
     canonical_encode,
     evaluate_word,
+    identity,
 )
 from caretcalc.tree_core import Node, serialize_node
 
@@ -29,6 +30,17 @@ def random_letters(rng: random.Random, max_index=3, max_len=10):
 
 def random_element(rng: random.Random, max_index=3, max_len=10) -> TreePairDiagram:
     return evaluate_word(random_letters(rng, max_index, max_len))
+
+
+def fold_letters(letters, start=None) -> TreePairDiagram:
+    """``start`` (the identity by default) right-multiplied by each letter
+    in turn, by the generator move of ``apply_generator``: one step over
+    the whole pair per letter, apart from the run products of
+    ``evaluate_word``."""
+    pair = identity() if start is None else start
+    for index, sign in letters:
+        pair = apply_generator(pair, index, sign)
+    return pair
 
 
 def random_node(rng: random.Random, carets: int) -> Node:

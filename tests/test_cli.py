@@ -39,6 +39,14 @@ def test_eval_cancellation(capsys):
     assert "pair\t.|." in out
 
 
+def test_eval_long_power(capsys):
+    # one run, built by repeated squaring
+    code, out, err = run(capsys, "eval", "x0^20000")
+    assert (code, err) == (0, "")
+    assert "carets\t20001\n" in out
+    assert "normal_form\tx0^20000\n" in out
+
+
 def test_eval_parse_error(capsys):
     code, out, err = run(capsys, "eval", "x1^^2")
     assert code == 2

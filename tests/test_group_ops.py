@@ -9,6 +9,7 @@ from caretcalc import (
     canonical_encode,
     evaluate_word,
     generator_diagram,
+    group_ops,
     identity,
     invert,
     multiply,
@@ -138,6 +139,34 @@ def test_deep_power_round_trip():
     assert g.carets == 1201
     # compare encodings: == on 1200-deep nested tuples recurses too deep
     assert encode(evaluate_word(normal_form(g))) == encode(g)
+
+
+def test_power_costs_logarithmic_products(monkeypatch):
+    # a run of 2^k letters is k squarings, never one move per letter
+    calls = []
+    product = group_ops.multiply
+
+    def counted(g, h):
+        calls.append(1)
+        return product(g, h)
+
+    def refused(*args):
+        raise AssertionError("evaluate_word made a generator move")
+
+    monkeypatch.setattr(group_ops, "multiply", counted)
+    monkeypatch.setattr(group_ops, "apply_generator", refused)
+    for k in range(1, 13):
+        for letter in ((0, 1), (3, -1)):
+            calls.clear()
+            g = evaluate_word([letter] * 2**k)
+            assert len(calls) <= 2 * k, (k, letter, len(calls))
+            assert g.carets == 2**k + letter[0] + 1
+
+
+def test_evaluate_word_rejects_bad_letters():
+    for word in ([(-1, 1)], [(0, 2)], [(0, 1), (2, 0)]):
+        with pytest.raises(ValueError):
+            evaluate_word(word)
 
 
 def test_normal_form_goldens():

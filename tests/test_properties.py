@@ -1,17 +1,19 @@
 """Property tests (hypothesis, a test-only dependency) of the tree kernel
 against independent routes: the tuple form of the trees, reduction in
 every removal order on tuples, products with generator diagrams and with
-letter-by-letter folds, leaf intervals for the flat length, and the word
-parser against the word printer.
+letter-by-letter folds, words of long runs against the letter-by-letter
+fold, leaf intervals for the flat length, and the word parser against the
+word printer.
 Examples are drawn deterministically, so every run checks the same ones."""
 
 from itertools import groupby
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caretcalc import (
     apply_generator,
+    canonical_encode,
     evaluate_word,
     generator_diagram,
     l_infinity,
@@ -21,7 +23,7 @@ from caretcalc import (
 from caretcalc.group_ops import GeneratorWord
 from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
 from caretcalc.wordlang import format_word, parse_runs, parse_tree, parse_word
-from helpers import _intervals, reductions_all_orders, to_node
+from helpers import _intervals, fold_letters, reductions_all_orders, to_node
 
 checked = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -105,10 +107,22 @@ def test_apply_generator_on_random_pairs(trees, index, sign):
 @checked
 @given(elements, elements)
 def test_multiply_matches_letter_by_letter_fold(g, h):
-    folded = g
-    for index, sign in normal_form(h):
-        folded = apply_generator(folded, index, sign)
+    folded = fold_letters(normal_form(h), g)
     assert multiply(g, h).serialize() == folded.serialize()
+
+
+# Words as runs: a letter of index up to 40 repeated 1-64 times.
+run_words = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from((1, -1)), st.integers(1, 64)),
+    max_size=6,
+).map(lambda runs: [(i, s) for i, s, count in runs for _ in range(count)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(run_words)
+@example([])
+def test_evaluate_word_matches_letter_by_letter_fold(word):
+    assert canonical_encode(evaluate_word(word)) == canonical_encode(fold_letters(word))
 
 
 @checked

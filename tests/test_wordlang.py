@@ -56,6 +56,32 @@ def test_parse_word_diagnostics(text, offset):
     assert err.value.diagnostic.offset == offset, err.value
 
 
+@pytest.mark.parametrize(
+    "text,offset,expected,found",
+    [
+        ("y1", 0, "a generator letter starting with 'x'", "'y'"),
+        ("x", 1, "a generator index (digits)", "end of input"),
+        ("x^2", 1, "a generator index (digits)", "'^'"),
+        ("x1^0", 3, "a nonzero exponent", "0"),
+        ("x1^-0", 4, "a nonzero exponent", "0"),
+        ("x1^", 3, "an exponent (digits)", "end of input"),
+        ("x1^x2", 3, "an exponent (digits)", "'x'"),
+        ("x1**x0", 3, "a generator letter starting with 'x'", "'*'"),
+        ("x1 x", 4, "a generator index (digits)", "end of input"),
+        ("x1 * x0", 3, "a generator letter starting with 'x'", "'*'"),
+        ("*x1", 0, "a generator letter starting with 'x'", "'*'"),
+        ("x1*", 3, "a generator letter starting with 'x'", "end of input"),
+    ],
+)
+def test_word_diagnostics_pinned(text, offset, expected, found):
+    # every word rejected above, and a trailing '*', with its whole diagnostic
+    for parser in (parse_word, parse_runs):
+        with pytest.raises(ParseError) as err:
+            parser(text)
+        assert err.value.diagnostic == ParseDiagnostic(offset, expected, found)
+        assert str(err.value) == f"at offset {offset}: expected {expected}, found {found}"
+
+
 def test_format_word():
     assert format_word(GeneratorWord(())) == ""
     assert format_word(GeneratorWord(((0, 1),))) == "x0"
