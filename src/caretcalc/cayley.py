@@ -298,6 +298,19 @@ def bfs_length(
     return _meet(identity(), pair, gens.letters(), cap, "length search")
 
 
+def _covering_ball(
+    gens: GeneratingSet, radius: int, ball_index: Optional[BallIndex], cap: int
+) -> BallIndex:
+    """The index an in-ball search of ``radius`` reads: ``ball_index`` if
+    it is over ``gens`` and reaches radius - 1, else ValueError; without
+    one, the ball of radius - 1 is enumerated."""
+    if ball_index is None:
+        return ball(gens, max(radius - 1, 0), cap=cap)
+    if ball_index.gens != gens or ball_index.radius < radius - 1:
+        raise ValueError("ball index does not cover the requested ball")
+    return ball_index
+
+
 def in_ball_geodesic(
     a: TreePairDiagram,
     b: TreePairDiagram,
@@ -323,11 +336,7 @@ def in_ball_geodesic(
     enumerates the ball of radius ``radius - 1``; a given index must have
     at least that radius, and its longer rows are never read.
     """
-    if ball_index is None:
-        ball_index = ball(gens, max(radius - 1, 0), cap=cap)
-    elif ball_index.gens != gens or ball_index.radius < radius - 1:
-        raise ValueError("ball index does not cover the requested ball")
-    table = ball_index.table
+    table = _covering_ball(gens, radius, ball_index, cap).table
     letters = gens.letters()
 
     def inner(enc: str) -> bool:
@@ -425,10 +434,7 @@ def probe_mac(
     """
     g, h = mac_witness_pair(gens, k)
     radius = 2 * k + 2
-    if ball_index is None:
-        ball_index = ball(gens, radius - 1, cap=cap)
-    elif ball_index.gens != gens or ball_index.radius < radius - 1:
-        raise ValueError("ball index does not cover the requested ball")
+    ball_index = _covering_ball(gens, radius, ball_index, cap)
     g_length = bfs_length(g, gens, cap=cap)
     h_length = bfs_length(h, gens, cap=cap)
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)

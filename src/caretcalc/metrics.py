@@ -6,8 +6,9 @@ The exact word length of a reduced pair g splits as
 
 where ``l_infinity`` counts carets off the right spine in both trees and the
 penalty weight is the minimum, over all valid penalty trees, of the number
-of vertices that sit at depth >= 2 and still have a descendant leaf at
-distance >= n - 1.
+of vertices at depth >= 2 with a vertex exactly n - 1 below them.  That is
+the same as height >= n - 1: a longest path down from a vertex passes a
+vertex at every distance up to its height.
 
 A penalty tree is an oriented tree rooted at the phantom vertex 0 (the
 space left of either tree) whose edges follow the caret adjacency order,
@@ -229,6 +230,8 @@ def penalty_weight(
 ) -> tuple[int, PenaltyTree]:
     """Exact minimum weight over all penalty trees, with a witness.
 
+    The weight counts the vertices at depth >= 2 with a vertex exactly
+    n - 1 below them; a new leaf can add only its ancestor n - 1 levels up.
     Exhaustive depth-first search over parent assignments in increasing
     caret order, pruned with the best weight found so far (the weight of a
     partial tree never decreases as vertices are added).  The chain
@@ -281,7 +284,7 @@ def penalty_weight(
     included[0] = 1
     parent = [-1] * (top + 1)
     depth = [0] * (top + 1)
-    height = [0] * (top + 1)
+    below = [0] * (top + 1)  # vertices exactly n - 1 under each at depth >= 2
     nchild = [0] * (top + 1)
 
     chain_parents = tuple((c, c - 1) for c in range(1, top + 1))
@@ -293,14 +296,11 @@ def penalty_weight(
 
     weight = 0
     states = 0
-    # Heights are kept capped at n - 1: the weight only asks whether one
-    # reaches n - 1, and with the cap the raise above a new vertex stops at
-    # the first ancestor that high instead of climbing a chain to the root.
-    rise = min(1, n - 1)  # the height a new vertex gives its parent
     # Depth first over an explicit stack, so that the search depth is not
     # bounded by the interpreter's.  A frame holds a caret, the choices
     # for it still to try, in order (None leaves it out, p hangs it under
-    # p), and what undoes the current choice: (p, height log, old weight).
+    # p), and what undoes the current choice: (p, the ancestor whose count
+    # c raised or -1, old weight).
     frames: list[list] = []
     c = 1
     while True:
@@ -336,9 +336,9 @@ def penalty_weight(
             frame = frames[-1]
             c = frame[0]
             if frame[2] is not None:
-                p, log, weight = frame[2]
-                for a, old in reversed(log):
-                    height[a] = old
+                p, a, weight = frame[2]
+                if a >= 0:
+                    below[a] -= 1
                 nchild[p] -= 1
                 included[c] = 0
                 parent[c] = -1
@@ -348,27 +348,23 @@ def penalty_weight(
                 frames.pop()
                 continue
             if p is not None:
-                # hang c under p and raise the heights above it
-                log = []
-                frame[2] = (p, log, weight)
                 included[c] = 1
                 parent[c] = p
                 depth[c] = depth[p] + 1
-                height[c] = 0
                 nchild[p] += 1
-                if depth[c] >= 2 and 0 >= n - 1:
-                    weight += 1
-                a, k = p, rise
-                while height[a] < k:
-                    log.append((a, height[a]))
-                    if depth[a] >= 2 and height[a] < n - 1 <= k:
+                a = -1
+                if depth[c] > n:
+                    # hang c under p: only c's ancestor n - 1 levels up,
+                    # here at depth >= 2, can newly have a vertex that far
+                    # below it; every higher one already had p below it
+                    a = c
+                    for _ in range(n - 1):
+                        a = parent[a]
+                frame[2] = (p, a, weight)
+                if a >= 0:
+                    below[a] += 1
+                    if below[a] == 1:
                         weight += 1
-                    height[a] = k
-                    if a == 0:
-                        break
-                    a = parent[a]
-                    if k < n - 1:
-                        k += 1
             c += 1
             break
         else:

@@ -18,6 +18,7 @@ three letters (1,-1),(1,-1),(1,-1); an exponent of 0 is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import ParseError
 from .group_ops import GeneratorWord
@@ -52,7 +53,9 @@ def _skip_spaces(padded: str, at: int) -> int:
 
 
 def _digits_end(padded: str, at: int) -> int:
-    while padded[at].isdigit():
+    # ASCII only: str.isdigit also takes other scripts' digits, which
+    # int() reads, and superscripts, which int() rejects
+    while "0" <= padded[at] <= "9":
         at += 1
     return at
 
@@ -120,16 +123,9 @@ def parse_word(text: str) -> GeneratorWord:
 def format_word(word: GeneratorWord) -> str:
     """Canonical spelling: adjacent equal letters collapse to an exponent."""
     out: list[str] = []
-    letters = list(word)
-    i = 0
-    while i < len(letters):
-        index, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (index, sign):
-            j += 1
-        exponent = sign * (j - i)
+    for (index, sign), run in groupby(word):
+        exponent = sign * len(list(run))
         out.append(f"x{index}" if exponent == 1 else f"x{index}^{exponent}")
-        i = j
     return " ".join(out)
 
 

@@ -319,10 +319,13 @@ def test_in_ball_path_through_the_outer_sphere():
 
 def test_index_two_radii_short_is_refused():
     g, h = mac_witness_pair(X2, 1)
-    with pytest.raises(ValueError, match="does not cover"):
-        probe_mac(X2, 1, ball_index=ball(X2, 2))
-    with pytest.raises(ValueError, match="does not cover"):
-        in_ball_geodesic(g, h, X2, 4, ball_index=ball(X2, 2))
+    # two radii short, or deep enough but over other generators
+    other = ball(GeneratingSet.of([0, 1, 3]), 3)
+    for index in (ball(X2, 2), other):
+        with pytest.raises(ValueError, match="does not cover"):
+            probe_mac(X2, 1, ball_index=index)
+        with pytest.raises(ValueError, match="does not cover"):
+            in_ball_geodesic(g, h, X2, 4, ball_index=index)
 
 
 def test_probe_mac_enumerates_radius_2k_plus_1_once(monkeypatch):

@@ -16,6 +16,7 @@ from caretcalc import (
     penalty_carets,
     penalty_weight,
     penalty_weight_of_tree,
+    reduce,
 )
 from caretcalc.errors import (
     InvalidPenaltyTreeError,
@@ -25,13 +26,14 @@ from caretcalc.errors import (
 from caretcalc.group_ops import GeneratingSet
 from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
 from caretcalc.tree_core import CaretTree, TreePairDiagram, spine
-from caretcalc.wordlang import parse_tree, parse_word
+from caretcalc.wordlang import parse_pair, parse_tree, parse_word
 from helpers import (
     brute_force_min_weight,
     infix_carets,
     interval_adjacency,
     naive_tree_weight,
     random_element,
+    random_tree,
     to_node,
 )
 
@@ -299,6 +301,26 @@ def test_penalty_weight_cap():
     with pytest.raises(SearchCapExceededError) as err:
         penalty_weight(g, 2, cap=1)
     assert err.value.states > 0
+
+
+def test_penalty_search_effort_pinned():
+    # (k, carets after reduce, states at n = 1, 2, 3) for pairs of two
+    # random k-caret trees: the search must visit exactly this many, so a
+    # change to its choice order or pruning shows here
+    effort = [
+        (12, 11, (66, 28, 9)),
+        (16, 16, (259, 95, 14)),
+        (20, 16, (744, 89, 14)),
+        (24, 21, (15648, 2852, 531)),
+    ]
+    rng = random.Random(9001)
+    for k, carets, states in effort:
+        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        assert pair.carets == carets
+        for n, cap in enumerate(states, start=1):
+            penalty_weight(pair, n, cap=cap)
+            with pytest.raises(SearchCapExceededError):
+                penalty_weight(pair, n, cap=cap - 1)
 
 
 def test_penalty_search_deeper_than_the_interpreter_stack():

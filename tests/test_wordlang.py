@@ -71,6 +71,11 @@ def test_parse_word_diagnostics(text, offset):
         ("x1 * x0", 3, "a generator letter starting with 'x'", "'*'"),
         ("*x1", 0, "a generator letter starting with 'x'", "'*'"),
         ("x1*", 3, "a generator letter starting with 'x'", "end of input"),
+        # digits are ASCII only, though str.isdigit takes all four
+        ("x\u0663", 1, "a generator index (digits)", "'\u0663'"),
+        ("x\uff11", 1, "a generator index (digits)", "'\uff11'"),
+        ("x\u00b2", 1, "a generator index (digits)", "'\u00b2'"),
+        ("x1^\u00b2", 3, "an exponent (digits)", "'\u00b2'"),
     ],
 )
 def test_word_diagnostics_pinned(text, offset, expected, found):
