@@ -7,12 +7,14 @@ encodings, so the lengths are exact and serve as the independent oracle
 for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
 remembers each element it has seen as its encoding, its length and the
 letter that reached it.  The encoding is the element, so the frontier
-holds encodings too, and a shell makes an element's tree pair from its
-encoding only while it expands it.  Balls and batched lengths grow one
-side from the identity, and a ball's last shell keeps no frontier.  A single
-length, and a shortest path inside a ball, are searched from both ends at
-once: the side with the smaller frontier grows by one shell until it
-reaches the other side's seen set, which gives the distance exactly.
+holds encodings too, and a shell makes no tree pair at all: it cuts each
+encoding at "|" and steps on the two texts with ``group_ops.apply_letter``,
+whose result joined by "|" is the neighbour's encoding.  Balls and batched
+lengths grow one side from the identity, and a ball's last shell keeps no
+frontier.  A single length, and a shortest path inside a ball, are
+searched from both ends at once: the side with the smaller frontier grows
+by one shell until it reaches the other side's seen set, which gives the
+distance exactly.
 
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
@@ -48,7 +50,7 @@ from .errors import SearchCapExceededError
 from .group_ops import (
     GeneratingSet,
     Letter,
-    apply_generator,
+    apply_letter,
     evaluate_word,
     identity,
     invert,
@@ -121,8 +123,16 @@ class BallIndex:
         return counts
 
     def export_lines(self) -> list[str]:
-        rows = sorted((length, enc) for enc, (length, _) in self.table.items())
-        return [f"{enc}\t{length}" for length, enc in rows]
+        """One "encoding TAB length" line per element, by length and then
+        by encoding: each length's encodings are sorted on their own."""
+        spheres: list[list[str]] = [[] for _ in range(self.radius + 1)]
+        for enc, (length, _) in self.table.items():
+            spheres[length].append(enc)
+        lines: list[str] = []
+        for length, encs in enumerate(spheres):
+            tail = f"\t{length}"
+            lines += [enc + tail for enc in sorted(encs)]
+        return lines
 
 
 # A frontier entry: an element's encoding, and the inverse of the letter
@@ -144,11 +154,11 @@ def _shell(
     """One breadth-first shell: record every unseen neighbour of the
     frontier in ``seen`` as (depth, letter) and return the new frontier.
 
-    The shell consumes ``frontier``, making each entry's pair from its
-    encoding only while it expands it, and never applies an entry's back
-    letter: that neighbour is the element it was reached from, already
-    seen.  Each new key is kept, with the inverse of its letter, for the
-    next shell; without ``keep`` the shell returns an empty frontier.
+    The shell consumes ``frontier``, stepping on each entry's two texts
+    with ``apply_letter``, and never applies an entry's back letter: that
+    neighbour is the element it was reached from, already seen.  Each new
+    key is kept, with the inverse of its letter, for the next shell;
+    without ``keep`` the shell returns an empty frontier.
     With ``inner`` (a test of an encoding for length <= R - 1) the shell
     stays in the ball of radius R: an entry that fails it keeps only the
     neighbours that pass it.  With ``meet`` (the other side's seen dict)
@@ -165,13 +175,12 @@ def _shell(
     frontier.reverse()  # popped from the end, so taken in the given order
     while frontier:
         enc, back = frontier.pop()
-        g = _decode(enc)
+        neg, pos = enc.split("|")
         free = inner is None or inner(enc)
         for letter, undo, row in steps:
             if letter is back:
                 continue
-            h = apply_generator(g, *letter)
-            key = canonical_encode(h)
+            key = "|".join(apply_letter(neg, pos, *letter))
             if key in seen:
                 continue
             if meet is not None and key in meet:
@@ -346,9 +355,9 @@ def in_ball_geodesic(
     def within(p: TreePairDiagram) -> bool:
         if radius <= 0:
             return radius == 0 and p.is_identity
+        neg, pos = p.negative.root, p.positive.root
         return inner(canonical_encode(p)) or any(
-            inner(canonical_encode(apply_generator(p, *letter)))
-            for letter in letters
+            inner("|".join(apply_letter(neg, pos, *letter))) for letter in letters
         )
 
     a, b = reduce(a), reduce(b)

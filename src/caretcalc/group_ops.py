@@ -9,19 +9,24 @@ the defining relations hold, e.g. x0^-1 x1 x0 = x2; the relator tests pin
 the orientation, so do not flip either convention independently.
 
 Right multiplication by a single generator only rearranges three adjacent
-subtrees along the right spine of the positive tree; apply_generator does
-that surgery directly, and multiplying by the generator's diagram must give
+subtrees along the right spine of the positive tree; ``apply_letter`` does
+that surgery directly on the two texts of a pair and returns the texts of
+the reduced result, and multiplying by the generator's diagram must give
 the identical result (both routes are kept and tested against each other).
+``apply_generator`` is the same step on a ``TreePairDiagram``: it checks
+the letter, calls ``apply_letter`` and wraps the result once.  The Cayley
+search calls ``apply_letter`` itself, so it never builds a diagram.
 
 A word is evaluated as a product of its runs, not letter by letter: each
 run x_i^a is built by repeated squaring, and the runs are multiplied as a
 balanced product, so a letter takes part in O(log) products rather than
 one step over the whole tree each.  ``x0^k`` costs O(k log k), not O(k^2).
 
-Both routes build an unreduced result and hand it to ``reduce``, the one
-place that settles reducedness; their inputs pass through it too, which
-is a flag check when they are already reduced.  Trees are text, as in
-``tree_core``, and every edit here is a scan and a few slices of it.
+Both routes build an unreduced result and hand it to ``reduce_text``, the
+one loop that settles reducedness (``reduce`` on a diagram); their inputs
+pass through ``reduce`` too, which is a flag check when they are already
+reduced.  Trees are text, as in ``tree_core``, and every edit here is a
+scan and a few slices of it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .tree_core import (
     attach_at_leaf,
     graft,
     reduce,
+    reduce_text,
     spine,
 )
 
@@ -230,8 +236,9 @@ def _move(pos: str, index: int, sign: int) -> tuple[str, int]:
             + ")" + pos[y_end:-1]), -1
 
 
-def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
-    """Right-multiply by x_index^sign using direct subtree surgery.
+def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
+    """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
+    by direct subtree surgery; index must be >= 0 and sign +1 or -1.
 
     The move acts on the subtrees hanging left off the right spine of the
     positive tree, numbered from 0 at the top.  For sign +1 subtree number
@@ -240,12 +247,6 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     subtrees index and index + 1.  Spine carets or the caret A ^ B that
     are missing are first added to both trees at the same leaves.
     """
-    if index < 0:
-        raise ValueError(f"generator index must be >= 0, got {index}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    pair = reduce(pair)
-    neg, pos = pair.negative.root, pair.positive.root
     need = index + 1 if sign == 1 else index + 2
     missing = need - (len(pos) - len(pos.rstrip(")")))
     if missing > 0:
@@ -253,7 +254,20 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     pos, added = _move(pos, index, sign)
     if added >= 0:
         neg = add_caret_at_leaf(neg, added)
-    return reduce(TreePairDiagram(CaretTree(neg), CaretTree(pos), False))
+    return reduce_text(neg, pos)
+
+
+def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
+    """Right-multiply by x_index^sign: ``apply_letter`` on the reduced
+    pair's texts, wrapped as a reduced pair.  ValueError for a bad index
+    or sign."""
+    if index < 0:
+        raise ValueError(f"generator index must be >= 0, got {index}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    pair = reduce(pair)
+    neg, pos = apply_letter(pair.negative.root, pair.positive.root, index, sign)
+    return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
 
 
 def _power(index: int, sign: int, count: int) -> TreePairDiagram:

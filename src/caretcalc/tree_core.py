@@ -31,9 +31,10 @@ recursion limit.  Nested tuples appear only at one boundary:
 
 A pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
-exposed in both trees over the same pair of leaf numbers.  ``reduce`` is the
-one function that turns a pair into its reduced form;
-``TreePairDiagram.of`` only computes the ``reduced`` flag of outside input.
+exposed in both trees over the same pair of leaf numbers.  ``reduce_text``
+is the one loop that reduces, on the two texts; ``reduce`` runs it on a
+``TreePairDiagram``, and ``TreePairDiagram.of`` only computes the
+``reduced`` flag of outside input.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def remove_exposed_at(tree: str, leaf: int) -> str:
     """Collapse the exposed caret whose leaves are (leaf, leaf + 1)."""
     if leaf not in exposed_leaf_starts(tree):
         raise ValueError(f"no exposed caret at leaf {leaf} in {tree}")
-    return _collapse(tree, [leaf]).root
+    return _collapse(tree, [leaf])
 
 
 class TreeSurvey:
@@ -250,7 +251,7 @@ def is_reduced(pair: TreePairDiagram) -> bool:
     return not _common_exposed(pair.negative.root, pair.positive.root)
 
 
-def _collapse(tree: str, leaves: list[int]) -> CaretTree:
+def _collapse(tree: str, leaves: list[int]) -> str:
     """``tree`` with the exposed caret over each of ``leaves`` (left-leaf
     numbers, ascending) made a leaf.  The scan goes from one ".." to the
     next, counting the dots it passes; each "(..)" to go is overwritten
@@ -265,7 +266,22 @@ def _collapse(tree: str, leaves: list[int]) -> CaretTree:
             dots += 2 + tree.count(".", at + 2, after)
             at = after
         text[at - 1 : at + 3] = b"x.xx"
-    return CaretTree(text.translate(None, b"x").decode("ascii"))
+    return text.translate(None, b"x").decode("ascii")
+
+
+def reduce_text(neg: str, pos: str) -> tuple[str, str]:
+    """The texts of the reduced pair of the element ``neg | pos``.
+
+    Each round collapses every caret exposed in both trees over the same
+    leaves, and the rounds go on until there is none.  Cancelling exposed
+    carets one at a time, in any order, ends in the same pair.  Raises
+    MalformedPairError when the caret counts differ.
+    """
+    while True:
+        common = _common_exposed(neg, pos)
+        if not common:
+            return neg, pos
+        neg, pos = _collapse(neg, common), _collapse(pos, common)
 
 
 def reduce(pair: TreePairDiagram) -> TreePairDiagram:
@@ -274,19 +290,13 @@ def reduce(pair: TreePairDiagram) -> TreePairDiagram:
     A pair flagged ``reduced`` comes back unchanged: the flag is trusted, so
     set it only on pairs known to be reduced (generators, the identity,
     results of this function); :meth:`TreePairDiagram.of` computes it for
-    outside input.  Otherwise each round collapses every caret exposed in
-    both trees over the same leaves, and the rounds go on until there is
-    none.  Cancelling exposed carets one at a time, in any order, ends in
-    the same pair.  Raises MalformedPairError when the caret counts differ.
+    outside input.  Any other pair goes through ``reduce_text``, the one
+    reduction loop, and its result is wrapped once.
     """
     if pair.reduced:
         return pair
-    neg, pos = pair.negative, pair.positive
-    while True:
-        common = _common_exposed(neg.root, pos.root)
-        if not common:
-            return TreePairDiagram(neg, pos, True)
-        neg, pos = _collapse(neg.root, common), _collapse(pos.root, common)
+    neg, pos = reduce_text(pair.negative.root, pair.positive.root)
+    return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
 
 
 def canonical_encode(pair: TreePairDiagram) -> str:

@@ -25,7 +25,7 @@ from caretcalc import (
     probe_subset_monotonicity,
     reduce,
 )
-from caretcalc import cayley
+from caretcalc import cayley, group_ops
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
@@ -114,16 +114,34 @@ def test_ball_never_applies_the_parent_letter(monkeypatch):
     # each element past the identity skips the inverse of the letter that
     # reached it: 6 + 5 * (6 + 26 + 104) calls, not 6 * (1 + 6 + 26 + 104)
     calls = 0
-    real = cayley.apply_generator
+    real = cayley.apply_letter
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(cayley, "apply_generator", counted)
+    monkeypatch.setattr(cayley, "apply_letter", counted)
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
     assert calls == 686
+
+
+def test_search_steps_on_text_and_builds_no_diagram(monkeypatch):
+    # the searches step with apply_letter on the encodings' texts; a
+    # search that went back to apply_generator would raise here
+    def refused(*args):
+        raise AssertionError("the search built a tree pair diagram")
+
+    monkeypatch.setattr(cayley, "apply_generator", refused, raising=False)
+    monkeypatch.setattr(group_ops, "apply_generator", refused)
+    assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
+    h2 = evaluate_word([(1, 1)] * 3 + [(0, -1)] * 3)
+    g1 = evaluate_word([(2, 1), (1, 1), (1, 1), (0, -1)])
+    assert lengths_for([h2, g1], X2) == {canonical_encode(h2): 6, canonical_encode(g1): 4}
+    assert bfs_length(h2, X2) == 6
+    assert bfs_length(g1, X2) == 4
+    g, h = mac_witness_pair(X2, 1)
+    assert in_ball_geodesic(g, h, X2, 4) == 8
 
 
 def test_ball_cap():

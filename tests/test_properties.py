@@ -20,7 +20,7 @@ from caretcalc import (
     multiply,
     normal_form,
 )
-from caretcalc.group_ops import GeneratorWord
+from caretcalc.group_ops import GeneratorWord, apply_letter
 from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
 from caretcalc.wordlang import format_word, parse_runs, parse_tree, parse_word
 from helpers import _intervals, fold_letters, reductions_all_orders, to_node
@@ -102,6 +102,8 @@ def test_apply_generator_on_random_pairs(trees, index, sign):
     g = TreePairDiagram.from_nodes(*trees)
     direct = apply_generator(g, index, sign)
     assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
+    step = apply_letter(g.negative.root, g.positive.root, index, sign)
+    assert "|".join(step) == canonical_encode(direct)
 
 
 @checked
