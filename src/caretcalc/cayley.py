@@ -403,13 +403,7 @@ class MacProbeReport:
         }
 
 
-def mac_witness_pair(
-    gens: GeneratingSet, k: int
-) -> tuple[TreePairDiagram, TreePairDiagram]:
-    """The two elements whose in-ball distance defeats minimal almost
-    convexity: g = x_1^{k+1} x_{k+m+1} x_0^{-k} with m = max(X), which
-    equals x_m x_1^{k+1} x_0^{-k}, and h = x_1^{k+1} x_0^{-(k+1)}.
-    """
+def _check_witness_family(gens: GeneratingSet, k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if 1 not in gens or gens.max_index < 2:
@@ -417,6 +411,16 @@ def mac_witness_pair(
             "the witness family needs x_0, x_1 and one more generator: "
             f"got indices {list(gens)}"
         )
+
+
+def mac_witness_pair(
+    gens: GeneratingSet, k: int
+) -> tuple[TreePairDiagram, TreePairDiagram]:
+    """The two elements whose in-ball distance defeats minimal almost
+    convexity: g = x_1^{k+1} x_{k+m+1} x_0^{-k} with m = max(X), which
+    equals x_m x_1^{k+1} x_0^{-k}, and h = x_1^{k+1} x_0^{-(k+1)}.
+    """
+    _check_witness_family(gens, k)
     m = gens.max_index
     up = [(1, 1)] * (k + 1)
     g = evaluate_word(up + [(k + m + 1, 1)] + [(0, -1)] * k)
@@ -440,10 +444,12 @@ def probe_mac(
     ``in_ball_geodesic``), so that is the ball enumerated when
     ``ball_index`` is None; a given index must have radius >= 2k+1.  The
     lengths of g and h, which lie beyond it, come from ``bfs_length``.
+    The witness words, whose letters grow with k, are built last.
     """
-    g, h = mac_witness_pair(gens, k)
+    _check_witness_family(gens, k)
     radius = 2 * k + 2
     ball_index = _covering_ball(gens, radius, ball_index, cap)
+    g, h = mac_witness_pair(gens, k)
     g_length = bfs_length(g, gens, cap=cap)
     h_length = bfs_length(h, gens, cap=cap)
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)

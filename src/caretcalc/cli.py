@@ -83,6 +83,19 @@ def _word(args) -> GeneratorWord:
     return expand_runs(runs)
 
 
+def _check_gens(args) -> None:
+    """Refuse, before any search, a generating set whose largest index is
+    over the cap, as ``_word`` does: a step by x_i costs O(i)."""
+    for name in ("gens", "gens_a", "gens_b"):
+        if hasattr(args, name):
+            top = getattr(args, name).max_index
+            budget = _cap(args, cayley.DEFAULT_STATE_CAP)
+            if top > budget:
+                raise SearchCapExceededError(
+                    f"the generating set uses x{top}, beyond the cap of {budget}", top
+                )
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -146,10 +159,7 @@ def cmd_len(args) -> int:
         )
         record["penalty_weight"] = report.penalty_weight
         record["length"] = report.length
-        witness = report.witness.parents
-        record["witness"] = (
-            ",".join(f"{p}>{c}" for c, p in witness) if witness else "-"
-        )
+        record["witness"] = report.witness.serialize()
         order = ["pair", "gens", "method", "l_infinity", "penalty_weight",
                  "length", "witness"]
     else:
@@ -284,6 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        _check_gens(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

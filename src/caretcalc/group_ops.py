@@ -13,6 +13,8 @@ subtrees along the right spine of the positive tree; ``apply_letter`` does
 that surgery directly on the two texts of a pair and returns the texts of
 the reduced result, and multiplying by the generator's diagram must give
 the identical result (both routes are kept and tested against each other).
+The step walks down the spine with ``_subtree_end``, the subtree cutter of
+``_overhangs``, and reads no subtree below the ones that move.
 ``apply_generator`` is the same step on a ``TreePairDiagram``: it checks
 the letter, calls ``apply_letter`` and wraps the result once.  The Cayley
 search calls ``apply_letter`` itself, so it never builds a diagram.
@@ -33,21 +35,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import groupby
 from typing import Iterable
 
 from .tree_core import (
     CaretTree,
     TreePairDiagram,
-    add_caret_at_leaf,
-    attach_at_leaf,
     graft,
     reduce,
     reduce_text,
+    right_spine_carets,
     spine,
 )
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+
+
+def _check_letter(index: int, sign: int) -> None:
+    if index < 0:
+        raise ValueError(f"generator index must be >= 0, got {index}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +66,7 @@ class GeneratorWord:
 
     def __post_init__(self):
         for index, sign in self.letters:
-            if index < 0:
-                raise ValueError(f"generator index must be >= 0, got {index}")
-            if sign not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {sign}")
+            _check_letter(index, sign)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -124,17 +129,12 @@ def identity() -> TreePairDiagram:
 
 @lru_cache(maxsize=None)
 def _generator_trees(index: int) -> tuple[str, str]:
-    negative = attach_at_leaf(spine(index), index, "((..).)")
-    positive = spine(index + 2)
-    return negative, positive
+    return "(." * index + "((..).)" + ")" * index, spine(index + 2)
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
     """Reduced diagram of the generator x_index or its inverse."""
-    if index < 0:
-        raise ValueError(f"generator index must be >= 0, got {index}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_letter(index, sign)
     negative, positive = _generator_trees(index)
     if sign == 1:
         return TreePairDiagram(CaretTree(negative), CaretTree(positive), True)
@@ -206,36 +206,6 @@ def _grow_spine(tree: str, carets: int) -> str:
     return tree[:last] + spine(carets) + tree[last + 1 :]
 
 
-def _move(pos: str, index: int, sign: int) -> tuple[str, int]:
-    """The positive tree after the move of x_index^sign, and the leaf at
-    which a caret A ^ B was added first (-1 if there was one already).
-    The right spine of ``pos`` must be long enough for the move.
-
-    Spine caret k opens at depth k + 1, and the subtree hanging off it
-    ends at the next character back at that depth, so one list of depths
-    cuts every subtree the move needs.
-    """
-    depth = list(accumulate(map(_STEP.__getitem__, pos)))
-    top = 0  # the "(" of spine caret k, for k = 0 .. index
-    for k in range(1, index + 1):
-        top = depth.index(k, top + 1) + 1
-    if sign == 1 and pos[top + 1] == ".":
-        return pos[: top + 1] + ".(." + pos[top + 2 :] + ")", pos.count(".", 0, top)
-    if sign == 1:
-        # ((A B) C) -> (A (B C)): the "(" of A ^ B moves to after A and
-        # its ")" to the end
-        a_end = depth.index(index + 2, top + 2) + 1
-        b_end = depth.index(index + 1, top + 1)
-        return (pos[: top + 1] + pos[top + 2 : a_end] + "(" + pos[a_end:b_end]
-                + pos[b_end + 1 :] + ")"), -1
-    # (X (Y R)) -> ((X Y) R): the "(" of spine caret index + 1 moves to
-    # before X and its ")" to after Y
-    below = depth.index(index + 1, top + 1) + 1
-    y_end = depth.index(index + 2, below + 1) + 1
-    return (pos[: top + 1] + "(" + pos[top + 1 : below] + pos[below + 1 : y_end]
-            + ")" + pos[y_end:-1]), -1
-
-
 def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
     """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
     by direct subtree surgery; index must be >= 0 and sign +1 or -1.
@@ -246,14 +216,36 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
     (A ^ B) ^ C becomes A ^ (B ^ C); sign -1 is the inverse move on
     subtrees index and index + 1.  Spine carets or the caret A ^ B that
     are missing are first added to both trees at the same leaves.
+
+    Subtree k + 1 starts just past the "(" that ends subtree k, so
+    ``index`` cuts reach subtree index, and two more cut the moving pair.
     """
-    need = index + 1 if sign == 1 else index + 2
-    missing = need - (len(pos) - len(pos.rstrip(")")))
+    missing = index + (1 if sign == 1 else 2) - right_spine_carets(pos)
     if missing > 0:
         neg, pos = _grow_spine(neg, missing), _grow_spine(pos, missing)
-    pos, added = _move(pos, index, sign)
-    if added >= 0:
-        neg = add_caret_at_leaf(neg, added)
+    at = 1  # the start of subtree 0, just past the top "("
+    for _ in range(index):
+        at = _subtree_end(pos, at) + 1
+    if sign == -1:
+        # (X (Y R)) -> ((X Y) R): the "(" between X and Y moves to before
+        # X, and a ")" from the end to after Y
+        x_end = _subtree_end(pos, at)
+        y_end = _subtree_end(pos, x_end + 1)
+        pos = (pos[:at] + "(" + pos[at:x_end] + pos[x_end + 1 : y_end] + ")"
+               + pos[y_end:-1])
+    elif pos[at] == "(":
+        # ((A B) C) -> (A (B C)): the "(" of A ^ B moves to after A and
+        # its ")" to the end
+        a_end = _subtree_end(pos, at + 1)
+        b_end = _subtree_end(pos, a_end)
+        pos = (pos[:at] + pos[at + 1 : a_end] + "(" + pos[a_end:b_end]
+               + pos[b_end + 1 :] + ")")
+    else:
+        # subtree index is a leaf: hang a caret from it in both trees, in
+        # neg at the dot left first once the dots before it are masked
+        dot = neg.replace(".", ",", pos.count(".", 0, at)).find(".")
+        neg = neg[:dot] + "(..)" + neg[dot + 1 :]
+        pos = pos[:at] + ".(." + pos[at + 1 :] + ")"
     return reduce_text(neg, pos)
 
 
@@ -261,10 +253,7 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     """Right-multiply by x_index^sign: ``apply_letter`` on the reduced
     pair's texts, wrapped as a reduced pair.  ValueError for a bad index
     or sign."""
-    if index < 0:
-        raise ValueError(f"generator index must be >= 0, got {index}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_letter(index, sign)
     pair = reduce(pair)
     neg, pos = apply_letter(pair.negative.root, pair.positive.root, index, sign)
     return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)

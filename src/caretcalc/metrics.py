@@ -27,7 +27,7 @@ from .errors import (
     SearchCapExceededError,
     UnreducedDiagramError,
 )
-from .tree_core import TreePairDiagram, TreeSurvey
+from .tree_core import TreePairDiagram, TreeSurvey, right_spine_carets
 
 DEFAULT_PENALTY_CAP = 10_000_000
 
@@ -41,20 +41,15 @@ def _require_reduced(pair: TreePairDiagram, op: str) -> None:
         raise UnreducedDiagramError(f"{op} requires a reduced pair")
 
 
-def _trailing_closes(tree: str) -> int:
-    return len(tree) - len(tree.rstrip(")"))
-
-
 def l_infinity(pair: TreePairDiagram) -> int:
     """Carets that are not right carets, summed over both trees.
 
     The top caret counts as a right caret.  This is the word length with
-    respect to the full infinite generating set.  The ")" characters that
-    end a tree's text close exactly the carets of its right spine.
+    respect to the full infinite generating set.
     """
     _require_reduced(pair, "l_infinity")
     neg, pos = pair.negative.root, pair.positive.root
-    return 2 * pair.carets - _trailing_closes(neg) - _trailing_closes(pos)
+    return 2 * pair.carets - right_spine_carets(neg) - right_spine_carets(pos)
 
 
 @dataclass(frozen=True)
@@ -175,6 +170,10 @@ class PenaltyTree:
         for v in sorted(pm, reverse=True):
             height[pm[v]] = max(height[pm[v]], height[v] + 1)
         return height
+
+    def serialize(self) -> str:
+        """Comma-separated "parent>child" edges, or "-" for the bare root."""
+        return ",".join(f"{p}>{c}" for c, p in self.parents) or "-"
 
 
 def _validate_penalty_tree(tree: PenaltyTree) -> None:
@@ -385,14 +384,10 @@ class LengthReport:
     witness: PenaltyTree = field(compare=False)
 
     def serialize(self) -> str:
-        if self.witness.parents:
-            pairs = ",".join(f"{p}>{c}" for c, p in self.witness.parents)
-        else:
-            pairs = "-"
         return (
             f"{self.encoding}\tn={self.n}\tl_inf={self.l_infinity}"
             f"\tpenalty={self.penalty_weight}\tlength={self.length}"
-            f"\twitness={pairs}"
+            f"\twitness={self.witness.serialize()}"
         )
 
 

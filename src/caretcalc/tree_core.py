@@ -21,7 +21,8 @@ leaf (hi = n + 1) has its right side on the right boundary of the tree and
 is a right caret; otherwise it is a left caret when its interval starts at
 leaf 0, its left side on the left boundary, and interior when neither
 holds.  The top caret spans every leaf, so it is a right caret like the
-rest of the right spine.
+rest of the right spine; the ")" that end the text close exactly that
+spine's carets (``right_spine_carets``).  ``graft`` adds carets at leaves.
 
 Every function here works with string methods, slices and loops, never by
 recursion, so tree depth is bounded by memory, not by the interpreter's
@@ -101,13 +102,9 @@ def graft(tree: str, subtrees: dict[int, str]) -> str:
     return "".join(out)
 
 
-def attach_at_leaf(tree: str, leaf: int, sub: str) -> str:
-    """Replace leaf number ``leaf`` with the subtree ``sub``."""
-    return graft(tree, {leaf: sub})
-
-
-def add_caret_at_leaf(tree: str, leaf: int) -> str:
-    return attach_at_leaf(tree, leaf, "(..)")
+def right_spine_carets(tree: str) -> int:
+    """Carets of the right spine: the ")" that end the text."""
+    return len(tree) - len(tree.rstrip(")"))
 
 
 # One character per leaf: "1" for the left leaf of an exposed caret, "0"

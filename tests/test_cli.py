@@ -318,6 +318,57 @@ def test_word_cap_flag(capsys, monkeypatch):
     assert code == 3
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("searched with a generating set over the cap")
+
+
+def test_gens_over_cap_refused_before_searching(capsys, monkeypatch):
+    # a step by x_i costs time and memory that grow with i, so a set whose
+    # largest index is over the cap is refused before any search starts
+    for name in ("ball", "bfs_length", "mac_witness_pair"):
+        monkeypatch.setattr(f"caretcalc.cayley.{name}", _never)
+    big = "0,1,4000000000"
+    for argv in (["ball", "--gens", big, "--radius", "1"],
+                 ["len", "x1", "--gens", big, "--method", "bfs"],
+                 ["probe-mac", "--gens", big, "--k", "1"],
+                 ["check-ci", "--gens-a", "0,1", "--gens-b", big, "--radius", "1"],
+                 ["probe-monotone", "--gens-a", "0,1", "--gens-b", big,
+                  "--radius", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == ("resource limit: the generating set uses x4000000000, "
+                       "beyond the cap of 5000000\n")
+
+
+def test_gens_cap_flag(capsys):
+    code, out, err = run(capsys, "ball", "--gens", "0,11", "--radius", "1",
+                         "--cap", "10")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: the generating set uses x11, beyond the "
+                   "cap of 10\n")
+    code, out, _ = run(capsys, "ball", "--gens", "0,10", "--radius", "1",
+                       "--cap", "10")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+def test_probe_mac_meets_the_cap_before_building_the_witness(capsys, monkeypatch):
+    # k = 10^9 would need witness words of 10^9 letters; the covering ball
+    # meets the cap first
+    monkeypatch.setattr("caretcalc.cayley.mac_witness_pair", _never)
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2",
+                         "--k", "1000000000", "--cap", "1000")
+    assert (code, out) == (3, "")
+    assert "at radius" in err
+
+
+def test_probe_mac_checks_the_set_before_the_ball(capsys):
+    # a cap of 5 stops any ball at radius 1, so only the set check answers 2
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,2,3", "--k", "3",
+                         "--cap", "5")
+    assert (code, out) == (2, "")
+    assert "the witness family needs x_0, x_1" in err
+
+
 def test_len_penalty_search_deeper_than_the_interpreter_stack(capsys):
     code, out, err = run(capsys, "len", "x1200", "--gens", "0,1")
     assert (code, err) == (0, "")

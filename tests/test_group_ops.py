@@ -15,6 +15,7 @@ from caretcalc import (
     multiply,
     normal_form,
 )
+from caretcalc.tree_core import graft, spine
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -27,8 +28,12 @@ def encode(pair):
 def test_generator_shapes():
     assert encode(generator_diagram(0, 1)) == X0_ENCODING
     assert encode(generator_diagram(2, 1)) == X2_ENCODING
-    for i in range(6):
+    for i in range(61):
         g = generator_diagram(i, 1)
+        # a right spine of i carets with a caret hanging left at its end,
+        # and a right spine of i + 2 carets
+        assert g.negative.root == graft(spine(i), {i: "((..).)"})
+        assert g.positive.root == spine(i + 2)
         assert g.carets == i + 2
         inv = generator_diagram(i, -1)
         assert inv.negative == g.positive and inv.positive == g.negative

@@ -96,8 +96,26 @@ def test_apply_generator_is_multiplying_by_its_diagram(g, index, sign):
     assert direct.serialize() == product.serialize()
 
 
+def _comb(carets, goes_left):
+    node = None
+    for _ in range(carets):
+        node = (node, None) if goes_left else (None, node)
+    return node
+
+
+# a right comb and a left comb of 300 carets: at index 0 both moves cut
+# subtree 0 of the positive left comb, which is nearly the whole tree
+LONG_FIRST_CUT = (_comb(300, False), _comb(300, True))
+# subtree 1 of the positive tree ((..)(.(..))) is a bare leaf, leaf 2
+LEAF_AT_INDEX = ((None, (None, ((None, None), None))),
+                 ((None, None), (None, (None, None))))
+
+
 @checked
-@given(tree_pairs(12), st.integers(0, 7), st.sampled_from((1, -1)))
+@given(tree_pairs(12), st.integers(0, 30), st.sampled_from((1, -1)))
+@example(LONG_FIRST_CUT, 0, 1)
+@example(LONG_FIRST_CUT, 0, -1)
+@example(LEAF_AT_INDEX, 1, 1)
 def test_apply_generator_on_random_pairs(trees, index, sign):
     g = TreePairDiagram.from_nodes(*trees)
     direct = apply_generator(g, index, sign)

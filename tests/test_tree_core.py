@@ -9,12 +9,11 @@ from caretcalc.errors import MalformedPairError, UnreducedDiagramError
 from caretcalc.tree_core import (
     CaretTree,
     TreePairDiagram,
-    add_caret_at_leaf,
-    attach_at_leaf,
     canonical_encode,
     count_carets,
     count_leaves,
     exposed_leaf_starts,
+    graft,
     is_reduced,
     reduce,
     remove_exposed_at,
@@ -56,10 +55,10 @@ def test_spine_shape():
 
 def test_add_caret_at_leaf():
     # growing the rightmost leaf of a spine extends the spine
-    assert add_caret_at_leaf(spine(2), 2) == spine(3)
+    assert graft(spine(2), {2: "(..)"}) == spine(3)
     # growing leaf 0 hangs the new caret bottom-left, leaf 1 bottom-right
-    assert add_caret_at_leaf(spine(1), 0) == "((..).)"
-    assert add_caret_at_leaf(spine(1), 1) == "(.(..))"
+    assert graft(spine(1), {0: "(..)"}) == "((..).)"
+    assert graft(spine(1), {1: "(..)"}) == "(.(..))"
 
 
 def test_exposed_leaf_starts():
@@ -88,7 +87,7 @@ def test_remove_inverts_add():
         exposed = sorted(exposed_leaf_starts(node))
         leaf = rng.choice(exposed)
         shrunk = remove_exposed_at(node, leaf)
-        assert add_caret_at_leaf(shrunk, leaf) == node
+        assert graft(shrunk, {leaf: "(..)"}) == node
 
 
 def test_infix_numbering_right_spine():
@@ -184,8 +183,8 @@ def test_reduce_collapses_shared_subtrees():
         for _ in range(rng.randrange(1, 5)):
             leaf = rng.randrange(count_leaves(neg))
             carets, seed = rng.randrange(1, 7), rng.random()
-            neg = attach_at_leaf(neg, leaf, random_tree(random.Random(seed), carets))
-            pos = attach_at_leaf(pos, leaf, random_tree(random.Random(seed), carets))
+            neg = graft(neg, {leaf: random_tree(random.Random(seed), carets)})
+            pos = graft(pos, {leaf: random_tree(random.Random(seed), carets)})
         pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
         assert reduce(pair).serialize() == g.serialize()
         tree = random_node(rng, rng.randrange(1, 30))
