@@ -24,11 +24,14 @@ run x_i^a is built by repeated squaring, and the runs are multiplied as a
 balanced product, so a letter takes part in O(log) products rather than
 one step over the whole tree each.  ``x0^k`` costs O(k log k), not O(k^2).
 
-Both routes build an unreduced result and hand it to ``reduce_text``, the
-one loop that settles reducedness (``reduce`` on a diagram); their inputs
-pass through ``reduce`` too, which is a flag check when they are already
-reduced.  Trees are text, as in ``tree_core``, and every edit here is a
-scan and a few slices of it.
+``reduce_text`` is the one loop that settles reducedness (``reduce`` on a
+diagram).  ``multiply`` builds an unreduced product and hands it over;
+``apply_letter`` starts from a reduced pair, so it hands its result over
+only when the caret the move creates is common to both trees, and
+otherwise returns the cut texts as they are.  The inputs of
+``multiply`` and ``apply_generator`` pass through ``reduce``, which is a
+flag check when they are already reduced.  Trees are text, as in
+``tree_core``, and every edit here is a scan and a few slices of it.
 """
 
 from __future__ import annotations
@@ -206,9 +209,16 @@ def _grow_spine(tree: str, carets: int) -> str:
     return tree[:last] + spine(carets) + tree[last + 1 :]
 
 
+def _leaf_dot(tree: str, leaf: int) -> int:
+    """Position of the dot of leaf number ``leaf``: the first dot left once
+    the dots before it are masked."""
+    return tree.replace(".", ",", leaf).find(".")
+
+
 def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
     """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
-    by direct subtree surgery; index must be >= 0 and sign +1 or -1.
+    by direct subtree surgery; ``neg | pos`` must be the texts of a reduced
+    pair, index must be >= 0 and sign +1 or -1.
 
     The move acts on the subtrees hanging left off the right spine of the
     positive tree, numbered from 0 at the top.  For sign +1 subtree number
@@ -219,6 +229,17 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
 
     Subtree k + 1 starts just past the "(" that ends subtree k, so
     ``index`` cuts reach subtree index, and two more cut the moving pair.
+
+    The input must be reduced because only the caret the move creates is
+    checked: B ^ C for sign +1, X ^ Y for sign -1.  No other caret of
+    the positive tree becomes exposed and no leaf number changes, so from
+    a reduced pair that caret is the only one that can become common, and
+    only when it is does ``reduce_text`` run, to cancel it and whatever
+    that exposes in turn.  Growing the spines makes only their bottom
+    caret common, and the move always rebuilds it.  When subtree index is
+    a leaf L, the caret added to the negative tree over L and L + 1 makes
+    L + 1 a right leaf there, so B ^ C, over L + 1 and L + 2, is not
+    common.
     """
     missing = index + (1 if sign == 1 else 2) - right_spine_carets(pos)
     if missing > 0:
@@ -233,6 +254,7 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
         y_end = _subtree_end(pos, x_end + 1)
         pos = (pos[:at] + "(" + pos[at:x_end] + pos[x_end + 1 : y_end] + ")"
                + pos[y_end:-1])
+        created = at
     elif pos[at] == "(":
         # ((A B) C) -> (A (B C)): the "(" of A ^ B moves to after A and
         # its ")" to the end
@@ -240,13 +262,18 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
         b_end = _subtree_end(pos, a_end)
         pos = (pos[:at] + pos[at + 1 : a_end] + "(" + pos[a_end:b_end]
                + pos[b_end + 1 :] + ")")
+        created = a_end - 1
     else:
-        # subtree index is a leaf: hang a caret from it in both trees, in
-        # neg at the dot left first once the dots before it are masked
-        dot = neg.replace(".", ",", pos.count(".", 0, at)).find(".")
+        # subtree index is a leaf: hang a caret from it in both trees
+        dot = _leaf_dot(neg, pos.count(".", 0, at))
         neg = neg[:dot] + "(..)" + neg[dot + 1 :]
-        pos = pos[:at] + ".(." + pos[at + 1 :] + ")"
-    return reduce_text(neg, pos)
+        return neg, pos[:at] + ".(." + pos[at + 1 :] + ")"
+    if pos.startswith("(..", created):
+        # the created caret is exposed: common if its left leaf starts a
+        # ".." in the negative tree too
+        if neg.startswith("..", _leaf_dot(neg, pos.count(".", 0, created))):
+            return reduce_text(neg, pos)
+    return neg, pos
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:

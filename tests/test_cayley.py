@@ -126,6 +126,22 @@ def test_ball_never_applies_the_parent_letter(monkeypatch):
     assert calls == 686
 
 
+def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
+    # a step from a reduced pair can make common only the caret it
+    # creates, so reduce_text runs on 10 of the 686 steps, not on each
+    calls = 0
+    real = group_ops.reduce_text
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(group_ops, "reduce_text", counted)
+    assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
+    assert calls == 10
+
+
 def test_search_steps_on_text_and_builds_no_diagram(monkeypatch):
     # the searches step with apply_letter on the encodings' texts; a
     # search that went back to apply_generator would raise here

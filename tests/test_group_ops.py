@@ -6,6 +6,7 @@ from caretcalc import (
     GeneratingSet,
     GeneratorWord,
     apply_generator,
+    ball,
     canonical_encode,
     evaluate_word,
     generator_diagram,
@@ -16,6 +17,7 @@ from caretcalc import (
     normal_form,
 )
 from caretcalc.tree_core import graft, spine
+from conftest import X3
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -110,6 +112,20 @@ def test_apply_generator_matches_multiply():
         via_surgery = apply_generator(g, index, sign)
         via_product = multiply(g, generator_diagram(index, sign))
         assert via_surgery == via_product, (encode(g), index, sign)
+
+
+def test_apply_letter_on_every_ball_element():
+    # every element of ball({x0..x3}, 4) by every letter of index 0-5:
+    # 14,748 steps, each against the product with the generator's diagram
+    index = ball(X3, 4)
+    assert len(index.table) == 1229
+    for enc, _, pair in index.elements():
+        neg, pos = enc.split("|")
+        for i in range(6):
+            for sign in (1, -1):
+                step = group_ops.apply_letter(neg, pos, i, sign)
+                product = multiply(pair, generator_diagram(i, sign))
+                assert "|".join(step) == encode(product), (enc, i, sign)
 
 
 def test_evaluate_word_empty_and_cancellation():

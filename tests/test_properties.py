@@ -111,16 +111,37 @@ LEAF_AT_INDEX = ((None, (None, ((None, None), None))),
                  ((None, None), (None, (None, None))))
 
 
+def _trees_of(pair):
+    return to_node(pair.negative.root), to_node(pair.positive.root)
+
+
+# the caret each move creates is common: x0^-1 x0 and x0 x0^-1 cancel to
+# the identity, and x30 x30^-1 in a cascade of 32 carets
+X0 = _trees_of(generator_diagram(0, 1))
+X0_INVERSE = _trees_of(generator_diagram(0, -1))
+X30 = _trees_of(generator_diagram(30, 1))
+# x1 x0^-1 = (.((..).))|((..)(..)): the created caret over leaves 0 and 1
+# is exposed in the positive tree only, so the step skips reduce_text
+X1 = _trees_of(generator_diagram(1, 1))
+
+
 @checked
 @given(tree_pairs(12), st.integers(0, 30), st.sampled_from((1, -1)))
 @example(LONG_FIRST_CUT, 0, 1)
 @example(LONG_FIRST_CUT, 0, -1)
 @example(LEAF_AT_INDEX, 1, 1)
+@example(X0_INVERSE, 0, 1)
+@example(X0, 0, -1)
+@example(X30, 30, -1)
+@example(X1, 0, -1)
 def test_apply_generator_on_random_pairs(trees, index, sign):
     g = TreePairDiagram.from_nodes(*trees)
     direct = apply_generator(g, index, sign)
     assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
-    step = apply_letter(g.negative.root, g.positive.root, index, sign)
+    # apply_letter takes the texts of a reduced pair; the drawn pair may
+    # not be reduced, e.g. (.(..))|(.(..))
+    r = reduce(g)
+    step = apply_letter(r.negative.root, r.positive.root, index, sign)
     assert "|".join(step) == canonical_encode(direct)
 
 
