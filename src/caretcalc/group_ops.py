@@ -95,10 +95,11 @@ class GeneratingSet:
             raise ValueError("generator indices must be distinct")
         if tuple(sorted(self.indices)) != self.indices:
             raise ValueError("generator indices must be sorted ascending")
-        if not self.indices or self.indices[0] != 0:
-            raise ValueError("a generating set must contain index 0")
+        # sorted, so a negative index would come before 0
         if any(i < 0 for i in self.indices):
             raise ValueError("generator indices must be nonnegative")
+        if not self.indices or self.indices[0] != 0:
+            raise ValueError("a generating set must contain index 0")
 
     @classmethod
     def of(cls, indices) -> "GeneratingSet":

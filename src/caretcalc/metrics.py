@@ -229,14 +229,13 @@ def penalty_weight(
 ) -> tuple[int, PenaltyTree]:
     """Exact minimum weight over all penalty trees, with a witness.
 
-    The weight counts the vertices at depth >= 2 with a vertex exactly
-    n - 1 below them; a new leaf can add only its ancestor n - 1 levels up.
-    Exhaustive depth-first search over parent assignments in increasing
-    caret order, pruned with the best weight found so far (the weight of a
-    partial tree never decreases as vertices are added).  The chain
-    0 -> 1 -> ... -> max penalty caret is always valid and seeds the bound.
-    Raises SearchCapExceededError instead of returning a possibly wrong
-    minimum when the cap is hit.
+    Depth-first search over parent assignments in increasing caret order,
+    pruned by the best weight so far (adding vertices never lowers one) and
+    seeded with the chain 0 -> 1 -> ... -> top penalty caret.  The stack is
+    the caret index: caret c is decided at depth c, its state is entry c of
+    per-caret arrays, and backtracking is c -= 1.  Hanging c can raise only
+    the count of its ancestor n - 1 up; higher ones had c's parent below.
+    Raises SearchCapExceededError, not a possibly wrong minimum, at the cap.
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
@@ -251,9 +250,6 @@ def penalty_weight(
         return 0, PenaltyTree((), adjacency=adj, required=required)
 
     top = max(required)
-    is_required = bytearray(top + 1)
-    for c in required:
-        is_required[c] = 1
     preds: list[list[int]] = [[] for _ in range(top + 1)]
     succs: list[list[int]] = [[] for _ in range(top + 1)]
     for p, q in adj.edges:
@@ -268,106 +264,74 @@ def penalty_weight(
     # edges leads from it to a penalty caret.
     useful = bytearray(top + 1)
     for c in range(top, 0, -1):
-        useful[c] = is_required[c] or any(useful[q] for q in succs[c])
+        useful[c] = c in required or any(useful[q] for q in succs[c])
     # A routing vertex with no child is a dead end once caret c passes the
     # last useful caret it could take as a child.  That happens at one c,
     # so each caret c checks only the routing vertices expiring there:
     # every earlier deadline was checked, and met, on the same branch.
     expiring: list[list[int]] = [[] for _ in range(top + 2)]
     for c in range(1, top + 1):
-        options = [q for q in succs[c] if useful[q]]
-        if options and not is_required[c]:
-            expiring[max(options) + 1].append(c)
+        children = [q for q in succs[c] if useful[q]]
+        if children and c not in required:
+            expiring[max(children) + 1].append(c)
 
-    included = bytearray(top + 1)
-    included[0] = 1
-    parent = [-1] * (top + 1)
+    # -1 leaves a caret out and 0 is the root; caret top + 1 stays out and
+    # has no choices, so the search backs up from it
+    parent = [0] + [-1] * (top + 1)
+    options: list[list[int]] = [[] for _ in range(top + 2)]  # untried, reversed
     depth = [0] * (top + 1)
-    below = [0] * (top + 1)  # vertices exactly n - 1 under each at depth >= 2
     nchild = [0] * (top + 1)
-
-    chain_parents = tuple((c, c - 1) for c in range(1, top + 1))
-    best_weight = sum(1 for v in range(2, top + 1) if top - v >= n - 1)
-    best_parents = chain_parents
-    if best_weight == 0:
-        witness = PenaltyTree(chain_parents, adjacency=adj, required=required)
-        return 0, witness
-
-    weight = 0
-    states = 0
-    # Depth first over an explicit stack, so that the search depth is not
-    # bounded by the interpreter's.  A frame holds a caret, the choices
-    # for it still to try, in order (None leaves it out, p hangs it under
-    # p), and what undoes the current choice: (p, the ancestor whose count
-    # c raised or -1, old weight).
-    frames: list[list] = []
+    below = [0] * (top + 1)  # vertices exactly n - 1 under each at depth >= 2
+    raised = [0] * (top + 1)  # the ancestor whose count c's choice raised
+    best_weight = max(top - n, 0)  # the chain's weight
+    best_parents = tuple((c, c - 1) for c in range(1, top + 1))
+    weight = states = 0
     c = 1
-    while True:
-        # a partial tree is a dead end when it weighs too much or when some
-        # routing leaf can no longer get a child from caret c on
-        alive = weight < best_weight
-        if alive:
-            for v in expiring[c]:
-                if included[v] and nchild[v] == 0:
-                    alive = False
-                    break
-        if alive:
+    while c:
+        # carets below c are placed; prune too heavy trees and dead ends
+        if weight < best_weight and (not expiring[c] or all(
+                parent[v] < 0 or nchild[v] for v in expiring[c])):
             if c > top:
                 best_weight = weight
                 best_parents = tuple(
-                    (v, parent[v]) for v in range(1, top + 1) if included[v]
+                    (v, parent[v]) for v in range(1, top + 1) if parent[v] >= 0
                 )
-                if best_weight == 0:
-                    break
             else:
                 states += 1
                 if states > cap:
                     raise SearchCapExceededError(
                         f"penalty search exceeded {cap} states", states
                     )
-                choices = [] if is_required[c] else [None]
-                if useful[c]:
-                    choices += sorted((p for p in preds[c] if included[p]),
-                                      key=depth.__getitem__)
-                frames.append([c, iter(choices), None])
-        # go on with the next choice of the deepest frame that has one
-        while frames:
-            frame = frames[-1]
-            c = frame[0]
-            if frame[2] is not None:
-                p, a, weight = frame[2]
-                if a >= 0:
-                    below[a] -= 1
+                # pop() tries leaving c out, then placed preds by depth, index
+                ahead = [p for p in preds[c] if parent[p] >= 0] if useful[c] else []
+                ahead.sort(key=depth.__getitem__)
+                options[c] = ahead[::-1] + ([] if c in required else [-1])
+        # undo c's choice and take its next; back up while it has none
+        while c:
+            p = parent[c]
+            if p >= 0:
                 nchild[p] -= 1
-                included[c] = 0
-                parent[c] = -1
-                frame[2] = None
-            p = next(frame[1], -1)
-            if p == -1:
-                frames.pop()
-                continue
-            if p is not None:
-                included[c] = 1
-                parent[c] = p
-                depth[c] = depth[p] + 1
-                nchild[p] += 1
-                a = -1
                 if depth[c] > n:
-                    # hang c under p: only c's ancestor n - 1 levels up,
-                    # here at depth >= 2, can newly have a vertex that far
-                    # below it; every higher one already had p below it
-                    a = c
-                    for _ in range(n - 1):
-                        a = parent[a]
-                frame[2] = (p, a, weight)
-                if a >= 0:
-                    below[a] += 1
-                    if below[a] == 1:
-                        weight += 1
-            c += 1
-            break
-        else:
-            break
+                    below[raised[c]] -= 1
+                    if not below[raised[c]]:
+                        weight -= 1
+                parent[c] = -1
+            if options[c]:
+                p = parent[c] = options[c].pop()
+                if p >= 0:
+                    depth[c] = depth[p] + 1
+                    nchild[p] += 1
+                    if depth[c] > n:
+                        a = c
+                        for _ in range(n - 1):
+                            a = parent[a]
+                        raised[c] = a
+                        below[a] += 1
+                        if below[a] == 1:
+                            weight += 1
+                c += 1
+                break
+            c -= 1
     witness = PenaltyTree(best_parents, adjacency=adj, required=required)
     return best_weight, witness
 

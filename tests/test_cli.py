@@ -156,6 +156,19 @@ def test_ball_requires_zero_in_gens(capsys):
     assert code == 2
 
 
+def test_gens_with_a_negative_index(capsys):
+    code, _, err = run(capsys, "ball", "--gens=0,-2,1", "--radius", "1")
+    assert code == 2
+    assert "nonnegative" in err
+
+
+def test_out_path_that_cannot_be_written(capsys, tmp_path):
+    # a directory: a usage error (2), not an internal one (4)
+    code, out, err = run(capsys, "eval", "x1", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_probe_mac_cli(capsys):
     code, out, _ = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "1")
     assert code == 0

@@ -221,3 +221,6 @@ def test_generating_set():
         GeneratingSet.of([1, 2])
     with pytest.raises(ValueError):
         GeneratingSet.of([0, -3])
+    # a negative index sorts before 0, yet 0 is in the set
+    with pytest.raises(ValueError, match="nonnegative"):
+        GeneratingSet.of([0, -2, 1])

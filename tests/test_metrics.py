@@ -304,21 +304,26 @@ def test_penalty_weight_cap():
 
 
 def test_penalty_search_effort_pinned():
-    # (k, carets after reduce, states at n = 1, 2, 3) for pairs of two
-    # random k-caret trees: the search must visit exactly this many, so a
-    # change to its choice order or pruning shows here
+    # (k, carets after reduce, states, weights at n = 1, 2, 3, witness at
+    # every n) for pairs of two random k-caret trees: the search must visit
+    # exactly this many and find this first optimum, so a change to its
+    # choice order or pruning shows here, as does a changed tie-break
     effort = [
-        (12, 11, (66, 28, 9)),
-        (16, 16, (259, 95, 14)),
-        (20, 16, (744, 89, 14)),
-        (24, 21, (15648, 2852, 531)),
+        (12, 11, (66, 28, 9), (4, 1, 0), "0>1,0>2,0>4,1>5,5>6,5>8,5>9"),
+        (16, 16, (259, 95, 14), (4, 1, 0),
+         "0>1,0>3,0>4,0>6,6>7,0>9,6>11,9>12,11>13,0>14"),
+        (20, 16, (744, 89, 14), (6, 1, 0),
+         "0>1,0>2,1>3,2>5,0>7,0>8,7>9,8>10,10>11,0>13,13>14"),
+        (24, 21, (15648, 2852, 531), (10, 4, 1),
+         "0>1,1>2,0>3,0>4,0>5,4>7,7>8,5>9,4>12,12>13,5>15,15>16,16>17,12>19"),
     ]
     rng = random.Random(9001)
-    for k, carets, states in effort:
+    for k, carets, states, weights, witness in effort:
         pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
         assert pair.carets == carets
-        for n, cap in enumerate(states, start=1):
-            penalty_weight(pair, n, cap=cap)
+        for n, (cap, weight) in enumerate(zip(states, weights), start=1):
+            found, tree = penalty_weight(pair, n, cap=cap)
+            assert (found, tree.serialize()) == (weight, witness)
             with pytest.raises(SearchCapExceededError):
                 penalty_weight(pair, n, cap=cap - 1)
 

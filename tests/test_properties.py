@@ -2,8 +2,9 @@
 against independent routes: the tuple form of the trees, reduction in
 every removal order on tuples, products with generator diagrams and with
 letter-by-letter folds, words of long runs against the letter-by-letter
-fold, leaf intervals for the flat length, and the word parser against the
-word printer.
+fold, leaf intervals for the flat length, the penalty search against
+enumerating every penalty tree, and the word parser against the word
+printer.
 Examples are drawn deterministically, so every run checks the same ones."""
 
 from itertools import groupby
@@ -19,11 +20,19 @@ from caretcalc import (
     l_infinity,
     multiply,
     normal_form,
+    penalty_weight,
+    penalty_weight_of_tree,
 )
 from caretcalc.group_ops import GeneratorWord, apply_letter
 from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
 from caretcalc.wordlang import format_word, parse_runs, parse_tree, parse_word
-from helpers import _intervals, fold_letters, reductions_all_orders, to_node
+from helpers import (
+    _intervals,
+    brute_force_min_weight,
+    fold_letters,
+    reductions_all_orders,
+    to_node,
+)
 
 checked = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -177,6 +186,18 @@ def test_l_infinity_counts_intervals_short_of_the_last_leaf(g):
         if hi <= n
     )
     assert l_infinity(g) == short
+
+
+@checked
+@given(tree_pairs(8))
+def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
+    # random pairs reach wider shapes, with more penalty carets, than the
+    # elements of short words
+    g = reduce(TreePairDiagram.from_nodes(*trees))
+    for n in (1, 2, 3):
+        weight, witness = penalty_weight(g, n)
+        assert weight == brute_force_min_weight(g, n)
+        assert penalty_weight_of_tree(witness, n) == weight
 
 
 @checked
