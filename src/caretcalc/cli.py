@@ -96,6 +96,22 @@ def _check_gens(args) -> None:
                 )
 
 
+def _check_out(args) -> None:
+    """Refuse an --out path that cannot be written before any work, not
+    after it.  Opening for append changes no content, and a file the
+    check made is removed again, so a command that fails later leaves
+    the path as it found it."""
+    path = getattr(args, "out", None)
+    if path:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+        if not existed:
+            os.remove(path)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         try:
@@ -298,6 +314,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _check_gens(args)
+        _check_out(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -235,7 +235,14 @@ def penalty_weight(
     the caret index: caret c is decided at depth c, its state is entry c of
     per-caret arrays, and backtracking is c -= 1.  Hanging c can raise only
     the count of its ancestor n - 1 up; higher ones had c's parent below.
-    Raises SearchCapExceededError, not a possibly wrong minimum, at the cap.
+
+    Two lower bounds, from the least depth each caret can have, cut the
+    search without changing its answer.  It stops at the first tree that
+    meets the floor no tree can beat, and at n = 1 it prunes a branch once
+    the penalty carets still to come must lift it to the best weight.  The
+    first optimal tree in search order is never pruned, so it stays the
+    witness.  Raises SearchCapExceededError, not a possibly wrong minimum,
+    at the cap of ``cap`` states, one per caret decision.
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
@@ -259,6 +266,20 @@ def penalty_weight(
                 succs[p].append(q)
     for lst in preds:
         lst.sort()
+    # least[q] is the least depth caret q can have in any penalty tree, and
+    # a required caret at depth d counts its ancestors at depths 2 ..
+    # d - n + 1, so no tree weighs less than the floor.  At n = 1 every
+    # vertex at depth >= 2 counts, so rest[c] required carets from c on
+    # are still to add one each.
+    least = [0] * (top + 1)
+    for q in range(1, top + 1):
+        least[q] = 1 + min(least[p] for p in preds[q])
+    floor = max(max(least[q] for q in required) - n, 0)
+    rest = [0] * (top + 2)
+    if n == 1:
+        for q in range(top, 0, -1):
+            rest[q] = rest[q + 1] + (q in required and least[q] > 1)
+        floor = max(floor, rest[1])
 
     # A caret only helps as a routing vertex if some chain of allowed
     # edges leads from it to a penalty caret.
@@ -286,16 +307,19 @@ def penalty_weight(
     best_weight = max(top - n, 0)  # the chain's weight
     best_parents = tuple((c, c - 1) for c in range(1, top + 1))
     weight = states = 0
-    c = 1
+    # the search runs until a tree meets the floor, which none can beat
+    c = 1 if best_weight > floor else 0
     while c:
         # carets below c are placed; prune too heavy trees and dead ends
-        if weight < best_weight and (not expiring[c] or all(
+        if weight + rest[c] < best_weight and (not expiring[c] or all(
                 parent[v] < 0 or nchild[v] for v in expiring[c])):
             if c > top:
                 best_weight = weight
                 best_parents = tuple(
                     (v, parent[v]) for v in range(1, top + 1) if parent[v] >= 0
                 )
+                if best_weight <= floor:
+                    break
             else:
                 states += 1
                 if states > cap:

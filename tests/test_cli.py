@@ -169,6 +169,29 @@ def test_out_path_that_cannot_be_written(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("worked before checking the output path")
+
+
+def test_out_path_checked_before_the_work(capsys, monkeypatch, tmp_path):
+    # a directory and a path in a missing directory fail at once (2), and
+    # a path that can be written is left as it was when the work fails
+    monkeypatch.setattr("caretcalc.cayley.ball", _no_work)
+    for target in (tmp_path, tmp_path / "missing" / "ball.tsv"):
+        code, out, err = run(capsys, "ball", "--gens", "0,1,2", "--radius", "8",
+                             "--out", str(target))
+        assert (code, out) == (2, ""), target
+        assert err.startswith(f"error: cannot write {target}: "), err
+    target = tmp_path / "ball.tsv"
+    code, _, err = run(capsys, "ball", "--gens", "0,1", "--radius", "1",
+                       "--out", str(target))
+    assert code == 4 and "worked before" in err
+    assert not target.exists()
+    target.write_text("kept\n")
+    run(capsys, "ball", "--gens", "0,1", "--radius", "1", "--out", str(target))
+    assert target.read_text() == "kept\n"
+
+
 def test_probe_mac_cli(capsys):
     code, out, _ = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "1")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -309,12 +310,12 @@ def test_penalty_search_effort_pinned():
     # exactly this many and find this first optimum, so a change to its
     # choice order or pruning shows here, as does a changed tie-break
     effort = [
-        (12, 11, (66, 28, 9), (4, 1, 0), "0>1,0>2,0>4,1>5,5>6,5>8,5>9"),
-        (16, 16, (259, 95, 14), (4, 1, 0),
+        (12, 11, (9, 9, 9), (4, 1, 0), "0>1,0>2,0>4,1>5,5>6,5>8,5>9"),
+        (16, 16, (14, 14, 14), (4, 1, 0),
          "0>1,0>3,0>4,0>6,6>7,0>9,6>11,9>12,11>13,0>14"),
-        (20, 16, (744, 89, 14), (6, 1, 0),
+        (20, 16, (14, 14, 14), (6, 1, 0),
          "0>1,0>2,1>3,2>5,0>7,0>8,7>9,8>10,10>11,0>13,13>14"),
-        (24, 21, (15648, 2852, 531), (10, 4, 1),
+        (24, 21, (19, 2852, 19), (10, 4, 1),
          "0>1,1>2,0>3,0>4,0>5,4>7,7>8,5>9,4>12,12>13,5>15,15>16,16>17,12>19"),
     ]
     rng = random.Random(9001)
@@ -326,6 +327,33 @@ def test_penalty_search_effort_pinned():
             assert (found, tree.serialize()) == (weight, witness)
             with pytest.raises(SearchCapExceededError):
                 penalty_weight(pair, n, cap=cap - 1)
+
+
+def test_length_reports_pinned():
+    # every report line of 300 random pairs of 6-22 carets at n = 1, 2, 3,
+    # byte for byte, as the unbounded search printed them: a change to how
+    # the search is bounded keeps each weight and first witness
+    rng = random.Random(1409)
+    lines = []
+    for _ in range(300):
+        k = rng.randint(6, 22)
+        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        for n in (1, 2, 3):
+            lines.append(length_consecutive(pair, n).serialize() + "\n")
+    assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == (
+        "4b18f3f380dd406201017016691e9750f34f1cd2e44d9d5f15345c9121525732"
+    )
+
+
+def test_penalty_search_long_pair_at_n_1():
+    # two random 200-caret trees: at n = 1 the first tree that meets the
+    # lower bound ends the search long before the cap
+    rng = random.Random(0)
+    pair = reduce(parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}"))
+    assert pair.carets == 170
+    weight, witness = penalty_weight(pair, 1, cap=10_000)
+    assert weight == 126
+    assert penalty_weight_of_tree(witness, 1) == weight
 
 
 def test_penalty_search_deeper_than_the_interpreter_stack():
