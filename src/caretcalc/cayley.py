@@ -5,8 +5,8 @@ Everything here is search, and all of it runs on one breadth-first
 shell expander (``_shell``) that deduplicates elements by their canonical
 encodings, so the lengths are exact and serve as the independent oracle
 for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
-remembers each element it has seen as its encoding, its length and the
-letter that reached it.  The encoding is the element, so the frontier
+remembers each element it has seen as its encoding and its length.  The
+encoding is the element, so the frontier
 holds encodings too, and a shell makes no tree pair at all: it cuts each
 encoding at "|" and steps on the two texts with ``group_ops.apply_letter``,
 whose result joined by "|" is the neighbour's encoding.  Balls and batched
@@ -74,14 +74,10 @@ def _decode(encoding: str) -> TreePairDiagram:
 
 @dataclass(frozen=True)
 class BallIndex:
-    """All elements with l_X <= radius: encoding -> (length, letter).
+    """All elements with l_X <= radius: encoding -> length.
 
-    The letter is the last generator of some geodesic spelling (None for
-    the identity), so walking letters backwards always descends one
-    length level per step.  It is one of the tuples ``gens.letters()``
-    gave the search, and rows of one length and letter are one shared
-    tuple, so the table costs little more than its keys.  A key is the
-    element's canonical encoding, so it is the element: ``pair_of`` and
+    The table costs little more than its keys.  A key is the element's
+    canonical encoding, so it is the element: ``pair_of`` and
     ``elements`` cut it at "|" and parse nothing.
     """
 
@@ -102,7 +98,7 @@ class BallIndex:
         return item
 
     def length_of(self, item) -> int:
-        return self.table[self._key(item)][0]
+        return self.table[self._key(item)]
 
     def pair_of(self, encoding: str) -> TreePairDiagram:
         """The reduced pair of a member; KeyError for anything else."""
@@ -113,12 +109,12 @@ class BallIndex:
     def elements(self) -> Iterator[tuple[str, int, TreePairDiagram]]:
         """(encoding, length, pair) for each element, the pair made as it
         is reached; read ``table`` when the lengths are enough."""
-        for enc, (length, _) in self.table.items():
+        for enc, length in self.table.items():
             yield enc, length, _decode(enc)
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
-        for length, _ in self.table.values():
+        for length in self.table.values():
             counts[length] += 1
         return counts
 
@@ -126,7 +122,7 @@ class BallIndex:
         """One "encoding TAB length" line per element, by length and then
         by encoding: each length's encodings are sorted on their own."""
         spheres: list[list[str]] = [[] for _ in range(self.radius + 1)]
-        for enc, (length, _) in self.table.items():
+        for enc, length in self.table.items():
             spheres[length].append(enc)
         lines: list[str] = []
         for length, encs in enumerate(spheres):
@@ -152,7 +148,7 @@ def _shell(
     keep: bool = True,
 ) -> Optional[Frontier]:
     """One breadth-first shell: record every unseen neighbour of the
-    frontier in ``seen`` as (depth, letter) and return the new frontier.
+    frontier in ``seen`` at ``depth`` and return the new frontier.
 
     The shell consumes ``frontier``, stepping on each entry's two texts
     with ``apply_letter``, and never applies an entry's back letter: that
@@ -167,17 +163,16 @@ def _shell(
     beyond it raises SearchCapExceededError with the message ``overflow``.
     """
     held = len(meet) if meet is not None else 0
-    # each letter with its inverse and its row, all shared by the shell
+    # each letter with its inverse taken from letters, so ``letter is back`` holds
     shared = {letter: letter for letter in letters}
-    steps = [(letter, shared[letter[0], -letter[1]], (depth, letter))
-             for letter in letters]
+    steps = [(letter, shared[letter[0], -letter[1]]) for letter in letters]
     new: Frontier = []
     frontier.reverse()  # popped from the end, so taken in the given order
     while frontier:
         enc, back = frontier.pop()
         neg, pos = enc.split("|")
         free = inner is None or inner(enc)
-        for letter, undo, row in steps:
+        for letter, undo in steps:
             if letter is back:
                 continue
             key = "|".join(apply_letter(neg, pos, *letter))
@@ -189,7 +184,7 @@ def _shell(
                 continue
             if len(seen) + held >= cap:
                 raise SearchCapExceededError(overflow, len(seen) + held)
-            seen[key] = row
+            seen[key] = depth
             if keep:
                 new.append((key, undo))
     return new
@@ -198,7 +193,7 @@ def _shell(
 def _seed(pair: TreePairDiagram) -> tuple[dict, Frontier]:
     """The seen dict and the frontier of a search that starts at pair."""
     key = canonical_encode(pair)
-    return {key: (0, None)}, [(key, None)]
+    return {key: 0}, [(key, None)]
 
 
 def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> BallIndex:
@@ -256,7 +251,7 @@ def lengths_for(
                 f"{list(gens)} (search closed at radius {r - 1})"
             )
         missing = {enc for enc in missing if enc not in table}
-    return {enc: table[enc][0] for enc in wanted}
+    return {enc: table[enc] for enc in wanted}
 
 
 def _meet(
@@ -349,8 +344,7 @@ def in_ball_geodesic(
     letters = gens.letters()
 
     def inner(enc: str) -> bool:
-        row = table.get(enc)
-        return row is not None and row[0] < radius
+        return table.get(enc, radius) < radius
 
     def within(p: TreePairDiagram) -> bool:
         if radius <= 0:
@@ -549,8 +543,8 @@ def coarse_isometry_check(
     """Sweep both balls of the given radius and measure max |l_X - l_Y|."""
     ball_x = ball(x_gens, radius, cap=cap)
     ball_y = ball(y_gens, radius, cap=cap)
-    lengths_x = {enc: length for enc, (length, _) in ball_x.table.items()}
-    lengths_y = {enc: length for enc, (length, _) in ball_y.table.items()}
+    lengths_x = dict(ball_x.table)
+    lengths_y = dict(ball_y.table)
     only_y = [ball_y.pair_of(e) for e in lengths_y.keys() - lengths_x.keys()]
     only_x = [ball_x.pair_of(e) for e in lengths_x.keys() - lengths_y.keys()]
     if only_y:
@@ -584,7 +578,7 @@ def probe_subset_monotonicity(
         )
     ball_small = ball(small, radius, cap=cap)
     ball_large = ball(large, radius, cap=cap)
-    for enc, (length, _) in ball_small.table.items():
+    for enc, length in ball_small.table.items():
         if enc not in ball_large or ball_large.length_of(enc) > length:
             return False
     return True

@@ -200,7 +200,7 @@ def cmd_ball(args) -> int:
             "radius": args.radius,
             "size": index.size,
             "sphere_sizes": index.sphere_sizes(),
-            "elements": {enc: length for enc, (length, _) in index.table.items()},
+            "elements": index.table,
         }
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:

@@ -19,10 +19,13 @@ The step walks down the spine with ``_subtree_end``, the subtree cutter of
 the letter, calls ``apply_letter`` and wraps the result once.  The Cayley
 search calls ``apply_letter`` itself, so it never builds a diagram.
 
-A word is evaluated as a product of its runs, not letter by letter: each
-run x_i^a is built by repeated squaring, and the runs are multiplied as a
-balanced product, so a letter takes part in O(log) products rather than
-one step over the whole tree each.  ``x0^k`` costs O(k log k), not O(k^2).
+A word is evaluated as a product of its runs, not letter by letter.  A
+run x_i^a needs no product at all: ``_run`` writes its reduced pair down,
+a right spine of i carets over a left comb of a + 1 carets against a right
+spine of i + a + 1 carets (the standard pair of x_i, Cannon-Floyd-Parry
+1996, with its left caret grown into a comb).  The runs are multiplied as
+a balanced product, so a run takes part in O(log runs) products rather
+than one step over the whole tree per letter.  ``x0^k`` costs O(k).
 
 ``reduce_text`` is the one loop that settles reducedness (``reduce`` on a
 diagram).  ``multiply`` builds an unreduced product and hands it over;
@@ -37,7 +40,6 @@ flag check when they are already reduced.  Trees are text, as in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import Iterable
 
@@ -68,7 +70,8 @@ class GeneratorWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        for index, sign in self.letters:
+        # the letter of each run once, in order, so the first bad one is named
+        for (index, sign), _ in groupby(self.letters):
             _check_letter(index, sign)
 
     def __len__(self) -> int:
@@ -131,18 +134,22 @@ def identity() -> TreePairDiagram:
     return TreePairDiagram(CaretTree("."), CaretTree("."), True)
 
 
-@lru_cache(maxsize=None)
-def _generator_trees(index: int) -> tuple[str, str]:
-    return "(." * index + "((..).)" + ")" * index, spine(index + 2)
+def _run(index: int, sign: int, count: int) -> TreePairDiagram:
+    """Reduced pair of x_index^(sign * count), count >= 1, written down:
+    the negative tree is a right spine of index carets over a left comb of
+    count + 1 carets, the positive tree a right spine of index + count + 1
+    carets; sign -1 swaps them.  ValueError for a bad index or sign."""
+    _check_letter(index, sign)
+    comb = "(." * index + "(" * (count + 1) + "." + ".)" * (count + 1) + ")" * index
+    negative, positive = CaretTree(comb), CaretTree(spine(index + count + 1))
+    if sign == 1:
+        return TreePairDiagram(negative, positive, True)
+    return TreePairDiagram(positive, negative, True)
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
     """Reduced diagram of the generator x_index or its inverse."""
-    _check_letter(index, sign)
-    negative, positive = _generator_trees(index)
-    if sign == 1:
-        return TreePairDiagram(CaretTree(negative), CaretTree(positive), True)
-    return TreePairDiagram(CaretTree(positive), CaretTree(negative), True)
+    return _run(index, sign, 1)
 
 
 def invert(pair: TreePairDiagram) -> TreePairDiagram:
@@ -287,35 +294,22 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
 
 
-def _power(index: int, sign: int, count: int) -> TreePairDiagram:
-    """x_index^(sign * count), count >= 1, by repeated squaring: at most
-    two products per bit of count."""
-    square = generator_diagram(index, sign)
-    power = None
-    while True:
-        if count & 1:
-            power = square if power is None else multiply(power, square)
-        count >>= 1
-        if not count:
-            return power
-        square = multiply(square, square)
-
-
 def evaluate_word(word: Iterable[Letter]) -> TreePairDiagram:
     """The reduced pair of a word of (index, sign) letters.
 
-    Equal adjacent letters form a run x_i^a, built by ``_power``.  The
-    runs are multiplied as a balanced product: the stack holds products of
-    runs, each covering fewer runs than the one below it, and after a run
-    is pushed the top two merge while they cover equally many runs, like
-    the carries of a binary counter.  The stack, folded right to left,
-    is the word.  Only O(log runs) partial products are alive at once,
-    and each run's pair takes part in O(log runs) products.  The empty
-    word is the identity; ValueError for a bad index or sign.
+    Equal adjacent letters form a run x_i^a, written down by ``_run`` in
+    time linear in i + a, with no product.  The runs are multiplied as a
+    balanced product: the stack holds products of runs, each covering
+    fewer runs than the one below it, and after a run is pushed the top
+    two merge while they cover equally many runs, like the carries of a
+    binary counter.  The stack, folded right to left, is the word.  Only
+    O(log runs) partial products are alive at once, and each run's pair
+    takes part in O(log runs) products.  The empty word is the identity;
+    ValueError for a bad index or sign.
     """
     stack: list[tuple[int, TreePairDiagram]] = []
     for (index, sign), run in groupby(word):
-        runs, product = 1, _power(index, sign, sum(1 for _ in run))
+        runs, product = 1, _run(index, sign, sum(1 for _ in run))
         while stack and stack[-1][0] == runs:
             below, left = stack.pop()
             runs, product = runs + below, multiply(left, product)

@@ -60,6 +60,23 @@ def _digits_end(padded: str, at: int) -> int:
     return at
 
 
+# CPython's default cap on int() of decimal text; a longer number is
+# refused by its length, before int(), so every Python gives the same error
+_MAX_DIGITS = 4300
+
+
+def _number(padded: str, mark: int, what: str) -> tuple[int, int]:
+    """The number whose digits start at ``mark``, and the position past them."""
+    at = _digits_end(padded, mark)
+    if at == mark:
+        _fail(padded, at, f"{what} (digits)")
+    if at - mark > _MAX_DIGITS:
+        diag = ParseDiagnostic(mark, f"{what} of at most {_MAX_DIGITS} digits",
+                               f"{at - mark} digits")
+        raise ParseError(str(diag), diag)
+    return int(padded[mark:at]), at
+
+
 def parse_runs(text: str) -> list[tuple[int, int]]:
     """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"
     into one (index, exponent) run per letter as written.  Nothing is
@@ -73,11 +90,7 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
     while True:
         if padded[at] != "x":
             _fail(padded, at, "a generator letter starting with 'x'")
-        mark = at + 1
-        at = _digits_end(padded, mark)
-        if at == mark:
-            _fail(padded, at, "a generator index (digits)")
-        index = int(padded[mark:at])
+        index, at = _number(padded, at + 1, "a generator index")
         exponent = 1
         if padded[at] == "^":
             at += 1
@@ -86,10 +99,7 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
                 sign = -1 if padded[at] == "-" else 1
                 at += 1
             mark = at
-            at = _digits_end(padded, mark)
-            if at == mark:
-                _fail(padded, at, "an exponent (digits)")
-            magnitude = int(padded[mark:at])
+            magnitude, at = _number(padded, mark, "an exponent")
             if magnitude == 0:
                 diag = ParseDiagnostic(mark, "a nonzero exponent", "0")
                 raise ParseError(str(diag), diag)

@@ -26,6 +26,6 @@ def ball_x3_r6():
 def ball_x2_r6(ball_x2_r7):
     # restriction of the radius-7 index; avoids a second enumeration
     table = {
-        enc: row for enc, row in ball_x2_r7.table.items() if row[0] <= 6
+        enc: length for enc, length in ball_x2_r7.table.items() if length <= 6
     }
     return BallIndex(gens=X2, radius=6, table=table)

@@ -270,7 +270,7 @@ def in_ball_distances(index, source: str, radius: int) -> dict:
     among the elements of length <= radius in the ball index, found by
     breadth-first search from the source alone until the in-ball
     component is exhausted."""
-    inside = {enc for enc, (length, _) in index.table.items() if length <= radius}
+    inside = {enc for enc, length in index.table.items() if length <= radius}
     dist = {source: 0}
     queue = deque([source])
     while queue:

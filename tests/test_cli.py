@@ -40,7 +40,7 @@ def test_eval_cancellation(capsys):
 
 
 def test_eval_long_power(capsys):
-    # one run, built by repeated squaring
+    # one run, written down directly: linear in the exponent
     code, out, err = run(capsys, "eval", "x0^20000")
     assert (code, err) == (0, "")
     assert "carets\t20001\n" in out
@@ -52,6 +52,13 @@ def test_eval_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert "expected" in err and "offset" in err
+
+
+def test_eval_over_long_index(capsys):
+    code, out, err = run(capsys, "eval", "x" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: at offset 1: expected a generator index of "
+                   "at most 4300 digits, found 5000 digits\n")
 
 
 def test_len_formula(capsys):

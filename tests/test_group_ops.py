@@ -18,6 +18,7 @@ from caretcalc import (
 )
 from caretcalc.tree_core import graft, spine
 from conftest import X3
+from helpers import fold_letters
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -160,10 +161,16 @@ def test_deep_power_round_trip():
     assert g.carets == 1201
     # compare encodings: == on 1200-deep nested tuples recurses too deep
     assert encode(evaluate_word(normal_form(g))) == encode(g)
+    # runs of 2^k letters, as written down, come back as themselves
+    for k in range(13):
+        for index, sign in ((0, 1), (0, -1), (5, 1), (5, -1)):
+            g = evaluate_word([(index, sign)] * 2**k)
+            assert normal_form(g).letters == ((index, sign),) * 2**k
+            assert encode(evaluate_word(normal_form(g))) == encode(g)
 
 
 def test_power_costs_logarithmic_products(monkeypatch):
-    # a run of 2^k letters is k squarings, never one move per letter
+    # a run of 2^k letters is written down: no product, no generator move
     calls = []
     product = group_ops.multiply
 
@@ -180,8 +187,19 @@ def test_power_costs_logarithmic_products(monkeypatch):
         for letter in ((0, 1), (3, -1)):
             calls.clear()
             g = evaluate_word([letter] * 2**k)
-            assert len(calls) <= 2 * k, (k, letter, len(calls))
+            assert calls == [], (k, letter, len(calls))
             assert g.carets == 2**k + letter[0] + 1
+
+
+def test_run_matches_letter_by_letter():
+    # the written-down run against one generator move per letter
+    for index in range(13):
+        for sign in (1, -1):
+            for count in range(1, 41):
+                run = group_ops._run(index, sign, count)
+                assert run.reduced
+                folded = fold_letters([(index, sign)] * count)
+                assert encode(run) == encode(folded), (index, sign, count)
 
 
 def test_evaluate_word_rejects_bad_letters():
@@ -208,6 +226,12 @@ def test_word_type():
         GeneratorWord(((-1, 1),))
     with pytest.raises(ValueError):
         GeneratorWord(((0, 2),))
+    # a bad letter after a million good ones is still found and named
+    with pytest.raises(ValueError, match="got -1"):
+        GeneratorWord(((0, 1), (1, -1)) * 500_000 + ((-1, 1),))
+    # the first bad letter is the one reported
+    with pytest.raises(ValueError, match="got -2"):
+        GeneratorWord(((0, 1), (-2, 1), (0, 3), (-1, 1)))
 
 
 def test_generating_set():

@@ -87,6 +87,25 @@ def test_word_diagnostics_pinned(text, offset, expected, found):
         assert str(err.value) == f"at offset {offset}: expected {expected}, found {found}"
 
 
+def test_over_long_numbers_are_parse_errors():
+    # past CPython's default 4,300-digit int() limit: refused by length,
+    # at the first digit, so every Python gives this error
+    long = "9" * 5000
+    for text, offset, what in (
+        ("x" + long, 1, "a generator index"),
+        ("x1^" + long, 3, "an exponent"),
+        ("x0 x2^-" + long + " x1", 7, "an exponent"),
+    ):
+        for parser in (parse_word, parse_runs):
+            with pytest.raises(ParseError) as err:
+                parser(text)
+            assert err.value.diagnostic == ParseDiagnostic(
+                offset, f"{what} of at most 4300 digits", "5000 digits")
+    # 4,300 digits are still read
+    assert parse_runs("x" + "9" * 4300 + "^-" + "7" * 4300) == [
+        (int("9" * 4300), -int("7" * 4300))]
+
+
 def test_format_word():
     assert format_word(GeneratorWord(())) == ""
     assert format_word(GeneratorWord(((0, 1),))) == "x0"
