@@ -217,7 +217,7 @@ def _check_reachable(pair: TreePairDiagram, gens: GeneratingSet) -> None:
     would never end, since each shell adds only two states.  Any other
     set holds x0 and some x_i, which generate F (x1 is x0^(i-1) x_i
     x0^(1-i)), so every element is reachable."""
-    if gens.indices == (0,) and any(i != 0 for i, _ in normal_form(pair)):
+    if gens.indices == (0,) and any(i != 0 for i, _ in normal_form(pair).runs):
         raise ValueError(
             f"{canonical_encode(pair)} is not in the subgroup generated by x0"
         )
@@ -416,12 +416,11 @@ def mac_witness_pair(
     """
     _check_witness_family(gens, k)
     m = gens.max_index
-    up = [(1, 1)] * (k + 1)
-    g = evaluate_word(up + [(k + m + 1, 1)] + [(0, -1)] * k)
-    g_alt = evaluate_word([(m, 1)] + up + [(0, -1)] * k)
+    g = evaluate_word([(1, k + 1), (k + m + 1, 1), (0, -k)])
+    g_alt = evaluate_word([(m, 1), (1, k + 1), (0, -k)])
     if canonical_encode(g) != canonical_encode(g_alt):
         raise AssertionError("the two spellings of the witness disagree")
-    h = evaluate_word(up + [(0, -1)] * (k + 1))
+    h = evaluate_word([(1, k + 1), (0, -(k + 1))])
     return g, h
 
 
@@ -438,7 +437,7 @@ def probe_mac(
     ``in_ball_geodesic``), so that is the ball enumerated when
     ``ball_index`` is None; a given index must have radius >= 2k+1.  The
     lengths of g and h, which lie beyond it, come from ``bfs_length``.
-    The witness words, whose letters grow with k, are built last.
+    The witness pairs, whose trees grow with k, are built last.
     """
     _check_witness_family(gens, k)
     radius = 2 * k + 2

@@ -22,7 +22,7 @@ from . import cayley, metrics
 from .errors import ParseError, SearchCapExceededError
 from .group_ops import GeneratingSet, GeneratorWord, evaluate_word, normal_form
 from .tree_core import canonical_encode
-from .wordlang import expand_runs, format_word, parse_runs
+from .wordlang import format_word, parse_word
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -64,23 +64,24 @@ def _cap(args, fallback: int) -> int:
 
 
 def _word(args) -> GeneratorWord:
-    """The word argument.  One whose letter count or largest generator
-    index exceeds the cap is refused before any letter list or tree is
-    built: its cost grows with both."""
-    runs = parse_runs(args.word)
+    """The word argument, as runs.  One whose letter count or largest
+    generator index exceeds the cap is refused before any tree is built:
+    its cost grows with both.  The letters are counted from the run
+    exponents, which may sum past what len() can return."""
+    word = parse_word(args.word)
     budget = _cap(args, cayley.DEFAULT_STATE_CAP)
-    letters = sum(abs(exponent) for _, exponent in runs)
+    letters = sum(abs(exponent) for _, exponent in word.runs)
     if letters > budget:
         raise SearchCapExceededError(
             f"the word has {letters} letters, more than the cap of {budget}",
             letters,
         )
-    top = max((index for index, _ in runs), default=0)
+    top = max((index for index, _ in word.runs), default=0)
     if top > budget:
         raise SearchCapExceededError(
             f"the word uses generator x{top}, beyond the cap of {budget}", top
         )
-    return expand_runs(runs)
+    return word
 
 
 def _check_gens(args) -> None:
@@ -144,7 +145,7 @@ def _emit_record(args, record: dict, order: list[str]) -> None:
 
 def cmd_eval(args) -> int:
     word = _word(args)
-    pair = evaluate_word(word.letters)
+    pair = evaluate_word(word.runs)
     record = {
         "pair": canonical_encode(pair),
         "carets": pair.carets,
@@ -156,7 +157,7 @@ def cmd_eval(args) -> int:
 
 def cmd_len(args) -> int:
     word = _word(args)
-    pair = evaluate_word(word.letters)
+    pair = evaluate_word(word.runs)
     gens = args.gens
     method = args.method
     if method == "auto":

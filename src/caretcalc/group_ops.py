@@ -19,13 +19,17 @@ The step walks down the spine with ``_subtree_end``, the subtree cutter of
 the letter, calls ``apply_letter`` and wraps the result once.  The Cayley
 search calls ``apply_letter`` itself, so it never builds a diagram.
 
-A word is evaluated as a product of its runs, not letter by letter.  A
-run x_i^a needs no product at all: ``_run`` writes its reduced pair down,
-a right spine of i carets over a left comb of a + 1 carets against a right
-spine of i + a + 1 carets (the standard pair of x_i, Cannon-Floyd-Parry
-1996, with its left caret grown into a comb).  The runs are multiplied as
-a balanced product, so a run takes part in O(log runs) products rather
-than one step over the whole tree per letter.  ``x0^k`` costs O(k).
+A word is its runs: ``GeneratorWord`` holds (index, exponent) pairs,
+adjacent ones of one index and sign merged, and ``evaluate_word`` and
+``normal_form`` read and write runs; only ``GeneratorWord.letters``
+spells a word out.  A run x_i^a needs no product at all: ``_run``
+writes its reduced pair down, a right spine of i carets over a left comb
+of a + 1 carets against a right spine of i + a + 1 carets (the standard
+pair of x_i, Cannon-Floyd-Parry 1996, with its left caret grown into a
+comb).  The runs are multiplied as a balanced product, so a run takes
+part in O(log runs) products rather than one step over the whole tree
+per letter.  ``x0^k`` costs O(k), and so does its normal form, read off
+the trees' leaves as runs.
 
 ``reduce_text`` is the one loop that settles reducedness (``reduce`` on a
 diagram).  ``multiply`` builds an unreduced product and hands it over;
@@ -39,9 +43,10 @@ flag check when they are already reduced.  Trees are text, as in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable
+from itertools import chain, groupby, repeat
+from typing import Iterable, Iterator
 
 from .tree_core import (
     CaretTree,
@@ -54,6 +59,7 @@ from .tree_core import (
 )
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+Run = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def _check_letter(index: int, sign: int) -> None:
@@ -63,28 +69,64 @@ def _check_letter(index: int, sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
+def _checked_key(run: Run) -> tuple[int, bool]:
+    """The index and sign of a run, which ``groupby`` merges on;
+    ValueError for a negative index or an exponent that is 0 or not an
+    int."""
+    index, exponent = run
+    if not isinstance(index, int) or index < 0:
+        raise ValueError(f"generator index must be an int >= 0, got {index!r}")
+    if not isinstance(exponent, int) or exponent == 0:
+        raise ValueError(f"exponent must be a nonzero int, got {exponent!r}")
+    return index, exponent > 0
+
+
+def _merged(runs: Iterable[Run]) -> Iterator[Run]:
+    """The runs in order, adjacent runs of one index and sign summed into
+    one, each checked as it is read, so the first bad run is the one
+    named.  A run that merges with none is passed on as it is."""
+    for _, group in groupby(runs, _checked_key):
+        run = next(group)
+        for _, exponent in group:
+            run = run[0], run[1] + exponent
+        yield run
+
+
 @dataclass(frozen=True)
 class GeneratorWord:
-    """A word in the generators, as a tuple of (index, sign) letters."""
+    """A word in the generators, as a tuple of (index, exponent) runs.
 
-    letters: tuple[Letter, ...] = ()
+    Adjacent runs of one index and sign are merged when the word is
+    built, so each word has one tuple of runs and ``==`` compares words.
+    ``letters`` and iteration spell the word out as (index, +1 or -1)
+    letters, one shared tuple per run; nothing in the package reads them.
+    ValueError for a negative index or an exponent that is 0 or not an
+    int.
+    """
+
+    runs: tuple[Run, ...] = ()
 
     def __post_init__(self):
-        # the letter of each run once, in order, so the first bad one is named
-        for (index, sign), _ in groupby(self.letters):
-            _check_letter(index, sign)
+        object.__setattr__(self, "runs", tuple(_merged(self.runs)))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(iter(self))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(exponent) for _, exponent in self.runs)
 
-    def __iter__(self):
-        return iter(self.letters)
+    def __iter__(self) -> Iterator[Letter]:
+        return chain.from_iterable(
+            repeat((index, 1 if exponent > 0 else -1), abs(exponent))
+            for index, exponent in self.runs
+        )
 
     def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(tuple((i, -s) for i, s in reversed(self.letters)))
+        return GeneratorWord(tuple((i, -a) for i, a in reversed(self.runs)))
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
-        return GeneratorWord(self.letters + other.letters)
+        return GeneratorWord(self.runs + other.runs)
 
 
 @dataclass(frozen=True)
@@ -294,22 +336,26 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
 
 
-def evaluate_word(word: Iterable[Letter]) -> TreePairDiagram:
-    """The reduced pair of a word of (index, sign) letters.
+def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
+    """The reduced pair of a word of (index, exponent) runs; a letter is
+    a run of exponent +1 or -1, so runs and letters may be mixed.
 
-    Equal adjacent letters form a run x_i^a, written down by ``_run`` in
-    time linear in i + a, with no product.  The runs are multiplied as a
-    balanced product: the stack holds products of runs, each covering
-    fewer runs than the one below it, and after a run is pushed the top
-    two merge while they cover equally many runs, like the carries of a
-    binary counter.  The stack, folded right to left, is the word.  Only
+    Adjacent runs of one index and sign are merged as they stream by,
+    and each merged run x_i^a is written down by ``_run`` in time linear
+    in i + |a|, with no product.  The runs are multiplied as a balanced
+    product: the stack holds products of runs, each covering fewer runs
+    than the one below it, and after a run is pushed the top two merge
+    while they cover equally many runs, like the carries of a binary
+    counter.  The stack, folded right to left, is the word.  Only
     O(log runs) partial products are alive at once, and each run's pair
     takes part in O(log runs) products.  The empty word is the identity;
-    ValueError for a bad index or sign.
+    ValueError for a negative index or an exponent that is 0 or not an
+    int.
     """
     stack: list[tuple[int, TreePairDiagram]] = []
-    for (index, sign), run in groupby(word):
-        runs, product = 1, _run(index, sign, sum(1 for _ in run))
+    for index, exponent in _merged(word):
+        sign = 1 if exponent > 0 else -1
+        runs, product = 1, _run(index, sign, abs(exponent))
         while stack and stack[-1][0] == runs:
             below, left = stack.pop()
             runs, product = runs + below, multiply(left, product)
@@ -322,24 +368,52 @@ def evaluate_word(word: Iterable[Letter]) -> TreePairDiagram:
     return product
 
 
-def _leaf_exponents(tree: str) -> list[int]:
-    """Exponent of each leaf: carets off the right spine whose leftmost
-    descendant leaf is that leaf.  Those are the carets opened just before
-    the leaf's dot, less the first of them when it is the next caret of
-    the right spine, which is so exactly when every caret still open is a
-    right-spine caret."""
-    counts = []
-    depth = on_spine = start = 0
-    for _ in range(tree.count(".")):
-        at = tree.find(".", start)
-        opens = tree.count("(", start, at)
-        depth -= at - start - opens
-        spine_here = opens > 0 and depth == on_spine
-        on_spine += spine_here
-        counts.append(opens - spine_here)
-        depth += opens
-        start = at + 1
-    return counts
+# where a stretch of spine carets over leaves ends, and a run of opens
+_STRETCH_END = re.compile(r"\(\(|\.\.")
+_OPENS = re.compile(r"\(+")
+
+
+def _leaf_runs(tree: str) -> list[Run]:
+    """The (leaf, exponent) pairs of the leaves with a nonzero exponent,
+    in leaf order.  A leaf's exponent counts the carets off the right
+    spine whose leftmost descendant leaf it is.  Those are the carets
+    opened just before the leaf's dot, less the first of them when it is
+    the next caret of the right spine, which is so exactly when every
+    caret still open is a right-spine caret.
+
+    The walk steps from one run of opens to the next, and ``str.count``
+    reads the leaves and closes between them.  While every open caret is
+    on the spine, one match skips the spine carets over leaves that
+    follow, each of exponent 0: all of a right spine, such as the
+    positive tree of x0^k, is one match, and a left comb is one run."""
+    runs = []
+    at = depth = on_spine = leaf = 0
+    while True:
+        if depth == on_spine:
+            # a stretch "(.(.(." of spine carets over leaves ends where a
+            # spine caret over a caret, "((", or the last leaf, "..",
+            # comes next: each "(" before that is one of them
+            found = _STRETCH_END.search(tree, at)
+            carets = tree.count("(", at, found.start()) if found else 0
+            depth += carets
+            on_spine += carets
+            leaf += carets
+            at += 2 * carets
+        found = _OPENS.search(tree, at)
+        if found is None:
+            return runs
+        start, end = found.span()
+        leaf += tree.count(".", at, start)
+        depth -= tree.count(")", at, start)
+        exponent = end - start
+        if depth == on_spine:
+            on_spine += 1
+            exponent -= 1
+        depth += end - start
+        if exponent:
+            runs.append((leaf, exponent))
+        leaf += 1
+        at = end + 1
 
 
 def normal_form(pair: TreePairDiagram) -> GeneratorWord:
@@ -350,11 +424,6 @@ def normal_form(pair: TreePairDiagram) -> GeneratorWord:
     order.  Evaluating the word returns the original reduced pair.
     """
     pair = reduce(pair)
-    letters: list[Letter] = []
-    pos_part = _leaf_exponents(pair.negative.root)
-    for k, count in enumerate(pos_part):
-        letters.extend([(k, 1)] * count)
-    neg_part = _leaf_exponents(pair.positive.root)
-    for k in range(len(neg_part) - 1, -1, -1):
-        letters.extend([(k, -1)] * neg_part[k])
-    return GeneratorWord(tuple(letters))
+    negative = _leaf_runs(pair.positive.root)
+    return GeneratorWord(tuple(_leaf_runs(pair.negative.root))
+                         + tuple((leaf, -count) for leaf, count in reversed(negative)))

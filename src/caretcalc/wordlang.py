@@ -10,15 +10,15 @@ These grammars are the package's wire formats (see FORMATS.md):
 
 Canonical output uses a single space between letters and omits "^1".
 Parsing never crashes: malformed text raises ParseError with a byte
-offset, `expected`, and `found`.  Exponents expand, so "x1^-3" is the
-three letters (1,-1),(1,-1),(1,-1); an exponent of 0 is rejected.
-``parse_runs`` keeps each letter as written, exponent unexpanded.
+offset, `expected`, and `found`.  A word is its runs: "x1^-3" is the one
+run (1, -3), never spelled out, and "x1^3 x1" the one run (1, 4), since
+adjacent runs of one index and sign merge; an exponent of 0 is rejected.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import groupby
 
 from .errors import ParseError
 from .group_ops import GeneratorWord
@@ -60,37 +60,42 @@ def _digits_end(padded: str, at: int) -> int:
     return at
 
 
-# CPython's default cap on int() of decimal text; a longer number is
-# refused by its length, before int(), so every Python gives the same error
-_MAX_DIGITS = 4300
+def _digit_limit() -> int:
+    """The most digits a number may have: CPython's default cap on int()
+    of decimal text, or the interpreter's own cap when that is lower.  A
+    longer number is refused by its length, before int(), so every Python
+    gives a parse error rather than int()'s own."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(4300, limit or 4300)
 
 
-def _number(padded: str, mark: int, what: str) -> tuple[int, int]:
+def _number(padded: str, mark: int, what: str, limit: int) -> tuple[int, int]:
     """The number whose digits start at ``mark``, and the position past them."""
     at = _digits_end(padded, mark)
     if at == mark:
         _fail(padded, at, f"{what} (digits)")
-    if at - mark > _MAX_DIGITS:
-        diag = ParseDiagnostic(mark, f"{what} of at most {_MAX_DIGITS} digits",
+    if at - mark > limit:
+        diag = ParseDiagnostic(mark, f"{what} of at most {limit} digits",
                                f"{at - mark} digits")
         raise ParseError(str(diag), diag)
     return int(padded[mark:at]), at
 
 
-def parse_runs(text: str) -> list[tuple[int, int]]:
+def parse_word(text: str) -> GeneratorWord:
     """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"
-    into one (index, exponent) run per letter as written.  Nothing is
-    expanded, so a caller can see what a word costs before building it."""
+    into its runs.  Nothing is spelled out, so a caller can see what a
+    word costs before building it."""
     end = len(text)
     padded = text + _END
+    limit = _digit_limit()
     at = _skip_spaces(padded, 0)
     runs: list[tuple[int, int]] = []
     if at == end:
-        return runs
+        return GeneratorWord()
     while True:
         if padded[at] != "x":
             _fail(padded, at, "a generator letter starting with 'x'")
-        index, at = _number(padded, at + 1, "a generator index")
+        index, at = _number(padded, at + 1, "a generator index", limit)
         exponent = 1
         if padded[at] == "^":
             at += 1
@@ -99,7 +104,7 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
                 sign = -1 if padded[at] == "-" else 1
                 at += 1
             mark = at
-            magnitude, at = _number(padded, mark, "an exponent")
+            magnitude, at = _number(padded, mark, "an exponent", limit)
             if magnitude == 0:
                 diag = ParseDiagnostic(mark, "a nonzero exponent", "0")
                 raise ParseError(str(diag), diag)
@@ -113,30 +118,13 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
             if padded[at] != "*":
                 _fail(padded, at, "a separator (' ' or '*') or end of input")
             at += 1
-    return runs
-
-
-def expand_runs(runs: list[tuple[int, int]]) -> GeneratorWord:
-    """The word of (index, exponent) runs, each exponent spelled out."""
-    letters: list[tuple[int, int]] = []
-    for index, exponent in runs:
-        step = 1 if exponent > 0 else -1
-        letters.extend([(index, step)] * abs(exponent))
-    return GeneratorWord(tuple(letters))
-
-
-def parse_word(text: str) -> GeneratorWord:
-    """Parse generator-word notation like "x2 x1^2 x0^-1" or "x2*x1*x0"."""
-    return expand_runs(parse_runs(text))
+    return GeneratorWord(tuple(runs))
 
 
 def format_word(word: GeneratorWord) -> str:
-    """Canonical spelling: adjacent equal letters collapse to an exponent."""
-    out: list[str] = []
-    for (index, sign), run in groupby(word):
-        exponent = sign * len(list(run))
-        out.append(f"x{index}" if exponent == 1 else f"x{index}^{exponent}")
-    return " ".join(out)
+    """Canonical spelling: one letter per run, "^1" omitted."""
+    return " ".join(f"x{index}" if exponent == 1 else f"x{index}^{exponent}"
+                    for index, exponent in word.runs)
 
 
 def _parse_tree_text(padded: str, start: int) -> tuple[str, int]:

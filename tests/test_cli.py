@@ -61,6 +61,31 @@ def test_eval_over_long_index(capsys):
                    "at most 4300 digits, found 5000 digits\n")
 
 
+def test_eval_index_over_the_interpreter_digit_limit(capsys):
+    # an interpreter whose int() digit cap is below 4,300 sets the limit,
+    # so the error is still a parse error with an offset
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int() digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out, err = run(capsys, "eval", "x" + "9" * 2000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: at offset 1: expected a generator index of "
+                   "at most 1000 digits, found 2000 digits\n")
+
+
+def test_eval_letters_past_sys_maxsize(capsys):
+    # the letter count is summed from the run exponents, so a word longer
+    # than len() can count is still refused by the cap
+    code, out, err = run(capsys, "eval", "x0^" + "9" * 30)
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: the word has " + "9" * 30 + " letters, more "
+                   "than the cap of 5000000\n")
+
+
 def test_len_formula(capsys):
     code, out, _ = run(capsys, "len", "x2 x1^2 x0^-1", "--gens", "0,1,2")
     assert code == 0
@@ -335,9 +360,9 @@ def test_cap_bfs_reports_depth(capsys):
 
 def test_word_over_cap_refused_before_expanding(capsys, monkeypatch):
     def never(runs):
-        raise AssertionError("expanded a word over the cap")
+        raise AssertionError("evaluated a word over the cap")
 
-    monkeypatch.setattr("caretcalc.cli.expand_runs", never)
+    monkeypatch.setattr("caretcalc.cli.evaluate_word", never)
     for argv in (["eval", "x0^999999999"], ["eval", "x100000000"],
                  ["len", "x1 x0^-999999999", "--gens", "0,1"]):
         code, out, err = run(capsys, *argv)

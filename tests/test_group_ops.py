@@ -203,7 +203,11 @@ def test_run_matches_letter_by_letter():
 
 
 def test_evaluate_word_rejects_bad_letters():
-    for word in ([(-1, 1)], [(0, 2)], [(0, 1), (2, 0)]):
+    # a letter is a run of exponent +1 or -1, so (0, 2) is x0^2
+    assert encode(evaluate_word([(0, 2)])) == encode(evaluate_word([(0, 1), (0, 1)]))
+    assert encode(evaluate_word([(1, 1), (0, 2), (0, -1), (0, -1), (1, -1)])) == (
+        encode(identity()))
+    for word in ([(-1, 1)], [(0, 1), (2, 0)], [(0, 1.5)], [(1.0, 1)]):
         with pytest.raises(ValueError):
             evaluate_word(word)
 
@@ -215,6 +219,10 @@ def test_normal_form_goldens():
         assert normal_form(generator_diagram(i, -1)).letters == ((i, -1),)
     h1 = evaluate_word([(1, 1), (1, 1), (0, -1), (0, -1)])
     assert normal_form(h1).letters == ((1, 1), (1, 1), (0, -1), (0, -1))
+    assert normal_form(h1).runs == ((1, 2), (0, -2))
+    # a long power comes back as one run, never spelled out
+    assert normal_form(evaluate_word([(0, 10**6)])).runs == ((0, 10**6),)
+    assert normal_form(evaluate_word([(7, -3), (2, 5)])).runs == ((2, 5), (12, -3))
 
 
 def test_word_type():
@@ -222,14 +230,23 @@ def test_word_type():
     assert len(w) == 2
     assert w.inverse().letters == ((0, 1), (2, -1))
     assert (w * w.inverse()).letters == ((2, 1), (0, -1), (0, 1), (2, -1))
+    # a word is its runs: (0, 2) is x0^2, and adjacent runs of one index
+    # and sign merge, so equal words compare equal
+    assert GeneratorWord(((0, 2),)) == GeneratorWord(((0, 1), (0, 1)))
+    assert GeneratorWord(((0, 2),)).letters == ((0, 1), (0, 1))
+    assert GeneratorWord(((1, 3), (1, 1), (0, -2), (0, 1))).runs == (
+        (1, 4), (0, -2), (0, 1))
+    assert len(GeneratorWord(((1, 3), (0, -2)))) == 5
     with pytest.raises(ValueError):
         GeneratorWord(((-1, 1),))
     with pytest.raises(ValueError):
-        GeneratorWord(((0, 2),))
-    # a bad letter after a million good ones is still found and named
+        GeneratorWord(((0, 0),))
+    with pytest.raises(ValueError, match="got 1.5"):
+        GeneratorWord(((0, 1), (0, 1.5)))
+    # a bad run after a million good ones is still found and named
     with pytest.raises(ValueError, match="got -1"):
         GeneratorWord(((0, 1), (1, -1)) * 500_000 + ((-1, 1),))
-    # the first bad letter is the one reported
+    # the first bad run is the one reported
     with pytest.raises(ValueError, match="got -2"):
         GeneratorWord(((0, 1), (-2, 1), (0, 3), (-1, 1)))
 

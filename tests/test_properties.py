@@ -25,7 +25,7 @@ from caretcalc import (
 )
 from caretcalc.group_ops import GeneratorWord, apply_letter
 from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
-from caretcalc.wordlang import format_word, parse_runs, parse_tree, parse_word
+from caretcalc.wordlang import format_word, parse_tree, parse_word
 from helpers import (
     _intervals,
     brute_force_min_weight,
@@ -176,6 +176,21 @@ def test_evaluate_word_matches_letter_by_letter_fold(word):
 
 
 @checked
+@given(tree_pairs(16))
+def test_normal_form_of_random_pairs_folds_back(trees):
+    # normal_form's runs are read off the leaves; folding their letters
+    # one generator move at a time must rebuild the pair
+    g = reduce(TreePairDiagram.from_nodes(*trees))
+    word = normal_form(g)
+    positive = [i for i, a in word.runs if a > 0]
+    negative = [i for i, a in word.runs if a < 0]
+    assert [a > 0 for _, a in word.runs] == [True] * len(positive) + [False] * len(negative)
+    assert positive == sorted(set(positive))
+    assert negative == sorted(set(negative), reverse=True)
+    assert canonical_encode(fold_letters(word.letters)) == canonical_encode(g)
+
+
+@checked
 @given(elements)
 def test_l_infinity_counts_intervals_short_of_the_last_leaf(g):
     n = g.carets
@@ -206,5 +221,19 @@ def test_word_parser_round_trip(word_letters):
     word = GeneratorWord(tuple(word_letters))
     text = format_word(word)
     assert parse_word(text) == word
-    runs = [(i, s * len(list(run))) for (i, s), run in groupby(word_letters)]
-    assert parse_runs(text) == runs
+    runs = tuple((i, s * len(list(run))) for (i, s), run in groupby(word_letters))
+    assert parse_word(text).runs == word.runs == runs
+
+
+@checked
+@given(st.lists(letters, max_size=40))
+def test_word_is_its_runs(word_letters):
+    # the letters view spells the runs back out, and runs and letters
+    # evaluate to the same element
+    letters_in = tuple(word_letters)
+    word = GeneratorWord(letters_in)
+    assert word.letters == letters_in
+    assert len(word) == len(letters_in)
+    assert canonical_encode(evaluate_word(word.runs)) == canonical_encode(
+        evaluate_word(letters_in))
+    assert parse_word(format_word(word)) == word

@@ -7,10 +7,8 @@ from caretcalc.errors import ParseError
 from caretcalc.group_ops import GeneratorWord
 from caretcalc.wordlang import (
     ParseDiagnostic,
-    expand_runs,
     format_word,
     parse_pair,
-    parse_runs,
     parse_tree,
     parse_word,
 )
@@ -27,11 +25,14 @@ def test_parse_word_examples():
 
 
 def test_parse_runs_leave_exponents_unexpanded():
-    assert parse_runs("x1^2 x0^-2") == [(1, 2), (0, -2)]
-    assert parse_runs("x2*x1^999999999 x2") == [(2, 1), (1, 999999999), (2, 1)]
-    assert parse_runs("  ") == []
+    assert parse_word("x1^2 x0^-2").runs == ((1, 2), (0, -2))
+    assert parse_word("x2*x1^999999999 x2").runs == ((2, 1), (1, 999999999), (2, 1))
+    assert parse_word("  ").runs == ()
+    # adjacent runs of one index and sign merge; opposite signs do not
+    assert parse_word("x1^3 x1 x0^-2").runs == ((1, 4), (0, -2))
+    assert parse_word("x0 x0^-1 x0").runs == ((0, 1), (0, -1), (0, 1))
     for text in ("x1^2 x0^-2", "x10^+2 x3", "x0 x0^-1", ""):
-        assert expand_runs(parse_runs(text)) == parse_word(text)
+        assert GeneratorWord(parse_word(text).letters) == parse_word(text)
 
 
 @pytest.mark.parametrize(
@@ -80,11 +81,10 @@ def test_parse_word_diagnostics(text, offset):
 )
 def test_word_diagnostics_pinned(text, offset, expected, found):
     # every word rejected above, and a trailing '*', with its whole diagnostic
-    for parser in (parse_word, parse_runs):
-        with pytest.raises(ParseError) as err:
-            parser(text)
-        assert err.value.diagnostic == ParseDiagnostic(offset, expected, found)
-        assert str(err.value) == f"at offset {offset}: expected {expected}, found {found}"
+    with pytest.raises(ParseError) as err:
+        parse_word(text)
+    assert err.value.diagnostic == ParseDiagnostic(offset, expected, found)
+    assert str(err.value) == f"at offset {offset}: expected {expected}, found {found}"
 
 
 def test_over_long_numbers_are_parse_errors():
@@ -96,14 +96,13 @@ def test_over_long_numbers_are_parse_errors():
         ("x1^" + long, 3, "an exponent"),
         ("x0 x2^-" + long + " x1", 7, "an exponent"),
     ):
-        for parser in (parse_word, parse_runs):
-            with pytest.raises(ParseError) as err:
-                parser(text)
-            assert err.value.diagnostic == ParseDiagnostic(
-                offset, f"{what} of at most 4300 digits", "5000 digits")
+        with pytest.raises(ParseError) as err:
+            parse_word(text)
+        assert err.value.diagnostic == ParseDiagnostic(
+            offset, f"{what} of at most 4300 digits", "5000 digits")
     # 4,300 digits are still read
-    assert parse_runs("x" + "9" * 4300 + "^-" + "7" * 4300) == [
-        (int("9" * 4300), -int("7" * 4300))]
+    assert parse_word("x" + "9" * 4300 + "^-" + "7" * 4300).runs == (
+        (int("9" * 4300), -int("7" * 4300)),)
 
 
 def test_format_word():
@@ -112,6 +111,7 @@ def test_format_word():
     assert format_word(GeneratorWord(((1, 1), (1, 1), (0, -1), (0, -1)))) == "x1^2 x0^-2"
     assert format_word(GeneratorWord(((0, -1), (0, 1)))) == "x0^-1 x0"
     assert format_word(GeneratorWord(((2, 1), (2, 1), (2, 1)))) == "x2^3"
+    assert format_word(GeneratorWord(((2, 1), (2, 2), (1, -5)))) == "x2^3 x1^-5"
 
 
 def test_word_round_trip_random():
