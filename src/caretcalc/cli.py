@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import cayley, metrics
 from .errors import ParseError, SearchCapExceededError
@@ -114,33 +114,41 @@ def _check_out(args) -> None:
 
 
 def _emit(args, text: str) -> None:
+    _emit_each(args, (text,))
+
+
+def _emit_each(args, chunks: Iterable[str]) -> None:
+    """Write each chunk as it comes: to stdout, or to --out, which is
+    opened only now that the work is done."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _plain(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
 
 def _emit_record(args, record: dict, order: list[str]) -> None:
-    """Plain: one key<TAB>value line per key in order.  Structured: JSON
-    of the full record with native types (null/true rather than text)."""
+    """Plain: one key<TAB>value line per key in order, each written as it
+    is built, so a long value is never copied into one joined text.
+    Structured: JSON of the full record with native types (null/true
+    rather than text)."""
     if args.format == "structured":
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
         return
-    lines = []
-    for key in order:
-        value = record[key]
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        elif value is None:
-            value = "none"
-        elif isinstance(value, bool):
-            value = str(value).lower()
-        lines.append(f"{key}\t{value}")
-    _emit(args, "".join(line + "\n" for line in lines))
+    _emit_each(args, (f"{key}\t{_plain(record[key])}\n" for key in order))
 
 
 def cmd_eval(args) -> int:

@@ -15,6 +15,12 @@ space left of either tree) whose edges follow the caret adjacency order,
 which contains every penalty caret, and whose leaves are all penalty
 carets (the bare root being the one exception).  Carets that are not
 penalty carets may appear as interior routing vertices.
+
+``penalty_weight`` finds the minimum by a branch-and-bound search.  At
+n = 2, once that search would have to back up, a program over caret index
+finishes the job: the weight there counts vertices at depth >= 2 that
+have a child, so a placed caret needs only its class (free to use, costs
+1 to use, owes a child) while it may still take one.
 """
 
 from __future__ import annotations
@@ -241,8 +247,15 @@ def penalty_weight(
     meets the floor no tree can beat, and at n = 1 it prunes a branch once
     the penalty carets still to come must lift it to the best weight.  The
     first optimal tree in search order is never pruned, so it stays the
-    witness.  Raises SearchCapExceededError, not a possibly wrong minimum,
-    at the cap of ``cap`` states, one per caret decision.
+    witness.
+
+    At n = 2 the search never backs up.  When its first descent does not
+    end at a tree that meets the floor, ``_program_n2`` gives the exact
+    weight and walks to the same first optimal tree, in time that grows
+    with the states at its cuts, not with the trees searched.  Raises
+    SearchCapExceededError, not a possibly wrong minimum, at the cap of
+    ``cap`` states: one per caret decision of the search, plus one per
+    state of each cut of the program.
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
@@ -355,9 +368,134 @@ def penalty_weight(
                             weight += 1
                 c += 1
                 break
+            if n == 2:  # the search would back up: the program takes over
+                best_weight, best_parents = _program_n2(
+                    top, preds, succs, useful, required, best_weight,
+                    best_parents, cap, states)
+                c = 0
+                break
             c -= 1
     witness = PenaltyTree(best_parents, adjacency=adj, required=required)
     return best_weight, witness
+
+
+# What the program knows of a placed caret, two bits at bit 2 * caret: it is
+# free to use as a parent (depth 1, or depth >= 2 with a child already),
+# costs 1 to use (a penalty caret at depth >= 2 with no child yet), or owes a
+# child (a routing vertex with none yet; at depth >= 2 its cost was paid
+# when it was placed).  0 marks a caret that is not placed, or no longer
+# has a useful successor to come.
+_FREE, _COSTS, _OWES = 1, 2, 3
+
+
+def _program_n2(
+    top: int,
+    preds: list[list[int]],
+    succs: list[list[int]],
+    useful: bytearray,
+    required: frozenset[int],
+    best_weight: int,
+    best_parents: tuple[tuple[int, int], ...],
+    cap: int,
+    states: int,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The least n = 2 weight by a program over caret index, and the
+    search's first tree of that weight.
+
+    At n = 2 the weight counts vertices at depth >= 2 with a child.  The
+    program cuts the carets before each caret c; a state is the class of
+    every placed caret with a useful successor at or after c, which is all
+    that the choices from c on see.  A forward pass finds the states at
+    each cut that a tree lighter than the search's best so far passes
+    through, counting them against ``cap`` after the search's own
+    ``states``.  If none reaches the end, that best tree is the search's
+    answer and is kept.  Otherwise a backward pass gives each state its
+    least completion cost, and the walk decides carets 1 .. top in the
+    search's option order (leave out, then placed predecessors by depth,
+    then index), taking the first option an optimal tree can go on from:
+    the tree the branch-and-bound would stop at, found without
+    backtracking.
+    """
+    req = bytearray(top + 1)
+    for q in required:
+        req[q] = 1
+    # a caret leaves the state after its last useful successor; low marks
+    # one bit of each leaver, so an owed caret shows as both bits set
+    gone = [0] * (top + 1)
+    low = [0] * (top + 1)
+    lives = bytearray(top + 1)
+    for v in range(1, top + 1):
+        last = max((q for q in succs[v] if useful[q]), default=0)
+        if last:
+            lives[v] = 1
+            gone[last] |= 3 << 2 * v
+            low[last] |= 1 << 2 * v
+
+    def moves(s: int, c: int) -> list[tuple[int, int, int]]:
+        """(parent or -1, cost, next state) of each choice for caret c."""
+        out = [] if req[c] else [(-1, 0, s)]
+        if useful[c]:
+            own = 2 * c
+            for p in preds[c]:
+                if not p:
+                    cls = _FREE if req[c] else _OWES
+                    out.append((0, 0, s | cls << own if lives[c] else s))
+                    continue
+                k = s >> 2 * p & 3
+                if k:
+                    t = s & ~(3 << 2 * p) | _FREE << 2 * p
+                    cls = _COSTS if req[c] else _OWES
+                    if lives[c]:
+                        t |= cls << own
+                    out.append((p, (k == _COSTS) + (cls == _OWES), t))
+        if not low[c]:
+            return out
+        # an owed caret whose last useful successor has passed is a dead end
+        return [(p, cost, t & ~gone[c]) for p, cost, t in out
+                if not t & t >> 1 & low[c]]
+
+    # forward: the least cost that reaches each state.  A state no cheaper
+    # than the search's best tree is dropped, as the search keeps that tree
+    # on a tie; a prefix of a lighter tree costs no more than it, so stays.
+    cuts: list[dict[int, int]] = [{}, {0: 0}]
+    for c in range(1, top + 1):
+        cut: dict[int, int] = {}
+        for s, g in cuts[c].items():
+            for _, cost, t in moves(s, c):
+                if g + cost < cut.get(t, best_weight):
+                    cut[t] = g + cost
+        states += len(cut)
+        if states > cap:
+            raise SearchCapExceededError(
+                f"penalty search exceeded {cap} states", states)
+        cuts.append(cut)
+    if not cuts[top + 1]:
+        return best_weight, best_parents
+    least = cuts[top + 1][0]
+    # backward, in place: each kept state's least cost to the end
+    never = top + 1  # above any weight
+    cuts[top + 1][0] = 0
+    for c in range(top, 0, -1):
+        after, cut = cuts[c + 1], cuts[c]
+        for s in cut:
+            cut[s] = min((cost + after.get(t, never) for _, cost, t
+                          in moves(s, c)), default=never)
+    parent = [-1] * (top + 1)
+    depth = [0] * (top + 1)
+    s, left = 0, least
+    for c in range(1, top + 1):
+        after = cuts[c + 1]
+        choice = {p: (cost, t) for p, cost, t in moves(s, c)}
+        order = sorted(choice, key=lambda p: (p >= 0, depth[p], p))
+        for p in order:
+            cost, t = choice[p]
+            if cost + after.get(t, never) == left:
+                break
+        parent[c], s, left = p, t, left - cost
+        if p >= 0:
+            depth[c] = depth[p] + 1
+    return least, tuple((v, parent[v]) for v in range(1, top + 1)
+                        if parent[v] >= 0)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,17 @@ def random_tree(rng: random.Random, carets: int) -> str:
     return serialize_node(random_node(rng, carets))
 
 
+def all_trees(carets: int):
+    """The text of every tree with this many carets, Catalan(carets) in all."""
+    if carets == 0:
+        yield "."
+        return
+    for left in range(carets):
+        for a in all_trees(left):
+            for b in all_trees(carets - 1 - left):
+                yield f"({a}{b})"
+
+
 def to_node(text: str) -> Node:
     """The tuple tree of a tree's text, for the oracles below, which walk
     tuples: a caret is (left, right), a leaf None."""

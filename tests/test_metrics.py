@@ -29,6 +29,7 @@ from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
 from caretcalc.tree_core import CaretTree, TreePairDiagram, spine
 from caretcalc.wordlang import parse_pair, parse_tree, parse_word
 from helpers import (
+    all_trees,
     brute_force_min_weight,
     infix_carets,
     interval_adjacency,
@@ -315,7 +316,7 @@ def test_penalty_search_effort_pinned():
          "0>1,0>3,0>4,0>6,6>7,0>9,6>11,9>12,11>13,0>14"),
         (20, 16, (14, 14, 14), (6, 1, 0),
          "0>1,0>2,1>3,2>5,0>7,0>8,7>9,8>10,10>11,0>13,13>14"),
-        (24, 21, (19, 2852, 19), (10, 4, 1),
+        (24, 21, (19, 91, 19), (10, 4, 1),
          "0>1,1>2,0>3,0>4,0>5,4>7,7>8,5>9,4>12,12>13,5>15,15>16,16>17,12>19"),
     ]
     rng = random.Random(9001)
@@ -354,6 +355,55 @@ def test_penalty_search_long_pair_at_n_1():
     weight, witness = penalty_weight(pair, 1, cap=10_000)
     assert weight == 126
     assert penalty_weight_of_tree(witness, 1) == weight
+
+
+def test_penalty_search_long_pair_at_n_2():
+    # the same pair at n = 2: the search once hit a 2,000,000-state cap
+    # after ~10 s; the program over caret index answers from 15,273 states
+    rng = random.Random(0)
+    pair = reduce(parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}"))
+    weight, witness = penalty_weight(pair, 2, cap=20_000)
+    assert weight == 41
+    assert penalty_weight_of_tree(witness, 2) == weight
+    assert weight <= penalty_weight(pair, 1, cap=10_000)[0]
+
+
+def test_penalty_weight_n_2_matches_brute_force_exhaustively():
+    # every reduced pair of up to 6 carets, 9,754 in all: the search ends
+    # most of them, the program over caret index the rest
+    checked = 0
+    for carets in range(1, 7):
+        trees = list(all_trees(carets))
+        for neg in trees:
+            for pos in trees:
+                pair = parse_pair(f"{neg}|{pos}")
+                if not pair.reduced:
+                    continue
+                checked += 1
+                weight, witness = penalty_weight(pair, 2)
+                assert weight == brute_force_min_weight(pair, 2), (neg, pos)
+                assert penalty_weight_of_tree(witness, 2) == weight
+    assert checked == 9_754
+
+
+def test_length_reports_at_n_2_pinned_past_the_old_cap():
+    # the n = 2 report lines of 40 random pairs of 25-40 carets, byte for
+    # byte as the branch-and-bound printed them with a cap of 300,000
+    # states.  It hit that cap on pairs 15, 21, 34, 35 and 37, which now
+    # answer too, with a witness of their weight.
+    rng = random.Random(2027)
+    lines = []
+    for i in range(40):
+        k = rng.randint(25, 40)
+        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        report = length_consecutive(pair, 2, cap=300_000)
+        if i in (15, 21, 34, 35, 37):
+            assert penalty_weight_of_tree(report.witness, 2) == report.penalty_weight
+        else:
+            lines.append(report.serialize() + "\n")
+    assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == (
+        "49e535d04ce4835a45cb0418f854d4f42bf4d64beeb1f9901b8964f943d5f4ca"
+    )
 
 
 def test_penalty_search_deeper_than_the_interpreter_stack():
