@@ -16,11 +16,16 @@ which contains every penalty caret, and whose leaves are all penalty
 carets (the bare root being the one exception).  Carets that are not
 penalty carets may appear as interior routing vertices.
 
-``penalty_weight`` finds the minimum by a branch-and-bound search.  At
-n = 2, once that search would have to back up, a program over caret index
-finishes the job: the weight there counts vertices at depth >= 2 that
-have a child, so a placed caret needs only its class (free to use, costs
-1 to use, owes a child) while it may still take one.
+``penalty_weight`` finds the minimum with one engine at every n.  The
+chain 0 -> 1 -> ... -> top, or the first tree in search order, ends it
+when it meets a lower bound from the least depth of each caret; otherwise
+a program over caret index gives the exact weight and the search's first
+tree of that weight.  In the program a caret at depth >= 2 decides
+whether it counts when it takes its first child: counting costs 1, and
+not counting caps the levels below it at n - 2.  The cheapest decisions
+for a tree cost exactly its weight, so a placed caret needs only a few
+small fields (levels left, undecided, owes a child) while it may still
+take a child.
 """
 
 from __future__ import annotations
@@ -73,12 +78,6 @@ class AdjacencyRelation:
     carets: int
     edges: frozenset[tuple[int, int]]
 
-    def predecessors(self, q: int) -> list[int]:
-        return sorted(p for p, qq in self.edges if qq == q)
-
-    def successors(self, p: int) -> list[int]:
-        return sorted(q for pp, q in self.edges if pp == p)
-
 
 def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
     n, lo, hi = sv.carets, sv.lo, sv.hi
@@ -108,9 +107,6 @@ class PenaltyCaretSet:
     @property
     def indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.flags)
-
-    def reasons(self, index: int) -> tuple[str, ...]:
-        return tuple(r for i, r in self.flags if i == index)
 
 
 def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
@@ -235,26 +231,23 @@ def penalty_weight(
 ) -> tuple[int, PenaltyTree]:
     """Exact minimum weight over all penalty trees, with a witness.
 
-    Depth-first search over parent assignments in increasing caret order,
-    pruned by the best weight so far (adding vertices never lowers one) and
-    seeded with the chain 0 -> 1 -> ... -> top penalty caret.  The stack is
-    the caret index: caret c is decided at depth c, its state is entry c of
-    per-caret arrays, and backtracking is c -= 1.  Hanging c can raise only
-    the count of its ancestor n - 1 up; higher ones had c's parent below.
+    Trees are ordered as a depth-first search over parent choices in
+    increasing caret order would meet them: each caret is first left out
+    (when it need not be in the tree), then hung from its placed
+    predecessors by depth, then by index.  The witness is the chain
+    0 -> 1 -> ... -> top penalty caret when no tree weighs less, and
+    otherwise the first tree in that order of the least weight.
 
-    Two lower bounds, from the least depth each caret can have, cut the
-    search without changing its answer.  It stops at the first tree that
-    meets the floor no tree can beat, and at n = 1 it prunes a branch once
-    the penalty carets still to come must lift it to the best weight.  The
-    first optimal tree in search order is never pruned, so it stays the
-    witness.
-
-    At n = 2 the search never backs up.  When its first descent does not
-    end at a tree that meets the floor, ``_program_n2`` gives the exact
-    weight and walks to the same first optimal tree, in time that grows
-    with the states at its cuts, not with the trees searched.  Raises
-    SearchCapExceededError, not a possibly wrong minimum, at the cap of
-    ``cap`` states: one per caret decision of the search, plus one per
+    No tree weighs less than a floor, from the least depth each caret can
+    have.  The answer is the chain if it meets the floor, else the first
+    tree in the order (every penalty caret hung from its shallowest placed
+    predecessor, every other caret left out) if that meets it, and
+    otherwise what ``_program`` finds: its decisions (a caret at depth
+    >= 2 counts, at a cost of 1, or caps the levels below it at n - 2)
+    cost at least the weight of the tree they build, and exactly that
+    weight when made cheaply, so their least cost is the least weight.
+    Raises SearchCapExceededError, not a possibly wrong minimum, at the
+    cap of ``cap`` states: one per caret of the first tree, plus one per
     state of each cut of the program.
     """
     if n < 1:
@@ -282,180 +275,145 @@ def penalty_weight(
     # least[q] is the least depth caret q can have in any penalty tree, and
     # a required caret at depth d counts its ancestors at depths 2 ..
     # d - n + 1, so no tree weighs less than the floor.  At n = 1 every
-    # vertex at depth >= 2 counts, so rest[c] required carets from c on
-    # are still to add one each.
+    # vertex at depth >= 2 counts, so so does every required caret that
+    # cannot hang at depth 1.
     least = [0] * (top + 1)
     for q in range(1, top + 1):
         least[q] = 1 + min(least[p] for p in preds[q])
     floor = max(max(least[q] for q in required) - n, 0)
-    rest = [0] * (top + 2)
     if n == 1:
-        for q in range(top, 0, -1):
-            rest[q] = rest[q + 1] + (q in required and least[q] > 1)
-        floor = max(floor, rest[1])
+        floor = max(floor, sum(least[q] > 1 for q in required))
 
-    # A caret only helps as a routing vertex if some chain of allowed
-    # edges leads from it to a penalty caret.
-    useful = bytearray(top + 1)
-    for c in range(top, 0, -1):
-        useful[c] = c in required or any(useful[q] for q in succs[c])
-    # A routing vertex with no child is a dead end once caret c passes the
-    # last useful caret it could take as a child.  That happens at one c,
-    # so each caret c checks only the routing vertices expiring there:
-    # every earlier deadline was checked, and met, on the same branch.
-    expiring: list[list[int]] = [[] for _ in range(top + 2)]
-    for c in range(1, top + 1):
-        children = [q for q in succs[c] if useful[q]]
-        if children and c not in required:
-            expiring[max(children) + 1].append(c)
-
-    # -1 leaves a caret out and 0 is the root; caret top + 1 stays out and
-    # has no choices, so the search backs up from it
-    parent = [0] + [-1] * (top + 1)
-    options: list[list[int]] = [[] for _ in range(top + 2)]  # untried, reversed
-    depth = [0] * (top + 1)
-    nchild = [0] * (top + 1)
-    below = [0] * (top + 1)  # vertices exactly n - 1 under each at depth >= 2
-    raised = [0] * (top + 1)  # the ancestor whose count c's choice raised
     best_weight = max(top - n, 0)  # the chain's weight
     best_parents = tuple((c, c - 1) for c in range(1, top + 1))
-    weight = states = 0
-    # the search runs until a tree meets the floor, which none can beat
-    c = 1 if best_weight > floor else 0
-    while c:
-        # carets below c are placed; prune too heavy trees and dead ends
-        if weight + rest[c] < best_weight and (not expiring[c] or all(
-                parent[v] < 0 or nchild[v] for v in expiring[c])):
-            if c > top:
-                best_weight = weight
-                best_parents = tuple(
-                    (v, parent[v]) for v in range(1, top + 1) if parent[v] >= 0
-                )
-                if best_weight <= floor:
-                    break
-            else:
-                states += 1
-                if states > cap:
-                    raise SearchCapExceededError(
-                        f"penalty search exceeded {cap} states", states
-                    )
-                # pop() tries leaving c out, then placed preds by depth, index
-                ahead = [p for p in preds[c] if parent[p] >= 0] if useful[c] else []
-                ahead.sort(key=depth.__getitem__)
-                options[c] = ahead[::-1] + ([] if c in required else [-1])
-        # undo c's choice and take its next; back up while it has none
-        while c:
-            p = parent[c]
-            if p >= 0:
-                nchild[p] -= 1
-                if depth[c] > n:
-                    below[raised[c]] -= 1
-                    if not below[raised[c]]:
-                        weight -= 1
-                parent[c] = -1
-            if options[c]:
-                p = parent[c] = options[c].pop()
-                if p >= 0:
-                    depth[c] = depth[p] + 1
-                    nchild[p] += 1
-                    if depth[c] > n:
-                        a = c
-                        for _ in range(n - 1):
-                            a = parent[a]
-                        raised[c] = a
-                        below[a] += 1
-                        if below[a] == 1:
-                            weight += 1
-                c += 1
+    if best_weight > floor:
+        if top > cap:
+            raise SearchCapExceededError(
+                f"penalty search exceeded {cap} states", cap + 1)
+        # the first tree; depth -1 marks a caret left out of it
+        order = sorted(required)
+        depth = [0] + [-1] * top
+        parent = [-1] * (top + 1)
+        for c in order:
+            placed = [p for p in preds[c] if depth[p] >= 0]
+            if not placed:
+                weight = best_weight  # there is no first tree
                 break
-            if n == 2:  # the search would back up: the program takes over
-                best_weight, best_parents = _program_n2(
-                    top, preds, succs, useful, required, best_weight,
-                    best_parents, cap, states)
-                c = 0
-                break
-            c -= 1
+            parent[c] = p = min(placed, key=depth.__getitem__)
+            depth[c] = depth[p] + 1
+        else:
+            height = [0] * (top + 1)
+            for c in range(top, 0, -1):
+                if parent[c] >= 0:
+                    height[parent[c]] = max(height[parent[c]], height[c] + 1)
+            weight = sum(depth[c] >= 2 and height[c] >= n - 1 for c in required)
+        if weight < best_weight:
+            best_weight = weight
+            best_parents = tuple((c, parent[c]) for c in order)
+        if best_weight > floor:
+            best_weight, best_parents = _program(
+                n, top, preds, succs, required, best_weight, best_parents,
+                cap, top)
     witness = PenaltyTree(best_parents, adjacency=adj, required=required)
     return best_weight, witness
 
 
-# What the program knows of a placed caret, two bits at bit 2 * caret: it is
-# free to use as a parent (depth 1, or depth >= 2 with a child already),
-# costs 1 to use (a penalty caret at depth >= 2 with no child yet), or owes a
-# child (a routing vertex with none yet; at depth >= 2 its cost was paid
-# when it was placed).  0 marks a caret that is not placed, or no longer
-# has a useful successor to come.
-_FREE, _COSTS, _OWES = 1, 2, 3
-
-
-def _program_n2(
+def _program(
+    n: int,
     top: int,
     preds: list[list[int]],
     succs: list[list[int]],
-    useful: bytearray,
     required: frozenset[int],
     best_weight: int,
     best_parents: tuple[tuple[int, int], ...],
     cap: int,
     states: int,
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The least n = 2 weight by a program over caret index, and the
-    search's first tree of that weight.
+    """The least weight by a program over caret index, and the first tree
+    of that weight in the search order.
 
-    At n = 2 the weight counts vertices at depth >= 2 with a child.  The
-    program cuts the carets before each caret c; a state is the class of
-    every placed caret with a useful successor at or after c, which is all
-    that the choices from c on see.  A forward pass finds the states at
-    each cut that a tree lighter than the search's best so far passes
-    through, counting them against ``cap`` after the search's own
-    ``states``.  If none reaches the end, that best tree is the search's
-    answer and is kept.  Otherwise a backward pass gives each state its
-    least completion cost, and the walk decides carets 1 .. top in the
-    search's option order (leave out, then placed predecessors by depth,
-    then index), taking the first option an optimal tree can go on from:
-    the tree the branch-and-bound would stop at, found without
-    backtracking.
+    Building a tree caret by caret, a caret at depth >= 2 decides whether
+    it counts when it takes its first child (at n = 1 when it is placed,
+    as every one counts).  Counting costs 1; not counting caps the levels
+    below it at n - 2.  A tree's cheapest decisions cost exactly its
+    weight: a caret of height >= n - 1 must count, and one below that
+    need not.  So what the choices from caret c on see of a placed caret
+    with a useful successor at or after c is a few small fields (levels
+    left, undecided, owes a child), packed per caret into one int: the
+    state at the cut before c.
+
+    A forward pass finds the states at each cut that a tree lighter than
+    ``best_weight`` passes through, counting them against ``cap`` after
+    ``states``.  If none reaches the end, ``best_parents`` is the answer.
+    Otherwise a backward pass gives each state its least completion cost,
+    and a walk decides carets 1 .. top in the search order, taking the
+    first option an optimal tree can go on from.  One tree can come from
+    several decision sequences, so the walk carries every state the tree
+    so far can be in.
     """
-    req = bytearray(top + 1)
-    for q in required:
-        req[q] = 1
-    # a caret leaves the state after its last useful successor; low marks
-    # one bit of each leaver, so an owed caret shows as both bits set
-    gone = [0] * (top + 1)
-    low = [0] * (top + 1)
+    # A placed caret's field: the levels that may still hang below it
+    # (n standing for no limit) in its low bits, then whether it is
+    # undecided (depth >= 2, no child, no limit) and whether it owes a
+    # child (a routing vertex with none yet).  A caret with no level left
+    # takes no child, so a field is 0 just when the caret is not placed,
+    # or has no useful successor to come.
+    undecided = 1 << n.bit_length()
+    owes = undecided << 1
+    width = n.bit_length() + 2
+    full = (1 << width) - 1
+    # at n = 1 a caret at depth >= 2 counts as soon as it is placed
+    fresh, paid = (n, 1) if n == 1 else (n | undecided, 0)
+    # each way a placed caret, by its field less the owes bit, takes a
+    # child: (cost, its field after, the child's field less the owes bit)
+    ways = {room: [(0, room, room - 1)] for room in range(1, n - 1)}
+    ways[n] = [(paid, n, fresh)]
+    if n > 1:  # an undecided caret counts, or caps the levels below it
+        ways[fresh] = [(1, n, fresh)] + [(0, n - 2, n - 3)] * (n > 2)
+    # A caret only helps as a routing vertex if some chain of allowed edges
+    # leads from it to a penalty caret.  It leaves the state after its last
+    # useful successor, and a state in which it leaves owing a child is a
+    # dead end.
+    useful = bytearray(top + 1)
     lives = bytearray(top + 1)
-    for v in range(1, top + 1):
+    gone = [0] * (top + 1)
+    owed = [0] * (top + 1)
+    for v in range(top, 0, -1):
         last = max((q for q in succs[v] if useful[q]), default=0)
+        useful[v] = last > 0 or v in required
         if last:
             lives[v] = 1
-            gone[last] |= 3 << 2 * v
-            low[last] |= 1 << 2 * v
+            gone[last] |= full << width * v
+            owed[last] |= owes << width * v
 
     def moves(s: int, c: int) -> list[tuple[int, int, int]]:
         """(parent or -1, cost, next state) of each choice for caret c."""
-        out = [] if req[c] else [(-1, 0, s)]
+        out = [] if c in required else [(-1, 0, s)]
         if useful[c]:
-            own = 2 * c
+            own = width * c
+            debt = 0 if c in required else owes
             for p in preds[c]:
-                if not p:
-                    cls = _FREE if req[c] else _OWES
-                    out.append((0, 0, s | cls << own if lives[c] else s))
+                if not p:  # depth 1: never counts, no limit below
+                    out.append((0, 0, s | (n | debt) << own if lives[c] else s))
                     continue
-                k = s >> 2 * p & 3
-                if k:
-                    t = s & ~(3 << 2 * p) | _FREE << 2 * p
-                    cls = _COSTS if req[c] else _OWES
-                    if lives[c]:
-                        t |= cls << own
-                    out.append((p, (k == _COSTS) + (cls == _OWES), t))
-        if not low[c]:
+                at = width * p
+                f = s >> at & full
+                if not f:
+                    continue
+                rest = s & ~(full << at)
+                for cost, after, field in ways[f & ~owes]:
+                    t = rest | after << at
+                    if field and lives[c]:
+                        t |= (field | debt) << own
+                    elif debt:
+                        continue  # a routing vertex that can take no child
+                    out.append((p, cost, t))
+        if not owed[c]:
             return out
-        # an owed caret whose last useful successor has passed is a dead end
         return [(p, cost, t & ~gone[c]) for p, cost, t in out
-                if not t & t >> 1 & low[c]]
+                if not t & owed[c]]
 
     # forward: the least cost that reaches each state.  A state no cheaper
-    # than the search's best tree is dropped, as the search keeps that tree
+    # than the best tree so far is dropped, as the search keeps that tree
     # on a tie; a prefix of a lighter tree costs no more than it, so stays.
     cuts: list[dict[int, int]] = [{}, {0: 0}]
     for c in range(1, top + 1):
@@ -480,18 +438,19 @@ def _program_n2(
         for s in cut:
             cut[s] = min((cost + after.get(t, never) for _, cost, t
                           in moves(s, c)), default=never)
+    # walk: the states an optimal tree with the carets so far can be in
     parent = [-1] * (top + 1)
     depth = [0] * (top + 1)
-    s, left = 0, least
+    live = {0}
     for c in range(1, top + 1):
-        after = cuts[c + 1]
-        choice = {p: (cost, t) for p, cost, t in moves(s, c)}
-        order = sorted(choice, key=lambda p: (p >= 0, depth[p], p))
-        for p in order:
-            cost, t = choice[p]
-            if cost + after.get(t, never) == left:
-                break
-        parent[c], s, left = p, t, left - cost
+        here, after = cuts[c], cuts[c + 1]
+        ahead: dict[int, set[int]] = {}
+        for s in live:
+            for p, cost, t in moves(s, c):
+                if cost + after.get(t, never) == here[s]:
+                    ahead.setdefault(p, set()).add(t)
+        p = parent[c] = min(ahead, key=lambda p: (p >= 0, depth[p], p))
+        live = ahead[p]
         if p >= 0:
             depth[c] = depth[p] + 1
     return least, tuple((v, parent[v]) for v in range(1, top + 1)

@@ -3,9 +3,11 @@
 Everything here is deliberately written against the *meaning* of the
 operations, not their implementations: adjacency from leaf intervals
 instead of child-pointer walks, penalty-tree weights from explicit path
-distances, reduction by trying every removal order, in-ball distances by
-plain one-sided breadth-first search, words by one generator move per
-letter.  The tests compare the package against these.
+distances, the least weight by enumerating every penalty tree and its
+witness by a plain depth-first search, reduction by trying every removal
+order, in-ball distances by plain one-sided breadth-first search, words
+by one generator move per letter.  The tests compare the package against
+these.
 """
 
 import random
@@ -214,6 +216,55 @@ def brute_force_min_weight(pair: TreePairDiagram, n: int):
 
     rec(1)
     return best[0]
+
+
+def search_min_weight(pair: TreePairDiagram, n: int):
+    """Least penalty weight and its first tree, as (weight, parents), by
+    plain depth-first search over parent choices in increasing caret order.
+
+    Each caret is first left out (unless it is a penalty caret), then hung
+    from a placed predecessor, shallowest first and the lower index on a
+    tie.  The chain 0 -> 1 -> ... -> top penalty caret seeds the best
+    tree, and a later tree replaces it only when strictly lighter.  A
+    branch is cut once it weighs as much as the best tree, as adding
+    vertices never lowers a weight, or once a routing vertex with no child
+    has passed its last successor, as no valid tree extends it.  So the
+    answer is the chain when no tree beats it, and otherwise the first
+    lightest tree in this order, which is the witness ``penalty_weight``
+    promises."""
+    from caretcalc import penalty_carets
+
+    edges = interval_adjacency(pair)
+    required = penalty_carets(pair).indices
+    if not required:
+        return 0, ()
+    top = max(required)
+    preds = {c: sorted(p for p, q in edges if q == c) for c in range(1, top + 1)}
+    # the last caret of the tree that could still take p as its parent
+    last = {
+        p: max((q for pp, q in edges if pp == p and q <= top), default=0)
+        for p in range(1, top + 1)
+    }
+    best = [max(top - n, 0), tuple((c, c - 1) for c in range(1, top + 1))]
+    parent, depth = {}, {0: 0}
+
+    def rec(c):
+        weight = naive_tree_weight(tuple(parent.items()), n)
+        childless = set(parent) - required - set(parent.values())
+        if weight >= best[0] or any(last[v] < c for v in childless):
+            return
+        if c > top:
+            best[:] = [weight, tuple(sorted(parent.items()))]
+            return
+        if c not in required:
+            rec(c + 1)
+        for p in sorted((p for p in preds[c] if p in depth), key=depth.get):
+            parent[c], depth[c] = p, depth[p] + 1
+            rec(c + 1)
+            del parent[c], depth[c]
+
+    rec(1)
+    return best[0], best[1]
 
 
 # ---------------------------------------------------------------------------

@@ -359,15 +359,15 @@ def test_cap_bfs_reports_depth(capsys):
 
 
 def test_cap_counts_the_penalty_program_states(capsys):
-    # a 21-caret element whose n = 2 weight takes the search's 19 states
-    # and then the program's: 91 in all, so a cap of 60 is met inside the
-    # program
+    # a 21-caret element whose n = 2 weight takes the first tree's 19
+    # states and then the program's: 98 in all, so a cap of 60 is met
+    # inside the program
     word = ("x0 x1 x2 x3 x5^4 x7 x9^4 x12 x15^3 x16^2 x19^-1 x17^-1 x16^-1 "
             "x13^-3 x12^-2 x8^-2 x7^-2 x4^-3 x1^-1 x0^-2")
     code, out, err = run(capsys, "len", word, "--gens", "0,1,2", "--cap", "60")
     assert (code, out) == (3, "")
     assert err == "resource limit: penalty search exceeded 60 states\n"
-    code, out, err = run(capsys, "len", word, "--gens", "0,1,2", "--cap", "91")
+    code, out, err = run(capsys, "len", word, "--gens", "0,1,2", "--cap", "98")
     assert (code, err) == (0, "")
     assert "\npenalty_weight\t4\n" in out
     assert out.endswith("\nwitness\t0>1,1>2,0>3,0>4,0>5,4>7,7>8,5>9,4>12,12>13,"

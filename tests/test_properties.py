@@ -2,9 +2,9 @@
 against independent routes: the tuple form of the trees, reduction in
 every removal order on tuples, products with generator diagrams and with
 letter-by-letter folds, words of long runs against the letter-by-letter
-fold, leaf intervals for the flat length, the penalty search against
-enumerating every penalty tree, and the word parser against the word
-printer.
+fold, leaf intervals for the flat length, the penalty weight against
+enumerating every penalty tree and its witness against a plain
+depth-first search, and the word parser against the word printer.
 Examples are drawn deterministically, so every run checks the same ones."""
 
 from itertools import groupby
@@ -31,6 +31,7 @@ from helpers import (
     brute_force_min_weight,
     fold_letters,
     reductions_all_orders,
+    search_min_weight,
     to_node,
 )
 
@@ -213,6 +214,17 @@ def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
         weight, witness = penalty_weight(g, n)
         assert weight == brute_force_min_weight(g, n)
         assert penalty_weight_of_tree(witness, n) == weight
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tree_pairs(16))
+def test_penalty_weight_is_the_first_lightest_tree_of_the_search(trees):
+    # the weight and the witness both: the chain when no tree beats it,
+    # else the first lightest tree of the plain depth-first search
+    g = reduce(TreePairDiagram.from_nodes(*trees))
+    for n in (1, 2, 3, 4):
+        weight, witness = penalty_weight(g, n)
+        assert (weight, witness.parents) == search_min_weight(g, n), n
 
 
 @checked
