@@ -245,7 +245,9 @@ def penalty_weight(
     otherwise what ``_program`` finds: its decisions (a caret at depth
     >= 2 counts, at a cost of 1, or caps the levels below it at n - 2)
     cost at least the weight of the tree they build, and exactly that
-    weight when made cheaply, so their least cost is the least weight.
+    weight when made cheaply, so their least cost is the least weight,
+    and the witness is read back along the least-cost links of its
+    forward pass.
     Raises SearchCapExceededError, not a possibly wrong minimum, at the
     cap of ``cap`` states: one per caret of the first tree, plus one per
     state of each cut of the program.
@@ -344,10 +346,13 @@ def _program(
 
     A forward pass finds the states at each cut that a tree lighter than
     ``best_weight`` passes through, counting them against ``cap`` after
-    ``states``.  If none reaches the end, ``best_parents`` is the answer.
-    Otherwise a backward pass gives each state its least completion cost,
+    ``states``, and links each state to the states before it that reach
+    it at its least cost.  If none reaches the end, ``best_parents`` is
+    the answer.  Otherwise a backward pass follows the links from the end
+    to mark the states on some least-cost path, expanding no state again,
     and a walk decides carets 1 .. top in the search order, taking the
-    first option an optimal tree can go on from.  One tree can come from
+    first option an optimal tree can go on from: one that lands on a
+    marked state at that state's least cost.  One tree can come from
     several decision sequences, so the walk carries every state the tree
     so far can be in.
     """
@@ -415,39 +420,64 @@ def _program(
     # forward: the least cost that reaches each state.  A state no cheaper
     # than the best tree so far is dropped, as the search keeps that tree
     # on a tie; a prefix of a lighter tree costs no more than it, so stays.
+    # links[c + 1][t] holds the states at cut c that reach t at its least
+    # cost: one as a bare int, several (a tie) as a list.
     cuts: list[dict[int, int]] = [{}, {0: 0}]
+    links: list[dict[int, int | list[int]]] = [{}, {}]
     for c in range(1, top + 1):
         cut: dict[int, int] = {}
+        link: dict[int, int | list[int]] = {}
         for s, g in cuts[c].items():
             for _, cost, t in moves(s, c):
-                if g + cost < cut.get(t, best_weight):
-                    cut[t] = g + cost
+                total = g + cost
+                was = cut.get(t, best_weight)
+                if total < was:
+                    cut[t] = total
+                    link[t] = s
+                elif total == was < best_weight:
+                    # the moves from one s are consecutive, so s can only
+                    # repeat the last link
+                    froms = link[t]
+                    if type(froms) is not list:
+                        if froms != s:
+                            link[t] = [froms, s]
+                    elif froms[-1] != s:
+                        froms.append(s)
         states += len(cut)
         if states > cap:
             raise SearchCapExceededError(
                 f"penalty search exceeded {cap} states", states)
         cuts.append(cut)
+        links.append(link)
     if not cuts[top + 1]:
         return best_weight, best_parents
     least = cuts[top + 1][0]
-    # backward, in place: each kept state's least cost to the end
-    never = top + 1  # above any weight
-    cuts[top + 1][0] = 0
+    # backward: the states on some least-cost path, by following the links
+    # back from the end
+    on: dict[int, set[int]] = {top + 1: {0}}
     for c in range(top, 0, -1):
-        after, cut = cuts[c + 1], cuts[c]
-        for s in cut:
-            cut[s] = min((cost + after.get(t, never) for _, cost, t
-                          in moves(s, c)), default=never)
-    # walk: the states an optimal tree with the carets so far can be in
+        mark: set[int] = set()
+        link = links[c + 1]
+        for t in on[c + 1]:
+            froms = link[t]
+            if type(froms) is list:
+                mark.update(froms)
+            else:
+                mark.add(froms)
+        on[c] = mark
+    # walk: the states an optimal tree with the carets so far can be in; a
+    # move from one of them stays optimal just when it lands on a path
+    # state at that state's least cost
     parent = [-1] * (top + 1)
     depth = [0] * (top + 1)
     live = {0}
     for c in range(1, top + 1):
-        here, after = cuts[c], cuts[c + 1]
+        here, after, onward = cuts[c], cuts[c + 1], on[c + 1]
         ahead: dict[int, set[int]] = {}
         for s in live:
+            g = here[s]
             for p, cost, t in moves(s, c):
-                if cost + after.get(t, never) == here[s]:
+                if t in onward and g + cost == after[t]:
                     ahead.setdefault(p, set()).add(t)
         p = parent[c] = min(ahead, key=lambda p: (p >= 0, depth[p], p))
         live = ahead[p]

@@ -14,6 +14,7 @@ from caretcalc import (
     invert,
     l_infinity,
     length_consecutive,
+    metrics,
     penalty_carets,
     penalty_weight,
     penalty_weight_of_tree,
@@ -36,6 +37,7 @@ from helpers import (
     naive_tree_weight,
     random_element,
     random_tree,
+    search_min_weight,
     to_node,
 )
 
@@ -360,27 +362,65 @@ def test_penalty_search_long_pair_at_n_1():
 
 def test_penalty_search_long_pair_at_n_2():
     # the same pair at n = 2: the search once hit a 2,000,000-state cap
-    # after ~10 s; the program over caret index answers from 15,273 states
+    # after ~10 s; the program over caret index answers from exactly
+    # 15,273 states (one below raises), with this first lightest tree
     rng = random.Random(0)
     pair = reduce(parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}"))
-    weight, witness = penalty_weight(pair, 2, cap=20_000)
+    weight, witness = penalty_weight(pair, 2, cap=15_273)
     assert weight == 41
     assert penalty_weight_of_tree(witness, 2) == weight
+    assert hashlib.sha256(witness.serialize().encode("utf-8")).hexdigest() == (
+        "600bacf43d14b726ab8d287c25dd58673812b349f2bdbc3a2854fe1b1a66bb92"
+    )
+    with pytest.raises(SearchCapExceededError):
+        penalty_weight(pair, 2, cap=15_272)
     assert weight <= penalty_weight(pair, 1, cap=10_000)[0]
 
 
 def test_penalty_search_long_pair_at_n_3():
     # the 2nd pair of two random 60-caret trees, 56 carets after reduce:
     # the branch-and-bound ran into the default cap after ~39 s at n = 3;
-    # the program over caret index answers from 6,717 states
+    # the program over caret index answers from exactly 6,717 states (one
+    # below raises), with this first lightest tree
     rng = random.Random(9001)
     for _ in range(2):
         pair = reduce(parse_pair(f"{random_tree(rng, 60)}|{random_tree(rng, 60)}"))
     assert pair.carets == 56
-    weight, witness = penalty_weight(pair, 3, cap=20_000)
+    weight, witness = penalty_weight(pair, 3, cap=6_717)
     assert weight == 5
     assert penalty_weight_of_tree(witness, 3) == weight
+    assert hashlib.sha256(witness.serialize().encode("utf-8")).hexdigest() == (
+        "6215be836f3c430abef94e27102d43637f2425e8b7e18f16c1d15a5febf06fe2"
+    )
+    with pytest.raises(SearchCapExceededError):
+        penalty_weight(pair, 3, cap=6_716)
     assert length_consecutive(pair, 3, cap=20_000).length == 115
+
+
+def test_program_cases_match_the_search_oracle(monkeypatch):
+    # 100 seeded (pair, n) cases of 17-22 carets and n = 2, 3, 4 that the
+    # chain and the first tree leave to the program over caret index: its
+    # weight and witness must be the plain search's, ties and all.  Most
+    # random pairs never reach the program, so the draws are filtered.
+    reached = []
+    program = metrics._program
+
+    def counted(*args):
+        reached.append(args)
+        return program(*args)
+
+    monkeypatch.setattr(metrics, "_program", counted)
+    rng = random.Random(2719)
+    cases = 0
+    while cases < 100:
+        k = rng.randint(17, 22)
+        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        for n in (2, 3, 4):
+            reached.clear()
+            weight, witness = penalty_weight(pair, n)
+            if reached:
+                cases += 1
+                assert (weight, witness.parents) == search_min_weight(pair, n), n
 
 
 def test_penalty_weight_n_2_matches_brute_force_exhaustively():
