@@ -140,15 +140,16 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _emit_record(args, record: dict, order: list[str]) -> None:
-    """Plain: one key<TAB>value line per key in order, each written as it
-    is built, so a long value is never copied into one joined text.
-    Structured: JSON of the full record with native types (null/true
-    rather than text)."""
+def _emit_record(args, record: dict, omit: Iterable[str] = ()) -> None:
+    """Plain: one key<TAB>value line per key of the record in its order,
+    less ``omit``, each written as it is built, so a long value is never
+    copied into one joined text.  Structured: JSON of the full record with
+    native types (null/true rather than text)."""
     if args.format == "structured":
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
         return
-    _emit_each(args, (f"{key}\t{_plain(record[key])}\n" for key in order))
+    _emit_each(args, (f"{key}\t{_plain(value)}\n"
+                      for key, value in record.items() if key not in omit))
 
 
 def cmd_eval(args) -> int:
@@ -159,7 +160,7 @@ def cmd_eval(args) -> int:
         "carets": pair.carets,
         "normal_form": format_word(normal_form(pair)),
     }
-    _emit_record(args, record, ["pair", "carets", "normal_form"])
+    _emit_record(args, record)
     return EXIT_OK
 
 
@@ -188,14 +189,11 @@ def cmd_len(args) -> int:
         record["penalty_weight"] = report.penalty_weight
         record["length"] = report.length
         record["witness"] = report.witness.serialize()
-        order = ["pair", "gens", "method", "l_infinity", "penalty_weight",
-                 "length", "witness"]
     else:
         record["length"] = cayley.bfs_length(
             pair, gens, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
         )
-        order = ["pair", "gens", "method", "l_infinity", "length"]
-    _emit_record(args, record, order)
+    _emit_record(args, record)
     return EXIT_OK
 
 
@@ -221,12 +219,9 @@ def cmd_probe_mac(args) -> int:
     report = cayley.probe_mac(
         args.gens, args.k, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
     )
-    record = report.to_dict()
-    order = ["gens", "k", "g", "h", "g_length", "h_length", "distance",
-             "min_in_ball_path", "verdict"]
-    if report.formula_g_length is not None:
-        order[-1:-1] = ["formula_g_length", "formula_h_length"]
-    _emit_record(args, record, order)
+    # the formula fields exist only for a consecutive set
+    omit = () if args.gens.is_consecutive else ("formula_g_length", "formula_h_length")
+    _emit_record(args, report.to_dict(), omit)
     return EXIT_OK if report.confirmed else EXIT_REFUTED
 
 
@@ -235,9 +230,7 @@ def cmd_check_ci(args) -> int:
         args.gens_a, args.gens_b, args.radius,
         cap=_cap(args, cayley.DEFAULT_STATE_CAP),
     )
-    _emit_record(args, report.to_dict(),
-                 ["gens_a", "gens_b", "radius", "elements_checked",
-                  "max_difference", "claimed_bound", "within_bound"])
+    _emit_record(args, report.to_dict())
     return EXIT_REFUTED if report.within_bound is False else EXIT_OK
 
 
@@ -252,7 +245,7 @@ def cmd_probe_monotone(args) -> int:
         "radius": args.radius,
         "monotone": ok,
     }
-    _emit_record(args, record, ["gens_a", "gens_b", "radius", "monotone"])
+    _emit_record(args, record)
     return EXIT_OK if ok else EXIT_REFUTED
 
 

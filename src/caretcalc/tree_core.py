@@ -28,7 +28,8 @@ Every function here works with string methods, slices and loops, never by
 recursion, so tree depth is bounded by memory, not by the interpreter's
 recursion limit.  Nested tuples appear only at one boundary:
 ``serialize_node`` turns a tuple tree (a caret is ``(left, right)``, a leaf
-``None``) into text, and ``TreePairDiagram.from_nodes`` builds a pair of two.
+``None``) into text.  A pair is built from outside input as text only, by
+``wordlang.parse_pair`` or ``TreePairDiagram.of``.
 
 A pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
@@ -45,17 +46,13 @@ from typing import Optional
 
 from .errors import MalformedPairError, UnreducedDiagramError
 
-# A tuple tree, accepted only by serialize_node and from_nodes: None for a
-# leaf, or a (left, right) tuple for a caret.
+# A tuple tree, accepted only by serialize_node: None for a leaf, or a
+# (left, right) tuple for a caret.
 Node = Optional[tuple]
 
 
 def count_carets(tree: str) -> int:
     return tree.count("(")
-
-
-def count_leaves(tree: str) -> int:
-    return tree.count(".")
 
 
 def serialize_node(node: Node) -> str:
@@ -116,18 +113,6 @@ def _exposure_marks(tree: str) -> str:
     return tree.replace("..", "1.").translate(_MARKS)
 
 
-def exposed_leaf_starts(tree: str) -> set[int]:
-    """Left-leaf numbers of exposed carets (both children leaves)."""
-    return {leaf for leaf, mark in enumerate(_exposure_marks(tree)) if mark == "1"}
-
-
-def remove_exposed_at(tree: str, leaf: int) -> str:
-    """Collapse the exposed caret whose leaves are (leaf, leaf + 1)."""
-    if leaf not in exposed_leaf_starts(tree):
-        raise ValueError(f"no exposed caret at leaf {leaf} in {tree}")
-    return _collapse(tree, [leaf])
-
-
 class TreeSurvey:
     """The leaf interval of every caret of one tree, by infix caret number.
 
@@ -175,10 +160,6 @@ class CaretTree:
     def carets(self) -> int:
         return count_carets(self.root)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.root == "."
-
     def serialize(self) -> str:
         return self.root
 
@@ -203,11 +184,6 @@ class TreePairDiagram:
     def of(cls, negative: CaretTree, positive: CaretTree) -> "TreePairDiagram":
         flag = not _common_exposed(negative.root, positive.root)
         return cls(negative, positive, flag)
-
-    @classmethod
-    def from_nodes(cls, negative: Node, positive: Node) -> "TreePairDiagram":
-        negative, positive = serialize_node(negative), serialize_node(positive)
-        return cls.of(CaretTree(negative), CaretTree(positive))
 
     @property
     def carets(self) -> int:

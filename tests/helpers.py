@@ -14,6 +14,7 @@ import random
 from collections import deque
 
 from caretcalc import (
+    CaretTree,
     TreePairDiagram,
     apply_generator,
     canonical_encode,
@@ -54,6 +55,13 @@ def random_node(rng: random.Random, carets: int) -> Node:
 
 def random_tree(rng: random.Random, carets: int) -> str:
     return serialize_node(random_node(rng, carets))
+
+
+def pair_of_nodes(neg: Node, pos: Node) -> TreePairDiagram:
+    """The pair of two tuple trees, through ``TreePairDiagram.of``."""
+    return TreePairDiagram.of(
+        CaretTree(serialize_node(neg)), CaretTree(serialize_node(pos))
+    )
 
 
 def all_trees(carets: int):

@@ -25,7 +25,7 @@ from caretcalc import (
 from caretcalc.tree_core import TreePairDiagram
 from caretcalc.wordlang import parse_tree
 from conftest import X1, X2, X3
-from helpers import random_node, reductions_all_orders
+from helpers import pair_of_nodes, random_node, reductions_all_orders
 
 BUSH = "(((.(..)).)(.((.((.(..)).))(..))))"
 
@@ -136,7 +136,7 @@ def test_criterion_6_structural_properties():
     # reduction confluence, 500 random pairs, every removal order
     for _ in range(500):
         n = rng.randrange(1, 7)
-        pair = TreePairDiagram.from_nodes(random_node(rng, n), random_node(rng, n))
+        pair = pair_of_nodes(random_node(rng, n), random_node(rng, n))
         outcomes = reductions_all_orders(pair)
         ok = ok and outcomes == {reduce(pair).serialize()}
     # witness families stay flat for the infinite generating set

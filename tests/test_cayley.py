@@ -28,7 +28,7 @@ from caretcalc import cayley, group_ops
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
-from helpers import in_ball_distances
+from helpers import in_ball_distances, pair_of_nodes
 
 
 def _restricted(index, radius):
@@ -476,9 +476,7 @@ def test_ball_membership_accepts_pairs_and_strings():
     assert canonical_encode(x0) in index
     assert index.length_of(x0) == 1
     # unreduced input is reduced before lookup
-    from caretcalc import TreePairDiagram
-
-    unreduced = TreePairDiagram.from_nodes((None, None), (None, None))
+    unreduced = pair_of_nodes((None, None), (None, None))
     assert not unreduced.reduced
     assert unreduced in index and index.length_of(unreduced) == 0
     assert reduce(unreduced).is_identity

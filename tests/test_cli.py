@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caretcalc
 from caretcalc.cli import main
@@ -503,3 +507,91 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "((..).)|(.(..))" in proc.stdout
+
+
+# Argv drawn from the grammars of FORMATS.md, valid or not: each run must end
+# in an answer or in one documented exit code with one diagnostic line.
+_index = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from(["007", "1000000", "4000000000", "9" * 40, "9" * 5000, ""]),
+)
+_exponent = st.one_of(
+    st.none(),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["+2", "-0", "--1", "1000000", "-4000000000", "9" * 5000, ""]),
+)
+_letter = st.builds(
+    lambda i, e: "x" + i + ("" if e is None else "^" + e), _index, _exponent
+)
+_stray = st.sampled_from(["(", "|", "x", "^", "-", "y2", "\u00e9", "\t", "\n", "\0"])
+_words = st.lists(
+    st.tuples(st.one_of(_letter, _stray), st.sampled_from([" ", "*", "", "  "])),
+    max_size=6,
+).map(lambda parts: "".join(p + sep for p, sep in parts))
+_gens = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(
+        lambda indices: ",".join(map(str, [0] + indices))
+    ),
+    st.lists(
+        st.sampled_from(["0", "1", "2", "-1", "4000000000", "abc", " ", ""]),
+        max_size=5,
+    ).map(",".join),
+)
+_radius = st.integers(-2, 3).map(str)
+# mostly the default cap and a known format, so that most runs get past
+# the argument parser
+_tail = st.tuples(
+    st.sampled_from([None] * 6 + ["-1", "0", "abc"]),
+    st.sampled_from([None, None, "plain", "structured", "structured", "xml"]),
+)
+_commands = st.one_of(
+    st.builds(lambda w: ["eval", w], _words),
+    st.builds(
+        lambda w, g, m: ["len", w, "--gens", g] + m,
+        _words, _gens,
+        st.sampled_from([[]] + [["--method", m] for m in ("auto", "formula", "bfs")]),
+    ),
+    st.builds(lambda g, r: ["ball", "--gens", g, "--radius", r], _gens, _radius),
+    st.builds(
+        lambda g, k: ["probe-mac", "--gens", g, "--k", k],
+        _gens, st.integers(-1, 2).map(str),
+    ),
+    *(
+        st.builds(
+            lambda a, b, r, c=command: [c, "--gens-a", a, "--gens-b", b, "--radius", r],
+            _gens, _gens, _radius,
+        )
+        for command in ("check-ci", "probe-monotone")
+    ),
+)
+_DIAGNOSTICS = ("error: ", "parse error: ", "resource limit: ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(_commands, _tail)
+def test_cli_sweep_ends_in_an_answer_or_one_diagnostic(argv, tail):
+    cap, fmt = tail
+    argv = argv + ["--cap", "3000" if cap is None else cap]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    command = argv[0]
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert command in ("probe-mac", "check-ci", "probe-monotone")
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.endswith("\n")
+        lines = err[:-1].split("\n")
+        if len(lines) == 1 and lines[0].startswith(_DIAGNOSTICS):
+            return
+        # argparse: its usage lines, then one error line
+        assert lines[0].startswith(f"usage: caretcalc {command} ")
+        assert all(line.startswith(" ") for line in lines[1:-1])
+        assert lines[-1].startswith(f"caretcalc {command}: error: ")

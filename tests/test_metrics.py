@@ -35,6 +35,7 @@ from helpers import (
     infix_carets,
     interval_adjacency,
     naive_tree_weight,
+    pair_of_nodes,
     random_element,
     random_tree,
     search_min_weight,
@@ -67,7 +68,7 @@ def test_l_infinity_goldens():
 
 
 def test_l_infinity_rejects_unreduced():
-    unreduced = TreePairDiagram.from_nodes((None, None), (None, None))
+    unreduced = pair_of_nodes((None, None), (None, None))
     with pytest.raises(UnreducedDiagramError):
         l_infinity(unreduced)
 
@@ -83,7 +84,7 @@ def test_l_infinity_inversion_symmetric():
 
 
 def test_adjacency_single_caret():
-    pair = TreePairDiagram.from_nodes((None, None), (None, None))
+    pair = pair_of_nodes((None, None), (None, None))
     assert adjacency(pair).edges == frozenset({(0, 1)})
 
 
@@ -257,7 +258,7 @@ def test_penalty_weight_h_family_vanishes():
 
 
 def test_penalty_weight_requires_reduced():
-    unreduced = TreePairDiagram.from_nodes((None, None), (None, None))
+    unreduced = pair_of_nodes((None, None), (None, None))
     with pytest.raises(UnreducedDiagramError):
         penalty_weight(unreduced, 2)
 

@@ -24,12 +24,13 @@ from caretcalc import (
     penalty_weight_of_tree,
 )
 from caretcalc.group_ops import GeneratorWord, apply_letter
-from caretcalc.tree_core import TreePairDiagram, count_carets, reduce, serialize_node
+from caretcalc.tree_core import count_carets, reduce, serialize_node
 from caretcalc.wordlang import format_word, parse_tree, parse_word
 from helpers import (
     _intervals,
     brute_force_min_weight,
     fold_letters,
+    pair_of_nodes,
     reductions_all_orders,
     search_min_weight,
     to_node,
@@ -93,7 +94,7 @@ def test_comb_round_trip(carets, shape):
 @checked
 @given(tree_pairs(7))
 def test_reduce_matches_every_removal_order(trees):
-    pair = TreePairDiagram.from_nodes(*trees)
+    pair = pair_of_nodes(*trees)
     assert reductions_all_orders(pair) == {reduce(pair).serialize()}
 
 
@@ -145,7 +146,7 @@ X1 = _trees_of(generator_diagram(1, 1))
 @example(X30, 30, -1)
 @example(X1, 0, -1)
 def test_apply_generator_on_random_pairs(trees, index, sign):
-    g = TreePairDiagram.from_nodes(*trees)
+    g = pair_of_nodes(*trees)
     direct = apply_generator(g, index, sign)
     assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
     # apply_letter takes the texts of a reduced pair; the drawn pair may
@@ -181,7 +182,7 @@ def test_evaluate_word_matches_letter_by_letter_fold(word):
 def test_normal_form_of_random_pairs_folds_back(trees):
     # normal_form's runs are read off the leaves; folding their letters
     # one generator move at a time must rebuild the pair
-    g = reduce(TreePairDiagram.from_nodes(*trees))
+    g = reduce(pair_of_nodes(*trees))
     word = normal_form(g)
     positive = [i for i, a in word.runs if a > 0]
     negative = [i for i, a in word.runs if a < 0]
@@ -209,7 +210,7 @@ def test_l_infinity_counts_intervals_short_of_the_last_leaf(g):
 def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
     # random pairs reach wider shapes, with more penalty carets, than the
     # elements of short words
-    g = reduce(TreePairDiagram.from_nodes(*trees))
+    g = reduce(pair_of_nodes(*trees))
     for n in (1, 2, 3):
         weight, witness = penalty_weight(g, n)
         assert weight == brute_force_min_weight(g, n)
@@ -221,7 +222,7 @@ def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
 def test_penalty_weight_is_the_first_lightest_tree_of_the_search(trees):
     # the weight and the witness both: the chain when no tree beats it,
     # else the first lightest tree of the plain depth-first search
-    g = reduce(TreePairDiagram.from_nodes(*trees))
+    g = reduce(pair_of_nodes(*trees))
     for n in (1, 2, 3, 4):
         weight, witness = penalty_weight(g, n)
         assert (weight, witness.parents) == search_min_weight(g, n), n

@@ -1,27 +1,29 @@
 import ast
+import dataclasses
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import caretcalc
 from caretcalc.errors import MalformedPairError, UnreducedDiagramError
 from caretcalc.tree_core import (
     CaretTree,
     TreePairDiagram,
+    _collapse,
+    _common_exposed,
     canonical_encode,
     count_carets,
-    count_leaves,
-    exposed_leaf_starts,
     graft,
     is_reduced,
     reduce,
-    remove_exposed_at,
     serialize_node,
     spine,
 )
 from helpers import (
     _intervals,
+    pair_of_nodes,
     random_element,
     random_node,
     random_tree,
@@ -41,11 +43,8 @@ def test_serialize_basics():
 
 def test_counts():
     assert count_carets(".") == 0
-    assert count_leaves(".") == 1
     for n in range(8):
-        s = spine(n)
-        assert count_carets(s) == n
-        assert count_leaves(s) == n + 1
+        assert count_carets(spine(n)) == n
 
 
 def test_spine_shape():
@@ -62,31 +61,27 @@ def test_add_caret_at_leaf():
 
 
 def test_exposed_leaf_starts():
-    assert exposed_leaf_starts(".") == set()
-    assert exposed_leaf_starts("(..)") == {0}
+    # a tree's exposed carets are those it shares with itself, by left leaf
+    assert _common_exposed(".", ".") == []
+    assert _common_exposed("(..)", "(..)") == [0]
     # spine of 3: only the deepest caret is exposed, at leaves (2,3)
-    assert exposed_leaf_starts(spine(3)) == {2}
+    assert _common_exposed(spine(3), spine(3)) == [2]
     two_hats = serialize_node(((None, None), (None, None)))
-    assert exposed_leaf_starts(two_hats) == {0, 2}
+    assert _common_exposed(two_hats, two_hats) == [0, 2]
 
 
 def test_remove_exposed_at():
     two_hats = serialize_node(((None, None), (None, None)))
-    assert remove_exposed_at(two_hats, 0) == serialize_node((None, (None, None)))
-    assert remove_exposed_at(two_hats, 2) == serialize_node(((None, None), None))
-    with pytest.raises(ValueError):
-        remove_exposed_at(two_hats, 1)
-    with pytest.raises(ValueError):
-        remove_exposed_at(".", 0)
+    assert _collapse(two_hats, [0]) == serialize_node((None, (None, None)))
+    assert _collapse(two_hats, [2]) == serialize_node(((None, None), None))
 
 
 def test_remove_inverts_add():
     rng = random.Random(11)
     for _ in range(200):
         node = random_tree(rng, rng.randrange(1, 12))
-        exposed = sorted(exposed_leaf_starts(node))
-        leaf = rng.choice(exposed)
-        shrunk = remove_exposed_at(node, leaf)
+        leaf = rng.choice(_common_exposed(node, node))
+        shrunk = _collapse(node, [leaf])
         assert graft(shrunk, {leaf: "(..)"}) == node
 
 
@@ -138,15 +133,15 @@ def test_survey_tables_consistent():
 
 
 def test_pair_construction_and_encoding():
-    ident = TreePairDiagram.from_nodes(None, None)
+    ident = pair_of_nodes(None, None)
     assert ident.is_identity and ident.reduced
     assert canonical_encode(ident) == ".|."
     with pytest.raises(MalformedPairError):
-        TreePairDiagram.from_nodes((None, None), None)
+        pair_of_nodes((None, None), None)
 
 
 def test_canonical_encode_requires_reduced():
-    unreduced = TreePairDiagram.from_nodes((None, None), (None, None))
+    unreduced = pair_of_nodes((None, None), (None, None))
     assert not unreduced.reduced
     with pytest.raises(UnreducedDiagramError):
         canonical_encode(unreduced)
@@ -155,7 +150,7 @@ def test_canonical_encode_requires_reduced():
 
 def test_reduce_only_cancels_matching_leaves():
     # same caret counts, exposures at different leaf numbers: nothing cancels
-    pair = TreePairDiagram.from_nodes(
+    pair = pair_of_nodes(
         ((None, None), None), (None, (None, None))
     )
     assert is_reduced(pair)
@@ -167,7 +162,7 @@ def test_reduce_confluent_all_orders():
     for _ in range(200):
         # random unreduced-ish pair with equal caret counts
         n = rng.randrange(1, 8)
-        pair = TreePairDiagram.from_nodes(random_node(rng, n), random_node(rng, n))
+        pair = pair_of_nodes(random_node(rng, n), random_node(rng, n))
         outcomes = reductions_all_orders(pair)
         assert len(outcomes) == 1
         assert outcomes == {reduce(pair).serialize()}
@@ -181,14 +176,14 @@ def test_reduce_collapses_shared_subtrees():
         g = random_element(rng)
         neg, pos = g.negative.root, g.positive.root
         for _ in range(rng.randrange(1, 5)):
-            leaf = rng.randrange(count_leaves(neg))
+            leaf = rng.randrange(neg.count("."))
             carets, seed = rng.randrange(1, 7), rng.random()
             neg = graft(neg, {leaf: random_tree(random.Random(seed), carets)})
             pos = graft(pos, {leaf: random_tree(random.Random(seed), carets)})
         pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
         assert reduce(pair).serialize() == g.serialize()
         tree = random_node(rng, rng.randrange(1, 30))
-        assert reduce(TreePairDiagram.from_nodes(tree, tree)).is_identity
+        assert reduce(pair_of_nodes(tree, tree)).is_identity
 
 
 def test_reduce_idempotent_on_elements():
@@ -236,3 +231,33 @@ def test_runtime_imports_are_stdlib_only():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_public_names_pinned():
+    # The library's public surface, spelled out, so that a change to it
+    # shows up as an edit here.
+    assert sorted(caretcalc.__all__) == [
+        "AdjacencyRelation", "BallIndex", "CaretCalcError", "CaretTree",
+        "CoarseIsometryReport", "GeneratingSet", "GeneratorWord",
+        "InvalidPenaltyTreeError", "LengthReport", "MacProbeReport",
+        "MalformedPairError", "ParseError", "PenaltyCaretSet", "PenaltyTree",
+        "SearchCapExceededError", "TreePairDiagram", "UnreducedDiagramError",
+        "adjacency", "apply_generator", "ball", "bfs_length",
+        "canonical_encode", "coarse_isometry_check", "evaluate_word",
+        "format_word", "generator_diagram", "identity", "in_ball_geodesic",
+        "invert", "is_reduced", "l_infinity", "length_consecutive",
+        "lengths_for", "mac_witness_pair", "multiply", "normal_form",
+        "parse_pair", "parse_tree", "parse_word", "penalty_carets",
+        "penalty_weight", "penalty_weight_of_tree", "probe_mac",
+        "probe_subset_monotonicity", "reduce",
+    ]
+
+    def public(cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+        return sorted(names | {n for n in dir(cls) if not n.startswith("_")})
+
+    assert public(CaretTree) == ["carets", "root", "serialize", "survey"]
+    assert public(TreePairDiagram) == [
+        "carets", "is_identity", "negative", "of", "positive", "reduced",
+        "serialize",
+    ]

@@ -126,7 +126,7 @@ def test_word_round_trip_random():
 
 
 def test_parse_tree_examples():
-    assert parse_tree(".").is_empty
+    assert parse_tree(".").root == "."
     assert parse_tree("(..)").carets == 1
     assert parse_tree("((..).)").serialize() == "((..).)"
     assert parse_tree(" ((..).) ").serialize() == "((..).)"
