@@ -18,7 +18,6 @@ from .tree_core import (
     CaretTree,
     TreePairDiagram,
     canonical_encode,
-    is_reduced,
     reduce,
 )
 from .group_ops import (
@@ -91,7 +90,6 @@ __all__ = [
     "identity",
     "in_ball_geodesic",
     "invert",
-    "is_reduced",
     "l_infinity",
     "length_consecutive",
     "lengths_for",

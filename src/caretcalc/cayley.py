@@ -44,7 +44,7 @@ sides against one cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SearchCapExceededError
 from .group_ops import (
@@ -77,8 +77,8 @@ class BallIndex:
     """All elements with l_X <= radius: encoding -> length.
 
     The table costs little more than its keys.  A key is the element's
-    canonical encoding, so it is the element: ``pair_of`` and
-    ``elements`` cut it at "|" and parse nothing.
+    canonical encoding, so it is the element: ``pair_of`` cuts it at "|"
+    and parses nothing.
     """
 
     gens: GeneratingSet
@@ -105,12 +105,6 @@ class BallIndex:
         if encoding not in self.table:
             raise KeyError(encoding)
         return _decode(encoding)
-
-    def elements(self) -> Iterator[tuple[str, int, TreePairDiagram]]:
-        """(encoding, length, pair) for each element, the pair made as it
-        is reached; read ``table`` when the lengths are enough."""
-        for enc, length in self.table.items():
-            yield enc, length, _decode(enc)
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)

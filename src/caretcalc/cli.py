@@ -67,7 +67,7 @@ def _word(args) -> GeneratorWord:
     """The word argument, as runs.  One whose letter count or largest
     generator index exceeds the cap is refused before any tree is built:
     its cost grows with both.  The letters are counted from the run
-    exponents, which may sum past what len() can return."""
+    exponents, never spelled out."""
     word = parse_word(args.word)
     budget = _cap(args, cayley.DEFAULT_STATE_CAP)
     letters = sum(abs(exponent) for _, exponent in word.runs)

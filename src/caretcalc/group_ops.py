@@ -113,20 +113,11 @@ class GeneratorWord:
     def letters(self) -> tuple[Letter, ...]:
         return tuple(iter(self))
 
-    def __len__(self) -> int:
-        return sum(abs(exponent) for _, exponent in self.runs)
-
     def __iter__(self) -> Iterator[Letter]:
         return chain.from_iterable(
             repeat((index, 1 if exponent > 0 else -1), abs(exponent))
             for index, exponent in self.runs
         )
-
-    def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(tuple((i, -a) for i, a in reversed(self.runs)))
-
-    def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
-        return GeneratorWord(self.runs + other.runs)
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,10 @@ def _run(index: int, sign: int, count: int) -> TreePairDiagram:
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
-    """Reduced diagram of the generator x_index or its inverse."""
+    """Reduced diagram of the generator x_index or its inverse.
+
+    A library entry point that no subcommand needs: the product with it
+    is the independent check of the generator step ``apply_letter``."""
     return _run(index, sign, 1)
 
 

@@ -20,12 +20,14 @@ penalty carets may appear as interior routing vertices.
 chain 0 -> 1 -> ... -> top, or the first tree in search order, ends it
 when it meets a lower bound from the least depth of each caret; otherwise
 a program over caret index gives the exact weight and the search's first
-tree of that weight.  In the program a caret at depth >= 2 decides
-whether it counts when it takes its first child: counting costs 1, and
-not counting caps the levels below it at n - 2.  The cheapest decisions
-for a tree cost exactly its weight, so a placed caret needs only a few
-small fields (levels left, undecided, owes a child) while it may still
-take a child.
+tree of that weight.  The first tree exists for every reduced pair, and
+at n = 1 it always meets the bound, so the n = 1 weight is a count (the
+penalty carets that vertex 0 does not precede) and the program runs only
+at n >= 2.  In the program a caret at depth >= 2 decides whether it
+counts when it takes its first child: counting costs 1, and not counting
+caps the levels below it at n - 2.  The cheapest decisions for a tree
+cost exactly its weight, so a placed caret needs only a few small fields
+(levels left, undecided, owes a child) while it may still take a child.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def _adjacency(neg: TreeSurvey, pos: TreeSurvey) -> AdjacencyRelation:
 
 
 def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
+    """The caret order of a pair: the public form of what ``penalty_weight``
+    builds from the two surveys it shares with the penalty flags."""
     return _adjacency(pair.negative.survey(), pair.positive.survey())
 
 
@@ -114,7 +118,9 @@ def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
 
     A caret p is flagged when the next caret p + 1 is interior and hangs
     inside p's right subtree (in either tree), or when p is a right caret
-    in both trees and is not the final caret.
+    in both trees and is not the final caret.  The public form of what
+    ``penalty_weight`` builds from the two surveys it shares with the
+    caret order.
     """
     return _penalty_carets(pair.negative.survey(), pair.positive.survey())
 
@@ -248,6 +254,30 @@ def penalty_weight(
     weight when made cheaply, so their least cost is the least weight,
     and the witness is read back along the least-cost links of its
     forward pass.
+
+    The first tree always exists: every caret q has vertex 0 or a penalty
+    caret among its predecessors, so each penalty caret, hung in
+    increasing order, finds a placed one.  In each tree the caret lo[q]
+    (vertex 0 when lo[q] = 0) precedes q, so if lo[q] = 0 in either tree,
+    vertex 0 precedes q.  Otherwise, in a tree T, p = lo[q] >= 1 precedes
+    q.  Leaf p is the leftmost leaf below q,
+    so its parent is caret p + 1, which is q or on q's left spine below
+    it, and whose interval starts at leaf p: p is Type N in T unless
+    p + 1 is a right caret in T.  In that case q = p + 1, as the carets
+    in q's left subtree stop at leaf q - 1, short of the last leaf; and
+    p is a right caret in T too, as the parent of q on T's right spine
+    (q starts past leaf 0, so is not the top), split at leaf lo[q] = p.
+    So if neither tree makes lo[q] Type N, q - 1 is a right caret in both
+    trees and is not the final caret, and it is therefore flagged
+    right-in-both.
+
+    At n = 1 every vertex at depth >= 2 counts, and the first tree hangs
+    a penalty caret at depth 1 just when vertex 0 precedes it (least[q]
+    = 1), so it weighs #{penalty q : least[q] > 1}: the penalty carets
+    with lo[q] != 0 in both trees.  The n = 1 floor holds that count, so
+    the first tree meets it, the n = 1 weight is that count, and
+    ``_program`` runs only at n >= 2.
+
     Raises SearchCapExceededError, not a possibly wrong minimum, at the
     cap of ``cap`` states: one per caret of the first tree, plus one per
     state of each cut of the program.
@@ -292,23 +322,20 @@ def penalty_weight(
         if top > cap:
             raise SearchCapExceededError(
                 f"penalty search exceeded {cap} states", cap + 1)
-        # the first tree; depth -1 marks a caret left out of it
+        # the first tree, which always exists (see above); depth -1 marks a
+        # caret left out of it
         order = sorted(required)
         depth = [0] + [-1] * top
         parent = [-1] * (top + 1)
         for c in order:
-            placed = [p for p in preds[c] if depth[p] >= 0]
-            if not placed:
-                weight = best_weight  # there is no first tree
-                break
-            parent[c] = p = min(placed, key=depth.__getitem__)
+            parent[c] = p = min((p for p in preds[c] if depth[p] >= 0),
+                                key=depth.__getitem__)
             depth[c] = depth[p] + 1
-        else:
-            height = [0] * (top + 1)
-            for c in range(top, 0, -1):
-                if parent[c] >= 0:
-                    height[parent[c]] = max(height[parent[c]], height[c] + 1)
-            weight = sum(depth[c] >= 2 and height[c] >= n - 1 for c in required)
+        height = [0] * (top + 1)
+        for c in range(top, 0, -1):
+            if parent[c] >= 0:
+                height[parent[c]] = max(height[parent[c]], height[c] + 1)
+        weight = sum(depth[c] >= 2 and height[c] >= n - 1 for c in required)
         if weight < best_weight:
             best_weight = weight
             best_parents = tuple((c, parent[c]) for c in order)
@@ -332,17 +359,17 @@ def _program(
     states: int,
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The least weight by a program over caret index, and the first tree
-    of that weight in the search order.
+    of that weight in the search order.  It runs only at n >= 2: at n = 1
+    the first tree always meets the floor (see ``penalty_weight``).
 
     Building a tree caret by caret, a caret at depth >= 2 decides whether
-    it counts when it takes its first child (at n = 1 when it is placed,
-    as every one counts).  Counting costs 1; not counting caps the levels
-    below it at n - 2.  A tree's cheapest decisions cost exactly its
-    weight: a caret of height >= n - 1 must count, and one below that
-    need not.  So what the choices from caret c on see of a placed caret
-    with a useful successor at or after c is a few small fields (levels
-    left, undecided, owes a child), packed per caret into one int: the
-    state at the cut before c.
+    it counts when it takes its first child.  Counting costs 1; not
+    counting caps the levels below it at n - 2.  A tree's cheapest
+    decisions cost exactly its weight: a caret of height >= n - 1 must
+    count, and one below that need not.  So what the choices from caret c
+    on see of a placed caret with a useful successor at or after c is a
+    few small fields (levels left, undecided, owes a child), packed per
+    caret into one int: the state at the cut before c.
 
     A forward pass finds the states at each cut that a tree lighter than
     ``best_weight`` passes through, counting them against ``cap`` after
@@ -366,14 +393,13 @@ def _program(
     owes = undecided << 1
     width = n.bit_length() + 2
     full = (1 << width) - 1
-    # at n = 1 a caret at depth >= 2 counts as soon as it is placed
-    fresh, paid = (n, 1) if n == 1 else (n | undecided, 0)
+    fresh = n | undecided
     # each way a placed caret, by its field less the owes bit, takes a
-    # child: (cost, its field after, the child's field less the owes bit)
+    # child: (cost, its field after, the child's field less the owes bit);
+    # an undecided caret counts, or caps the levels below it
     ways = {room: [(0, room, room - 1)] for room in range(1, n - 1)}
-    ways[n] = [(paid, n, fresh)]
-    if n > 1:  # an undecided caret counts, or caps the levels below it
-        ways[fresh] = [(1, n, fresh)] + [(0, n - 2, n - 3)] * (n > 2)
+    ways[n] = [(0, n, fresh)]
+    ways[fresh] = [(1, n, fresh)] + [(0, n - 2, n - 3)] * (n > 2)
     # A caret only helps as a routing vertex if some chain of allowed edges
     # leads from it to a penalty caret.  It leaves the state after its last
     # useful successor, and a state in which it leaves owing a child is a

@@ -160,9 +160,6 @@ class CaretTree:
     def carets(self) -> int:
         return count_carets(self.root)
 
-    def serialize(self) -> str:
-        return self.root
-
     def survey(self) -> TreeSurvey:
         """Every caret's leaf interval, built afresh by one scan of the tree."""
         return TreeSurvey(self.root)
@@ -191,6 +188,8 @@ class TreePairDiagram:
 
     @property
     def is_identity(self) -> bool:
+        """Both trees bare: the identity, as a reduced pair.  The in-ball
+        test of radius 0 reads it."""
         return self.negative.root == "." and self.positive.root == "."
 
     def serialize(self) -> str:
@@ -218,10 +217,6 @@ def _common_exposed(neg: str, pos: str) -> list[int]:
         leaves.append(leaf)
         leaf = marks.find("1", leaf + 1)
     return leaves
-
-
-def is_reduced(pair: TreePairDiagram) -> bool:
-    return not _common_exposed(pair.negative.root, pair.positive.root)
 
 
 def _collapse(tree: str, leaves: list[int]) -> str:

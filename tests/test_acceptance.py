@@ -39,7 +39,8 @@ def test_criterion_1_formula_equals_bfs(ball_x2_r7, ball_x3_r6, ball_x1_r8):
     mismatches = 0
     total = 0
     for index, n in ((ball_x2_r7, 2), (ball_x3_r6, 3), (ball_x1_r8, 1)):
-        for _, length, pair in index.elements():
+        for enc, length in index.table.items():
+            pair = index.pair_of(enc)
             total += 1
             if length_consecutive(pair, n).length != length:
                 mismatches += 1
@@ -164,7 +165,8 @@ def test_criterion_6_structural_properties():
 def test_criterion_7_penalty_weight_invariants(ball_x2_r6):
     ok = True
     checked = 0
-    for _, _, pair in ball_x2_r6.elements():
+    for enc in ball_x2_r6.table:
+        pair = ball_x2_r6.pair_of(enc)
         checked += 1
         carets = pair.carets
         weights = [penalty_weight(pair, n)[0] for n in range(1, carets + 2)]

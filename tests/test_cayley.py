@@ -52,7 +52,7 @@ def test_ball_radius_zero_and_one():
         for i in (0, 1)
         for s in (1, -1)
     }
-    assert {enc for enc, length, _ in b1.elements() if length == 1} == expected
+    assert {enc for enc, length in b1.table.items() if length == 1} == expected
 
 
 def test_ball_negative_radius():
@@ -67,8 +67,8 @@ def test_sphere_two_by_exhaustive_products():
     products = {
         canonical_encode(evaluate_word([a, b])) for a in letters for b in letters
     }
-    inner = {enc for enc, length, _ in b2.elements() if length <= 1}
-    sphere2 = {enc for enc, length, _ in b2.elements() if length == 2}
+    inner = {enc for enc, length in b2.table.items() if length <= 1}
+    sphere2 = {enc for enc, length in b2.table.items() if length == 2}
     assert sphere2 == products - inner
 
 
@@ -83,9 +83,10 @@ def test_ball_export_lines_deterministic():
 def test_ball_descent_via_some_letter():
     # every element of length L >= 1 has a neighbour of length L - 1
     index = ball(X2, 3)
-    for enc, length, pair in index.elements():
+    for enc, length in index.table.items():
         if length == 0:
             continue
+        pair = index.pair_of(enc)
         steps = (apply_generator(pair, *letter) for letter in index.gens.letters())
         assert any(step in index and index.length_of(step) == length - 1
                    for step in steps), enc
@@ -97,8 +98,6 @@ def test_ball_rows_hold_no_trees_and_pairs_rebuild():
         assert type(row) is int
         pair = index.pair_of(enc)
         assert pair.reduced and canonical_encode(pair) == enc
-    lengths = {enc: length for enc, length, _ in index.elements()}
-    assert lengths == index.table
 
 
 def test_pair_of_non_member():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -524,10 +525,16 @@ _letter = st.builds(
     lambda i, e: "x" + i + ("" if e is None else "^" + e), _index, _exponent
 )
 _stray = st.sampled_from(["(", "|", "x", "^", "-", "y2", "\u00e9", "\t", "\n", "\0"])
-_words = st.lists(
+_short_words = st.lists(
     st.tuples(st.one_of(_letter, _stray), st.sampled_from([" ", "*", "", "  "])),
     max_size=6,
 ).map(lambda parts: "".join(p + sep for p, sep in parts))
+# words just over the sweep's --cap 3000 word budget, by one letter or one
+# index: each exits 3 before any tree is built
+_long_words = st.sampled_from(
+    ["x0^3001", "x3001", "x1^1500 x0^-1501", "x0 " * 3001]
+)
+_words = st.one_of(_short_words, _short_words, _short_words, _long_words)
 _gens = st.one_of(
     st.lists(st.integers(0, 4), min_size=1, max_size=4).map(
         lambda indices: ",".join(map(str, [0] + indices))
@@ -539,11 +546,18 @@ _gens = st.one_of(
 )
 _radius = st.integers(-2, 3).map(str)
 # mostly the default cap and a known format, so that most runs get past
-# the argument parser
+# the argument parser; --out, when drawn, names a fresh file in an empty
+# directory, that directory itself, or a file under a missing directory
 _tail = st.tuples(
     st.sampled_from([None] * 6 + ["-1", "0", "abc"]),
     st.sampled_from([None, None, "plain", "structured", "structured", "xml"]),
+    st.sampled_from([None] * 4 + ["fresh", "fresh", "directory", "missing"]),
 )
+_OUT_PATHS = {
+    "fresh": lambda tmp: os.path.join(tmp, "out.txt"),
+    "directory": lambda tmp: tmp,
+    "missing": lambda tmp: os.path.join(tmp, "missing", "out.txt"),
+}
 _commands = st.one_of(
     st.builds(lambda w: ["eval", w], _words),
     st.builds(
@@ -567,17 +581,38 @@ _commands = st.one_of(
 _DIAGNOSTICS = ("error: ", "parse error: ", "resource limit: ")
 
 
-@settings(derandomize=True, deadline=None, max_examples=600)
-@given(_commands, _tail)
-def test_cli_sweep_ends_in_an_answer_or_one_diagnostic(argv, tail):
-    cap, fmt = tail
-    argv = argv + ["--cap", "3000" if cap is None else cap]
-    if fmt is not None:
-        argv += ["--format", fmt]
+def _run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(_commands, _tail)
+def test_cli_sweep_ends_in_an_answer_or_one_diagnostic(argv, tail):
+    cap, fmt, out_kind = tail
+    argv = argv + ["--cap", "3000" if cap is None else cap]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if out_kind is None:
+        _check_sweep_run(argv, *_run_main(argv))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _OUT_PATHS[out_kind](tmp)
+        code, out, err = _run_main(argv + ["--out", path])
+        _check_sweep_run(argv, code, out, err)
+        if code in (0, 1):
+            # the output went to the file, and nowhere else
+            assert out == "" and os.listdir(tmp) == ["out.txt"]
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == _run_main(argv)[1]
+        else:
+            # a run that fails leaves the path as it found it
+            assert os.listdir(tmp) == []
+
+
+def _check_sweep_run(argv, code, out, err):
     command = argv[0]
     assert code in (0, 1, 2, 3)
     if code == 0:

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from caretcalc import (
     PenaltyTree,
@@ -350,6 +352,67 @@ def test_length_reports_pinned():
     )
 
 
+def first_tree_lemma(pair):
+    """Check on one reduced pair that every caret has vertex 0 or a penalty
+    caret among its predecessors, and return the number of penalty carets
+    with lo[q] != 0 in both surveys: the n = 1 weight, by the proof in the
+    ``penalty_weight`` docstring."""
+    neg, pos = pair.negative.survey(), pair.positive.survey()
+    required = metrics._penalty_carets(neg, pos).indices
+    hung = {q for p, q in metrics._adjacency(neg, pos).edges
+            if p == 0 or p in required}
+    missing = set(range(1, pair.carets + 1)) - hung
+    assert not missing, (pair.serialize(), sorted(missing))
+    return sum(neg.lo[q] != 0 and pos.lo[q] != 0 for q in required)
+
+
+@pytest.fixture
+def program_calls(monkeypatch):
+    """The n of each call of ``metrics._program`` while a test runs."""
+    calls = []
+    program = metrics._program
+
+    def counted(n, *args):
+        calls.append(n)
+        return program(n, *args)
+
+    monkeypatch.setattr(metrics, "_program", counted)
+    return calls
+
+
+def test_first_tree_lemma_on_every_pair_of_up_to_6_carets(program_calls):
+    # every reduced pair of up to 6 carets, 9,754 in all: the lemma holds,
+    # the n = 1 weight is the count, and the program never runs at n = 1
+    checked = 0
+    for carets in range(1, 7):
+        trees = list(all_trees(carets))
+        for neg in trees:
+            for pos in trees:
+                pair = parse_pair(f"{neg}|{pos}")
+                if not pair.reduced:
+                    continue
+                checked += 1
+                count = first_tree_lemma(pair)
+                assert penalty_weight(pair, 1)[0] == count, (neg, pos)
+    assert checked == 9_754
+    assert program_calls == []
+    # the counter sees the program where it runs: this pair reaches it at n = 2
+    penalty_weight(parse_pair("(.(.((..)(.(..)))))|((.(..))(.((..).)))"), 2)
+    assert program_calls == [2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(8, 160), st.integers(0, 2**32))
+def test_first_tree_lemma_on_random_pairs(program_calls, carets, seed):
+    rng = random.Random(seed)
+    pair = reduce(parse_pair(
+        f"{random_tree(rng, carets)}|{random_tree(rng, carets)}"))
+    count = first_tree_lemma(pair)
+    assert penalty_weight(pair, 1)[0] == count
+    assert 1 not in program_calls
+
+
 def test_penalty_search_long_pair_at_n_1():
     # two random 200-caret trees: at n = 1 the first tree that meets the
     # lower bound ends the search long before the cap
@@ -359,6 +422,7 @@ def test_penalty_search_long_pair_at_n_1():
     weight, witness = penalty_weight(pair, 1, cap=10_000)
     assert weight == 126
     assert penalty_weight_of_tree(witness, 1) == weight
+    assert first_tree_lemma(pair) == 126
 
 
 def test_penalty_search_long_pair_at_n_2():

@@ -246,7 +246,6 @@ def test_word_is_its_runs(word_letters):
     letters_in = tuple(word_letters)
     word = GeneratorWord(letters_in)
     assert word.letters == letters_in
-    assert len(word) == len(letters_in)
     assert canonical_encode(evaluate_word(word.runs)) == canonical_encode(
         evaluate_word(letters_in))
     assert parse_word(format_word(word)) == word

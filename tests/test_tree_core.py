@@ -16,7 +16,6 @@ from caretcalc.tree_core import (
     canonical_encode,
     count_carets,
     graft,
-    is_reduced,
     reduce,
     serialize_node,
     spine,
@@ -153,7 +152,7 @@ def test_reduce_only_cancels_matching_leaves():
     pair = pair_of_nodes(
         ((None, None), None), (None, (None, None))
     )
-    assert is_reduced(pair)
+    assert TreePairDiagram.of(pair.negative, pair.positive).reduced
     assert reduce(pair).serialize() == pair.serialize()
 
 
@@ -245,7 +244,7 @@ def test_public_names_pinned():
         "adjacency", "apply_generator", "ball", "bfs_length",
         "canonical_encode", "coarse_isometry_check", "evaluate_word",
         "format_word", "generator_diagram", "identity", "in_ball_geodesic",
-        "invert", "is_reduced", "l_infinity", "length_consecutive",
+        "invert", "l_infinity", "length_consecutive",
         "lengths_for", "mac_witness_pair", "multiply", "normal_form",
         "parse_pair", "parse_tree", "parse_word", "penalty_carets",
         "penalty_weight", "penalty_weight_of_tree", "probe_mac",
@@ -256,8 +255,16 @@ def test_public_names_pinned():
         names = {f.name for f in dataclasses.fields(cls)}
         return sorted(names | {n for n in dir(cls) if not n.startswith("_")})
 
-    assert public(CaretTree) == ["carets", "root", "serialize", "survey"]
+    assert public(CaretTree) == ["carets", "root", "survey"]
     assert public(TreePairDiagram) == [
         "carets", "is_identity", "negative", "of", "positive", "reduced",
         "serialize",
+    ]
+    assert public(caretcalc.GeneratorWord) == ["letters", "runs"]
+    # a word has no length, inverse or product of its own: the group
+    # operations act on diagrams
+    assert not {"__len__", "__mul__"} & set(vars(caretcalc.GeneratorWord))
+    assert public(caretcalc.BallIndex) == [
+        "export_lines", "gens", "length_of", "pair_of", "radius", "size",
+        "sphere_sizes", "table",
     ]

@@ -128,8 +128,8 @@ def test_word_round_trip_random():
 def test_parse_tree_examples():
     assert parse_tree(".").root == "."
     assert parse_tree("(..)").carets == 1
-    assert parse_tree("((..).)").serialize() == "((..).)"
-    assert parse_tree(" ((..).) ").serialize() == "((..).)"
+    assert parse_tree("((..).)").root == "((..).)"
+    assert parse_tree(" ((..).) ").root == "((..).)"
 
 
 def test_parse_pair_examples():
@@ -201,7 +201,7 @@ def test_deep_nesting_does_not_crash():
     text = "."
     for _ in range(5000):
         text = "(" + text + ".)"
-    assert parse_tree(text).serialize() == text
+    assert parse_tree(text).root == text
     pair = parse_pair(text + "|" + text)
     assert not pair.reduced
     assert reduce(pair).is_identity
