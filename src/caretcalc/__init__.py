@@ -12,7 +12,6 @@ from .errors import (
     MalformedPairError,
     ParseError,
     SearchCapExceededError,
-    UnreducedDiagramError,
 )
 from .tree_core import (
     CaretTree,
@@ -77,7 +76,6 @@ __all__ = [
     "PenaltyTree",
     "SearchCapExceededError",
     "TreePairDiagram",
-    "UnreducedDiagramError",
     "adjacency",
     "apply_generator",
     "ball",

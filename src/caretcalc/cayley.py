@@ -58,7 +58,7 @@ from .group_ops import (
     normal_form,
 )
 from .metrics import length_consecutive
-from .tree_core import CaretTree, TreePairDiagram, canonical_encode, reduce
+from .tree_core import CaretTree, TreePairDiagram, canonical_encode
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -69,7 +69,7 @@ REFUTED = "refuted"
 def _decode(encoding: str) -> TreePairDiagram:
     """The reduced pair whose canonical encoding this is."""
     negative, positive = encoding.split("|")
-    return TreePairDiagram(CaretTree(negative), CaretTree(positive), True)
+    return TreePairDiagram(CaretTree(negative), CaretTree(positive))
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class BallIndex:
 
     def _key(self, item) -> str:
         if isinstance(item, TreePairDiagram):
-            return canonical_encode(reduce(item))
+            return canonical_encode(item)
         return item
 
     def length_of(self, item) -> int:
@@ -223,10 +223,14 @@ def lengths_for(
     cap: int = DEFAULT_STATE_CAP,
 ) -> dict[str, int]:
     """Exact lengths of several elements at once, by a single expanding
-    search from the identity that stops when every target has been seen."""
+    search from the identity that stops when every target has been seen.
+
+    Every target is reached at some radius: ``_check_reachable`` keeps a
+    target of the set {x0} inside <x0>, any other set generates F, and no
+    sphere of F, or of the infinite cyclic <x0>, is empty, so the search
+    ends by seeing every target or at the cap."""
     wanted = set()
     for t in targets:
-        t = reduce(t)
         _check_reachable(t, gens)
         wanted.add(canonical_encode(t))
     letters = gens.letters()
@@ -239,11 +243,6 @@ def lengths_for(
             table, frontier, r, letters, cap,
             f"length search exceeded the state cap of {cap} states at radius {r}",
         )
-        if not frontier:
-            raise ValueError(
-                f"{len(missing)} targets unreachable with generators "
-                f"{list(gens)} (search closed at radius {r - 1})"
-            )
         missing = {enc for enc in missing if enc not in table}
     return {enc: table[enc] for enc in wanted}
 
@@ -291,7 +290,6 @@ def bfs_length(
     identity and from the element at once; the state cap counts both
     sides.  The Cayley graph of an infinite group has no last shell, so
     the search ends by meeting or at the cap."""
-    pair = reduce(pair)
     _check_reachable(pair, gens)
     return _meet(identity(), pair, gens.letters(), cap, "length search")
 
@@ -348,7 +346,6 @@ def in_ball_geodesic(
             inner("|".join(apply_letter(neg, pos, *letter))) for letter in letters
         )
 
-    a, b = reduce(a), reduce(b)
     for name, p in (("a", a), ("b", b)):
         if not within(p):
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")

@@ -21,10 +21,6 @@ class ParseError(CaretCalcError):
         self.diagnostic = diagnostic
 
 
-class UnreducedDiagramError(CaretCalcError):
-    """An operation requiring a reduced pair received an unreduced one."""
-
-
 class InvalidPenaltyTreeError(CaretCalcError):
     """A penalty tree violating one of its construction rules."""
 

@@ -31,13 +31,13 @@ part in O(log runs) products rather than one step over the whole tree
 per letter.  ``x0^k`` costs O(k), and so does its normal form, read off
 the trees' leaves as runs.
 
-``reduce_text`` is the one loop that settles reducedness (``reduce`` on a
-diagram).  ``multiply`` builds an unreduced product and hands it over;
-``apply_letter`` starts from a reduced pair, so it hands its result over
-only when the caret the move creates is common to both trees, and
-otherwise returns the cut texts as they are.  The inputs of
-``multiply`` and ``apply_generator`` pass through ``reduce``, which is a
-flag check when they are already reduced.  Trees are text, as in
+Every ``TreePairDiagram`` is reduced (see ``tree_core``), and
+``reduce_text`` is the one loop that reduces.  ``multiply`` builds an
+unreduced product of two reduced pairs and hands it over; any diagram of
+g * h reduces to the same pair, so its inputs need no reduction of their
+own.  ``apply_letter`` starts from a reduced pair, so it hands its result
+over only when the caret the move creates is common to both trees, and
+otherwise returns the cut texts as they are.  Trees are text, as in
 ``tree_core``, and every edit here is a scan and a few slices of it.
 """
 
@@ -52,7 +52,6 @@ from .tree_core import (
     CaretTree,
     TreePairDiagram,
     graft,
-    reduce,
     reduce_text,
     right_spine_carets,
     spine,
@@ -164,7 +163,7 @@ class GeneratingSet:
 
 
 def identity() -> TreePairDiagram:
-    return TreePairDiagram(CaretTree("."), CaretTree("."), True)
+    return TreePairDiagram(CaretTree("."), CaretTree("."))
 
 
 def _run(index: int, sign: int, count: int) -> TreePairDiagram:
@@ -176,8 +175,8 @@ def _run(index: int, sign: int, count: int) -> TreePairDiagram:
     comb = "(." * index + "(" * (count + 1) + "." + ".)" * (count + 1) + ")" * index
     negative, positive = CaretTree(comb), CaretTree(spine(index + count + 1))
     if sign == 1:
-        return TreePairDiagram(negative, positive, True)
-    return TreePairDiagram(positive, negative, True)
+        return TreePairDiagram(negative, positive)
+    return TreePairDiagram(positive, negative)
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
@@ -190,7 +189,7 @@ def generator_diagram(index: int, sign: int) -> TreePairDiagram:
 
 def invert(pair: TreePairDiagram) -> TreePairDiagram:
     """Swap the two trees; reduced pairs stay reduced."""
-    return TreePairDiagram(pair.positive, pair.negative, pair.reduced)
+    return TreePairDiagram(pair.positive, pair.negative)
 
 
 # Depth change of each character; a running sum gives the depth after it.
@@ -239,12 +238,11 @@ def _overhangs(a: str, b: str) -> tuple[dict[int, str], dict[int, str]]:
 
 def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
     """Reduced product g * h via a common refinement of the middle trees."""
-    g = reduce(g)
-    h = reduce(h)
     into_g, into_h = _overhangs(g.positive.root, h.negative.root)
     negative = graft(g.negative.root, into_g)
     positive = graft(h.positive.root, into_h)
-    return reduce(TreePairDiagram(CaretTree(negative), CaretTree(positive), False))
+    negative, positive = reduce_text(negative, positive)
+    return TreePairDiagram(CaretTree(negative), CaretTree(positive))
 
 
 def _grow_spine(tree: str, carets: int) -> str:
@@ -321,13 +319,11 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
-    """Right-multiply by x_index^sign: ``apply_letter`` on the reduced
-    pair's texts, wrapped as a reduced pair.  ValueError for a bad index
-    or sign."""
+    """Right-multiply by x_index^sign: ``apply_letter`` on the pair's
+    texts, wrapped as a pair.  ValueError for a bad index or sign."""
     _check_letter(index, sign)
-    pair = reduce(pair)
     neg, pos = apply_letter(pair.negative.root, pair.positive.root, index, sign)
-    return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
+    return TreePairDiagram(CaretTree(neg), CaretTree(pos))
 
 
 def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
@@ -417,7 +413,6 @@ def normal_form(pair: TreePairDiagram) -> GeneratorWord:
     index order; the negative part reads the positive tree's in descending
     order.  Evaluating the word returns the original reduced pair.
     """
-    pair = reduce(pair)
     negative = _leaf_runs(pair.positive.root)
     return GeneratorWord(tuple(_leaf_runs(pair.negative.root))
                          + tuple((leaf, -count) for leaf, count in reversed(negative)))

@@ -35,11 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (
-    InvalidPenaltyTreeError,
-    SearchCapExceededError,
-    UnreducedDiagramError,
-)
+from .errors import InvalidPenaltyTreeError, SearchCapExceededError
 from .tree_core import TreePairDiagram, TreeSurvey, right_spine_carets
 
 DEFAULT_PENALTY_CAP = 10_000_000
@@ -49,18 +45,12 @@ TYPE_N_POSITIVE = "TypeN-positive"
 RIGHT_IN_BOTH = "Right-in-both-not-final"
 
 
-def _require_reduced(pair: TreePairDiagram, op: str) -> None:
-    if not pair.reduced:
-        raise UnreducedDiagramError(f"{op} requires a reduced pair")
-
-
 def l_infinity(pair: TreePairDiagram) -> int:
     """Carets that are not right carets, summed over both trees.
 
     The top caret counts as a right caret.  This is the word length with
     respect to the full infinite generating set.
     """
-    _require_reduced(pair, "l_infinity")
     neg, pos = pair.negative.root, pair.positive.root
     return 2 * pair.carets - right_spine_carets(neg) - right_spine_carets(pos)
 
@@ -284,7 +274,6 @@ def penalty_weight(
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
-    _require_reduced(pair, "penalty_weight")
     # one survey per tree, shared by the caret order and the penalty flags
     # and dropped before the search
     neg, pos = pair.negative.survey(), pair.positive.survey()
@@ -536,7 +525,6 @@ def length_consecutive(
     pair: TreePairDiagram, n: int, cap: int = DEFAULT_PENALTY_CAP
 ) -> LengthReport:
     """Exact word length for the consecutive generating set {x_0, ..., x_n}."""
-    _require_reduced(pair, "length_consecutive")
     flat = l_infinity(pair)
     weight, witness = penalty_weight(pair, n, cap=cap)
     return LengthReport(

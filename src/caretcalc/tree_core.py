@@ -33,10 +33,12 @@ recursion limit.  Nested tuples appear only at one boundary:
 
 A pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
-exposed in both trees over the same pair of leaf numbers.  ``reduce_text``
-is the one loop that reduces, on the two texts; ``reduce`` runs it on a
-``TreePairDiagram``, and ``TreePairDiagram.of`` only computes the
-``reduced`` flag of outside input.
+exposed in both trees over the same pair of leaf numbers, and every element
+of F has exactly one reduced pair (Cannon-Floyd-Parry 1996).  Every
+``TreePairDiagram`` the package builds is that pair: ``reduce_text`` is the
+one loop that reduces, on the two texts, ``TreePairDiagram.of`` runs it on
+outside input, and the package calls the constructor itself only with
+texts it knows are reduced.  So no operation checks reducedness again.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MalformedPairError, UnreducedDiagramError
+from .errors import MalformedPairError
 
 # A tuple tree, accepted only by serialize_node: None for a leaf, or a
 # (left, right) tuple for a caret.
@@ -167,20 +169,28 @@ class CaretTree:
 
 @dataclass(frozen=True)
 class TreePairDiagram:
-    """A pair (negative, positive) of trees with equal caret counts.
+    """The reduced pair (negative, positive) of an element: two trees with
+    equal caret counts and no caret exposed in both over the same leaves.
 
-    ``reduced`` is trusted by :func:`reduce`; use :meth:`of` for external
-    input, which computes it.
+    The constructor takes the trees as they are, so give it only texts
+    known to be reduced; :meth:`of` reduces outside input.
     """
 
     negative: CaretTree
     positive: CaretTree
-    reduced: bool
 
     @classmethod
     def of(cls, negative: CaretTree, positive: CaretTree) -> "TreePairDiagram":
-        flag = not _common_exposed(negative.root, positive.root)
-        return cls(negative, positive, flag)
+        """The reduced pair of the element ``negative | positive``.
+        Raises MalformedPairError when the caret counts differ."""
+        neg, pos = reduce_text(negative.root, positive.root)
+        return cls(CaretTree(neg), CaretTree(pos))
+
+    @property
+    def reduced(self) -> bool:
+        """No caret exposed in both trees over the same leaves, read off
+        the two texts.  True for every pair the package builds."""
+        return not _common_exposed(self.negative.root, self.positive.root)
 
     @property
     def carets(self) -> int:
@@ -253,24 +263,13 @@ def reduce_text(neg: str, pos: str) -> tuple[str, str]:
 
 
 def reduce(pair: TreePairDiagram) -> TreePairDiagram:
-    """The reduced pair of the same element.
-
-    A pair flagged ``reduced`` comes back unchanged: the flag is trusted, so
-    set it only on pairs known to be reduced (generators, the identity,
-    results of this function); :meth:`TreePairDiagram.of` computes it for
-    outside input.  Any other pair goes through ``reduce_text``, the one
-    reduction loop, and its result is wrapped once.
-    """
-    if pair.reduced:
-        return pair
-    neg, pos = reduce_text(pair.negative.root, pair.positive.root)
-    return TreePairDiagram(CaretTree(neg), CaretTree(pos), True)
+    """``pair`` itself: a ``TreePairDiagram`` is already the reduced pair
+    of its element.  Kept because callers written when pairs could be
+    unreduced still call it, among them ``bench/workloads.py``, whose
+    tracer also wraps it; ``TreePairDiagram.of`` reduces two trees."""
+    return pair
 
 
 def canonical_encode(pair: TreePairDiagram) -> str:
     """Serialized reduced pair, usable as a dictionary key."""
-    if not pair.reduced:
-        raise UnreducedDiagramError(
-            "canonical_encode requires a reduced pair; call reduce() first"
-        )
     return pair.serialize()

@@ -168,7 +168,8 @@ def parse_tree(text: str) -> CaretTree:
 
 
 def parse_pair(text: str) -> TreePairDiagram:
-    """Parse "negative|positive"; the result is reduced or not as given."""
+    """Parse "negative|positive" into the reduced pair of that element,
+    through ``TreePairDiagram.of``."""
     padded = text + _END
     negative, at = _parse_tree_text(padded, _skip_spaces(padded, 0))
     if padded[at] != "|":

@@ -58,10 +58,18 @@ def random_tree(rng: random.Random, carets: int) -> str:
 
 
 def pair_of_nodes(neg: Node, pos: Node) -> TreePairDiagram:
-    """The pair of two tuple trees, through ``TreePairDiagram.of``."""
+    """The reduced pair of two tuple trees, through ``TreePairDiagram.of``."""
     return TreePairDiagram.of(
         CaretTree(serialize_node(neg)), CaretTree(serialize_node(pos))
     )
+
+
+def raw_pair(neg: str, pos: str) -> TreePairDiagram:
+    """Two tree texts as a pair, reduced or not: the constructor, which
+    takes its trees as they are.  For tests that read the trees' own
+    carets, and for loops that keep the pairs whose computed ``reduced``
+    holds."""
+    return TreePairDiagram(CaretTree(neg), CaretTree(pos))
 
 
 def all_trees(carets: int):
@@ -310,9 +318,10 @@ def _collapse_at(node: Node, leaf: int) -> Node:
     return walk(node, 0)[0]
 
 
-def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
-    """Serializations of fully reduced diagrams over all removal orders,
-    found on tuple trees, apart from the package's reduction."""
+def reductions_all_orders(neg: str, pos: str, limit=2000) -> set:
+    """Serializations of the fully reduced diagrams of the pair of two
+    tree texts over all removal orders, found on tuple trees, apart from
+    the package's reduction."""
     results = set()
     budget = [limit]
 
@@ -327,7 +336,7 @@ def reductions_all_orders(pair: TreePairDiagram, limit=2000) -> set:
         for leaf in common:
             step(_collapse_at(neg, leaf), _collapse_at(pos, leaf))
 
-    step(to_node(pair.negative.root), to_node(pair.positive.root))
+    step(to_node(neg), to_node(pos))
     return results
 
 

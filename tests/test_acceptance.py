@@ -20,12 +20,11 @@ from caretcalc import (
     penalty_weight,
     probe_mac,
     probe_subset_monotonicity,
-    reduce,
 )
-from caretcalc.tree_core import TreePairDiagram
+from caretcalc.tree_core import serialize_node
 from caretcalc.wordlang import parse_tree
 from conftest import X1, X2, X3
-from helpers import pair_of_nodes, random_node, reductions_all_orders
+from helpers import pair_of_nodes, random_node, raw_pair, reductions_all_orders
 
 BUSH = "(((.(..)).)(.((.((.(..)).))(..))))"
 
@@ -137,9 +136,9 @@ def test_criterion_6_structural_properties():
     # reduction confluence, 500 random pairs, every removal order
     for _ in range(500):
         n = rng.randrange(1, 7)
-        pair = pair_of_nodes(random_node(rng, n), random_node(rng, n))
-        outcomes = reductions_all_orders(pair)
-        ok = ok and outcomes == {reduce(pair).serialize()}
+        neg, pos = random_node(rng, n), random_node(rng, n)
+        outcomes = reductions_all_orders(serialize_node(neg), serialize_node(pos))
+        ok = ok and outcomes == {pair_of_nodes(neg, pos).serialize()}
     # witness families stay flat for the infinite generating set
     for k in range(1, 6):
         g = evaluate_word([(2, 1)] + [(1, 1)] * (k + 1) + [(0, -1)] * k)
@@ -147,7 +146,7 @@ def test_criterion_6_structural_properties():
         ok = ok and l_infinity(g) == l_infinity(h) == 2 * k + 2
     # the 11-caret adjacency pattern, exact
     tree = parse_tree(BUSH)
-    pair = TreePairDiagram.of(tree, tree)
+    pair = raw_pair(tree.root, tree.root)
     expected = (
         {(p, p + 1) for p in range(1, 11)}
         | {(1, 3), (5, 10), (6, 10), (6, 9), (7, 9)}

@@ -22,13 +22,12 @@ from caretcalc import (
     parse_pair,
     probe_mac,
     probe_subset_monotonicity,
-    reduce,
 )
 from caretcalc import cayley, group_ops
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3
-from helpers import in_ball_distances, pair_of_nodes
+from helpers import in_ball_distances
 
 
 def _restricted(index, radius):
@@ -474,8 +473,6 @@ def test_ball_membership_accepts_pairs_and_strings():
     assert x0 in index
     assert canonical_encode(x0) in index
     assert index.length_of(x0) == 1
-    # unreduced input is reduced before lookup
-    unreduced = pair_of_nodes((None, None), (None, None))
-    assert not unreduced.reduced
-    assert unreduced in index and index.length_of(unreduced) == 0
-    assert reduce(unreduced).is_identity
+    # parsed text of an unreduced pair is its reduced pair, the identity
+    parsed = parse_pair("(..)|(..)")
+    assert parsed in index and index.length_of(parsed) == 0

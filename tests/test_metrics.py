@@ -20,16 +20,11 @@ from caretcalc import (
     penalty_carets,
     penalty_weight,
     penalty_weight_of_tree,
-    reduce,
 )
-from caretcalc.errors import (
-    InvalidPenaltyTreeError,
-    SearchCapExceededError,
-    UnreducedDiagramError,
-)
+from caretcalc.errors import InvalidPenaltyTreeError, SearchCapExceededError
 from caretcalc.group_ops import GeneratingSet
 from caretcalc.metrics import RIGHT_IN_BOTH, TYPE_N_NEGATIVE, TYPE_N_POSITIVE
-from caretcalc.tree_core import CaretTree, TreePairDiagram, spine
+from caretcalc.tree_core import spine
 from caretcalc.wordlang import parse_pair, parse_tree, parse_word
 from helpers import (
     all_trees,
@@ -37,9 +32,9 @@ from helpers import (
     infix_carets,
     interval_adjacency,
     naive_tree_weight,
-    pair_of_nodes,
     random_element,
     random_tree,
+    raw_pair,
     search_min_weight,
     to_node,
 )
@@ -69,10 +64,10 @@ def test_l_infinity_goldens():
         assert l_infinity(h_element(k)) == 2 * k + 2
 
 
-def test_l_infinity_rejects_unreduced():
-    unreduced = pair_of_nodes((None, None), (None, None))
-    with pytest.raises(UnreducedDiagramError):
-        l_infinity(unreduced)
+def test_l_infinity_of_parsed_unreduced_text():
+    # outside text of a pair that is not reduced is parsed into the
+    # reduced pair, here the identity
+    assert l_infinity(parse_pair("(..)|(..)")) == 0
 
 
 def test_l_infinity_inversion_symmetric():
@@ -86,19 +81,19 @@ def test_l_infinity_inversion_symmetric():
 
 
 def test_adjacency_single_caret():
-    pair = pair_of_nodes((None, None), (None, None))
+    pair = raw_pair("(..)", "(..)")
     assert adjacency(pair).edges == frozenset({(0, 1)})
 
 
 def test_adjacency_right_spine():
-    pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
+    pair = raw_pair(spine(4), spine(4))
     assert adjacency(pair).edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
 
 
 def test_adjacency_bushy_tree():
     tree = parse_tree(BUSH)
     assert tree.carets == 11
-    pair = TreePairDiagram.of(tree, tree)
+    pair = raw_pair(tree.root, tree.root)
     consecutive = {(p, p + 1) for p in range(1, 11)}
     extras = {(1, 3), (5, 10), (6, 10), (6, 9), (7, 9)}
     from_v0 = {(0, 1), (0, 3), (0, 4)}
@@ -122,7 +117,7 @@ def test_adjacency_matches_interval_oracle():
 
 
 def test_adjacency_helpers():
-    pair = TreePairDiagram.of(CaretTree(spine(3)), CaretTree(spine(3)))
+    pair = raw_pair(spine(3), spine(3))
     rel = adjacency(pair)
     assert sorted(p for p, q in rel.edges if q == 2) == [1]
     assert sorted(q for p, q in rel.edges if p == 0) == [1]
@@ -136,7 +131,7 @@ def test_penalty_carets_identity_empty():
 
 
 def test_penalty_carets_right_spine_pair():
-    pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
+    pair = raw_pair(spine(4), spine(4))
     flagged = penalty_carets(pair)
     assert flagged.indices == frozenset({1, 2, 3})
     assert flagged.flags == tuple((p, RIGHT_IN_BOTH) for p in (1, 2, 3))
@@ -220,7 +215,7 @@ def test_weight_validation_errors():
         penalty_weight_of_tree(PenaltyTree(((2, 1),)), 2)  # parent absent
     with pytest.raises(InvalidPenaltyTreeError):
         penalty_weight_of_tree(PenaltyTree(((1, 0), (1, 0))), 2)  # dup child
-    spine_pair = TreePairDiagram.of(CaretTree(spine(4)), CaretTree(spine(4)))
+    spine_pair = raw_pair(spine(4), spine(4))
     rel = adjacency(spine_pair)
     with pytest.raises(InvalidPenaltyTreeError):
         # (1,3) is not an allowed edge on a right spine
@@ -259,10 +254,11 @@ def test_penalty_weight_h_family_vanishes():
             assert penalty_weight(h_element(k), n)[0] == 0
 
 
-def test_penalty_weight_requires_reduced():
-    unreduced = pair_of_nodes((None, None), (None, None))
-    with pytest.raises(UnreducedDiagramError):
-        penalty_weight(unreduced, 2)
+def test_penalty_weight_of_parsed_unreduced_text():
+    # outside text of a pair that is not reduced is parsed into the
+    # reduced pair, the identity, whose witness is the bare root
+    weight, witness = penalty_weight(parse_pair("(..)|(..)"), 2)
+    assert (weight, witness.parents) == (0, ())
 
 
 def test_penalty_weight_witness_revalidates():
@@ -327,7 +323,7 @@ def test_penalty_search_effort_pinned():
     ]
     rng = random.Random(9001)
     for k, carets, states, weights, witness in effort:
-        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        pair = parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}")
         assert pair.carets == carets
         for n, (cap, weight) in enumerate(zip(states, weights), start=1):
             found, tree = penalty_weight(pair, n, cap=cap)
@@ -344,7 +340,7 @@ def test_length_reports_pinned():
     lines = []
     for _ in range(300):
         k = rng.randint(6, 22)
-        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        pair = parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}")
         for n in (1, 2, 3):
             lines.append(length_consecutive(pair, n).serialize() + "\n")
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == (
@@ -388,7 +384,7 @@ def test_first_tree_lemma_on_every_pair_of_up_to_6_carets(program_calls):
         trees = list(all_trees(carets))
         for neg in trees:
             for pos in trees:
-                pair = parse_pair(f"{neg}|{pos}")
+                pair = raw_pair(neg, pos)
                 if not pair.reduced:
                     continue
                 checked += 1
@@ -406,8 +402,8 @@ def test_first_tree_lemma_on_every_pair_of_up_to_6_carets(program_calls):
 @given(st.integers(8, 160), st.integers(0, 2**32))
 def test_first_tree_lemma_on_random_pairs(program_calls, carets, seed):
     rng = random.Random(seed)
-    pair = reduce(parse_pair(
-        f"{random_tree(rng, carets)}|{random_tree(rng, carets)}"))
+    pair = parse_pair(
+        f"{random_tree(rng, carets)}|{random_tree(rng, carets)}")
     count = first_tree_lemma(pair)
     assert penalty_weight(pair, 1)[0] == count
     assert 1 not in program_calls
@@ -417,7 +413,7 @@ def test_penalty_search_long_pair_at_n_1():
     # two random 200-caret trees: at n = 1 the first tree that meets the
     # lower bound ends the search long before the cap
     rng = random.Random(0)
-    pair = reduce(parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}"))
+    pair = parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}")
     assert pair.carets == 170
     weight, witness = penalty_weight(pair, 1, cap=10_000)
     assert weight == 126
@@ -430,7 +426,7 @@ def test_penalty_search_long_pair_at_n_2():
     # after ~10 s; the program over caret index answers from exactly
     # 15,273 states (one below raises), with this first lightest tree
     rng = random.Random(0)
-    pair = reduce(parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}"))
+    pair = parse_pair(f"{random_tree(rng, 200)}|{random_tree(rng, 200)}")
     weight, witness = penalty_weight(pair, 2, cap=15_273)
     assert weight == 41
     assert penalty_weight_of_tree(witness, 2) == weight
@@ -449,7 +445,7 @@ def test_penalty_search_long_pair_at_n_3():
     # below raises), with this first lightest tree
     rng = random.Random(9001)
     for _ in range(2):
-        pair = reduce(parse_pair(f"{random_tree(rng, 60)}|{random_tree(rng, 60)}"))
+        pair = parse_pair(f"{random_tree(rng, 60)}|{random_tree(rng, 60)}")
     assert pair.carets == 56
     weight, witness = penalty_weight(pair, 3, cap=6_717)
     assert weight == 5
@@ -479,7 +475,7 @@ def test_program_cases_match_the_search_oracle(monkeypatch):
     cases = 0
     while cases < 100:
         k = rng.randint(17, 22)
-        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        pair = parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}")
         for n in (2, 3, 4):
             reached.clear()
             weight, witness = penalty_weight(pair, n)
@@ -496,7 +492,7 @@ def test_penalty_weight_n_2_matches_brute_force_exhaustively():
         trees = list(all_trees(carets))
         for neg in trees:
             for pos in trees:
-                pair = parse_pair(f"{neg}|{pos}")
+                pair = raw_pair(neg, pos)
                 if not pair.reduced:
                     continue
                 checked += 1
@@ -515,7 +511,7 @@ def test_length_reports_at_n_2_pinned_past_the_old_cap():
     lines = []
     for i in range(40):
         k = rng.randint(25, 40)
-        pair = reduce(parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}"))
+        pair = parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}")
         report = length_consecutive(pair, 2, cap=300_000)
         if i in (15, 21, 34, 35, 37):
             assert penalty_weight_of_tree(report.witness, 2) == report.penalty_weight

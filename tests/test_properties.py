@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from caretcalc import (
     apply_generator,
+    ball,
     canonical_encode,
     evaluate_word,
     generator_diagram,
+    identity,
+    invert,
     l_infinity,
     multiply,
     normal_form,
@@ -24,13 +27,15 @@ from caretcalc import (
     penalty_weight_of_tree,
 )
 from caretcalc.group_ops import GeneratorWord, apply_letter
-from caretcalc.tree_core import count_carets, reduce, serialize_node
-from caretcalc.wordlang import format_word, parse_tree, parse_word
+from caretcalc.tree_core import count_carets, serialize_node
+from caretcalc.wordlang import format_word, parse_pair, parse_tree, parse_word
+from conftest import X2
 from helpers import (
     _intervals,
     brute_force_min_weight,
     fold_letters,
     pair_of_nodes,
+    raw_pair,
     reductions_all_orders,
     search_min_weight,
     to_node,
@@ -94,8 +99,30 @@ def test_comb_round_trip(carets, shape):
 @checked
 @given(tree_pairs(7))
 def test_reduce_matches_every_removal_order(trees):
-    pair = pair_of_nodes(*trees)
-    assert reductions_all_orders(pair) == {reduce(pair).serialize()}
+    neg, pos = map(serialize_node, trees)
+    assert reductions_all_orders(neg, pos) == {pair_of_nodes(*trees).serialize()}
+
+
+SMALL_BALL = ball(X2, 3)
+
+
+@checked
+@given(tree_pairs(7), tree_pairs(7), st.lists(letters, max_size=12),
+       st.integers(0, 7), st.sampled_from((1, -1)),
+       st.sampled_from(sorted(SMALL_BALL.table)))
+def test_every_pair_built_is_reduced(trees, others, word, index, sign, encoding):
+    # outside text parses into the reduced pair, found apart by the
+    # removal-order oracle, and every builder returns reduced pairs, the
+    # product even of two raw unreduced diagrams
+    neg, pos = map(serialize_node, trees)
+    parsed = parse_pair(f"{neg}|{pos}")
+    assert {parsed.serialize()} == reductions_all_orders(neg, pos)
+    product = multiply(raw_pair(neg, pos), raw_pair(*map(serialize_node, others)))
+    assert product == multiply(parsed, pair_of_nodes(*others))
+    built = (parsed, product, evaluate_word(word), invert(parsed),
+             apply_generator(parsed, index, sign), generator_diagram(index, sign),
+             identity(), SMALL_BALL.pair_of(encoding))
+    assert all(pair.reduced for pair in built)
 
 
 @checked
@@ -149,10 +176,7 @@ def test_apply_generator_on_random_pairs(trees, index, sign):
     g = pair_of_nodes(*trees)
     direct = apply_generator(g, index, sign)
     assert direct.serialize() == multiply(g, generator_diagram(index, sign)).serialize()
-    # apply_letter takes the texts of a reduced pair; the drawn pair may
-    # not be reduced, e.g. (.(..))|(.(..))
-    r = reduce(g)
-    step = apply_letter(r.negative.root, r.positive.root, index, sign)
+    step = apply_letter(g.negative.root, g.positive.root, index, sign)
     assert "|".join(step) == canonical_encode(direct)
 
 
@@ -182,7 +206,7 @@ def test_evaluate_word_matches_letter_by_letter_fold(word):
 def test_normal_form_of_random_pairs_folds_back(trees):
     # normal_form's runs are read off the leaves; folding their letters
     # one generator move at a time must rebuild the pair
-    g = reduce(pair_of_nodes(*trees))
+    g = pair_of_nodes(*trees)
     word = normal_form(g)
     positive = [i for i, a in word.runs if a > 0]
     negative = [i for i, a in word.runs if a < 0]
@@ -210,7 +234,7 @@ def test_l_infinity_counts_intervals_short_of_the_last_leaf(g):
 def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
     # random pairs reach wider shapes, with more penalty carets, than the
     # elements of short words
-    g = reduce(pair_of_nodes(*trees))
+    g = pair_of_nodes(*trees)
     for n in (1, 2, 3):
         weight, witness = penalty_weight(g, n)
         assert weight == brute_force_min_weight(g, n)
@@ -222,7 +246,7 @@ def test_penalty_weight_matches_every_tree_on_random_pairs(trees):
 def test_penalty_weight_is_the_first_lightest_tree_of_the_search(trees):
     # the weight and the witness both: the chain when no tree beats it,
     # else the first lightest tree of the plain depth-first search
-    g = reduce(pair_of_nodes(*trees))
+    g = pair_of_nodes(*trees)
     for n in (1, 2, 3, 4):
         weight, witness = penalty_weight(g, n)
         assert (weight, witness.parents) == search_min_weight(g, n), n

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import caretcalc
-from caretcalc.errors import MalformedPairError, UnreducedDiagramError
+from caretcalc.errors import MalformedPairError
 from caretcalc.tree_core import (
     CaretTree,
     TreePairDiagram,
@@ -20,12 +20,14 @@ from caretcalc.tree_core import (
     serialize_node,
     spine,
 )
+from caretcalc.wordlang import parse_pair
 from helpers import (
     _intervals,
     pair_of_nodes,
     random_element,
     random_node,
     random_tree,
+    raw_pair,
     reductions_all_orders,
     to_node,
 )
@@ -139,21 +141,19 @@ def test_pair_construction_and_encoding():
         pair_of_nodes((None, None), None)
 
 
-def test_canonical_encode_requires_reduced():
-    unreduced = pair_of_nodes((None, None), (None, None))
-    assert not unreduced.reduced
-    with pytest.raises(UnreducedDiagramError):
-        canonical_encode(unreduced)
-    assert canonical_encode(reduce(unreduced)) == ".|."
+def test_canonical_encode_of_parsed_unreduced_text():
+    # outside text of a pair that is not reduced is parsed into the
+    # reduced pair, so its encoding is the identity's
+    assert canonical_encode(parse_pair("(..)|(..)")) == ".|."
 
 
 def test_reduce_only_cancels_matching_leaves():
     # same caret counts, exposures at different leaf numbers: nothing cancels
-    pair = pair_of_nodes(
-        ((None, None), None), (None, (None, None))
-    )
-    assert TreePairDiagram.of(pair.negative, pair.positive).reduced
-    assert reduce(pair).serialize() == pair.serialize()
+    neg, pos = "((..).)", "(.(..))"
+    assert raw_pair(neg, pos).reduced
+    pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
+    assert pair.serialize() == f"{neg}|{pos}"
+    assert not raw_pair(neg, neg).reduced
 
 
 def test_reduce_confluent_all_orders():
@@ -161,10 +161,10 @@ def test_reduce_confluent_all_orders():
     for _ in range(200):
         # random unreduced-ish pair with equal caret counts
         n = rng.randrange(1, 8)
-        pair = pair_of_nodes(random_node(rng, n), random_node(rng, n))
-        outcomes = reductions_all_orders(pair)
+        neg, pos = random_node(rng, n), random_node(rng, n)
+        outcomes = reductions_all_orders(serialize_node(neg), serialize_node(pos))
         assert len(outcomes) == 1
-        assert outcomes == {reduce(pair).serialize()}
+        assert outcomes == {pair_of_nodes(neg, pos).serialize()}
 
 
 def test_reduce_collapses_shared_subtrees():
@@ -180,16 +180,20 @@ def test_reduce_collapses_shared_subtrees():
             neg = graft(neg, {leaf: random_tree(random.Random(seed), carets)})
             pos = graft(pos, {leaf: random_tree(random.Random(seed), carets)})
         pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
-        assert reduce(pair).serialize() == g.serialize()
+        assert pair.serialize() == g.serialize()
         tree = random_node(rng, rng.randrange(1, 30))
-        assert reduce(pair_of_nodes(tree, tree)).is_identity
+        assert pair_of_nodes(tree, tree).is_identity
 
 
 def test_reduce_idempotent_on_elements():
+    # a pair is reduced: TreePairDiagram.of of its trees gives it back,
+    # and reduce, kept for old callers, returns it
     rng = random.Random(6)
     for _ in range(100):
         g = random_element(rng)
-        assert reduce(g).serialize() == g.serialize()
+        assert g.reduced
+        assert TreePairDiagram.of(g.negative, g.positive) == g
+        assert reduce(g) is g
 
 
 def test_no_recursive_tree_walks():
@@ -240,7 +244,7 @@ def test_public_names_pinned():
         "CoarseIsometryReport", "GeneratingSet", "GeneratorWord",
         "InvalidPenaltyTreeError", "LengthReport", "MacProbeReport",
         "MalformedPairError", "ParseError", "PenaltyCaretSet", "PenaltyTree",
-        "SearchCapExceededError", "TreePairDiagram", "UnreducedDiagramError",
+        "SearchCapExceededError", "TreePairDiagram",
         "adjacency", "apply_generator", "ball", "bfs_length",
         "canonical_encode", "coarse_isometry_check", "evaluate_word",
         "format_word", "generator_diagram", "identity", "in_ball_geodesic",
@@ -256,6 +260,9 @@ def test_public_names_pinned():
         return sorted(names | {n for n in dir(cls) if not n.startswith("_")})
 
     assert public(CaretTree) == ["carets", "root", "survey"]
+    # a pair is its two trees; reduced is read off them, not stored
+    assert [f.name for f in dataclasses.fields(TreePairDiagram)] == [
+        "negative", "positive"]
     assert public(TreePairDiagram) == [
         "carets", "is_identity", "negative", "of", "positive", "reduced",
         "serialize",
