@@ -6,8 +6,8 @@ instead of child-pointer walks, penalty-tree weights from explicit path
 distances, the least weight by enumerating every penalty tree and its
 witness by a plain depth-first search, reduction by trying every removal
 order, in-ball distances by plain one-sided breadth-first search, words
-by one generator move per letter.  The tests compare the package against
-these.
+by one generator move per letter or as a balanced product of written-down
+runs.  The tests compare the package against these.
 """
 
 import random
@@ -15,12 +15,15 @@ from collections import deque
 
 from caretcalc import (
     CaretTree,
+    GeneratorWord,
     TreePairDiagram,
     apply_generator,
     canonical_encode,
     evaluate_word,
     identity,
+    multiply,
 )
+from caretcalc.group_ops import _run
 from caretcalc.tree_core import Node, serialize_node
 
 
@@ -38,12 +41,35 @@ def random_element(rng: random.Random, max_index=3, max_len=10) -> TreePairDiagr
 def fold_letters(letters, start=None) -> TreePairDiagram:
     """``start`` (the identity by default) right-multiplied by each letter
     in turn, by the generator move of ``apply_generator``: one step over
-    the whole pair per letter, apart from the run products of
-    ``evaluate_word``."""
+    the whole pair per letter.  ``evaluate_word`` folds the letters of its
+    blocks with the same step, ``apply_letter``, so this fold checks the
+    word's blocks and products, not the step; ``balanced_product`` and the
+    products with generator diagrams check the step."""
     pair = identity() if start is None else start
     for index, sign in letters:
         pair = apply_generator(pair, index, sign)
     return pair
+
+
+def balanced_product(runs) -> TreePairDiagram:
+    """The pair of a word of (index, exponent) runs with no generator
+    step: each merged run written down by ``_run``, and the runs
+    multiplied by ``multiply`` as a balanced product on a stack, whose top
+    two merge while they cover equally many runs, folded right to left."""
+    stack: list = []
+    for index, exponent in GeneratorWord(tuple(runs)).runs:
+        sign = 1 if exponent > 0 else -1
+        count, product = 1, _run(index, sign, abs(exponent))
+        while stack and stack[-1][0] == count:
+            below, left = stack.pop()
+            count, product = count + below, multiply(left, product)
+        stack.append((count, product))
+    if not stack:
+        return identity()
+    _, product = stack.pop()
+    while stack:
+        product = multiply(stack.pop()[1], product)
+    return product
 
 
 def random_node(rng: random.Random, carets: int) -> Node:

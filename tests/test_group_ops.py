@@ -18,7 +18,7 @@ from caretcalc import (
 )
 from caretcalc.tree_core import graft, spine
 from conftest import X3
-from helpers import fold_letters
+from helpers import balanced_product, fold_letters
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -172,7 +172,9 @@ def test_deep_power_round_trip():
 
 
 def test_power_costs_logarithmic_products(monkeypatch):
-    # a run of 2^k letters is written down: no product, no generator move
+    # a run of 2^k letters is one unit, so it takes no product: up to 4
+    # letters it is folded by ``apply_letter`` into one block, and a longer
+    # one is written down; neither makes a move through ``apply_generator``
     calls = []
     product = group_ops.multiply
 
@@ -191,6 +193,62 @@ def test_power_costs_logarithmic_products(monkeypatch):
             g = evaluate_word([letter] * 2**k)
             assert calls == [], (k, letter, len(calls))
             assert g.carets == 2**k + letter[0] + 1
+
+
+def _counted(monkeypatch, name):
+    """The calls of ``group_ops.<name>`` from now on, one entry each."""
+    calls = []
+    function = getattr(group_ops, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(group_ops, name, counted)
+    return calls
+
+
+def test_letters_fold_in_blocks_of_64(monkeypatch):
+    # N letters, no two adjacent equal: one generator step per letter, and
+    # the ceil(N / 64) blocks multiplied together
+    steps = _counted(monkeypatch, "apply_letter")
+    products = _counted(monkeypatch, "multiply")
+    for size in (1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
+        word = [(k % 3 + 2 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
+        steps.clear()
+        products.clear()
+        g = evaluate_word(word)
+        assert (len(steps), len(products)) == (size, -(-size // 64) - 1), size
+        assert encode(g) == encode(balanced_product(word)), size
+
+
+def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
+    steps = _counted(monkeypatch, "apply_letter")
+    products = _counted(monkeypatch, "multiply")
+    for run in ((0, 5), (2, -5), (0, 64), (0, 65), (3, -65), (7, 1000), (0, -5000)):
+        g = evaluate_word([run])
+        assert steps == [] and products == [], run
+        assert encode(g) == encode(group_ops._run(run[0], 1 if run[1] > 0 else -1,
+                                                  abs(run[1])))
+    # between letters, a long run ends their block and is one unit of its
+    # own: three units, two products, a step for each letter around it
+    for count in (5, 65):
+        word = [(1, 1), (2, -1), (0, count), (2, 1), (1, -1)]
+        steps.clear()
+        products.clear()
+        g = evaluate_word(word)
+        assert (len(steps), len(products)) == (4, 2), count
+        assert encode(g) == encode(balanced_product(word))
+    # a run of up to 4 letters is folded while it fits in the block; at
+    # 62 letters one of 4 no longer fits, so it is written down
+    for prefix, count, calls in ((10, 4, (14, 0)), (60, 4, (64, 0)), (62, 4, (62, 1)),
+                                 (62, 2, (64, 0)), (63, 3, (63, 1))):
+        word = [(k % 2, 1) for k in range(prefix)] + [(5, count)]
+        steps.clear()
+        products.clear()
+        g = evaluate_word(word)
+        assert (len(steps), len(products)) == calls, (prefix, count)
+        assert encode(g) == encode(balanced_product(word))
 
 
 def test_run_matches_letter_by_letter():

@@ -2,9 +2,10 @@
 against independent routes: the tuple form of the trees, reduction in
 every removal order on tuples, products with generator diagrams and with
 letter-by-letter folds, words of long runs against the letter-by-letter
-fold, leaf intervals for the flat length, the penalty weight against
-enumerating every penalty tree and its witness against a plain
-depth-first search, and the word parser against the word printer.
+fold, words of letters and runs against the balanced product of
+written-down runs, leaf intervals for the flat length, the penalty
+weight against enumerating every penalty tree and its witness against a
+plain depth-first search, and the word parser against the word printer.
 Examples are drawn deterministically, so every run checks the same ones."""
 
 from itertools import groupby
@@ -32,6 +33,7 @@ from caretcalc.wordlang import format_word, parse_pair, parse_tree, parse_word
 from conftest import X2
 from helpers import (
     _intervals,
+    balanced_product,
     brute_force_min_weight,
     fold_letters,
     pair_of_nodes,
@@ -199,6 +201,49 @@ run_words = st.lists(
 @example([])
 def test_evaluate_word_matches_letter_by_letter_fold(word):
     assert canonical_encode(evaluate_word(word)) == canonical_encode(fold_letters(word))
+
+
+@st.composite
+def mixed_words(draw):
+    """A word of 0-400 letters as runs of indices 0-40: single letters
+    mixed with runs of exponent up to +-80, runs of 2-4 letters (which
+    are folded) as often as longer ones, the last run cut to fit."""
+    size = draw(st.integers(0, 400))
+    runs, letters = [], 0
+    lengths = st.one_of(st.just(1), st.integers(2, 4), st.integers(5, 80))
+    while letters < size:
+        count = min(draw(lengths), size - letters)
+        runs.append((draw(st.integers(0, 40)), draw(st.sampled_from((1, -1))) * count))
+        letters += count
+    return runs
+
+
+def _alternating(size):
+    """``size`` letters, no two adjacent ones equal."""
+    return [(k % 3, 1 if k % 4 < 2 else -1) for k in range(size)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(mixed_words())
+@example([])
+@example(_alternating(63))
+@example(_alternating(64))
+@example(_alternating(65))
+@example(_alternating(128))
+@example(_alternating(129))
+@example([(5, 60), (2, -1), (3, 3)] + _alternating(65))
+@example(_alternating(60) + [(5, 4)] + _alternating(10))
+@example(_alternating(62) + [(5, -3), (0, 1)])
+@example([(1, 63), (0, 2), (4, -64), (4, 1), (7, 65)])
+def test_evaluate_word_matches_balanced_product_and_fold(runs):
+    # the blocks of generator steps against the product of written-down
+    # runs, which takes no step, and against one step per letter
+    pair = evaluate_word(runs)
+    encoding = canonical_encode(pair)
+    assert encoding == canonical_encode(balanced_product(runs))
+    letters = [(i, 1 if a > 0 else -1) for i, a in runs for _ in range(abs(a))]
+    assert encoding == canonical_encode(fold_letters(letters))
+    assert pair.reduced
 
 
 @checked
