@@ -6,15 +6,19 @@ shell expander (``_shell``) that deduplicates elements by their canonical
 encodings, so the lengths are exact and serve as the independent oracle
 for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
 remembers each element it has seen as its encoding and its length.  The
-encoding is the element, so the frontier
-holds encodings too, and a shell makes no tree pair at all: it cuts each
-encoding at "|" and steps on the two texts with ``group_ops.apply_letter``,
-whose result joined by "|" is the neighbour's encoding.  Balls and batched
-lengths grow one side from the identity, and a ball's last shell keeps no
-frontier.  A single length, and a shortest path inside a ball, are
-searched from both ends at once: the side with the smaller frontier grows
-by one shell until it reaches the other side's seen set, which gives the
-distance exactly.
+encoding is the element, so the frontier holds encodings too, and a shell
+makes no tree pair at all: it works on the two texts of each encoding,
+whose step by a letter joined by "|" is the neighbour's encoding.  A step
+rearranges subtrees of the positive tree only, and the elements of a
+frontier share few positive trees (the shells of ``ball({0,1,2}, 7)``
+hold 7,753 elements in 2,122 groups), so a shell groups its frontier
+by positive tree, makes each ``group_ops.plan`` once per tree and letter,
+and enacts it on the negative tree of every element of the group
+(``group_ops.enact``).  Balls and batched lengths grow one side from the
+identity, and a ball's last shell keeps no frontier.  A single length,
+and a shortest path inside a ball, are searched from both ends at once:
+the side with the smaller frontier grows by one shell until it reaches
+the other side's seen set, which gives the distance exactly.
 
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
@@ -51,11 +55,13 @@ from .group_ops import (
     GeneratingSet,
     Letter,
     apply_letter,
+    enact,
     evaluate_word,
     identity,
     invert,
     multiply,
     normal_form,
+    plan,
 )
 from .metrics import length_consecutive
 from .tree_core import CaretTree, TreePairDiagram, canonical_encode
@@ -144,43 +150,69 @@ def _shell(
     """One breadth-first shell: record every unseen neighbour of the
     frontier in ``seen`` at ``depth`` and return the new frontier.
 
-    The shell consumes ``frontier``, stepping on each entry's two texts
-    with ``apply_letter``, and never applies an entry's back letter: that
-    neighbour is the element it was reached from, already seen.  Each new
-    key is kept, with the inverse of its letter, for the next shell;
-    without ``keep`` the shell returns an empty frontier.
+    The shell consumes ``frontier``.  It groups the entries by positive
+    tree, and takes the groups in the order their trees first appear in
+    it, each group's entries in frontier order.  A step by a letter is
+    planned at its first use in a group and enacted on each entry of the
+    group, and a group is dropped once it is done, so the frontier's
+    memory falls while ``seen`` grows.  The shell never applies an entry's
+    back letter: that neighbour is the element it was reached from,
+    already seen.  Each new key is kept, with the inverse of its letter,
+    for the next shell; without ``keep`` the shell returns an empty
+    frontier.
+
     With ``inner`` (a test of an encoding for length <= R - 1) the shell
     stays in the ball of radius R: an entry that fails it keeps only the
     neighbours that pass it.  With ``meet`` (the other side's seen dict)
     the shell stops at the first neighbour the other side has seen and
     returns None.  The cap counts the states of both dicts; recording one
     beyond it raises SearchCapExceededError with the message ``overflow``.
+
+    The order of expansion decides only which letter first reaches a new
+    element, and so its back letter, and the order of the next frontier.
+    No answer reads either: ``seen`` gets the same keys at the same
+    depth in any order, ``BallIndex.export_lines`` sorts each sphere, and
+    ``_meet`` returns the sum of the two depths, whichever neighbour of
+    the shell meets the other side first.
     """
     held = len(meet) if meet is not None else 0
     # each letter with its inverse taken from letters, so ``letter is back`` holds
     shared = {letter: letter for letter in letters}
     steps = [(letter, shared[letter[0], -letter[1]]) for letter in letters]
+    groups: dict[str, Frontier] = {}
+    for entry in frontier:
+        enc = entry[0]
+        groups.setdefault(enc[enc.index("|") + 1 :], []).append(entry)
+    frontier.clear()
+    # popped from the end, so taken in the order of their first entries
+    order = list(reversed(groups.items()))
+    groups.clear()
     new: Frontier = []
-    frontier.reverse()  # popped from the end, so taken in the given order
-    while frontier:
-        enc, back = frontier.pop()
-        neg, pos = enc.split("|")
-        free = inner is None or inner(enc)
-        for letter, undo in steps:
-            if letter is back:
-                continue
-            key = "|".join(apply_letter(neg, pos, *letter))
-            if key in seen:
-                continue
-            if meet is not None and key in meet:
-                return None
-            if not free and not inner(key):
-                continue
-            if len(seen) + held >= cap:
-                raise SearchCapExceededError(overflow, len(seen) + held)
-            seen[key] = depth
-            if keep:
-                new.append((key, undo))
+    while order:
+        pos, members = order.pop()
+        cut = -len(pos) - 1
+        plans: dict = {}
+        for enc, back in members:
+            neg = enc[:cut]
+            free = inner is None or inner(enc)
+            for letter, undo in steps:
+                if letter is back:
+                    continue
+                step = plans.get(letter)
+                if step is None:
+                    step = plans[letter] = plan(pos, *letter)
+                key = "|".join(enact(neg, step))
+                if key in seen:
+                    continue
+                if meet is not None and key in meet:
+                    return None
+                if not free and not inner(key):
+                    continue
+                if len(seen) + held >= cap:
+                    raise SearchCapExceededError(overflow, len(seen) + held)
+                seen[key] = depth
+                if keep:
+                    new.append((key, undo))
     return new
 
 

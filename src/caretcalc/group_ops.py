@@ -13,11 +13,17 @@ subtrees along the right spine of the positive tree; ``apply_letter`` does
 that surgery directly on the two texts of a pair and returns the texts of
 the reduced result, and multiplying by the generator's diagram must give
 the identical result (both routes are kept and tested against each other).
-The step walks down the spine with ``_subtree_end``, the subtree cutter of
-``_overhangs``, and reads no subtree below the ones that move.
-``apply_generator`` is the same step on a ``TreePairDiagram``: it checks
-the letter, calls ``apply_letter`` and wraps the result once.  The Cayley
-search calls ``apply_letter`` itself, so it never builds a diagram.
+The step has two halves.  ``plan`` reads only the positive tree: it grows
+its spine, walks down it with ``_subtree_end``, the subtree cutter of
+``_overhangs``, reading no subtree below the ones that move, cuts and
+moves the subtrees, and says what the negative tree needs: growth at its
+last leaf, and then a caret hung from a leaf, or a check of a leaf for a
+common caret.  ``enact`` applies a plan to one negative tree, and
+``apply_letter`` is ``enact`` of ``plan``, the one code path of the step.
+The Cayley search plans a letter once per positive tree and enacts it on
+every element of its frontier that shares the tree.  ``apply_generator``
+is the same step on a ``TreePairDiagram``: it checks the letter, calls
+``apply_letter`` and wraps the result once.
 
 A word is its runs: ``GeneratorWord`` holds (index, exponent) pairs,
 adjacent ones of one index and sign merged, and ``evaluate_word`` and
@@ -27,11 +33,11 @@ writes its reduced pair down, a right spine of i carets over a left comb
 of a + 1 carets against a right spine of i + a + 1 carets (the standard
 pair of x_i, Cannon-Floyd-Parry 1996, with its left caret grown into a
 comb).  Letters and runs of up to 4 letters are folded by
-``apply_letter`` into blocks of at most 64 letters, each started at the
-identity, and a longer run is written down.  The blocks and the written
-runs are multiplied as a balanced product, so each takes part in
-O(log L) products for a word of L letters, and no step runs over the
-whole product.  ``x0^k`` costs O(k), and so does its normal form, read
+``apply_letter`` into blocks of at most 64 letters, each started from its
+first run written down, and a longer run is written down.  The blocks
+and the written runs are multiplied as a balanced product, so each takes
+part in O(log L) products for a word of L letters, and no step runs over
+the whole product.  ``x0^k`` costs O(k), and so does its normal form, read
 off the trees' leaves as runs.
 
 Every ``TreePairDiagram`` is reduced (see ``tree_core``), and
@@ -49,7 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .tree_core import (
     CaretTree,
@@ -260,10 +266,19 @@ def _leaf_dot(tree: str, leaf: int) -> int:
     return tree.replace(".", ",", leaf).find(".")
 
 
-def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
-    """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
-    by direct subtree surgery; ``neg | pos`` must be the texts of a reduced
-    pair, index must be >= 0 and sign +1 or -1.
+# What a generator step does, read off the positive tree alone: carets to
+# grow at the last leaf of both trees, the new positive tree, and the leaf
+# of the negative tree that needs more (None when nothing does): a caret
+# hung from it when the last field is True, else a check whether the
+# created caret is common there.
+Plan = tuple[int, str, Optional[int], bool]
+
+
+def plan(pos: str, index: int, sign: int) -> Plan:
+    """The first half of the step by x_index^sign, the half that reads
+    only the positive tree ``pos`` of a reduced pair; ``enact`` applies
+    it to any negative tree of such a pair.  index must be >= 0 and sign
+    +1 or -1.
 
     The move acts on the subtrees hanging left off the right spine of the
     positive tree, numbered from 0 at the top.  For sign +1 subtree number
@@ -275,20 +290,22 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
     Subtree k + 1 starts just past the "(" that ends subtree k, so
     ``index`` cuts reach subtree index, and two more cut the moving pair.
 
-    The input must be reduced because only the caret the move creates is
+    The pair must be reduced because only the caret the move creates is
     checked: B ^ C for sign +1, X ^ Y for sign -1.  No other caret of
     the positive tree becomes exposed and no leaf number changes, so from
-    a reduced pair that caret is the only one that can become common, and
-    only when it is does ``reduce_text`` run, to cancel it and whatever
-    that exposes in turn.  Growing the spines makes only their bottom
+    a reduced pair that caret is the only one that can become common.  It
+    can be common only when it is exposed, and then the plan names its
+    left leaf for ``enact`` to check.  Growing the spines makes only their bottom
     caret common, and the move always rebuilds it.  When subtree index is
     a leaf L, the caret added to the negative tree over L and L + 1 makes
     L + 1 a right leaf there, so B ^ C, over L + 1 and L + 2, is not
     common.
     """
-    missing = index + (1 if sign == 1 else 2) - right_spine_carets(pos)
-    if missing > 0:
-        neg, pos = _grow_spine(neg, missing), _grow_spine(pos, missing)
+    grow = index + (1 if sign == 1 else 2) - right_spine_carets(pos)
+    if grow > 0:
+        pos = _grow_spine(pos, grow)
+    else:
+        grow = 0
     at = 1  # the start of subtree 0, just past the top "("
     for _ in range(index):
         at = _subtree_end(pos, at) + 1
@@ -310,15 +327,40 @@ def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
         created = a_end - 1
     else:
         # subtree index is a leaf: hang a caret from it in both trees
-        dot = _leaf_dot(neg, pos.count(".", 0, at))
-        neg = neg[:dot] + "(..)" + neg[dot + 1 :]
-        return neg, pos[:at] + ".(." + pos[at + 1 :] + ")"
+        leaf = pos.count(".", 0, at)
+        return grow, pos[:at] + ".(." + pos[at + 1 :] + ")", leaf, True
     if pos.startswith("(..", created):
         # the created caret is exposed: common if its left leaf starts a
         # ".." in the negative tree too
-        if neg.startswith("..", _leaf_dot(neg, pos.count(".", 0, created))):
-            return reduce_text(neg, pos)
+        return grow, pos, pos.count(".", 0, created), False
+    return grow, pos, None, False
+
+
+def enact(neg: str, step: Plan) -> tuple[str, str]:
+    """The second half of the step: the texts of the reduced pair that
+    ``step``, a ``plan`` of the positive tree, makes of the pair with
+    negative tree ``neg``.  It grows the spine, then hangs a caret from
+    the named leaf, or runs ``reduce_text`` when the created caret is
+    common, which cancels it and whatever that exposes in turn."""
+    grow, pos, leaf, hang = step
+    if grow:
+        neg = _grow_spine(neg, grow)
+    if leaf is None:
+        return neg, pos
+    dot = _leaf_dot(neg, leaf)
+    if hang:
+        return neg[:dot] + "(..)" + neg[dot + 1 :], pos
+    if neg.startswith("..", dot):
+        return reduce_text(neg, pos)
     return neg, pos
+
+
+def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
+    """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
+    by direct subtree surgery: ``enact`` of the ``plan`` of ``pos``.
+    ``neg | pos`` must be the texts of a reduced pair, index must be >= 0
+    and sign +1 or -1."""
+    return enact(neg, plan(pos, index, sign))
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
@@ -347,23 +389,24 @@ def _units(runs: Iterable[Run]) -> Iterator[TreePairDiagram]:
     """The units of a word of merged runs, in order, whose product is the
     word: its blocks of folded letters and its written-down runs (the
     rule is in ``evaluate_word``)."""
-    neg = pos = "."
     room = _BLOCK
     for index, exponent in runs:
         sign, count = (1, exponent) if exponent > 0 else (-1, -exponent)
         if count > room or count > _FOLDED_RUN:
             if room < _BLOCK:
                 yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
-                neg = pos = "."
                 room = _BLOCK
             yield _run(index, sign, count)
             continue
-        for _ in range(count):
-            neg, pos = apply_letter(neg, pos, index, sign)
+        if room == _BLOCK:
+            first = _run(index, sign, count)
+            neg, pos = first.negative.root, first.positive.root
+        else:
+            for _ in range(count):
+                neg, pos = apply_letter(neg, pos, index, sign)
         room -= count
         if not room:
             yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
-            neg = pos = "."
             room = _BLOCK
     if room < _BLOCK:
         yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
@@ -376,16 +419,17 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     Adjacent runs of one index and sign are merged as they stream by, and
     the word is cut into units (``_units``).  Letters are folded by the
     generator step ``apply_letter`` into blocks of at most ``_BLOCK``
-    letters, each started at the identity: a step reads only the spine
-    subtrees it moves and slices the two texts, while ``multiply`` walks
-    both middle trees one character at a time and reduces, so a step is
-    the cheaper way to take a letter while the block is small.  Blocks of
-    64 and 128 letters timed lowest of 16 to 256 (see ``_BLOCK``), and the
-    smaller keeps the block's texts shorter.  A run longer than
-    ``_FOLDED_RUN`` letters, or too long for the block's room, ends the
-    block and is written down by ``_run`` in time linear in i + |a|, with
-    no step and no product, so ``x0^k`` costs O(k); folding it would cost
-    a step per letter.
+    letters.  A block starts from its first run written down by ``_run``,
+    since a step from the identity walks a spine of up to i carets to take
+    x_i.  A step reads only the spine subtrees it moves and slices the two
+    texts, while ``multiply`` walks both middle trees one character at a
+    time and reduces, so a step is the cheaper way to take a letter while
+    the block is small.  Blocks of 64 and 128 letters timed lowest of 16
+    to 256 (see ``_BLOCK``), and the smaller keeps the block's texts
+    shorter.  A run longer than ``_FOLDED_RUN`` letters, or too long for
+    the block's room, ends the block and is written down by ``_run`` in
+    time linear in i + |a|, with no step and no product, so ``x0^k``
+    costs O(k); folding it would cost a step per letter.
 
     The units are multiplied as a balanced product: the stack holds
     products of units, each covering fewer units than the one below it,

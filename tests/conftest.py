@@ -7,6 +7,19 @@ X2 = GeneratingSet.of([0, 1, 2])
 X3 = GeneratingSet.of([0, 1, 2, 3])
 
 
+def counted_calls(monkeypatch, module, name):
+    """The calls of ``module.<name>`` from now on, one entry each."""
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ball_x1_r8():
     return ball(X1, 8)

@@ -5,9 +5,9 @@ operations, not their implementations: adjacency from leaf intervals
 instead of child-pointer walks, penalty-tree weights from explicit path
 distances, the least weight by enumerating every penalty tree and its
 witness by a plain depth-first search, reduction by trying every removal
-order, in-ball distances by plain one-sided breadth-first search, words
-by one generator move per letter or as a balanced product of written-down
-runs.  The tests compare the package against these.
+order, balls and in-ball distances by plain one-sided breadth-first
+search, words by one generator move per letter or as a balanced product
+of written-down runs.  The tests compare the package against these.
 """
 
 import random
@@ -367,7 +367,27 @@ def reductions_all_orders(neg: str, pos: str, limit=2000) -> set:
 
 
 # ---------------------------------------------------------------------------
-# in-ball distance oracle: plain one-sided breadth-first search
+# ball and in-ball distance oracles: plain one-sided breadth-first search
+
+
+def oracle_ball(gens, radius: int) -> dict:
+    """Encoding -> length of every element of length <= radius, by
+    breadth-first search from the identity: one ``apply_generator`` per
+    neighbour of each element of a sphere, taken in order, with no
+    grouping of elements and no letter skipped."""
+    table = {canonical_encode(identity()): 0}
+    sphere = [identity()]
+    for r in range(1, radius + 1):
+        outer = []
+        for pair in sphere:
+            for letter in gens.letters():
+                neighbour = apply_generator(pair, *letter)
+                enc = canonical_encode(neighbour)
+                if enc not in table:
+                    table[enc] = r
+                    outer.append(neighbour)
+        sphere = outer
+    return table
 
 
 def in_ball_distances(index, source: str, radius: int) -> dict:

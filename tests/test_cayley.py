@@ -26,8 +26,8 @@ from caretcalc import (
 from caretcalc import cayley, group_ops
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
-from conftest import X1, X2, X3
-from helpers import in_ball_distances
+from conftest import X1, X2, X3, counted_calls
+from helpers import in_ball_distances, oracle_ball
 
 
 def _restricted(index, radius):
@@ -109,34 +109,46 @@ def test_pair_of_non_member():
 
 def test_ball_never_applies_the_parent_letter(monkeypatch):
     # each element past the identity skips the inverse of the letter that
-    # reached it: 6 + 5 * (6 + 26 + 104) calls, not 6 * (1 + 6 + 26 + 104)
-    calls = 0
-    real = cayley.apply_letter
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(cayley, "apply_letter", counted)
+    # reached it: 6 + 5 * (6 + 26 + 104) steps, not 6 * (1 + 6 + 26 + 104);
+    # a step is planned once per positive tree a shell holds and letter
+    # some element of that tree takes, 444 plans for the 686 steps
+    steps = counted_calls(monkeypatch, cayley, "enact")
+    plans = counted_calls(monkeypatch, cayley, "plan")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
-    assert calls == 686
+    assert (len(steps), len(plans)) == (686, 444)
 
 
 def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     # a step from a reduced pair can make common only the caret it
-    # creates, so reduce_text runs on 10 of the 686 steps, not on each
-    calls = 0
-    real = group_ops.reduce_text
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(group_ops, "reduce_text", counted)
+    # creates, so reduce_text runs on 12 of the 686 steps, not on each.
+    # Which steps reduce depends on the letter each element was reached
+    # by, which follows the order of expansion inside a shell: the count
+    # is that of expanding a shell by positive tree, in the order the
+    # trees first appear in the frontier
+    calls = counted_calls(monkeypatch, group_ops, "reduce_text")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
-    assert calls == 10
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("gens, radius", [((0, 1), 8), ((0, 2), 6), ((0, 1, 2), 6),
+                                          ((0, 1, 3), 5)])
+def test_ball_matches_the_oracle_search(gens, radius):
+    # the shell groups its frontier by positive tree and steps each group
+    # from one plan per letter; the oracle takes every neighbour of every
+    # element on its own
+    gens = GeneratingSet.of(gens)
+    assert ball(gens, radius).table == oracle_ball(gens, radius)
+
+
+@pytest.mark.parametrize("gens", [X2, GeneratingSet.of([0, 1, 3])])
+def test_witness_searches_pinned(gens):
+    # the witness pairs at k = 1, 2: both of length 2k + 2, at distance 2,
+    # and 4k + 4 apart inside the ball of radius 2k + 2
+    for k, (length, detour) in ((1, (4, 8)), (2, (6, 12))):
+        g, h = mac_witness_pair(gens, k)
+        assert bfs_length(g, gens) == bfs_length(h, gens) == length
+        assert bfs_length(multiply(invert(g), h), gens) == 2
+        assert in_ball_geodesic(g, h, gens, 2 * k + 2) == detour
 
 
 def test_search_steps_on_text_and_builds_no_diagram(monkeypatch):

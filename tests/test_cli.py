@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caretcalc
+from caretcalc import cli
 from caretcalc.cli import main
 
 H1_ENCODING = "(.(((..).).))|(((..).)(..))"
@@ -493,6 +494,22 @@ def test_internal_error_exit(capsys, monkeypatch):
 
 def test_missing_subcommand(capsys):
     assert main([]) == 2
+
+
+def test_kept_parser_answers_as_a_fresh_one(monkeypatch):
+    # main builds its parser on the first call and keeps it; in one
+    # process a usage error, --help, a good call and the same call again
+    # must each give the exit code and output of a freshly built parser
+    calls = [["ball", "--gens", "0,1"], ["--help"], ["len", "x1 x0^-1", "--gens", "0,1"],
+             ["len", "x1 x0^-1", "--gens", "0,1"]]
+    cli._parser.cache_clear()
+    kept = [_run_main(argv) for argv in calls]
+    info = cli._parser.cache_info()
+    assert (info.hits, info.misses) == (len(calls) - 1, 1)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_run_main(argv) for argv in calls]
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [2, 0, 0, 0]
 
 
 def test_module_entry_point():

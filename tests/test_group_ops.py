@@ -17,7 +17,7 @@ from caretcalc import (
     normal_form,
 )
 from caretcalc.tree_core import graft, spine
-from conftest import X3
+from conftest import X3, counted_calls
 from helpers import balanced_product, fold_letters
 
 X0_ENCODING = "((..).)|(.(..))"
@@ -195,60 +195,67 @@ def test_power_costs_logarithmic_products(monkeypatch):
             assert g.carets == 2**k + letter[0] + 1
 
 
-def _counted(monkeypatch, name):
-    """The calls of ``group_ops.<name>`` from now on, one entry each."""
-    calls = []
-    function = getattr(group_ops, name)
-
-    def counted(*args):
-        calls.append(1)
-        return function(*args)
-
-    monkeypatch.setattr(group_ops, name, counted)
-    return calls
-
-
 def test_letters_fold_in_blocks_of_64(monkeypatch):
-    # N letters, no two adjacent equal: one generator step per letter, and
-    # the ceil(N / 64) blocks multiplied together
-    steps = _counted(monkeypatch, "apply_letter")
-    products = _counted(monkeypatch, "multiply")
+    # N letters, no two adjacent equal: ceil(N / 64) blocks multiplied
+    # together, each started from its first letter written down, and one
+    # generator step for each other letter
+    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    products = counted_calls(monkeypatch, group_ops, "multiply")
     for size in (1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
-        word = [(k % 3 + 2 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
+        # odd k take indices 3-5 and even k 0-2, so no run is longer than 1
+        word = [(k % 3 + 3 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
         steps.clear()
         products.clear()
         g = evaluate_word(word)
-        assert (len(steps), len(products)) == (size, -(-size // 64) - 1), size
+        blocks = -(-size // 64)
+        assert (len(steps), len(products)) == (size - blocks, blocks - 1), size
         assert encode(g) == encode(balanced_product(word)), size
 
 
 def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
-    steps = _counted(monkeypatch, "apply_letter")
-    products = _counted(monkeypatch, "multiply")
+    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    products = counted_calls(monkeypatch, group_ops, "multiply")
     for run in ((0, 5), (2, -5), (0, 64), (0, 65), (3, -65), (7, 1000), (0, -5000)):
         g = evaluate_word([run])
         assert steps == [] and products == [], run
         assert encode(g) == encode(group_ops._run(run[0], 1 if run[1] > 0 else -1,
                                                   abs(run[1])))
     # between letters, a long run ends their block and is one unit of its
-    # own: three units, two products, a step for each letter around it
+    # own: three units, two products, and a step for the second letter of
+    # each block, whose first letter is written down
     for count in (5, 65):
         word = [(1, 1), (2, -1), (0, count), (2, 1), (1, -1)]
         steps.clear()
         products.clear()
         g = evaluate_word(word)
-        assert (len(steps), len(products)) == (4, 2), count
+        assert (len(steps), len(products)) == (2, 2), count
         assert encode(g) == encode(balanced_product(word))
     # a run of up to 4 letters is folded while it fits in the block; at
-    # 62 letters one of 4 no longer fits, so it is written down
-    for prefix, count, calls in ((10, 4, (14, 0)), (60, 4, (64, 0)), (62, 4, (62, 1)),
-                                 (62, 2, (64, 0)), (63, 3, (63, 1))):
+    # 62 letters one of 4 no longer fits, so it is written down.  The
+    # block's first letter takes no step
+    for prefix, count, calls in ((10, 4, (13, 0)), (60, 4, (63, 0)), (62, 4, (61, 1)),
+                                 (62, 2, (63, 0)), (63, 3, (62, 1))):
         word = [(k % 2, 1) for k in range(prefix)] + [(5, count)]
         steps.clear()
         products.clear()
         g = evaluate_word(word)
         assert (len(steps), len(products)) == calls, (prefix, count)
         assert encode(g) == encode(balanced_product(word))
+
+
+def test_a_block_starts_from_its_first_run_written_down(monkeypatch):
+    # x_{10^6} alone is a block of one letter: written down by _run, with
+    # no step down a spine of 10^6 carets
+    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    g = evaluate_word([(10**6, 1)])
+    assert steps == []
+    assert encode(g) == encode(group_ops._run(10**6, 1, 1))
+    # a run of up to 4 letters that starts a block is written down too
+    for run in ((3, 4), (0, -2), (7, 1)):
+        g = evaluate_word([run, (1, 1)])
+        assert len(steps) == 1, run
+        assert encode(g) == encode(balanced_product([run, (1, 1)]))
+        steps.clear()
 
 
 def test_run_matches_letter_by_letter():
