@@ -1,24 +1,36 @@
 """Brute-force word metrics on the Cayley graph, for arbitrary finite
 generating subsets {x_i : i in X} with 0 in X.
 
-Everything here is search, and all of it runs on one breadth-first
-shell expander (``_shell``) that deduplicates elements by their canonical
-encodings, so the lengths are exact and serve as the independent oracle
-for the closed-form machinery in :mod:`caretcalc.metrics`.  A search
-remembers each element it has seen as its encoding and its length.  The
-encoding is the element, so the frontier holds encodings too, and a shell
-makes no tree pair at all: it works on the two texts of each encoding,
-whose step by a letter joined by "|" is the neighbour's encoding.  A step
-rearranges subtrees of the positive tree only, and the elements of a
-frontier share few positive trees (the shells of ``ball({0,1,2}, 7)``
-hold 7,753 elements in 2,122 groups), so a shell groups its frontier
-by positive tree, makes each ``group_ops.plan`` once per tree and letter,
-and enacts it on the negative tree of every element of the group
-(``group_ops.enact``).  Balls and batched lengths grow one side from the
-identity, and a ball's last shell keeps no frontier.  A single length,
-and a shortest path inside a ball, are searched from both ends at once:
-the side with the smaller frontier grows by one shell until it reaches
-the other side's seen set, which gives the distance exactly.
+Everything here is breadth-first search over elements held as texts: the
+canonical encoding "negative|positive" of a reduced pair is the element,
+so a search makes no tree pair at all.  The lengths are exact and serve as
+the independent oracle for the closed-form machinery in
+:mod:`caretcalc.metrics`.  A step by a letter rearranges subtrees of the
+positive tree only, so every shell groups its frontier by positive tree,
+makes each ``group_ops.plan`` once per tree and letter, and enacts it on
+the negative tree of every element of the group (``group_ops.enact``).
+
+The searches come in two kinds, and each stores what it has seen in the
+layout that is smaller for it:
+
+* ``ball`` and ``lengths_for`` grow one ball from the identity
+  (``_grow``).  A ball shares its trees widely: the 28,631 elements of
+  ``ball({0,1,2}, 7)`` hold 3,871 distinct positive and 3,871 distinct
+  negative trees, 7.4 elements per positive tree, and since a ball is
+  closed under inversion the two sets of trees are the same texts.  So
+  their table is ``table[positive][negative] = length``, each tree text
+  kept once for the whole search, and the frontier is carried from shell
+  to shell already grouped the same way.  An element costs a slot in its
+  row instead of its own ~50-character key: a traced peak of ~68 B in
+  place of ~137 B per element of that ball.
+* A single length (``bfs_length``) and a shortest path inside a ball
+  (``in_ball_geodesic``) are searched from both ends at once (``_meet``,
+  ``_shell``): the side with the smaller frontier grows by one shell
+  until it reaches the other side's seen set, which gives the distance
+  exactly.  Their shells are small and share few trees (1.03-1.5
+  elements per positive tree on the benchmark's length queries), where
+  the grouped layout was 20 % larger, so they keep one string key per
+  state.
 
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
@@ -48,7 +60,7 @@ sides against one cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import SearchCapExceededError
 from .group_ops import (
@@ -72,19 +84,33 @@ CONFIRMED = "witness-confirmed"
 REFUTED = "refuted"
 
 
-def _decode(encoding: str) -> TreePairDiagram:
-    """The reduced pair whose canonical encoding this is."""
-    negative, positive = encoding.split("|")
-    return TreePairDiagram(CaretTree(negative), CaretTree(positive))
+def _texts(item) -> tuple[str, str]:
+    """The negative and positive texts of a pair or of its encoding."""
+    if isinstance(item, TreePairDiagram):
+        return item.negative.root, item.positive.root
+    neg, _, pos = item.partition("|")
+    return neg, pos
+
+
+def _lookup(table: dict, item) -> Optional[int]:
+    """The length that a table in the layout of ``BallIndex.table`` holds
+    for a pair or an encoding; None when it holds none."""
+    neg, pos = _texts(item)
+    row = table.get(pos)
+    return None if row is None else row.get(neg)
 
 
 @dataclass(frozen=True)
 class BallIndex:
-    """All elements with l_X <= radius: encoding -> length.
+    """All elements with l_X <= radius, grouped by positive tree:
+    ``table[positive][negative]`` is the length of the element with those
+    two trees.
 
-    The table costs little more than its keys.  A key is the element's
-    canonical encoding, so it is the element: ``pair_of`` cuts it at "|"
-    and parses nothing.
+    A ball shares its trees widely (see the module docstring), so a row
+    per positive tree, whose keys are negative texts each kept once, costs
+    half the bytes of one "negative|positive" key per element.
+    ``items`` makes the encodings, one at a time, for a reader that wants
+    them; ``pair_of`` parses nothing.
     """
 
     gens: GeneratingSet
@@ -93,36 +119,43 @@ class BallIndex:
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return sum(map(len, self.table.values()))
 
     def __contains__(self, item) -> bool:
-        return self._key(item) in self.table
-
-    def _key(self, item) -> str:
-        if isinstance(item, TreePairDiagram):
-            return canonical_encode(item)
-        return item
+        return _lookup(self.table, item) is not None
 
     def length_of(self, item) -> int:
-        return self.table[self._key(item)]
+        length = _lookup(self.table, item)
+        if length is None:
+            raise KeyError(item if isinstance(item, str) else canonical_encode(item))
+        return length
 
     def pair_of(self, encoding: str) -> TreePairDiagram:
         """The reduced pair of a member; KeyError for anything else."""
-        if encoding not in self.table:
+        if encoding not in self:
             raise KeyError(encoding)
-        return _decode(encoding)
+        neg, pos = _texts(encoding)
+        return TreePairDiagram(CaretTree(neg), CaretTree(pos))
+
+    def items(self) -> Iterator[tuple[str, int]]:
+        """Each element's encoding and length, row by row."""
+        for pos, row in self.table.items():
+            tail = "|" + pos
+            for neg, length in row.items():
+                yield neg + tail, length
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
-        for length in self.table.values():
-            counts[length] += 1
+        for row in self.table.values():
+            for length in row.values():
+                counts[length] += 1
         return counts
 
     def export_lines(self) -> list[str]:
         """One "encoding TAB length" line per element, by length and then
         by encoding: each length's encodings are sorted on their own."""
         spheres: list[list[str]] = [[] for _ in range(self.radius + 1)]
-        for enc, length in self.table.items():
+        for enc, length in self.items():
             spheres[length].append(enc)
         lines: list[str] = []
         for length, encs in enumerate(spheres):
@@ -131,8 +164,86 @@ class BallIndex:
         return lines
 
 
-# A frontier entry: an element's encoding, and the inverse of the letter
-# that reached it (None at the start of a search).
+def _steps(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]:
+    """Each letter with its inverse, both taken from ``letters``, so that
+    a shell can test ``letter is back``."""
+    shared = {letter: letter for letter in letters}
+    return [(letter, shared[letter[0], -letter[1]]) for letter in letters]
+
+
+def _grow(
+    letters: tuple[Letter, ...],
+    cap: int,
+    overflow: str,
+    radius: Optional[int] = None,
+) -> Iterator[dict]:
+    """The table of the ball of radius r about the identity, in the
+    layout of ``BallIndex.table``, for r = 0, 1, 2, ... up to ``radius``
+    (without end when it is None): one table, yielded after each shell
+    and grown in place.
+
+    The frontier is ``{positive: [(negative, back letter)]}``, grouped as
+    the table is, so a shell needs no regrouping pass.  It takes the
+    groups in the order their trees were first reached, plans a letter at
+    its first use in a group, enacts it on every member, and clears the
+    group's list once it is done, so the frontier's memory falls while
+    the table grows.  A shell never applies an entry's back letter, the
+    inverse of the letter that reached it: that neighbour is already
+    seen.  Every new element's two texts pass through one dict,
+    ``names``, so equal trees share one string for the whole search,
+    whether they stand as negative or positive trees.  The last shell
+    of a ball keeps no frontier.  Recording an element beyond ``cap``
+    raises SearchCapExceededError with ``overflow`` and the radius.
+
+    The order of expansion decides only which letter first reaches an
+    element, and so its back letter; no answer reads it, and
+    ``BallIndex.export_lines`` sorts each sphere.  On ``ball({0,1,2}, 7)``
+    taking the groups last in first out cut the traced peak by ~4 % but
+    ran 3-6 % slower, and keeping the expanded lists raised it by ~17 %.
+    """
+    start = identity()
+    neg, pos = start.negative.root, start.positive.root
+    table = {pos: {neg: 0}}
+    frontier = {pos: [(neg, None)]}
+    names: dict[str, str] = {}
+    size = 1
+    steps = _steps(letters)
+    r = 0
+    yield table
+    while r != radius:
+        r += 1
+        keep = r != radius
+        new: dict[str, list] = {}
+        for pos, members in frontier.items():
+            plans: dict = {}
+            for neg, back in members:
+                for letter, undo in steps:
+                    if letter is back:
+                        continue
+                    step = plans.get(letter)
+                    if step is None:
+                        step = plans[letter] = plan(pos, *letter)
+                    n, p = enact(neg, step)
+                    row = table.get(p)
+                    if row is not None and n in row:
+                        continue
+                    if size >= cap:
+                        raise SearchCapExceededError(f"{overflow} at radius {r}", size)
+                    p = names.setdefault(p, p)
+                    if row is None:
+                        row = table[p] = {}
+                    n = names.setdefault(n, n)
+                    row[n] = r
+                    size += 1
+                    if keep:
+                        new.setdefault(p, []).append((n, undo))
+            members.clear()
+        frontier = new
+        yield table
+
+
+# A frontier entry of a two-sided search: an element's encoding, and the
+# inverse of the letter that reached it (None at the start of a search).
 Frontier = list[tuple[str, Optional[Letter]]]
 
 
@@ -143,42 +254,35 @@ def _shell(
     letters: tuple[Letter, ...],
     cap: int,
     overflow: str,
-    inner: Optional[Callable[[str], bool]] = None,
+    inner: Optional[Callable[[str, str], bool]] = None,
     meet: Optional[dict] = None,
-    keep: bool = True,
 ) -> Optional[Frontier]:
-    """One breadth-first shell: record every unseen neighbour of the
-    frontier in ``seen`` at ``depth`` and return the new frontier.
-
-    The shell consumes ``frontier``.  It groups the entries by positive
-    tree, and takes the groups in the order their trees first appear in
-    it, each group's entries in frontier order.  A step by a letter is
-    planned at its first use in a group and enacted on each entry of the
-    group, and a group is dropped once it is done, so the frontier's
-    memory falls while ``seen`` grows.  The shell never applies an entry's
-    back letter: that neighbour is the element it was reached from,
-    already seen.  Each new key is kept, with the inverse of its letter,
-    for the next shell; without ``keep`` the shell returns an empty
+    """One breadth-first shell of a two-sided search: record every unseen
+    neighbour of the frontier in ``seen`` at ``depth`` and return the new
     frontier.
 
-    With ``inner`` (a test of an encoding for length <= R - 1) the shell
-    stays in the ball of radius R: an entry that fails it keeps only the
-    neighbours that pass it.  With ``meet`` (the other side's seen dict)
-    the shell stops at the first neighbour the other side has seen and
-    returns None.  The cap counts the states of both dicts; recording one
-    beyond it raises SearchCapExceededError with the message ``overflow``.
+    ``seen`` and the frontier keep one encoding per state.  The shells of
+    these searches share few positive trees, 1.03-1.5 elements per tree on
+    the benchmark's length queries, where ``_grow``'s grouped layout
+    raised the bytes per element by 20 %; so this shell groups its
+    frontier by positive tree only while it expands it.  It consumes
+    ``frontier``, takes the groups in the order their trees first appear
+    in it, each group's entries in frontier order, plans a letter at its
+    first use in a group and enacts it on each entry, and drops a group
+    once it is done.  It never applies an entry's back letter.
 
-    The order of expansion decides only which letter first reaches a new
-    element, and so its back letter, and the order of the next frontier.
-    No answer reads either: ``seen`` gets the same keys at the same
-    depth in any order, ``BallIndex.export_lines`` sorts each sphere, and
-    ``_meet`` returns the sum of the two depths, whichever neighbour of
-    the shell meets the other side first.
+    With ``inner`` (a test of an element's two texts for length <= R - 1)
+    the shell stays in the ball of radius R: an entry that fails it keeps
+    only the neighbours that pass it.  With ``meet`` (the other side's
+    seen dict) the shell stops at the first neighbour the other side has
+    seen and returns None.  The cap counts the states of both dicts;
+    recording one beyond it raises SearchCapExceededError with the message
+    ``overflow``.  ``_meet`` returns the sum of the two depths, whichever
+    neighbour of the shell meets the other side first, so the order of
+    expansion decides no answer.
     """
     held = len(meet) if meet is not None else 0
-    # each letter with its inverse taken from letters, so ``letter is back`` holds
-    shared = {letter: letter for letter in letters}
-    steps = [(letter, shared[letter[0], -letter[1]]) for letter in letters]
+    steps = _steps(letters)
     groups: dict[str, Frontier] = {}
     for entry in frontier:
         enc = entry[0]
@@ -194,25 +298,25 @@ def _shell(
         plans: dict = {}
         for enc, back in members:
             neg = enc[:cut]
-            free = inner is None or inner(enc)
+            free = inner is None or inner(neg, pos)
             for letter, undo in steps:
                 if letter is back:
                     continue
                 step = plans.get(letter)
                 if step is None:
                     step = plans[letter] = plan(pos, *letter)
-                key = "|".join(enact(neg, step))
+                texts = enact(neg, step)
+                key = "|".join(texts)
                 if key in seen:
                     continue
                 if meet is not None and key in meet:
                     return None
-                if not free and not inner(key):
+                if not free and not inner(*texts):
                     continue
                 if len(seen) + held >= cap:
                     raise SearchCapExceededError(overflow, len(seen) + held)
                 seen[key] = depth
-                if keep:
-                    new.append((key, undo))
+                new.append((key, undo))
     return new
 
 
@@ -226,15 +330,11 @@ def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> Ball
     """Exact breadth-first enumeration of the ball of the given radius."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    letters = gens.letters()
-    table, frontier = _seed(identity())
-    for r in range(1, radius + 1):
-        frontier = _shell(
-            table, frontier, r, letters, cap,
-            f"ball enumeration exceeded the state cap of {cap} elements "
-            f"at radius {r}",
-            keep=r < radius,
-        )
+    for table in _grow(
+        gens.letters(), cap,
+        f"ball enumeration exceeded the state cap of {cap} elements", radius,
+    ):
+        pass
     return BallIndex(gens=gens, radius=radius, table=table)
 
 
@@ -265,18 +365,13 @@ def lengths_for(
     for t in targets:
         _check_reachable(t, gens)
         wanted.add(canonical_encode(t))
-    letters = gens.letters()
-    table, frontier = _seed(identity())
-    missing = wanted - table.keys()
-    r = 0
-    while missing:
-        r += 1
-        frontier = _shell(
-            table, frontier, r, letters, cap,
-            f"length search exceeded the state cap of {cap} states at radius {r}",
-        )
-        missing = {enc for enc in missing if enc not in table}
-    return {enc: table[enc] for enc in wanted}
+    for table in _grow(
+        gens.letters(), cap, f"length search exceeded the state cap of {cap} states"
+    ):
+        found = {enc: _lookup(table, enc) for enc in wanted}
+        if None not in found.values():
+            break
+    return found
 
 
 def _meet(
@@ -367,15 +462,16 @@ def in_ball_geodesic(
     table = _covering_ball(gens, radius, ball_index, cap).table
     letters = gens.letters()
 
-    def inner(enc: str) -> bool:
-        return table.get(enc, radius) < radius
+    def inner(neg: str, pos: str) -> bool:
+        row = table.get(pos)
+        return row is not None and row.get(neg, radius) < radius
 
     def within(p: TreePairDiagram) -> bool:
         if radius <= 0:
             return radius == 0 and p.is_identity
         neg, pos = p.negative.root, p.positive.root
-        return inner(canonical_encode(p)) or any(
-            inner("|".join(apply_letter(neg, pos, *letter))) for letter in letters
+        return inner(neg, pos) or any(
+            inner(*apply_letter(neg, pos, *letter)) for letter in letters
         )
 
     for name, p in (("a", a), ("b", b)):
@@ -565,8 +661,8 @@ def coarse_isometry_check(
     """Sweep both balls of the given radius and measure max |l_X - l_Y|."""
     ball_x = ball(x_gens, radius, cap=cap)
     ball_y = ball(y_gens, radius, cap=cap)
-    lengths_x = dict(ball_x.table)
-    lengths_y = dict(ball_y.table)
+    lengths_x = dict(ball_x.items())
+    lengths_y = dict(ball_y.items())
     only_y = [ball_y.pair_of(e) for e in lengths_y.keys() - lengths_x.keys()]
     only_x = [ball_x.pair_of(e) for e in lengths_x.keys() - lengths_y.keys()]
     if only_y:
@@ -600,7 +696,7 @@ def probe_subset_monotonicity(
         )
     ball_small = ball(small, radius, cap=cap)
     ball_large = ball(large, radius, cap=cap)
-    for enc, length in ball_small.table.items():
+    for enc, length in ball_small.items():
         if enc not in ball_large or ball_large.length_of(enc) > length:
             return False
     return True

@@ -208,7 +208,8 @@ def cmd_ball(args) -> int:
             "radius": args.radius,
             "size": index.size,
             "sphere_sizes": index.sphere_sizes(),
-            "elements": index.table,
+            # the flat encoding -> length object is made only to print
+            "elements": dict(index.items()),
         }
         _emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
     else:

@@ -62,7 +62,6 @@ from .tree_core import (
     TreePairDiagram,
     graft,
     reduce_text,
-    right_spine_carets,
     spine,
 )
 
@@ -301,11 +300,13 @@ def plan(pos: str, index: int, sign: int) -> Plan:
     L + 1 a right leaf there, so B ^ C, over L + 1 and L + 2, is not
     common.
     """
-    grow = index + (1 if sign == 1 else 2) - right_spine_carets(pos)
-    if grow > 0:
+    need = index + (1 if sign == 1 else 2)
+    # the spine is short exactly when the last ``need`` characters are not
+    # all ")", so only they are read, not the whole text
+    tail = pos[-need:]
+    grow = need - (len(tail) - len(tail.rstrip(")")))
+    if grow:
         pos = _grow_spine(pos, grow)
-    else:
-        grow = 0
     at = 1  # the start of subtree 0, just past the top "("
     for _ in range(index):
         at = _subtree_end(pos, at) + 1

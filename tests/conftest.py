@@ -1,6 +1,7 @@
 import pytest
 
-from caretcalc import BallIndex, GeneratingSet, ball
+from caretcalc import GeneratingSet, ball
+from helpers import restricted
 
 X1 = GeneratingSet.of([0, 1])
 X2 = GeneratingSet.of([0, 1, 2])
@@ -38,7 +39,4 @@ def ball_x3_r6():
 @pytest.fixture(scope="session")
 def ball_x2_r6(ball_x2_r7):
     # restriction of the radius-7 index; avoids a second enumeration
-    table = {
-        enc: length for enc, length in ball_x2_r7.table.items() if length <= 6
-    }
-    return BallIndex(gens=X2, radius=6, table=table)
+    return restricted(ball_x2_r7, 6)

@@ -14,6 +14,7 @@ import random
 from collections import deque
 
 from caretcalc import (
+    BallIndex,
     CaretTree,
     GeneratorWord,
     TreePairDiagram,
@@ -390,12 +391,23 @@ def oracle_ball(gens, radius: int) -> dict:
     return table
 
 
+def restricted(index: BallIndex, radius: int) -> BallIndex:
+    """The elements of the index within the given radius, as an index of
+    that radius."""
+    table = {}
+    for pos, row in index.table.items():
+        kept = {neg: length for neg, length in row.items() if length <= radius}
+        if kept:
+            table[pos] = kept
+    return BallIndex(gens=index.gens, radius=radius, table=table)
+
+
 def in_ball_distances(index, source: str, radius: int) -> dict:
     """Encoding -> length of the shortest path from ``source`` that stays
     among the elements of length <= radius in the ball index, found by
     breadth-first search from the source alone until the in-ball
     component is exhausted."""
-    inside = {enc for enc, length in index.table.items() if length <= radius}
+    inside = {enc for enc, length in index.items() if length <= radius}
     dist = {source: 0}
     queue = deque([source])
     while queue:

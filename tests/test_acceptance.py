@@ -38,7 +38,7 @@ def test_criterion_1_formula_equals_bfs(ball_x2_r7, ball_x3_r6, ball_x1_r8):
     mismatches = 0
     total = 0
     for index, n in ((ball_x2_r7, 2), (ball_x3_r6, 3), (ball_x1_r8, 1)):
-        for enc, length in index.table.items():
+        for enc, length in index.items():
             pair = index.pair_of(enc)
             total += 1
             if length_consecutive(pair, n).length != length:
@@ -164,7 +164,7 @@ def test_criterion_6_structural_properties():
 def test_criterion_7_penalty_weight_invariants(ball_x2_r6):
     ok = True
     checked = 0
-    for enc in ball_x2_r6.table:
+    for enc, _ in ball_x2_r6.items():
         pair = ball_x2_r6.pair_of(enc)
         checked += 1
         carets = pair.carets

@@ -1,9 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
 from caretcalc import (
-    BallIndex,
     GeneratingSet,
     apply_generator,
     ball,
@@ -27,13 +27,7 @@ from caretcalc import cayley, group_ops
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3, counted_calls
-from helpers import in_ball_distances, oracle_ball
-
-
-def _restricted(index, radius):
-    """The elements of the index within the given radius, as an index."""
-    table = {enc: length for enc, length in index.table.items() if length <= radius}
-    return BallIndex(gens=index.gens, radius=radius, table=table)
+from helpers import in_ball_distances, oracle_ball, restricted
 
 
 def _exponent_sum(pair):
@@ -51,7 +45,7 @@ def test_ball_radius_zero_and_one():
         for i in (0, 1)
         for s in (1, -1)
     }
-    assert {enc for enc, length in b1.table.items() if length == 1} == expected
+    assert {enc for enc, length in b1.items() if length == 1} == expected
 
 
 def test_ball_negative_radius():
@@ -66,8 +60,8 @@ def test_sphere_two_by_exhaustive_products():
     products = {
         canonical_encode(evaluate_word([a, b])) for a in letters for b in letters
     }
-    inner = {enc for enc, length in b2.table.items() if length <= 1}
-    sphere2 = {enc for enc, length in b2.table.items() if length == 2}
+    inner = {enc for enc, length in b2.items() if length <= 1}
+    sphere2 = {enc for enc, length in b2.items() if length == 2}
     assert sphere2 == products - inner
 
 
@@ -82,7 +76,7 @@ def test_ball_export_lines_deterministic():
 def test_ball_descent_via_some_letter():
     # every element of length L >= 1 has a neighbour of length L - 1
     index = ball(X2, 3)
-    for enc, length in index.table.items():
+    for enc, length in index.items():
         if length == 0:
             continue
         pair = index.pair_of(enc)
@@ -93,10 +87,23 @@ def test_ball_descent_via_some_letter():
 
 def test_ball_rows_hold_no_trees_and_pairs_rebuild():
     index = ball(X2, 4)
-    for enc, row in index.table.items():
+    for enc, row in index.items():
         assert type(row) is int
         pair = index.pair_of(enc)
         assert pair.reduced and canonical_encode(pair) == enc
+
+
+def test_ball_costs_at_most_100_bytes_per_element():
+    # the table keeps a row per positive tree and each tree text once, so
+    # one ball({0,1,2}, 7), traced from start to end, peaks at ~68 B per
+    # element; one "negative|positive" key per element read ~137 B
+    tracemalloc.start()
+    try:
+        index = ball(X2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / index.size <= 100
 
 
 def test_pair_of_non_member():
@@ -137,7 +144,7 @@ def test_ball_matches_the_oracle_search(gens, radius):
     # from one plan per letter; the oracle takes every neighbour of every
     # element on its own
     gens = GeneratingSet.of(gens)
-    assert ball(gens, radius).table == oracle_ball(gens, radius)
+    assert dict(ball(gens, radius).items()) == oracle_ball(gens, radius)
 
 
 @pytest.mark.parametrize("gens", [X2, GeneratingSet.of([0, 1, 3])])
@@ -194,7 +201,7 @@ def test_sphere_size_goldens(ball_x1_r8):
 
 def _sample_with_outer_sphere(index, rng, count, outer):
     """Seeded encodings of the index, plus ``outer`` from its last sphere."""
-    encs = sorted(index.table)
+    encs = sorted(enc for enc, _ in index.items())
     last = [e for e in encs if index.length_of(e) == index.radius]
     return rng.sample(encs, count) + rng.sample(last, outer)
 
@@ -212,7 +219,7 @@ def test_bfs_length_matches_ball(ball_x1_r8, ball_x2_r7, ball_x3_r6):
 
 def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     rng = random.Random(113)
-    encs = sorted(ball_x2_r6.table)
+    encs = sorted(enc for enc, _ in ball_x2_r6.items())
 
     def seeded(count):
         return [ball_x2_r6.pair_of(enc) for enc in rng.sample(encs, count)]
@@ -223,7 +230,7 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     for a, radius, targets in cases:
         oracle = in_ball_distances(ball_x2_r6, canonical_encode(a), radius)
         # the ball one radius smaller decides membership just as well
-        for index in (ball_x2_r6, _restricted(ball_x2_r6, radius - 1)):
+        for index in (ball_x2_r6, restricted(ball_x2_r6, radius - 1)):
             for b in targets:
                 got = in_ball_geodesic(a, b, X2, radius, ball_index=index)
                 assert got == oracle[canonical_encode(b)]
@@ -262,7 +269,7 @@ def test_cap_errors_say_how_far_the_search_got():
 
 def test_lengths_for_matches_bfs_length(ball_x2_r7):
     rng = random.Random(97)
-    sample = rng.sample(sorted(ball_x2_r7.table), 30)
+    sample = rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 30)
     pairs = [ball_x2_r7.pair_of(enc) for enc in sample]
     batched = lengths_for(pairs, X2)
     for enc, pair in zip(sample, pairs):
@@ -271,7 +278,7 @@ def test_lengths_for_matches_bfs_length(ball_x2_r7):
 
 def test_length_symmetry_and_letter_step(ball_x2_r7):
     rng = random.Random(103)
-    chosen = rng.sample(sorted(ball_x2_r7.table), 60)
+    chosen = rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 60)
     for enc in chosen:
         pair = ball_x2_r7.pair_of(enc)
         length = ball_x2_r7.length_of(enc)
@@ -286,7 +293,7 @@ def test_length_symmetry_and_letter_step(ball_x2_r7):
 
 def test_triangle_inequality_sampled(ball_x2_r7):
     rng = random.Random(107)
-    encs = sorted(ball_x2_r7.table)
+    encs = sorted(enc for enc, _ in ball_x2_r7.items())
     for _ in range(50):
         a = ball_x2_r7.pair_of(rng.choice(encs))
         b = ball_x2_r7.pair_of(rng.choice(encs))
@@ -313,12 +320,12 @@ def test_every_edge_flips_length_parity(ball_x2_r7):
     # the exponent sum is a homomorphism F -> Z, so every letter moves it
     # by one, and the length of each element has its parity
     rng = random.Random(127)
-    for enc in rng.sample(sorted(ball_x2_r7.table), 40):
+    for enc in rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 40):
         pair = ball_x2_r7.pair_of(enc)
         for index, sign in X3.letters():
             stepped = apply_generator(pair, index, sign)
             assert _exponent_sum(stepped) == _exponent_sum(pair) + sign
-    for enc, length in ball_x2_r7.table.items():
+    for enc, length in ball_x2_r7.items():
         assert (length - _exponent_sum(ball_x2_r7.pair_of(enc))) % 2 == 0
 
 
@@ -329,7 +336,7 @@ def test_probe_mac_same_report_for_any_covering_index(ball_x2_r7):
         reports = [probe_mac(gens, k).to_dict()]
         for radius in (2 * k + 1, 2 * k + 2, 2 * k + 3):
             reports.append(
-                probe_mac(gens, k, ball_index=_restricted(index, radius)).to_dict()
+                probe_mac(gens, k, ball_index=restricted(index, radius)).to_dict()
             )
         assert all(report == reports[0] for report in reports)
         assert reports[0]["verdict"] == "witness-confirmed"

@@ -119,8 +119,8 @@ def test_apply_letter_on_every_ball_element():
     # every element of ball({x0..x3}, 4) by every letter of index 0-5:
     # 14,748 steps, each against the product with the generator's diagram
     index = ball(X3, 4)
-    assert len(index.table) == 1229
-    for enc in index.table:
+    assert index.size == 1229
+    for enc, _ in index.items():
         pair = index.pair_of(enc)
         neg, pos = enc.split("|")
         for i in range(6):

@@ -272,6 +272,6 @@ def test_public_names_pinned():
     # operations act on diagrams
     assert not {"__len__", "__mul__"} & set(vars(caretcalc.GeneratorWord))
     assert public(caretcalc.BallIndex) == [
-        "export_lines", "gens", "length_of", "pair_of", "radius", "size",
-        "sphere_sizes", "table",
+        "export_lines", "gens", "items", "length_of", "pair_of", "radius",
+        "size", "sphere_sizes", "table",
     ]
