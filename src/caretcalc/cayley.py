@@ -5,10 +5,7 @@ Everything here is breadth-first search over elements held as texts: the
 canonical encoding "negative|positive" of a reduced pair is the element,
 so a search makes no tree pair at all.  The lengths are exact and serve as
 the independent oracle for the closed-form machinery in
-:mod:`caretcalc.metrics`.  A step by a letter rearranges subtrees of the
-positive tree only, so every shell groups its frontier by positive tree,
-makes each ``group_ops.plan`` once per tree and letter, and enacts it on
-the negative tree of every element of the group (``group_ops.enact``).
+:mod:`caretcalc.metrics`.
 
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
@@ -19,18 +16,20 @@ layout that is smaller for it:
   negative trees, 7.4 elements per positive tree, and since a ball is
   closed under inversion the two sets of trees are the same texts.  So
   their table is ``table[positive][negative] = length``, each tree text
-  kept once for the whole search, and the frontier is carried from shell
-  to shell already grouped the same way.  An element costs a slot in its
-  row instead of its own ~50-character key: a traced peak of ~68 B in
-  place of ~137 B per element of that ball.
+  kept once for the whole search, and the frontier is carried from
+  radius to radius already grouped the same way.  An element costs a
+  slot in its row instead of its own ~50-character key: a traced peak of
+  ~68 B in place of ~137 B per element of that ball.  A step by a letter
+  rearranges subtrees of the positive tree only, so ``_grow`` makes each
+  ``group_ops.plan`` once per positive tree and letter, and enacts it on
+  the negative tree of every element of the group (``group_ops.enact``).
 * A single length (``bfs_length``) and a shortest path inside a ball
-  (``in_ball_geodesic``) are searched from both ends at once (``_meet``,
-  ``_shell``): the side with the smaller frontier grows by one shell
-  until it reaches the other side's seen set, which gives the distance
-  exactly.  Their shells are small and share few trees (1.03-1.5
-  elements per positive tree on the benchmark's length queries), where
-  the grouped layout was 20 % larger, so they keep one string key per
-  state.
+  (``in_ball_geodesic``) are searched from both ends at once
+  (``_meet``): the side with the smaller frontier grows by one shell
+  until it reaches a state the other side has seen, which gives the
+  distance exactly.  Their searches share few trees (1.03-1.5 elements
+  per positive tree on the benchmark's length queries), so they keep one
+  encoding per state and step on each with ``group_ops.apply_letter``.
 
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
@@ -151,17 +150,21 @@ class BallIndex:
                 counts[length] += 1
         return counts
 
-    def export_lines(self) -> list[str]:
+    def export_lines(self) -> Iterator[str]:
         """One "encoding TAB length" line per element, by length and then
-        by encoding: each length's encodings are sorted on their own."""
+        by encoding, yielded one at a time.  One pass puts each encoding
+        in its length's bucket; each bucket is then sorted, its lines
+        yielded, and emptied, so the export holds each encoding once and
+        no line longer than its reader does."""
         spheres: list[list[str]] = [[] for _ in range(self.radius + 1)]
         for enc, length in self.items():
             spheres[length].append(enc)
-        lines: list[str] = []
         for length, encs in enumerate(spheres):
+            encs.sort()
             tail = f"\t{length}"
-            lines += [enc + tail for enc in sorted(encs)]
-        return lines
+            for enc in encs:
+                yield enc + tail
+            encs.clear()
 
 
 def _steps(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]:
@@ -183,7 +186,7 @@ def _grow(
     and grown in place.
 
     The frontier is ``{positive: [(negative, back letter)]}``, grouped as
-    the table is, so a shell needs no regrouping pass.  It takes the
+    the table is, so a shell reads its groups as they stand.  It takes the
     groups in the order their trees were first reached, plans a letter at
     its first use in a group, enacts it on every member, and clears the
     group's list once it is done, so the frontier's memory falls while
@@ -242,90 +245,6 @@ def _grow(
         yield table
 
 
-# A frontier entry of a two-sided search: an element's encoding, and the
-# inverse of the letter that reached it (None at the start of a search).
-Frontier = list[tuple[str, Optional[Letter]]]
-
-
-def _shell(
-    seen: dict,
-    frontier: Frontier,
-    depth: int,
-    letters: tuple[Letter, ...],
-    cap: int,
-    overflow: str,
-    inner: Optional[Callable[[str, str], bool]] = None,
-    meet: Optional[dict] = None,
-) -> Optional[Frontier]:
-    """One breadth-first shell of a two-sided search: record every unseen
-    neighbour of the frontier in ``seen`` at ``depth`` and return the new
-    frontier.
-
-    ``seen`` and the frontier keep one encoding per state.  The shells of
-    these searches share few positive trees, 1.03-1.5 elements per tree on
-    the benchmark's length queries, where ``_grow``'s grouped layout
-    raised the bytes per element by 20 %; so this shell groups its
-    frontier by positive tree only while it expands it.  It consumes
-    ``frontier``, takes the groups in the order their trees first appear
-    in it, each group's entries in frontier order, plans a letter at its
-    first use in a group and enacts it on each entry, and drops a group
-    once it is done.  It never applies an entry's back letter.
-
-    With ``inner`` (a test of an element's two texts for length <= R - 1)
-    the shell stays in the ball of radius R: an entry that fails it keeps
-    only the neighbours that pass it.  With ``meet`` (the other side's
-    seen dict) the shell stops at the first neighbour the other side has
-    seen and returns None.  The cap counts the states of both dicts;
-    recording one beyond it raises SearchCapExceededError with the message
-    ``overflow``.  ``_meet`` returns the sum of the two depths, whichever
-    neighbour of the shell meets the other side first, so the order of
-    expansion decides no answer.
-    """
-    held = len(meet) if meet is not None else 0
-    steps = _steps(letters)
-    groups: dict[str, Frontier] = {}
-    for entry in frontier:
-        enc = entry[0]
-        groups.setdefault(enc[enc.index("|") + 1 :], []).append(entry)
-    frontier.clear()
-    # popped from the end, so taken in the order of their first entries
-    order = list(reversed(groups.items()))
-    groups.clear()
-    new: Frontier = []
-    while order:
-        pos, members = order.pop()
-        cut = -len(pos) - 1
-        plans: dict = {}
-        for enc, back in members:
-            neg = enc[:cut]
-            free = inner is None or inner(neg, pos)
-            for letter, undo in steps:
-                if letter is back:
-                    continue
-                step = plans.get(letter)
-                if step is None:
-                    step = plans[letter] = plan(pos, *letter)
-                texts = enact(neg, step)
-                key = "|".join(texts)
-                if key in seen:
-                    continue
-                if meet is not None and key in meet:
-                    return None
-                if not free and not inner(*texts):
-                    continue
-                if len(seen) + held >= cap:
-                    raise SearchCapExceededError(overflow, len(seen) + held)
-                seen[key] = depth
-                new.append((key, undo))
-    return new
-
-
-def _seed(pair: TreePairDiagram) -> tuple[dict, Frontier]:
-    """The seen dict and the frontier of a search that starts at pair."""
-    key = canonical_encode(pair)
-    return {key: 0}, [(key, None)]
-
-
 def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> BallIndex:
     """Exact breadth-first enumeration of the ball of the given radius."""
     if radius < 0:
@@ -380,33 +299,60 @@ def _meet(
     letters: tuple[Letter, ...],
     cap: int,
     what: str,
-    inner: Optional[Callable[[str], bool]] = None,
+    inner: Optional[Callable[[str, str], bool]] = None,
 ) -> Optional[int]:
     """Distance from a to b by breadth-first search from both ends.
 
-    Each step grows the side with the smaller frontier by one shell.
-    While the two seen sets are disjoint the distance exceeds the sum of
-    the two depths, so the first shell that reaches the other side's seen
-    set ends the search with exactly that sum.  The cap counts the states
-    of both sides together.  None means one side ran out of vertices.
+    Each side keeps a dict from the encoding of every state it has seen to
+    that state's back letter, the inverse of the letter that first reached
+    it (None at the side's start), and a frontier of encodings.  Each step
+    grows the side with the smaller frontier by one shell: it steps on each
+    entry's two texts by every letter but its back letter, whose neighbour
+    is already seen.  While the two seen sets are disjoint the distance
+    exceeds the sum of the two depths, so the first neighbour that the
+    other side has seen ends the search with exactly that sum, whichever
+    neighbour it is.  With ``inner`` (a test of an element's two texts for
+    length <= R - 1) the search stays in the ball of radius R: an entry
+    that fails it keeps only the neighbours that pass it.  The cap counts
+    the states of both sides together.  None means one side ran out of
+    vertices.
     """
-    seen, frontiers = zip(_seed(a), _seed(b))
+    steps = _steps(letters)
+    seen = ({canonical_encode(a): None}, {canonical_encode(b): None})
     if seen[0].keys() == seen[1].keys():
         return 0
-    frontiers = list(frontiers)
+    frontiers = [list(seen[0]), list(seen[1])]
     depths = [0, 0]
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         depths[side] += 1
-        frontier = _shell(
-            seen[side], frontiers[side], depths[side], letters, cap,
-            f"{what} exceeded the state cap of {cap} states (both sides) "
-            f"at depth {depths[0]} from the start and {depths[1]} from the goal",
-            inner, seen[1 - side],
-        )
-        if frontier is None:
-            return depths[0] + depths[1]
-        frontiers[side] = frontier
+        mine, other = seen[side], seen[1 - side]
+        new: list[str] = []
+        for enc in frontiers[side]:
+            neg, pos = _texts(enc)
+            back = mine[enc]
+            free = inner is None or inner(neg, pos)
+            for letter, undo in steps:
+                if letter is back:
+                    continue
+                texts = apply_letter(neg, pos, *letter)
+                key = "|".join(texts)
+                if key in mine:
+                    continue
+                if key in other:
+                    return depths[0] + depths[1]
+                if not free and not inner(*texts):
+                    continue
+                if len(mine) + len(other) >= cap:
+                    raise SearchCapExceededError(
+                        f"{what} exceeded the state cap of {cap} states (both sides) "
+                        f"at depth {depths[0]} from the start and {depths[1]} from "
+                        "the goal",
+                        len(mine) + len(other),
+                    )
+                mine[key] = undo
+                new.append(key)
+        frontiers[side] = new
     return None
 
 

@@ -20,8 +20,8 @@ moves the subtrees, and says what the negative tree needs: growth at its
 last leaf, and then a caret hung from a leaf, or a check of a leaf for a
 common caret.  ``enact`` applies a plan to one negative tree, and
 ``apply_letter`` is ``enact`` of ``plan``, the one code path of the step.
-The Cayley search plans a letter once per positive tree and enacts it on
-every element of its frontier that shares the tree.  ``apply_generator``
+Ball growth plans a letter once per positive tree and enacts it on every
+element of its frontier that shares the tree.  ``apply_generator``
 is the same step on a ``TreePairDiagram``: it checks the letter, calls
 ``apply_letter`` and wraps the result once.
 

@@ -35,10 +35,11 @@ A pair is ``negative "|" positive``.  Group elements are represented by
 pairs of trees with equal caret counts; a pair is reduced when no caret is
 exposed in both trees over the same pair of leaf numbers, and every element
 of F has exactly one reduced pair (Cannon-Floyd-Parry 1996).  Every
-``TreePairDiagram`` the package builds is that pair: ``reduce_text`` is the
-one loop that reduces, on the two texts, ``TreePairDiagram.of`` runs it on
-outside input, and the package calls the constructor itself only with
-texts it knows are reduced.  So no operation checks reducedness again.
+``TreePairDiagram`` is that pair: its constructor refuses any other with
+MalformedPairError, after one linear pass over the two texts.
+``reduce_text`` is the one loop that reduces, on the two texts, and
+``TreePairDiagram.of`` runs it on outside input.  So no operation checks
+reducedness again.
 """
 
 from __future__ import annotations
@@ -172,12 +173,21 @@ class TreePairDiagram:
     """The reduced pair (negative, positive) of an element: two trees with
     equal caret counts and no caret exposed in both over the same leaves.
 
-    The constructor takes the trees as they are, so give it only texts
-    known to be reduced; :meth:`of` reduces outside input.
+    The constructor raises MalformedPairError for trees of unequal caret
+    counts or with a caret exposed in both over the same leaves;
+    :meth:`of` reduces outside input.
     """
 
     negative: CaretTree
     positive: CaretTree
+
+    def __post_init__(self):
+        common = _common_exposed(self.negative.root, self.positive.root)
+        if common:
+            raise MalformedPairError(
+                f"pair is not reduced: the caret over leaves {common[0]} and "
+                f"{common[0] + 1} is exposed in both trees"
+            )
 
     @classmethod
     def of(cls, negative: CaretTree, positive: CaretTree) -> "TreePairDiagram":
@@ -189,7 +199,7 @@ class TreePairDiagram:
     @property
     def reduced(self) -> bool:
         """No caret exposed in both trees over the same leaves, read off
-        the two texts.  True for every pair the package builds."""
+        the two texts.  True for every pair the constructor accepts."""
         return not _common_exposed(self.negative.root, self.positive.root)
 
     @property

@@ -92,11 +92,14 @@ def pair_of_nodes(neg: Node, pos: Node) -> TreePairDiagram:
 
 
 def raw_pair(neg: str, pos: str) -> TreePairDiagram:
-    """Two tree texts as a pair, reduced or not: the constructor, which
-    takes its trees as they are.  For tests that read the trees' own
-    carets, and for loops that keep the pairs whose computed ``reduced``
-    holds."""
-    return TreePairDiagram(CaretTree(neg), CaretTree(pos))
+    """Two tree texts as a pair, reduced or not.  The constructor refuses
+    an unreduced pair, so this one is made without it.  For tests that
+    read the trees' own carets, and for loops that keep the pairs whose
+    computed ``reduced`` holds."""
+    pair = object.__new__(TreePairDiagram)
+    object.__setattr__(pair, "negative", CaretTree(neg))
+    object.__setattr__(pair, "positive", CaretTree(pos))
+    return pair
 
 
 def all_trees(carets: int):

@@ -66,8 +66,8 @@ def test_sphere_two_by_exhaustive_products():
 
 
 def test_ball_export_lines_deterministic():
-    lines_a = ball(X1, 2).export_lines()
-    lines_b = ball(X1, 2).export_lines()
+    lines_a = list(ball(X1, 2).export_lines())
+    lines_b = list(ball(X1, 2).export_lines())
     assert lines_a == lines_b
     assert lines_a[0] == ".|.\t0"
     assert lines_a == sorted(lines_a, key=lambda ln: (int(ln.split("\t")[1]), ln.split("\t")[0]))

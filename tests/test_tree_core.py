@@ -141,6 +141,17 @@ def test_pair_construction_and_encoding():
         pair_of_nodes((None, None), None)
 
 
+def test_constructor_refuses_unreduced_trees():
+    # the identity written with a common caret would read as a pair of
+    # length 2 with normal form x0 x0^-1; only TreePairDiagram.of takes it
+    with pytest.raises(MalformedPairError, match="leaves 0 and 1"):
+        TreePairDiagram(CaretTree("((..).)"), CaretTree("((..).)"))
+    with pytest.raises(MalformedPairError, match="caret counts differ"):
+        TreePairDiagram(CaretTree("(..)"), CaretTree("."))
+    assert TreePairDiagram.of(CaretTree("((..).)"), CaretTree("((..).)")).is_identity
+    assert TreePairDiagram(CaretTree("((..).)"), CaretTree("(.(..))")).carets == 2
+
+
 def test_canonical_encode_of_parsed_unreduced_text():
     # outside text of a pair that is not reduced is parsed into the
     # reduced pair, so its encoding is the identity's
