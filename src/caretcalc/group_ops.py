@@ -29,25 +29,32 @@ A word is its runs: ``GeneratorWord`` holds (index, exponent) pairs,
 adjacent ones of one index and sign merged, and ``evaluate_word`` and
 ``normal_form`` read and write runs; only ``GeneratorWord.letters``
 spells a word out.  A run x_i^a needs no product at all: ``_run``
-writes its reduced pair down, a right spine of i carets over a left comb
-of a + 1 carets against a right spine of i + a + 1 carets (the standard
-pair of x_i, Cannon-Floyd-Parry 1996, with its left caret grown into a
-comb).  Letters and runs of up to 4 letters are folded by
-``apply_letter`` into blocks of at most 64 letters, each started from its
-first run written down, and a longer run is written down.  The blocks
-and the written runs are multiplied as a balanced product, so each takes
-part in O(log L) products for a word of L letters, and no step runs over
-the whole product.  ``x0^k`` costs O(k), and so does its normal form, read
-off the trees' leaves as runs.
+writes the texts of its reduced pair down, a right spine of i carets
+over a left comb of a + 1 carets against a right spine of i + a + 1
+carets (the standard pair of x_i, Cannon-Floyd-Parry 1996, with its
+left caret grown into a comb).  Letters and runs of up to 4 letters are
+folded by ``apply_letter`` into blocks of at most 64 letters, each
+started from its first run written down, and a longer run is written
+down.  The blocks and the written runs are multiplied as a balanced
+product, so each takes part in O(log L) products for a word of L
+letters, and no step runs over the whole product.  ``x0^k`` costs O(k),
+and so does its normal form, read off the trees' leaves as runs.
 
-Every ``TreePairDiagram`` is reduced (see ``tree_core``), and
-``reduce_text`` is the one loop that reduces.  ``multiply`` builds an
-unreduced product of two reduced pairs and hands it over; any diagram of
-g * h reduces to the same pair, so its inputs need no reduction of their
-own.  ``apply_letter`` starts from a reduced pair, so it hands its result
-over only when the caret the move creates is common to both trees, and
-otherwise returns the cut texts as they are.  Trees are text, as in
-``tree_core``, and every edit here is a scan and a few slices of it.
+Below the public functions a pair is the tuple of its two texts,
+(negative, positive): ``_run``, ``_units``, the text product ``_product``
+and the step ``apply_letter`` take and return texts.  A
+``TreePairDiagram``, whose constructor checks that the pair is reduced
+(see ``tree_core``), is built only where a public function returns one:
+``evaluate_word`` once per word, ``multiply`` once per product, and
+``generator_diagram``, ``apply_generator``, ``invert`` and ``identity``.
+``reduce_text`` is the one loop that reduces.  ``_product`` builds an
+unreduced product of two reduced pairs' texts and hands it over; any
+diagram of g * h reduces to the same pair, so its inputs need no
+reduction of their own.  ``apply_letter`` starts from a reduced pair, so
+it hands its result over only when the caret the move creates is common
+to both trees, and otherwise returns the cut texts as they are.  Trees
+are text, as in ``tree_core``, and every edit here is a scan and a few
+slices of it.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ from .tree_core import (
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
 Run = tuple[int, int]  # (generator index, nonzero exponent)
+Texts = tuple[str, str]  # (negative, positive) texts of a reduced pair
 
 
 def _check_letter(index: int, sign: int) -> None:
@@ -174,17 +182,21 @@ def identity() -> TreePairDiagram:
     return TreePairDiagram(CaretTree("."), CaretTree("."))
 
 
-def _run(index: int, sign: int, count: int) -> TreePairDiagram:
-    """Reduced pair of x_index^(sign * count), count >= 1, written down:
-    the negative tree is a right spine of index carets over a left comb of
-    count + 1 carets, the positive tree a right spine of index + count + 1
-    carets; sign -1 swaps them.  ValueError for a bad index or sign."""
+def _run(index: int, sign: int, count: int) -> Texts:
+    """The texts of the reduced pair of x_index^(sign * count), count >= 1,
+    written down: the negative tree is a right spine of index carets over
+    a left comb of count + 1 carets, the positive tree a right spine of
+    index + count + 1 carets; sign -1 swaps them.  ValueError for a bad
+    index or sign."""
     _check_letter(index, sign)
     comb = "(." * index + "(" * (count + 1) + "." + ".)" * (count + 1) + ")" * index
-    negative, positive = CaretTree(comb), CaretTree(spine(index + count + 1))
-    if sign == 1:
-        return TreePairDiagram(negative, positive)
-    return TreePairDiagram(positive, negative)
+    texts = comb, spine(index + count + 1)
+    return texts if sign == 1 else texts[::-1]
+
+
+def _pair(texts: Texts) -> TreePairDiagram:
+    """The pair of two texts, checked by the constructor."""
+    return TreePairDiagram(CaretTree(texts[0]), CaretTree(texts[1]))
 
 
 def generator_diagram(index: int, sign: int) -> TreePairDiagram:
@@ -192,7 +204,7 @@ def generator_diagram(index: int, sign: int) -> TreePairDiagram:
 
     A library entry point that no subcommand needs: the product with it
     is the independent check of the generator step ``apply_letter``."""
-    return _run(index, sign, 1)
+    return _pair(_run(index, sign, 1))
 
 
 def invert(pair: TreePairDiagram) -> TreePairDiagram:
@@ -244,13 +256,18 @@ def _overhangs(a: str, b: str) -> tuple[dict[int, str], dict[int, str]]:
     return below_a, below_b
 
 
+def _product(g: Texts, h: Texts) -> Texts:
+    """The texts of the reduced product of the pairs with texts g and h,
+    via a common refinement of the middle trees."""
+    into_g, into_h = _overhangs(g[1], h[0])
+    return reduce_text(graft(g[0], into_g), graft(h[1], into_h))
+
+
 def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
-    """Reduced product g * h via a common refinement of the middle trees."""
-    into_g, into_h = _overhangs(g.positive.root, h.negative.root)
-    negative = graft(g.negative.root, into_g)
-    positive = graft(h.positive.root, into_h)
-    negative, positive = reduce_text(negative, positive)
-    return TreePairDiagram(CaretTree(negative), CaretTree(positive))
+    """Reduced product g * h: ``_product`` of the two pairs' texts, with
+    the result built as a pair once, here."""
+    return _pair(_product((g.negative.root, g.positive.root),
+                          (h.negative.root, h.positive.root)))
 
 
 def _grow_spine(tree: str, carets: int) -> str:
@@ -368,8 +385,7 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     """Right-multiply by x_index^sign: ``apply_letter`` on the pair's
     texts, wrapped as a pair.  ValueError for a bad index or sign."""
     _check_letter(index, sign)
-    neg, pos = apply_letter(pair.negative.root, pair.positive.root, index, sign)
-    return TreePairDiagram(CaretTree(neg), CaretTree(pos))
+    return _pair(apply_letter(pair.negative.root, pair.positive.root, index, sign))
 
 
 # Most letters in one block of ``evaluate_word``.  On the benchmark's
@@ -386,31 +402,31 @@ _BLOCK = 64
 _FOLDED_RUN = 4
 
 
-def _units(runs: Iterable[Run]) -> Iterator[TreePairDiagram]:
-    """The units of a word of merged runs, in order, whose product is the
-    word: its blocks of folded letters and its written-down runs (the
-    rule is in ``evaluate_word``)."""
+def _units(runs: Iterable[Run]) -> Iterator[Texts]:
+    """The texts of the units of a word of merged runs, in order, whose
+    product is the word: its blocks of folded letters and its written-down
+    runs (the rule is in ``evaluate_word``).  A block starts from the texts
+    of its first run and is yielded as texts; no pair is built here."""
     room = _BLOCK
     for index, exponent in runs:
         sign, count = (1, exponent) if exponent > 0 else (-1, -exponent)
         if count > room or count > _FOLDED_RUN:
             if room < _BLOCK:
-                yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
+                yield neg, pos
                 room = _BLOCK
             yield _run(index, sign, count)
             continue
         if room == _BLOCK:
-            first = _run(index, sign, count)
-            neg, pos = first.negative.root, first.positive.root
+            neg, pos = _run(index, sign, count)
         else:
             for _ in range(count):
                 neg, pos = apply_letter(neg, pos, index, sign)
         room -= count
         if not room:
-            yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
+            yield neg, pos
             room = _BLOCK
     if room < _BLOCK:
-        yield TreePairDiagram(CaretTree(neg), CaretTree(pos))
+        yield neg, pos
 
 
 def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
@@ -423,7 +439,7 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     letters.  A block starts from its first run written down by ``_run``,
     since a step from the identity walks a spine of up to i carets to take
     x_i.  A step reads only the spine subtrees it moves and slices the two
-    texts, while ``multiply`` walks both middle trees one character at a
+    texts, while ``_product`` walks both middle trees one character at a
     time and reduces, so a step is the cheaper way to take a letter while
     the block is small.  Blocks of 64 and 128 letters timed lowest of 16
     to 256 (see ``_BLOCK``), and the smaller keeps the block's texts
@@ -432,31 +448,33 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     time linear in i + |a|, with no step and no product, so ``x0^k``
     costs O(k); folding it would cost a step per letter.
 
-    The units are multiplied as a balanced product: the stack holds
-    products of units, each covering fewer units than the one below it,
-    and after a unit is pushed the top two merge while they cover equally
-    many units, like the carries of a binary counter.  The stack, folded
-    right to left, is the word.  With L letters each unit takes part in
-    O(log L) products, so for bounded indices the word costs O(L log L),
-    and only O(log L) partial products and one block are alive at once.
-    A letter-by-letter fold of the whole word would instead slice the
-    whole product at every step, which is quadratic.  The empty word is
-    the identity; ValueError for a negative index or an exponent that is
-    0 or not an int.
+    The units' texts are multiplied by ``_product`` as a balanced
+    product: the stack holds products of units, each covering fewer units
+    than the one below it, and after a unit is pushed the top two merge
+    while they cover equally many units, like the carries of a binary
+    counter.  The stack, folded right to left, is the word.  With L
+    letters each unit takes part in O(log L) products, so for bounded
+    indices the word costs O(L log L), and only O(log L) partial products
+    and one block are alive at once.  A letter-by-letter fold of the whole
+    word would instead slice the whole product at every step, which is
+    quadratic.  Units and partial products stay texts, and the result is
+    the one pair built, so the constructor's check runs once per word.
+    The empty word is the identity; ValueError for a negative index or an
+    exponent that is 0 or not an int.
     """
-    stack: list[tuple[int, TreePairDiagram]] = []
+    stack: list[tuple[int, Texts]] = []
     for product in _units(_merged(word)):
         units = 1
         while stack and stack[-1][0] == units:
             below, left = stack.pop()
-            units, product = units + below, multiply(left, product)
+            units, product = units + below, _product(left, product)
         stack.append((units, product))
     if not stack:
         return identity()
     _, product = stack.pop()
     while stack:
-        product = multiply(stack.pop()[1], product)
-    return product
+        product = _product(stack.pop()[1], product)
+    return _pair(product)
 
 
 # where a stretch of spine carets over leaves ends, and a run of opens

@@ -22,9 +22,8 @@ from caretcalc import (
     canonical_encode,
     evaluate_word,
     identity,
-    multiply,
 )
-from caretcalc.group_ops import _run
+from caretcalc.group_ops import _product, _run
 from caretcalc.tree_core import Node, serialize_node
 
 
@@ -54,23 +53,24 @@ def fold_letters(letters, start=None) -> TreePairDiagram:
 
 def balanced_product(runs) -> TreePairDiagram:
     """The pair of a word of (index, exponent) runs with no generator
-    step: each merged run written down by ``_run``, and the runs
-    multiplied by ``multiply`` as a balanced product on a stack, whose top
-    two merge while they cover equally many runs, folded right to left."""
+    step: each merged run's texts written down by ``_run``, and the runs
+    multiplied by the text product ``_product`` as a balanced product on a
+    stack, whose top two merge while they cover equally many runs, folded
+    right to left."""
     stack: list = []
     for index, exponent in GeneratorWord(tuple(runs)).runs:
         sign = 1 if exponent > 0 else -1
         count, product = 1, _run(index, sign, abs(exponent))
         while stack and stack[-1][0] == count:
             below, left = stack.pop()
-            count, product = count + below, multiply(left, product)
+            count, product = count + below, _product(left, product)
         stack.append((count, product))
     if not stack:
         return identity()
     _, product = stack.pop()
     while stack:
-        product = multiply(stack.pop()[1], product)
-    return product
+        product = _product(stack.pop()[1], product)
+    return TreePairDiagram(*map(CaretTree, product))
 
 
 def random_node(rng: random.Random, carets: int) -> Node:

@@ -134,6 +134,20 @@ def test_len_x0_alone_auto_uses_bfs(capsys):
     assert "must be >= 1" in err
 
 
+def test_check_ci_with_x0_alone(capsys):
+    # the other ball holds elements outside <x0>, which no {x0} search
+    # reaches, so {x0} on one side exits 2 after both balls are built
+    for gens_a, gens_b in (("0", "0,1"), ("0,1", "0")):
+        code, out, err = run(capsys, "check-ci", "--gens-a", gens_a, "--gens-b", gens_b,
+                             "--radius", "2")
+        assert code == 2 and out == ""
+        assert "not in the subgroup generated by x0" in err
+    code, out, err = run(capsys, "check-ci", "--gens-a", "0", "--gens-b", "0",
+                         "--radius", "3")
+    assert code == 0 and err == ""
+    assert "elements_checked\t7" in out and "max_difference\t0" in out
+
+
 def test_len_nonconsecutive_auto_uses_bfs(capsys):
     code, out, _ = run(capsys, "len", "x2", "--gens", "0,2")
     assert code == 0

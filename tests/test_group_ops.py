@@ -5,6 +5,7 @@ import pytest
 from caretcalc import (
     GeneratingSet,
     GeneratorWord,
+    TreePairDiagram,
     apply_generator,
     ball,
     canonical_encode,
@@ -175,17 +176,12 @@ def test_power_costs_logarithmic_products(monkeypatch):
     # a run of 2^k letters is one unit, so it takes no product: up to 4
     # letters it is folded by ``apply_letter`` into one block, and a longer
     # one is written down; neither makes a move through ``apply_generator``
-    calls = []
-    product = group_ops.multiply
-
-    def counted(g, h):
-        calls.append(1)
-        return product(g, h)
+    # or a text product
+    calls = counted_calls(monkeypatch, group_ops, "_product")
 
     def refused(*args):
         raise AssertionError("evaluate_word made a generator move")
 
-    monkeypatch.setattr(group_ops, "multiply", counted)
     monkeypatch.setattr(group_ops, "apply_generator", refused)
     for k in range(1, 13):
         for letter in ((0, 1), (3, -1)):
@@ -200,7 +196,7 @@ def test_letters_fold_in_blocks_of_64(monkeypatch):
     # together, each started from its first letter written down, and one
     # generator step for each other letter
     steps = counted_calls(monkeypatch, group_ops, "apply_letter")
-    products = counted_calls(monkeypatch, group_ops, "multiply")
+    products = counted_calls(monkeypatch, group_ops, "_product")
     for size in (1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
         # odd k take indices 3-5 and even k 0-2, so no run is longer than 1
         word = [(k % 3 + 3 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
@@ -214,12 +210,12 @@ def test_letters_fold_in_blocks_of_64(monkeypatch):
 
 def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
     steps = counted_calls(monkeypatch, group_ops, "apply_letter")
-    products = counted_calls(monkeypatch, group_ops, "multiply")
+    products = counted_calls(monkeypatch, group_ops, "_product")
     for run in ((0, 5), (2, -5), (0, 64), (0, 65), (3, -65), (7, 1000), (0, -5000)):
         g = evaluate_word([run])
         assert steps == [] and products == [], run
-        assert encode(g) == encode(group_ops._run(run[0], 1 if run[1] > 0 else -1,
-                                                  abs(run[1])))
+        assert encode(g) == "|".join(group_ops._run(run[0], 1 if run[1] > 0 else -1,
+                                                    abs(run[1])))
     # between letters, a long run ends their block and is one unit of its
     # own: three units, two products, and a step for the second letter of
     # each block, whose first letter is written down
@@ -249,7 +245,7 @@ def test_a_block_starts_from_its_first_run_written_down(monkeypatch):
     steps = counted_calls(monkeypatch, group_ops, "apply_letter")
     g = evaluate_word([(10**6, 1)])
     assert steps == []
-    assert encode(g) == encode(group_ops._run(10**6, 1, 1))
+    assert encode(g) == "|".join(group_ops._run(10**6, 1, 1))
     # a run of up to 4 letters that starts a block is written down too
     for run in ((3, 4), (0, -2), (7, 1)):
         g = evaluate_word([run, (1, 1)])
@@ -258,12 +254,28 @@ def test_a_block_starts_from_its_first_run_written_down(monkeypatch):
         steps.clear()
 
 
+def test_a_word_builds_one_pair(monkeypatch):
+    # the units and the balanced product are texts; the constructor, and
+    # its check, runs once, on the result
+    built = counted_calls(monkeypatch, TreePairDiagram, "__post_init__")
+    words = [[(k % 3 + 3 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
+             for size in (1, 63, 64, 65, 1000)]
+    for count in (5, 65):
+        words.append([(1, 1), (2, -1), (0, count), (2, 1), (1, -1)])
+        words.append([(k % 2, 1) for k in range(62)] + [(5, count), (3, -1)])
+    for word in words:
+        built.clear()
+        g = evaluate_word(word)
+        assert len(built) == 1, len(word)
+        assert encode(g) == encode(balanced_product(word))
+
+
 def test_run_matches_letter_by_letter():
     # the written-down run against one generator move per letter
     for index in range(13):
         for sign in (1, -1):
             for count in range(1, 41):
-                run = group_ops._run(index, sign, count)
+                run = group_ops._pair(group_ops._run(index, sign, count))
                 assert run.reduced
                 folded = fold_letters([(index, sign)] * count)
                 assert encode(run) == encode(folded), (index, sign, count)
