@@ -20,16 +20,19 @@ layout that is smaller for it:
   radius to radius already grouped the same way.  An element costs a
   slot in its row instead of its own ~50-character key: a traced peak of
   ~68 B in place of ~137 B per element of that ball.  A step by a letter
-  rearranges subtrees of the positive tree only, so ``_grow`` makes each
-  ``group_ops.plan`` once per positive tree and letter, and enacts it on
-  the negative tree of every element of the group (``group_ops.enact``).
+  moves subtrees of the positive tree only, so ``_grow`` splits each
+  positive tree into its spine list once (``group_ops._spine``), makes
+  each ``group_ops.plan`` once per tree and letter, and enacts its move
+  on the negative tree of every element of the group
+  (``group_ops.enact``).
 * A single length (``bfs_length``) and a shortest path inside a ball
   (``in_ball_geodesic``) are searched from both ends at once
   (``_meet``): the side with the smaller frontier grows by one shell
   until it reaches a state the other side has seen, which gives the
   distance exactly.  Their searches share few trees (1.03-1.5 elements
   per positive tree on the benchmark's length queries), so they keep one
-  encoding per state and step on each with ``group_ops.apply_letter``.
+  encoding per state, split each state's positive tree once, and plan
+  and enact every letter on it.
 
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
@@ -65,6 +68,7 @@ from .errors import SearchCapExceededError
 from .group_ops import (
     GeneratingSet,
     Letter,
+    _spine,
     apply_letter,
     enact,
     evaluate_word,
@@ -75,7 +79,7 @@ from .group_ops import (
     plan,
 )
 from .metrics import length_consecutive
-from .tree_core import CaretTree, TreePairDiagram, canonical_encode
+from .tree_core import CaretTree, TreePairDiagram, canonical_encode, reduce_text
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -187,16 +191,18 @@ def _grow(
 
     The frontier is ``{positive: [(negative, back letter)]}``, grouped as
     the table is, so a shell reads its groups as they stand.  It takes the
-    groups in the order their trees were first reached, plans a letter at
-    its first use in a group, enacts it on every member, and clears the
-    group's list once it is done, so the frontier's memory falls while
-    the table grows.  A shell never applies an entry's back letter, the
-    inverse of the letter that reached it: that neighbour is already
-    seen.  Every new element's two texts pass through one dict,
-    ``names``, so equal trees share one string for the whole search,
-    whether they stand as negative or positive trees.  The last shell
-    of a ball keeps no frontier.  Recording an element beyond ``cap``
-    raises SearchCapExceededError with ``overflow`` and the radius.
+    groups in the order their trees were first reached, splits a group's
+    tree into its spine list, plans a letter on the list at its first use
+    in the group, enacts it on every member (with ``reduce_text`` where
+    the move made a caret common), and clears the group's list once it is
+    done, so the frontier's memory falls while the table grows.  A shell
+    never applies an entry's back letter, the inverse of the letter that
+    reached it: that neighbour is already seen.  Every new element's two
+    texts pass through one dict, ``names``, so equal trees share one
+    string for the whole search, whether they stand as negative or
+    positive trees.  The last shell of a ball keeps no frontier.
+    Recording an element beyond ``cap`` raises SearchCapExceededError with
+    ``overflow`` and the radius.
 
     The order of expansion decides only which letter first reaches an
     element, and so its back letter; no answer reads it, and
@@ -218,6 +224,7 @@ def _grow(
         keep = r != radius
         new: dict[str, list] = {}
         for pos, members in frontier.items():
+            spine = _spine(pos)
             plans: dict = {}
             for neg, back in members:
                 for letter, undo in steps:
@@ -225,8 +232,11 @@ def _grow(
                         continue
                     step = plans.get(letter)
                     if step is None:
-                        step = plans[letter] = plan(pos, *letter)
-                    n, p = enact(neg, step)
+                        step = plans[letter] = plan(spine, *letter)
+                    move, p = step
+                    n, common = enact(neg, move)
+                    if common:
+                        n, p = reduce_text(n, p)
                     row = table.get(p)
                     if row is not None and n in row:
                         continue
@@ -306,16 +316,16 @@ def _meet(
     Each side keeps a dict from the encoding of every state it has seen to
     that state's back letter, the inverse of the letter that first reached
     it (None at the side's start), and a frontier of encodings.  Each step
-    grows the side with the smaller frontier by one shell: it steps on each
-    entry's two texts by every letter but its back letter, whose neighbour
-    is already seen.  While the two seen sets are disjoint the distance
-    exceeds the sum of the two depths, so the first neighbour that the
-    other side has seen ends the search with exactly that sum, whichever
-    neighbour it is.  With ``inner`` (a test of an element's two texts for
-    length <= R - 1) the search stays in the ball of radius R: an entry
-    that fails it keeps only the neighbours that pass it.  The cap counts
-    the states of both sides together.  None means one side ran out of
-    vertices.
+    grows the side with the smaller frontier by one shell: it splits each
+    entry's positive tree into its spine list once and steps by every
+    letter but its back letter, whose neighbour is already seen.  While
+    the two seen sets are disjoint the distance exceeds the sum of the two
+    depths, so the first neighbour that the other side has seen ends the
+    search with exactly that sum, whichever neighbour it is.  With
+    ``inner`` (a test of an element's two texts for length <= R - 1) the
+    search stays in the ball of radius R: an entry that fails it keeps
+    only the neighbours that pass it.  The cap counts the states of both
+    sides together.  None means one side ran out of vertices.
     """
     steps = _steps(letters)
     seen = ({canonical_encode(a): None}, {canonical_encode(b): None})
@@ -330,18 +340,22 @@ def _meet(
         new: list[str] = []
         for enc in frontiers[side]:
             neg, pos = _texts(enc)
+            spine = _spine(pos)
             back = mine[enc]
             free = inner is None or inner(neg, pos)
             for letter, undo in steps:
                 if letter is back:
                     continue
-                texts = apply_letter(neg, pos, *letter)
-                key = "|".join(texts)
+                move, p = plan(spine, *letter)
+                n, common = enact(neg, move)
+                if common:
+                    n, p = reduce_text(n, p)
+                key = f"{n}|{p}"
                 if key in mine:
                     continue
                 if key in other:
                     return depths[0] + depths[1]
-                if not free and not inner(*texts):
+                if not free and not inner(n, p):
                     continue
                 if len(mine) + len(other) >= cap:
                     raise SearchCapExceededError(
@@ -604,7 +618,16 @@ def coarse_isometry_check(
     radius: int,
     cap: int = DEFAULT_STATE_CAP,
 ) -> CoarseIsometryReport:
-    """Sweep both balls of the given radius and measure max |l_X - l_Y|."""
+    """Sweep both balls of the given radius and measure max |l_X - l_Y|.
+
+    With {x0} on exactly one side and radius >= 1, the other ball holds
+    the other set's smallest nonzero generator, which lies outside <x0>,
+    so no search over {x0} measures it: ValueError naming that generator,
+    before either ball is built."""
+    alone = (x_gens.indices == (0,), y_gens.indices == (0,))
+    if radius >= 1 and alone[0] != alone[1]:
+        other = y_gens if alone[0] else x_gens
+        raise ValueError(f"x{other.indices[1]} is not in the subgroup generated by x0")
     ball_x = ball(x_gens, radius, cap=cap)
     ball_y = ball(y_gens, radius, cap=cap)
     lengths_x = dict(ball_x.items())

@@ -8,22 +8,25 @@ keep g's negative and h's positive tree and reduce.  With this composition
 the defining relations hold, e.g. x0^-1 x1 x0 = x2; the relator tests pin
 the orientation, so do not flip either convention independently.
 
-Right multiplication by a single generator only rearranges three adjacent
-subtrees along the right spine of the positive tree; ``apply_letter`` does
-that surgery directly on the two texts of a pair and returns the texts of
-the reduced result, and multiplying by the generator's diagram must give
-the identical result (both routes are kept and tested against each other).
-The step has two halves.  ``plan`` reads only the positive tree: it grows
-its spine, walks down it with ``_subtree_end``, the subtree cutter of
-``_overhangs``, reading no subtree below the ones that move, cuts and
-moves the subtrees, and says what the negative tree needs: growth at its
-last leaf, and then a caret hung from a leaf, or a check of a leaf for a
-common caret.  ``enact`` applies a plan to one negative tree, and
-``apply_letter`` is ``enact`` of ``plan``, the one code path of the step.
-Ball growth plans a letter once per positive tree and enacts it on every
-element of its frontier that shares the tree.  ``apply_generator``
-is the same step on a ``TreePairDiagram``: it checks the letter, calls
-``apply_letter`` and wraps the result once.
+Right multiplication by a single generator only rearranges subtrees that
+hang left off the right spine of the positive tree.  The step holds that
+tree as its spine list, the texts of those subtrees from the top (the top
+forest of Belk and Brown's forest diagrams of F, 2005): ``_spine`` splits
+a text into its list in one walk, and ``_join`` is one ``str.join``.  On
+the list x_i splits entry i into its two subtrees and x_i^-1 merges
+entries i and i + 1, so a letter costs the subtree it moves, not the
+subtrees above it.  ``_move`` makes that move in place and says what the
+negative tree needs: growth at its last leaf, and then a caret hung from
+a leaf, or a check of a leaf for a common caret, which ``enact`` does.
+Every caller steps with these two: ``apply_letter`` splits, moves, enacts
+and joins; ``plan`` moves a copy of a list and joins it, so ball growth
+splits each positive tree once and plans a letter once per tree, and
+enacts the plan on every element of its frontier that shares the tree;
+and a block of ``evaluate_word`` keeps its positive tree as a list from
+move to move.  Multiplying by the generator's diagram must give the
+identical result (both routes are kept and tested against each other).
+``apply_generator`` is the step on a ``TreePairDiagram``: it checks the
+letter, calls ``apply_letter`` and wraps the result once.
 
 A word is its runs: ``GeneratorWord`` holds (index, exponent) pairs,
 adjacent ones of one index and sign merged, and ``evaluate_word`` and
@@ -33,7 +36,7 @@ writes the texts of its reduced pair down, a right spine of i carets
 over a left comb of a + 1 carets against a right spine of i + a + 1
 carets (the standard pair of x_i, Cannon-Floyd-Parry 1996, with its
 left caret grown into a comb).  Letters and runs of up to 4 letters are
-folded by ``apply_letter`` into blocks of at most 64 letters, each
+folded by ``_move`` and ``enact`` into blocks of at most 64 letters, each
 started from its first run written down, and a longer run is written
 down.  The blocks and the written runs are multiplied as a balanced
 product, so each takes part in O(log L) products for a word of L
@@ -50,18 +53,18 @@ and the step ``apply_letter`` take and return texts.  A
 ``reduce_text`` is the one loop that reduces.  ``_product`` builds an
 unreduced product of two reduced pairs' texts and hands it over; any
 diagram of g * h reduces to the same pair, so its inputs need no
-reduction of their own.  ``apply_letter`` starts from a reduced pair, so
-it hands its result over only when the caret the move creates is common
-to both trees, and otherwise returns the cut texts as they are.  Trees
-are text, as in ``tree_core``, and every edit here is a scan and a few
-slices of it.
+reduction of their own.  A step starts from a reduced pair, so its caller
+hands the result over only when ``enact`` finds the caret the move
+created common to both trees, and otherwise keeps the moved texts as
+they are.  Trees are text, as in ``tree_core``, and every edit here is a
+scan and a few slices of it, or a few entries of a spine list.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 from .tree_core import (
@@ -282,103 +285,144 @@ def _leaf_dot(tree: str, leaf: int) -> int:
     return tree.replace(".", ",", leaf).find(".")
 
 
-# What a generator step does, read off the positive tree alone: carets to
-# grow at the last leaf of both trees, the new positive tree, and the leaf
-# of the negative tree that needs more (None when nothing does): a caret
-# hung from it when the last field is True, else a check whether the
-# created caret is common there.
-Plan = tuple[int, str, Optional[int], bool]
+# A tree's spine list: the texts of the subtrees hanging left off its
+# right spine, from the top.  The tree is
+# "(" + "(".join(spine) + "." + ")" * len(spine).
+Spine = list[str]
+
+# where a stretch "(.(.(." of spine carets over leaves ends: at a spine
+# caret over a caret, "((", or at the last leaf, ".."
+_STRETCH_END = re.compile(r"\(\(|\.\.")
 
 
-def plan(pos: str, index: int, sign: int) -> Plan:
-    """The first half of the step by x_index^sign, the half that reads
-    only the positive tree ``pos`` of a reduced pair; ``enact`` applies
-    it to any negative tree of such a pair.  index must be >= 0 and sign
-    +1 or -1.
+def _spine(tree: str) -> Spine:
+    """The spine list of ``tree``, in one walk of its text from spine
+    caret to spine caret: a subtree is cut by ``_subtree_end``, a leaf
+    taken as it is, and a stretch of spine carets over leaves is one
+    search."""
+    spine: Spine = []
+    at = 0
+    while tree[at] == "(":
+        if tree[at + 1] != ".":
+            end = _subtree_end(tree, at + 1)
+            spine.append(tree[at + 1 : end])
+            at = end
+        elif tree[at + 2] != "(" or tree[at + 3] != ".":
+            spine.append(".")
+            at += 2
+        else:
+            leaves = tree.count("(", at, _STRETCH_END.search(tree, at).start())
+            spine += repeat(".", leaves)
+            at += 2 * leaves
+    return spine
 
-    The move acts on the subtrees hanging left off the right spine of the
-    positive tree, numbered from 0 at the top.  For sign +1 subtree number
-    index must be a caret A ^ B, and with C the spine below it,
-    (A ^ B) ^ C becomes A ^ (B ^ C); sign -1 is the inverse move on
-    subtrees index and index + 1.  Spine carets or the caret A ^ B that
-    are missing are first added to both trees at the same leaves.
 
-    Subtree k + 1 starts just past the "(" that ends subtree k, so
-    ``index`` cuts reach subtree index, and two more cut the moving pair.
+def _join(spine: Spine) -> str:
+    """The tree whose spine list is ``spine``."""
+    return f"({'('.join(spine)}.{')' * len(spine)}" if spine else "."
+
+
+# What a generator step does to the negative tree, read off the positive
+# tree alone, for ``enact``: carets to grow at its last leaf, and the leaf
+# that needs more (None when nothing does): a caret hung from it when the
+# last field is True, else a check whether the created caret is common
+# there.
+Move = tuple[int, Optional[int], bool]
+
+
+def _move(spine: Spine, index: int, sign: int) -> Move:
+    """The step by x_index^sign on the spine list of the positive tree of
+    a reduced pair, in place; returns what the negative tree needs.
+    index must be >= 0 and sign +1 or -1.
+
+    For sign +1 entry index must be a caret A ^ B, and with C the spine
+    below it, (A ^ B) ^ C becomes A ^ (B ^ C): the entry splits into A and
+    B, and only A is walked.  Sign -1 is the inverse move: entries X and Y
+    at index and index + 1 merge into X ^ Y.  Spine carets that are
+    missing are first added to both trees at the last leaf, as "."
+    entries; a missing caret A ^ B is hung from leaf entry index in both
+    trees, which puts a "." entry before it.
 
     The pair must be reduced because only the caret the move creates is
-    checked: B ^ C for sign +1, X ^ Y for sign -1.  No other caret of
-    the positive tree becomes exposed and no leaf number changes, so from
-    a reduced pair that caret is the only one that can become common.  It
-    can be common only when it is exposed, and then the plan names its
-    left leaf for ``enact`` to check.  Growing the spines makes only their bottom
-    caret common, and the move always rebuilds it.  When subtree index is
-    a leaf L, the caret added to the negative tree over L and L + 1 makes
-    L + 1 a right leaf there, so B ^ C, over L + 1 and L + 2, is not
-    common.
+    checked: B ^ C for sign +1, X ^ Y for sign -1.  No other caret of the
+    positive tree becomes exposed and no leaf number changes, so from a
+    reduced pair that caret is the only one that can become common.  It
+    can be common only when it is exposed, and then the move names its
+    left leaf for the negative tree's check.  Growing the spines makes
+    only their bottom caret common, and the move always rebuilds it.  When
+    entry index is a leaf L, the caret added to the negative tree over L
+    and L + 1 makes L + 1 a right leaf there, so B ^ C, over L + 1 and
+    L + 2, is not common.
     """
-    need = index + (1 if sign == 1 else 2)
-    # the spine is short exactly when the last ``need`` characters are not
-    # all ")", so only they are read, not the whole text
-    tail = pos[-need:]
-    grow = need - (len(tail) - len(tail.rstrip(")")))
-    if grow:
-        pos = _grow_spine(pos, grow)
-    at = 1  # the start of subtree 0, just past the top "("
-    for _ in range(index):
-        at = _subtree_end(pos, at) + 1
-    if sign == -1:
-        # (X (Y R)) -> ((X Y) R): the "(" between X and Y moves to before
-        # X, and a ")" from the end to after Y
-        x_end = _subtree_end(pos, at)
-        y_end = _subtree_end(pos, x_end + 1)
-        pos = (pos[:at] + "(" + pos[at:x_end] + pos[x_end + 1 : y_end] + ")"
-               + pos[y_end:-1])
-        created = at
-    elif pos[at] == "(":
-        # ((A B) C) -> (A (B C)): the "(" of A ^ B moves to after A and
-        # its ")" to the end
-        a_end = _subtree_end(pos, at + 1)
-        b_end = _subtree_end(pos, a_end)
-        pos = (pos[:at] + pos[at + 1 : a_end] + "(" + pos[a_end:b_end]
-               + pos[b_end + 1 :] + ")")
-        created = a_end - 1
+    grow = index + (1 if sign == 1 else 2) - len(spine)
+    if grow > 0:
+        spine += repeat(".", grow)
     else:
-        # subtree index is a leaf: hang a caret from it in both trees
-        leaf = pos.count(".", 0, at)
-        return grow, pos[:at] + ".(." + pos[at + 1 :] + ")", leaf, True
-    if pos.startswith("(..", created):
-        # the created caret is exposed: common if its left leaf starts a
-        # ".." in the negative tree too
-        return grow, pos, pos.count(".", 0, created), False
-    return grow, pos, None, False
+        grow = 0
+    entry = spine[index]
+    if sign == -1:
+        right = spine.pop(index + 1)
+        spine[index] = f"({entry}{right})"
+        # the leaf that X ^ Y starts at, if it is exposed
+        hang, named = False, index if entry == "." == right else None
+    elif entry == ".":
+        spine.insert(index, ".")
+        hang, named = True, index
+    else:
+        a_end = _subtree_end(entry, 1)
+        spine[index : index + 1] = entry[1:a_end], entry[a_end:-1]
+        # B ^ C is exposed when B is a leaf and C the last leaf
+        exposed = a_end == len(entry) - 2 and index + 2 == len(spine)
+        hang, named = False, index + 1 if exposed else None
+    if named is None:
+        return grow, None, False
+    # a subtree of c carets has 3c + 1 characters and c + 1 leaves
+    return grow, (len("".join(spine[:named])) + 2 * named) // 3, hang
 
 
-def enact(neg: str, step: Plan) -> tuple[str, str]:
-    """The second half of the step: the texts of the reduced pair that
-    ``step``, a ``plan`` of the positive tree, makes of the pair with
-    negative tree ``neg``.  It grows the spine, then hangs a caret from
-    the named leaf, or runs ``reduce_text`` when the created caret is
-    common, which cancels it and whatever that exposes in turn."""
-    grow, pos, leaf, hang = step
+# A generator step planned on a positive tree: the ``Move`` and the text
+# of the new positive tree.
+Plan = tuple[Move, str]
+
+
+def plan(spine: Spine, index: int, sign: int) -> Plan:
+    """The first half of the step by x_index^sign, the half that reads
+    only the positive tree of a reduced pair, given as its spine list:
+    ``_move`` on a copy of the list, which is then joined.  ``enact``
+    applies the move to any negative tree of such a pair.  index must be
+    >= 0 and sign +1 or -1."""
+    moved = spine.copy()
+    return _move(moved, index, sign), _join(moved)
+
+
+def enact(neg: str, move: Move) -> tuple[str, bool]:
+    """The second half of the step: the negative tree that ``move`` makes
+    of ``neg``, and whether the caret the move created is common to both
+    trees.  It grows the spine, then hangs a caret from the named leaf or
+    checks it.  When the caret is common the caller runs ``reduce_text``
+    on the two texts, which cancels it and whatever that exposes in
+    turn."""
+    grow, leaf, hang = move
     if grow:
         neg = _grow_spine(neg, grow)
     if leaf is None:
-        return neg, pos
+        return neg, False
     dot = _leaf_dot(neg, leaf)
     if hang:
-        return neg[:dot] + "(..)" + neg[dot + 1 :], pos
-    if neg.startswith("..", dot):
-        return reduce_text(neg, pos)
-    return neg, pos
+        return neg[:dot] + "(..)" + neg[dot + 1 :], False
+    return neg, neg.startswith("..", dot)
 
 
-def apply_letter(neg: str, pos: str, index: int, sign: int) -> tuple[str, str]:
+def apply_letter(neg: str, pos: str, index: int, sign: int) -> Texts:
     """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
-    by direct subtree surgery: ``enact`` of the ``plan`` of ``pos``.
+    by direct subtree surgery: ``pos`` split into its spine list, the
+    ``_move`` on it, ``enact`` on ``neg``, and the list joined.
     ``neg | pos`` must be the texts of a reduced pair, index must be >= 0
     and sign +1 or -1."""
-    return enact(neg, plan(pos, index, sign))
+    spine = _spine(pos)
+    neg, common = enact(neg, _move(spine, index, sign))
+    pos = _join(spine)
+    return reduce_text(neg, pos) if common else (neg, pos)
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
@@ -402,31 +446,55 @@ _BLOCK = 64
 _FOLDED_RUN = 4
 
 
+def _signed(exponent: int) -> tuple[int, int]:
+    """The sign and the letter count of a run's exponent."""
+    return (1, exponent) if exponent > 0 else (-1, -exponent)
+
+
+def _fold(block: list[Run]) -> Texts:
+    """The texts of a block of runs: its first run written down by
+    ``_run``, and each later letter a ``_move`` on the spine list of the
+    positive tree, with ``enact`` on the negative tree.  The list is
+    split when the first move needs it and joined once, at the end; a step
+    whose created caret is common joins it for ``reduce_text``, and the
+    next move splits the reduced tree again."""
+    index, exponent = block[0]
+    neg, pos = _run(index, *_signed(exponent))
+    spine: Optional[Spine] = None
+    for index, exponent in islice(block, 1, None):
+        sign, count = _signed(exponent)
+        for _ in range(count):
+            if spine is None:
+                spine = _spine(pos)
+            neg, common = enact(neg, _move(spine, index, sign))
+            if common:
+                neg, pos = reduce_text(neg, _join(spine))
+                spine = None
+    return neg, pos if spine is None else _join(spine)
+
+
 def _units(runs: Iterable[Run]) -> Iterator[Texts]:
     """The texts of the units of a word of merged runs, in order, whose
-    product is the word: its blocks of folded letters and its written-down
-    runs (the rule is in ``evaluate_word``).  A block starts from the texts
-    of its first run and is yielded as texts; no pair is built here."""
+    product is the word: its blocks of folded letters (``_fold``) and its
+    written-down runs (the rule is in ``evaluate_word``).  No pair is
+    built here."""
+    block: list[Run] = []
     room = _BLOCK
-    for index, exponent in runs:
-        sign, count = (1, exponent) if exponent > 0 else (-1, -exponent)
+    for run in runs:
+        sign, count = _signed(run[1])
         if count > room or count > _FOLDED_RUN:
-            if room < _BLOCK:
-                yield neg, pos
-                room = _BLOCK
-            yield _run(index, sign, count)
+            if block:
+                yield _fold(block)
+                block, room = [], _BLOCK
+            yield _run(run[0], sign, count)
             continue
-        if room == _BLOCK:
-            neg, pos = _run(index, sign, count)
-        else:
-            for _ in range(count):
-                neg, pos = apply_letter(neg, pos, index, sign)
+        block.append(run)
         room -= count
         if not room:
-            yield neg, pos
-            room = _BLOCK
-    if room < _BLOCK:
-        yield neg, pos
+            yield _fold(block)
+            block, room = [], _BLOCK
+    if block:
+        yield _fold(block)
 
 
 def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
@@ -434,14 +502,14 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     a run of exponent +1 or -1, so runs and letters may be mixed.
 
     Adjacent runs of one index and sign are merged as they stream by, and
-    the word is cut into units (``_units``).  Letters are folded by the
-    generator step ``apply_letter`` into blocks of at most ``_BLOCK``
-    letters.  A block starts from its first run written down by ``_run``,
-    since a step from the identity walks a spine of up to i carets to take
-    x_i.  A step reads only the spine subtrees it moves and slices the two
-    texts, while ``_product`` walks both middle trees one character at a
-    time and reduces, so a step is the cheaper way to take a letter while
-    the block is small.  Blocks of 64 and 128 letters timed lowest of 16
+    the word is cut into units (``_units``).  Letters are folded into
+    blocks of at most ``_BLOCK`` letters (``_fold``).  A block starts from
+    its first run written down by ``_run``, since a step from the identity
+    would grow a spine of i carets to take x_i.  A step moves entries of
+    the positive tree's spine list, reading only the subtree it splits,
+    and slices the negative tree's text, while ``_product`` walks both
+    middle trees one character at a time and reduces, so a step is the
+    cheaper way to take a letter while the block is small.  Blocks of 64 and 128 letters timed lowest of 16
     to 256 (see ``_BLOCK``), and the smaller keeps the block's texts
     shorter.  A run longer than ``_FOLDED_RUN`` letters, or too long for
     the block's room, ends the block and is written down by ``_run`` in
@@ -477,8 +545,7 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     return _pair(product)
 
 
-# where a stretch of spine carets over leaves ends, and a run of opens
-_STRETCH_END = re.compile(r"\(\(|\.\.")
+# a run of opens
 _OPENS = re.compile(r"\(+")
 
 

@@ -42,9 +42,10 @@ def fold_letters(letters, start=None) -> TreePairDiagram:
     """``start`` (the identity by default) right-multiplied by each letter
     in turn, by the generator move of ``apply_generator``: one step over
     the whole pair per letter.  ``evaluate_word`` folds the letters of its
-    blocks with the same step, ``apply_letter``, so this fold checks the
-    word's blocks and products, not the step; ``balanced_product`` and the
-    products with generator diagrams check the step."""
+    blocks with the same move, ``_move`` on the positive tree's spine list,
+    so this fold checks the word's blocks and products, not the move;
+    ``balanced_product`` and the products with generator diagrams check
+    the move."""
     pair = identity() if start is None else start
     for index, sign in letters:
         pair = apply_generator(pair, index, sign)

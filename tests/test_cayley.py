@@ -132,7 +132,7 @@ def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     # by, which follows the order of expansion inside a shell: the count
     # is that of expanding a shell by positive tree, in the order the
     # trees first appear in the frontier
-    calls = counted_calls(monkeypatch, group_ops, "reduce_text")
+    calls = counted_calls(monkeypatch, cayley, "reduce_text")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
     assert len(calls) == 12
 
@@ -159,7 +159,7 @@ def test_witness_searches_pinned(gens):
 
 
 def test_search_steps_on_text_and_builds_no_diagram(monkeypatch):
-    # the searches step with apply_letter on the encodings' texts; a
+    # the searches step on the encodings' texts with plan and enact; a
     # search that went back to apply_generator would raise here
     def refused(*args):
         raise AssertionError("the search built a tree pair diagram")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caretcalc
-from caretcalc import cli
+from caretcalc import cayley, cli
 from caretcalc.cli import main
 
 H1_ENCODING = "(.(((..).).))|(((..).)(..))"
@@ -134,14 +134,26 @@ def test_len_x0_alone_auto_uses_bfs(capsys):
     assert "must be >= 1" in err
 
 
-def test_check_ci_with_x0_alone(capsys):
-    # the other ball holds elements outside <x0>, which no {x0} search
-    # reaches, so {x0} on one side exits 2 after both balls are built
-    for gens_a, gens_b in (("0", "0,1"), ("0,1", "0")):
-        code, out, err = run(capsys, "check-ci", "--gens-a", gens_a, "--gens-b", gens_b,
-                             "--radius", "2")
-        assert code == 2 and out == ""
-        assert "not in the subgroup generated by x0" in err
+def test_check_ci_with_x0_alone(capsys, monkeypatch):
+    # the other set's smallest nonzero generator is in its ball from
+    # radius 1 and outside <x0>, which no {x0} search reaches, so {x0} on
+    # one side exits 2 naming it, before either ball is built
+    def refused(*args, **kwargs):
+        raise AssertionError("check-ci built a ball")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cayley, "ball", refused)
+        for gens_a, gens_b, named in (("0", "0,1", "x1"), ("0,1", "0", "x1"),
+                                      ("0,3,5", "0", "x3")):
+            code, out, err = run(capsys, "check-ci", "--gens-a", gens_a,
+                                 "--gens-b", gens_b, "--radius", "2")
+            assert (code, out) == (2, "")
+            assert err == f"error: {named} is not in the subgroup generated by x0\n"
+    # radius 0 holds only the identity, so it still answers
+    code, out, err = run(capsys, "check-ci", "--gens-a", "0", "--gens-b", "0,1",
+                         "--radius", "0")
+    assert code == 0 and err == ""
+    assert "elements_checked\t1" in out and "max_difference\t0" in out
     code, out, err = run(capsys, "check-ci", "--gens-a", "0", "--gens-b", "0",
                          "--radius", "3")
     assert code == 0 and err == ""

@@ -19,7 +19,7 @@ from caretcalc import (
 )
 from caretcalc.tree_core import graft, spine
 from conftest import X3, counted_calls
-from helpers import balanced_product, fold_letters
+from helpers import all_trees, balanced_product, fold_letters, random_element
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -131,6 +131,71 @@ def test_apply_letter_on_every_ball_element():
                 assert "|".join(step) == encode(product), (enc, i, sign)
 
 
+def test_apply_letter_on_long_spines():
+    # 200 random elements over indices up to 60, whose positive trees hang
+    # dozens of subtrees off their right spines, by every letter of index
+    # 0-70: moves far down the spine list, on both sides of its end
+    rng = random.Random(2005)
+    longest = 0
+    for _ in range(200):
+        pair = random_element(rng, max_index=60, max_len=12)
+        neg, pos = pair.negative.root, pair.positive.root
+        longest = max(longest, len(group_ops._spine(pos)))
+        for i in range(71):
+            for sign in (1, -1):
+                step = group_ops.apply_letter(neg, pos, i, sign)
+                product = multiply(pair, generator_diagram(i, sign))
+                assert "|".join(step) == encode(product), (encode(pair), i, sign)
+    assert longest > 60
+
+
+def test_spine_list_round_trip():
+    # a tree is "(" + "(".join(its spine list) + "." + ")" * len(list)
+    for carets in range(7):
+        for tree in all_trees(carets):
+            entries = group_ops._spine(tree)
+            assert group_ops._join(entries) == tree
+            assert len(entries) == len(tree) - len(tree.rstrip(")"))
+
+
+def test_fold_reduces_on_long_spines(monkeypatch):
+    # words over indices up to 300 in which some letters are followed by
+    # their inverse: the inverse's move can make the caret that the letter
+    # created common, so reduce_text runs inside the block, and the next
+    # move splits the reduced positive tree again.  Words of at most 64
+    # letters are one block and take no product, so every reduce_text call
+    # counted is the fold's
+    reductions = counted_calls(monkeypatch, group_ops, "reduce_text")
+    products = counted_calls(monkeypatch, group_ops, "_product")
+    rng = random.Random(300)
+    folded = 0
+    for size in (2, 3, 10, 33, 64, 64, 64, 65, 200, 500):
+        word = []
+        while len(word) < size:
+            letter = rng.randrange(301), rng.choice((1, -1))
+            word.append(letter)
+            if rng.random() < 0.3:
+                word.append((letter[0], -letter[1]))
+        word = word[:size]
+        reductions.clear()
+        products.clear()
+        g = evaluate_word(word)
+        if size <= 64:
+            assert products == [], size
+            folded += len(reductions)
+        assert encode(g) == encode(balanced_product(word)), size
+    assert folded >= 10
+    # the positive tree of x7 hangs 9 leaves off its spine, so x_i^+-1
+    # with i >= 8 adds a caret to both trees, and its inverse after it
+    # makes that caret common: one reduce_text, inside the block
+    for index in (8, 9, 60, 300):
+        for sign in (1, -1):
+            reductions.clear()
+            assert evaluate_word([(7, 1), (index, sign), (index, -sign)]) == (
+                generator_diagram(7, 1))
+            assert len(reductions) == 1, (index, sign)
+
+
 def test_evaluate_word_empty_and_cancellation():
     assert evaluate_word([]).is_identity
     rng = random.Random(41)
@@ -174,9 +239,9 @@ def test_deep_power_round_trip():
 
 def test_power_costs_logarithmic_products(monkeypatch):
     # a run of 2^k letters is one unit, so it takes no product: up to 4
-    # letters it is folded by ``apply_letter`` into one block, and a longer
-    # one is written down; neither makes a move through ``apply_generator``
-    # or a text product
+    # letters it is folded into one block by ``_move`` on the positive
+    # tree's spine list, and a longer one is written down; neither makes a
+    # move through ``apply_generator`` or a text product
     calls = counted_calls(monkeypatch, group_ops, "_product")
 
     def refused(*args):
@@ -195,7 +260,7 @@ def test_letters_fold_in_blocks_of_64(monkeypatch):
     # N letters, no two adjacent equal: ceil(N / 64) blocks multiplied
     # together, each started from its first letter written down, and one
     # generator step for each other letter
-    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    steps = counted_calls(monkeypatch, group_ops, "_move")
     products = counted_calls(monkeypatch, group_ops, "_product")
     for size in (1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
         # odd k take indices 3-5 and even k 0-2, so no run is longer than 1
@@ -209,7 +274,7 @@ def test_letters_fold_in_blocks_of_64(monkeypatch):
 
 
 def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
-    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    steps = counted_calls(monkeypatch, group_ops, "_move")
     products = counted_calls(monkeypatch, group_ops, "_product")
     for run in ((0, 5), (2, -5), (0, 64), (0, 65), (3, -65), (7, 1000), (0, -5000)):
         g = evaluate_word([run])
@@ -242,7 +307,7 @@ def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
 def test_a_block_starts_from_its_first_run_written_down(monkeypatch):
     # x_{10^6} alone is a block of one letter: written down by _run, with
     # no step down a spine of 10^6 carets
-    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
+    steps = counted_calls(monkeypatch, group_ops, "_move")
     g = evaluate_word([(10**6, 1)])
     assert steps == []
     assert encode(g) == "|".join(group_ops._run(10**6, 1, 1))
