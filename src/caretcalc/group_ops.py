@@ -18,12 +18,16 @@ entries i and i + 1, so a letter costs the subtree it moves, not the
 subtrees above it.  ``_move`` makes that move in place and says what the
 negative tree needs: growth at its last leaf, and then a caret hung from
 a leaf, or a check of a leaf for a common caret, which ``enact`` does.
-Every caller steps with these two: ``apply_letter`` splits, moves, enacts
-and joins; ``plan`` moves a copy of a list and joins it, so ball growth
-splits each positive tree once and plans a letter once per tree, and
-enacts the plan on every element of its frontier that shares the tree;
-and a block of ``evaluate_word`` keeps its positive tree as a list from
-move to move.  Multiplying by the generator's diagram must give the
+A common caret is cancelled where it stands by ``_cancel``: it pops the
+spine list's last entries and cuts one subtree out of the negative
+text, so a step never reduces the whole pair.  Every caller steps with
+these: ``apply_letter`` splits, moves, enacts, cancels and joins;
+``plan`` moves a copy of a list and joins it, so ball growth splits each
+positive tree once and plans a letter once per tree, and enacts the plan
+on every element of its frontier that shares the tree, sending the rare
+step that cancels through ``apply_letter``; and a block of
+``evaluate_word`` keeps its positive tree as one list from its first
+move to its last.  Multiplying by the generator's diagram must give the
 identical result (both routes are kept and tested against each other).
 ``apply_generator`` is the step on a ``TreePairDiagram``: it checks the
 letter, calls ``apply_letter`` and wraps the result once.
@@ -36,12 +40,13 @@ writes the texts of its reduced pair down, a right spine of i carets
 over a left comb of a + 1 carets against a right spine of i + a + 1
 carets (the standard pair of x_i, Cannon-Floyd-Parry 1996, with its
 left caret grown into a comb).  Letters and runs of up to 4 letters are
-folded by ``_move`` and ``enact`` into blocks of at most 64 letters, each
-started from its first run written down, and a longer run is written
-down.  The blocks and the written runs are multiplied as a balanced
-product, so each takes part in O(log L) products for a word of L
-letters, and no step runs over the whole product.  ``x0^k`` costs O(k),
-and so does its normal form, read off the trees' leaves as runs.
+folded by ``_move``, ``enact`` and ``_cancel`` into blocks of at most
+1024 letters, each started from its first run written down, and a
+longer run is written down.  The blocks and the written runs are
+multiplied as a balanced product, so each takes part in O(log L)
+products for a word of L letters, and no step runs over the whole
+product.  ``x0^k`` costs O(k), and so does its normal form, read off
+the trees' leaves as runs.
 
 Below the public functions a pair is the tuple of its two texts,
 (negative, positive): ``_run``, ``_units``, the text product ``_product``
@@ -50,13 +55,13 @@ and the step ``apply_letter`` take and return texts.  A
 (see ``tree_core``), is built only where a public function returns one:
 ``evaluate_word`` once per word, ``multiply`` once per product, and
 ``generator_diagram``, ``apply_generator``, ``invert`` and ``identity``.
-``reduce_text`` is the one loop that reduces.  ``_product`` builds an
-unreduced product of two reduced pairs' texts and hands it over; any
-diagram of g * h reduces to the same pair, so its inputs need no
-reduction of their own.  A step starts from a reduced pair, so its caller
-hands the result over only when ``enact`` finds the caret the move
-created common to both trees, and otherwise keeps the moved texts as
-they are.  Trees are text, as in ``tree_core``, and every edit here is a
+``reduce_text`` reduces in rounds over the whole pair, and only
+``_product`` hands it texts: an unreduced product of two reduced pairs'
+texts, whose result ``multiply`` wraps without checking it again (any
+diagram of g * h reduces to the same pair, so the inputs need no
+reduction of their own).  A step starts from a reduced pair, so only the
+caret it created can be common, and ``_cancel`` follows the cascade from
+there.  Trees are text, as in ``tree_core``, and every edit here is a
 scan and a few slices of it, or a few entries of a spine list.
 """
 
@@ -70,6 +75,7 @@ from typing import Iterable, Iterator, Optional
 from .tree_core import (
     CaretTree,
     TreePairDiagram,
+    _reduced,
     graft,
     reduce_text,
     spine,
@@ -268,9 +274,10 @@ def _product(g: Texts, h: Texts) -> Texts:
 
 def multiply(g: TreePairDiagram, h: TreePairDiagram) -> TreePairDiagram:
     """Reduced product g * h: ``_product`` of the two pairs' texts, with
-    the result built as a pair once, here."""
-    return _pair(_product((g.negative.root, g.positive.root),
-                          (h.negative.root, h.positive.root)))
+    the result built as a pair once, here, and not checked again, since
+    ``reduce_text`` has just returned it."""
+    return _reduced(*_product((g.negative.root, g.positive.root),
+                              (h.negative.root, h.positive.root)))
 
 
 def _grow_spine(tree: str, carets: int) -> str:
@@ -395,34 +402,73 @@ def plan(spine: Spine, index: int, sign: int) -> Plan:
     return _move(moved, index, sign), _join(moved)
 
 
-def enact(neg: str, move: Move) -> tuple[str, bool]:
+def enact(neg: str, move: Move) -> tuple[str, int]:
     """The second half of the step: the negative tree that ``move`` makes
-    of ``neg``, and whether the caret the move created is common to both
-    trees.  It grows the spine, then hangs a caret from the named leaf or
-    checks it.  When the caret is common the caller runs ``reduce_text``
-    on the two texts, which cancels it and whatever that exposes in
-    turn."""
+    of ``neg``, and the dot of the left leaf of the caret the move
+    created when that caret is common to both trees, else -1.  It grows
+    the spine, then hangs a caret from the named leaf or checks it.  When
+    the caret is common the caller cancels it with ``_cancel``, on the
+    spine list the move was made on, or, holding only the moved text,
+    takes the step again with ``apply_letter``."""
     grow, leaf, hang = move
     if grow:
         neg = _grow_spine(neg, grow)
     if leaf is None:
-        return neg, False
+        return neg, -1
     dot = _leaf_dot(neg, leaf)
     if hang:
-        return neg[:dot] + "(..)" + neg[dot + 1 :], False
-    return neg, neg.startswith("..", dot)
+        return neg[:dot] + "(..)" + neg[dot + 1 :], -1
+    return neg, dot if neg.startswith("..", dot) else -1
+
+
+def _cancel(spine: Spine, neg: str, dot: int, index: int, sign: int) -> str:
+    """Cancel the common caret that the step by x_index^sign created, and
+    every caret that this exposes in both trees in turn: the spine list
+    is changed in place and the negative tree is returned.  ``dot`` is
+    the one ``enact`` returned, the dot of the caret's left leaf in
+    ``neg``.
+
+    From a reduced pair only the created caret is common, and once a
+    common caret collapses to a leaf only its parent in each tree can
+    become exposed; carets to its right shift their leaf numbers equally
+    in both trees.  In the positive tree the created caret is entry index
+    (X ^ Y, sign -1), whose parent is exposed only when the entry is the
+    last one, or the last spine caret (B ^ C, sign +1), and the parent of
+    a last spine caret is the one above it, exposed when its entry is a
+    leaf: so the cascade pops the last entry while it is ".".  In the
+    negative tree the collapsed carets make one subtree, ``neg[start:end]``,
+    and its parent is exposed over the same leaves when the character
+    next to it on the side of the positive tree's parent is a dot.  The
+    text is sliced once, at the end."""
+    # the text of the created caret, "(..)"
+    start, end = dot - 1, dot + 3
+    if sign == -1:
+        spine[index] = "."
+        # the spine caret above entry index is over that leaf and the
+        # last leaf, or not exposed
+        if index + 1 < len(spine) or neg[end] != ".":
+            return f"{neg[:start]}.{neg[end:]}"
+        start, end = start - 1, end + 2
+    spine.pop()
+    # the collapsed leaf is the last: its parent is over the leaf before
+    # it and itself
+    while spine and spine[-1] == "." and neg[start - 1] == ".":
+        spine.pop()
+        start, end = start - 2, end + 1
+    return f"{neg[:start]}.{neg[end:]}"
 
 
 def apply_letter(neg: str, pos: str, index: int, sign: int) -> Texts:
     """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
     by direct subtree surgery: ``pos`` split into its spine list, the
-    ``_move`` on it, ``enact`` on ``neg``, and the list joined.
-    ``neg | pos`` must be the texts of a reduced pair, index must be >= 0
-    and sign +1 or -1."""
+    ``_move`` on it, ``enact`` on ``neg``, ``_cancel`` when the created
+    caret is common, and the list joined.  ``neg | pos`` must be the
+    texts of a reduced pair, index must be >= 0 and sign +1 or -1."""
     spine = _spine(pos)
-    neg, common = enact(neg, _move(spine, index, sign))
-    pos = _join(spine)
-    return reduce_text(neg, pos) if common else (neg, pos)
+    neg, dot = enact(neg, _move(spine, index, sign))
+    if dot >= 0:
+        neg = _cancel(spine, neg, dot, index, sign)
+    return neg, _join(spine)
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
@@ -432,11 +478,29 @@ def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDia
     return _pair(apply_letter(pair.negative.root, pair.positive.root, index, sign))
 
 
-# Most letters in one block of ``evaluate_word``.  On the benchmark's
-# ``deep-words`` (100-400 letter words, 100-900 caret trees; seed 1, three
-# 5 s runs each, 2-core Xeon, Python 3.11) the median op took 3.2-3.6 ms
-# with blocks of 64 or 128 letters and 3.4-4.2 ms with 16, 32 or 256.
-_BLOCK = 64
+# Most letters in one block of ``evaluate_word``.  A step cancels in
+# place, so a block costs a step per letter, and every step slices the
+# negative text, which grows with the block: an unbounded block is
+# quadratic.  Timed on a 2-core Xeon, Python 3.11: the benchmark's
+# ``deep-words`` batch of 16 words (100-400 letters, 100-900 caret trees;
+# median of 15 batches, seeds 1 / 2 / 3) and the 10^6 and 10^5 random
+# letters (seed 1) of the two long-word CI steps; every block size gave
+# the same pairs:
+#
+#   block | deep-words, ms      | 10^6 over x0..x12 | 10^5 over x0..x2000
+#   64    | 50.8 / 48.3 / 49.2  | 8.6 s             | 7.1 s
+#   128   | 46.0 / 45.7 / 44.9  |                   |
+#   256   | 41.7 / 43.7 / 42.5  | 6.7 s             | 4.7 s
+#   512   | 41.5 / 42.4 / 41.2  | 6.6 s             | 3.8 s
+#   1024  | 41.9 / 42.9 / 41.7  | 5.6 s             | 3.2 s
+#   2048  |                     | 6.3 s             | 2.8 s
+#   4096  |                     | 7.2 s             | 2.4 s
+#
+# From 512 on a ``deep-words`` word is one block but for its x0^k run.
+# Past 1024 the low-index word slows as its blocks' texts grow, while the
+# high-index word, whose texts are long from the first letter, still
+# gains from fewer products.
+_BLOCK = 1024
 
 # Longest run folded into a block.  Folding a run costs one step per
 # letter and writing it down one more unit of the product.  On words made
@@ -454,23 +518,21 @@ def _signed(exponent: int) -> tuple[int, int]:
 def _fold(block: list[Run]) -> Texts:
     """The texts of a block of runs: its first run written down by
     ``_run``, and each later letter a ``_move`` on the spine list of the
-    positive tree, with ``enact`` on the negative tree.  The list is
-    split when the first move needs it and joined once, at the end; a step
-    whose created caret is common joins it for ``reduce_text``, and the
-    next move splits the reduced tree again."""
+    positive tree, with ``enact`` on the negative tree and ``_cancel``
+    where the created caret is common.  The list is split once, before
+    the first move, and joined once, at the end."""
     index, exponent = block[0]
     neg, pos = _run(index, *_signed(exponent))
-    spine: Optional[Spine] = None
+    if len(block) == 1:
+        return neg, pos
+    spine = _spine(pos)
     for index, exponent in islice(block, 1, None):
         sign, count = _signed(exponent)
         for _ in range(count):
-            if spine is None:
-                spine = _spine(pos)
-            neg, common = enact(neg, _move(spine, index, sign))
-            if common:
-                neg, pos = reduce_text(neg, _join(spine))
-                spine = None
-    return neg, pos if spine is None else _join(spine)
+            neg, dot = enact(neg, _move(spine, index, sign))
+            if dot >= 0:
+                neg = _cancel(spine, neg, dot, index, sign)
+    return neg, _join(spine)
 
 
 def _units(runs: Iterable[Run]) -> Iterator[Texts]:
@@ -507,14 +569,15 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     its first run written down by ``_run``, since a step from the identity
     would grow a spine of i carets to take x_i.  A step moves entries of
     the positive tree's spine list, reading only the subtree it splits,
-    and slices the negative tree's text, while ``_product`` walks both
-    middle trees one character at a time and reduces, so a step is the
-    cheaper way to take a letter while the block is small.  Blocks of 64 and 128 letters timed lowest of 16
-    to 256 (see ``_BLOCK``), and the smaller keeps the block's texts
-    shorter.  A run longer than ``_FOLDED_RUN`` letters, or too long for
-    the block's room, ends the block and is written down by ``_run`` in
-    time linear in i + |a|, with no step and no product, so ``x0^k``
-    costs O(k); folding it would cost a step per letter.
+    and slices the negative tree's text, cancelling a common caret in
+    place (``_cancel``), while ``_product`` walks both middle trees one
+    character at a time and reduces in rounds, so a step is the cheaper
+    way to take a letter while the block's texts are short.  The bound
+    ``_BLOCK`` keeps them short; its timings are there.  A run longer
+    than ``_FOLDED_RUN`` letters, or too long for the block's room, ends
+    the block and is written down by ``_run`` in time linear in i + |a|,
+    with no step and no product, so ``x0^k`` costs O(k); folding it would
+    cost a step per letter.
 
     The units' texts are multiplied by ``_product`` as a balanced
     product: the stack holds products of units, each covering fewer units

@@ -37,9 +37,13 @@ exposed in both trees over the same pair of leaf numbers, and every element
 of F has exactly one reduced pair (Cannon-Floyd-Parry 1996).  Every
 ``TreePairDiagram`` is that pair: its constructor refuses any other with
 MalformedPairError, after one linear pass over the two texts.
-``reduce_text`` is the one loop that reduces, on the two texts, and
-``TreePairDiagram.of`` runs it on outside input.  So no operation checks
-reducedness again.
+``reduce_text`` reduces in rounds over the two texts: ``TreePairDiagram.of``
+runs it on outside input and ``group_ops`` on a product, and both wrap
+what it returns through ``_reduced``, which skips the constructor's pass,
+since ``reduce_text``'s last round has just made it.  A generator step
+cancels the one caret it can make common where it stands
+(``group_ops._cancel``), with no round over the pair.  So no operation
+checks reducedness twice.
 """
 
 from __future__ import annotations
@@ -193,8 +197,7 @@ class TreePairDiagram:
     def of(cls, negative: CaretTree, positive: CaretTree) -> "TreePairDiagram":
         """The reduced pair of the element ``negative | positive``.
         Raises MalformedPairError when the caret counts differ."""
-        neg, pos = reduce_text(negative.root, positive.root)
-        return cls(CaretTree(neg), CaretTree(pos))
+        return _reduced(*reduce_text(negative.root, positive.root))
 
     @property
     def reduced(self) -> bool:
@@ -214,6 +217,16 @@ class TreePairDiagram:
 
     def serialize(self) -> str:
         return self.negative.root + "|" + self.positive.root
+
+
+def _reduced(neg: str, pos: str) -> TreePairDiagram:
+    """The pair of two texts that ``reduce_text`` has just returned, built
+    without the constructor's check: its one pass over the texts would
+    repeat ``reduce_text``'s last round, which found no common caret."""
+    pair = object.__new__(TreePairDiagram)
+    object.__setattr__(pair, "negative", CaretTree(neg))
+    object.__setattr__(pair, "positive", CaretTree(pos))
+    return pair
 
 
 def _common_exposed(neg: str, pos: str) -> list[int]:

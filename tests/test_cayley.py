@@ -23,7 +23,7 @@ from caretcalc import (
     probe_mac,
     probe_subset_monotonicity,
 )
-from caretcalc import cayley, group_ops
+from caretcalc import cayley, group_ops, tree_core
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3, counted_calls
@@ -127,14 +127,17 @@ def test_ball_never_applies_the_parent_letter(monkeypatch):
 
 def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     # a step from a reduced pair can make common only the caret it
-    # creates, so reduce_text runs on 12 of the 686 steps, not on each.
-    # Which steps reduce depends on the letter each element was reached
+    # creates, so 12 of the 686 steps cancel, not each: those are taken
+    # again by apply_letter, whose _cancel cancels the caret in place.
+    # Which steps cancel depends on the letter each element was reached
     # by, which follows the order of expansion inside a shell: the count
     # is that of expanding a shell by positive tree, in the order the
     # trees first appear in the frontier
-    calls = counted_calls(monkeypatch, cayley, "reduce_text")
+    steps = counted_calls(monkeypatch, cayley, "apply_letter")
+    cancels = counted_calls(monkeypatch, group_ops, "_cancel")
+    reductions = counted_calls(monkeypatch, tree_core, "reduce_text")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
-    assert len(calls) == 12
+    assert (len(steps), len(cancels), len(reductions)) == (12, 12, 0)
 
 
 @pytest.mark.parametrize("gens, radius", [((0, 1), 8), ((0, 2), 6), ((0, 1, 2), 6),

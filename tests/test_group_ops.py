@@ -3,6 +3,7 @@ import random
 import pytest
 
 from caretcalc import (
+    CaretTree,
     GeneratingSet,
     GeneratorWord,
     TreePairDiagram,
@@ -19,7 +20,7 @@ from caretcalc import (
 )
 from caretcalc.tree_core import graft, spine
 from conftest import X3, counted_calls
-from helpers import all_trees, balanced_product, fold_letters, random_element
+from helpers import all_trees, balanced_product, fold_letters, random_element, raw_pair
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -161,15 +162,16 @@ def test_spine_list_round_trip():
 def test_fold_reduces_on_long_spines(monkeypatch):
     # words over indices up to 300 in which some letters are followed by
     # their inverse: the inverse's move can make the caret that the letter
-    # created common, so reduce_text runs inside the block, and the next
-    # move splits the reduced positive tree again.  Words of at most 64
-    # letters are one block and take no product, so every reduce_text call
-    # counted is the fold's
+    # created common, and ``_cancel`` cancels it where it stands, with no
+    # reduce_text.  Words of at most 1024 letters are one block and take
+    # no product, so every _cancel call counted is the fold's, and the
+    # fold never reduces
+    cancels = counted_calls(monkeypatch, group_ops, "_cancel")
     reductions = counted_calls(monkeypatch, group_ops, "reduce_text")
     products = counted_calls(monkeypatch, group_ops, "_product")
     rng = random.Random(300)
     folded = 0
-    for size in (2, 3, 10, 33, 64, 64, 64, 65, 200, 500):
+    for size in (2, 3, 10, 33, 64, 64, 64, 65, 200, 500, 1024, 1025):
         word = []
         while len(word) < size:
             letter = rng.randrange(301), rng.choice((1, -1))
@@ -177,23 +179,75 @@ def test_fold_reduces_on_long_spines(monkeypatch):
             if rng.random() < 0.3:
                 word.append((letter[0], -letter[1]))
         word = word[:size]
-        reductions.clear()
+        cancels.clear()
         products.clear()
+        reductions.clear()
         g = evaluate_word(word)
-        if size <= 64:
-            assert products == [], size
-            folded += len(reductions)
+        if size <= 1024:
+            assert products == reductions == [], size
+            folded += len(cancels)
         assert encode(g) == encode(balanced_product(word)), size
-    assert folded >= 10
+    assert folded >= 100
     # the positive tree of x7 hangs 9 leaves off its spine, so x_i^+-1
     # with i >= 8 adds a caret to both trees, and its inverse after it
-    # makes that caret common: one reduce_text, inside the block
+    # makes that caret common: one _cancel, inside the block
     for index in (8, 9, 60, 300):
         for sign in (1, -1):
+            cancels.clear()
             reductions.clear()
             assert evaluate_word([(7, 1), (index, sign), (index, -sign)]) == (
                 generator_diagram(7, 1))
-            assert len(reductions) == 1, (index, sign)
+            assert len(cancels) == 1 and reductions == [], (index, sign)
+
+
+def test_step_matches_product_with_generator():
+    # every reduced pair of up to 5 carets and every letter x_i^+-1 with
+    # i <= carets + 2: the step (move, enact, _cancel) against the product
+    # with the generator's diagram, which reduces in rounds.  The CI runs
+    # the same check up to 6 carets
+    cases = 0
+    for carets in range(6):
+        trees = list(all_trees(carets))
+        for neg in trees:
+            for pos in trees:
+                if not raw_pair(neg, pos).reduced:
+                    continue
+                pair = TreePairDiagram(CaretTree(neg), CaretTree(pos))
+                for index in range(carets + 3):
+                    for sign in (1, -1):
+                        step = group_ops.apply_letter(neg, pos, index, sign)
+                        product = multiply(pair, generator_diagram(index, sign))
+                        assert "|".join(step) == encode(product), (neg, pos, index, sign)
+                        cases += 1
+    assert cases == 16_586
+
+
+def test_a_step_cancels_a_deep_cascade_in_place(monkeypatch):
+    # x2 x30 hangs a caret from leaf 30 of both trees, below 27 spine
+    # carets grown for it; x30^-1 makes that caret common, and cancelling
+    # it exposes the spine caret above it in both trees, and so on up the
+    # grown spine: 28 levels cancelled by one step, inside one block,
+    # with no reduce_text
+    reductions = counted_calls(monkeypatch, group_ops, "reduce_text")
+    levels = []
+    cancel = group_ops._cancel
+
+    def measured(spine, neg, *args):
+        out = cancel(spine, neg, *args)
+        levels.append(neg.count("(") - out.count("("))
+        return out
+
+    monkeypatch.setattr(group_ops, "_cancel", measured)
+    word = [(2, 1), (30, 1), (30, -1), (1, 1)]
+    g = evaluate_word(word)
+    assert levels == [28] and reductions == []
+    assert encode(g) == encode(balanced_product(word))
+    assert encode(g) == encode(balanced_product([(2, 1), (1, 1)]))
+    # the cascade that empties both trees: x30 x30^-1 is the identity
+    levels.clear()
+    reductions.clear()
+    assert evaluate_word([(30, 1), (30, -1)]).is_identity
+    assert levels == [32] and reductions == []
 
 
 def test_evaluate_word_empty_and_cancellation():
@@ -256,19 +310,19 @@ def test_power_costs_logarithmic_products(monkeypatch):
             assert g.carets == 2**k + letter[0] + 1
 
 
-def test_letters_fold_in_blocks_of_64(monkeypatch):
-    # N letters, no two adjacent equal: ceil(N / 64) blocks multiplied
+def test_letters_fold_in_blocks_of_1024(monkeypatch):
+    # N letters, no two adjacent equal: ceil(N / 1024) blocks multiplied
     # together, each started from its first letter written down, and one
     # generator step for each other letter
     steps = counted_calls(monkeypatch, group_ops, "_move")
     products = counted_calls(monkeypatch, group_ops, "_product")
-    for size in (1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
+    for size in (1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 3000):
         # odd k take indices 3-5 and even k 0-2, so no run is longer than 1
         word = [(k % 3 + 3 * (k % 2), 1 if k % 5 < 3 else -1) for k in range(size)]
         steps.clear()
         products.clear()
         g = evaluate_word(word)
-        blocks = -(-size // 64)
+        blocks = -(-size // 1024)
         assert (len(steps), len(products)) == (size - blocks, blocks - 1), size
         assert encode(g) == encode(balanced_product(word)), size
 
@@ -292,10 +346,11 @@ def test_runs_of_more_than_4_letters_take_no_step(monkeypatch):
         assert (len(steps), len(products)) == (2, 2), count
         assert encode(g) == encode(balanced_product(word))
     # a run of up to 4 letters is folded while it fits in the block; at
-    # 62 letters one of 4 no longer fits, so it is written down.  The
+    # 1022 letters one of 4 no longer fits, so it is written down.  The
     # block's first letter takes no step
-    for prefix, count, calls in ((10, 4, (13, 0)), (60, 4, (63, 0)), (62, 4, (61, 1)),
-                                 (62, 2, (63, 0)), (63, 3, (62, 1))):
+    for prefix, count, calls in ((10, 4, (13, 0)), (1020, 4, (1023, 0)),
+                                 (1022, 4, (1021, 1)), (1022, 2, (1023, 0)),
+                                 (1023, 3, (1022, 1))):
         word = [(k % 2, 1) for k in range(prefix)] + [(5, count)]
         steps.clear()
         products.clear()

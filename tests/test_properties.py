@@ -161,7 +161,7 @@ X0 = _trees_of(generator_diagram(0, 1))
 X0_INVERSE = _trees_of(generator_diagram(0, -1))
 X30 = _trees_of(generator_diagram(30, 1))
 # x1 x0^-1 = (.((..).))|((..)(..)): the created caret over leaves 0 and 1
-# is exposed in the positive tree only, so the step skips reduce_text
+# is exposed in the positive tree only, so the step skips _cancel
 X1 = _trees_of(generator_diagram(1, 1))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import caretcalc
+from caretcalc import generator_diagram, group_ops, multiply, tree_core
 from caretcalc.errors import MalformedPairError
 from caretcalc.tree_core import (
     CaretTree,
@@ -21,6 +22,7 @@ from caretcalc.tree_core import (
     spine,
 )
 from caretcalc.wordlang import parse_pair
+from conftest import counted_calls
 from helpers import (
     _intervals,
     pair_of_nodes,
@@ -150,6 +152,42 @@ def test_constructor_refuses_unreduced_trees():
         TreePairDiagram(CaretTree("(..)"), CaretTree("."))
     assert TreePairDiagram.of(CaretTree("((..).)"), CaretTree("((..).)")).is_identity
     assert TreePairDiagram(CaretTree("((..).)"), CaretTree("(.(..))")).carets == 2
+
+
+def test_of_and_multiply_check_reducedness_once(monkeypatch):
+    # reduce_text's last round finds no common caret, and that is the
+    # check: ``of`` and ``multiply`` wrap its texts with no second pass of
+    # _common_exposed in the constructor
+    passes = counted_calls(monkeypatch, tree_core, "_common_exposed")
+    rng = random.Random(29)
+    for _ in range(200):
+        neg = random_tree(rng, 8)
+        pos = random_tree(rng, 8)
+        passes.clear()
+        tree_core.reduce_text(neg, pos)
+        rounds = len(passes)
+        passes.clear()
+        pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
+        assert len(passes) == rounds
+        assert pair.reduced
+    # a reduced input takes the one pass
+    passes.clear()
+    TreePairDiagram.of(CaretTree("((..).)"), CaretTree("(.(..))"))
+    assert len(passes) == 1
+    for _ in range(200):
+        g, h = random_element(rng), random_element(rng)
+        passes.clear()
+        group_ops._product((g.negative.root, g.positive.root),
+                           (h.negative.root, h.positive.root))
+        rounds = len(passes)
+        passes.clear()
+        assert multiply(g, h).reduced
+        assert len(passes) == rounds + 1  # the last for ``reduced`` above
+    # x0 x1 cancels nothing: one pass
+    x0, x1 = generator_diagram(0, 1), generator_diagram(1, 1)
+    passes.clear()
+    multiply(x0, x1)
+    assert len(passes) == 1
 
 
 def test_canonical_encode_of_parsed_unreduced_text():
