@@ -79,7 +79,7 @@ from .group_ops import (
     plan,
 )
 from .metrics import length_consecutive
-from .tree_core import CaretTree, TreePairDiagram, canonical_encode
+from .tree_core import CaretTree, TreePairDiagram, canonical_encode, reduce_text
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -196,8 +196,8 @@ def _grow(
     in the group, enacts it on every member, and clears the group's list
     once it is done, so the frontier's memory falls while the table
     grows.  Where the move made a caret common (536 of the 38,766 steps
-    of ``ball({0,1,2}, 7)``) the member takes the step again with
-    ``apply_letter``, which cancels it on a spine list of its own.  A shell
+    of ``ball({0,1,2}, 7)``) the moved texts go to ``reduce_text``, which
+    cancels that caret and the carets it exposes in turn.  A shell
     never applies an entry's back letter, the inverse of the letter that
     reached it: that neighbour is already seen.  Every new element's two
     texts pass through one dict, ``names``, so equal trees share one
@@ -238,7 +238,7 @@ def _grow(
                     move, p = step
                     n, dot = enact(neg, move)
                     if dot >= 0:
-                        n, p = apply_letter(neg, pos, *letter)
+                        n, p = reduce_text(n, p)
                     row = table.get(p)
                     if row is not None and n in row:
                         continue
@@ -351,7 +351,7 @@ def _meet(
                 move, p = plan(spine, *letter)
                 n, dot = enact(neg, move)
                 if dot >= 0:
-                    n, p = apply_letter(neg, pos, *letter)
+                    n, p = reduce_text(n, p)
                 key = f"{n}|{p}"
                 if key in mine:
                     continue

@@ -4,10 +4,10 @@ Subcommands: eval, len, ball, probe-mac, check-ci, probe-monotone.
 Exit codes: 0 success (probes: claim confirmed), 1 probe refuted,
 2 usage or parse error, 3 resource cap exceeded, 4 internal error (any
 other exception, e.g. RecursionError or MemoryError, reported in one
-stderr line).  The CARETCALC_CAP environment variable overrides the
-default search cap; --cap overrides both.  Output is plain
-tab-separated text, or JSON with --format structured; identical
-invocations produce byte-identical output.
+stderr line), 141 stdout closed by its reader.  The CARETCALC_CAP
+environment variable overrides the default search cap; --cap overrides
+both.  Output is plain tab-separated text, or JSON with --format
+structured; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+# what a shell reports for a writer stopped by SIGPIPE: 128 + 13
+EXIT_PIPE = 141
 
 ENV_CAP = "CARETCALC_CAP"
 
@@ -324,6 +326,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.  When the reader closes
+    stdout early (``caretcalc ball ... | head -1``), the code is
+    EXIT_PIPE and nothing goes to stderr, however far the output had
+    got."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+
+
+def _run(argv: Optional[list[str]]) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -332,6 +349,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_gens(args)
         _check_out(args)
         return args.func(args)
+    except BrokenPipeError:
+        # stdout closed, which ``main`` reports; no internal error
+        raise
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,8 +24,8 @@ text, so a step never reduces the whole pair.  Every caller steps with
 these: ``apply_letter`` splits, moves, enacts, cancels and joins;
 ``plan`` moves a copy of a list and joins it, so ball growth splits each
 positive tree once and plans a letter once per tree, and enacts the plan
-on every element of its frontier that shares the tree, sending the rare
-step that cancels through ``apply_letter``; and a block of
+on every element of its frontier that shares the tree, handing the
+rare step that cancels to ``reduce_text``; and a block of
 ``evaluate_word`` keeps its positive tree as one list from its first
 move to its last.  Multiplying by the generator's diagram must give the
 identical result (both routes are kept and tested against each other).
@@ -55,13 +55,14 @@ and the step ``apply_letter`` take and return texts.  A
 (see ``tree_core``), is built only where a public function returns one:
 ``evaluate_word`` once per word, ``multiply`` once per product, and
 ``generator_diagram``, ``apply_generator``, ``invert`` and ``identity``.
-``reduce_text`` reduces in rounds over the whole pair, and only
-``_product`` hands it texts: an unreduced product of two reduced pairs'
-texts, whose result ``multiply`` wraps without checking it again (any
-diagram of g * h reduces to the same pair, so the inputs need no
-reduction of their own).  A step starts from a reduced pair, so only the
-caret it created can be common, and ``_cancel`` follows the cascade from
-there.  Trees are text, as in ``tree_core``, and every edit here is a
+``reduce_text`` reduces a whole pair in one pass, cancelling each common
+caret with the carets it exposes in turn.  Here only ``_product`` hands
+it texts: an unreduced product of two reduced pairs' texts, whose result
+``multiply`` wraps without checking it again (any diagram of g * h
+reduces to the same pair, so the inputs need no reduction of their own).
+A step starts from a reduced pair, so only the caret it created can be
+common, and ``_cancel`` follows the same cascade from there on the spine
+list.  Trees are text, as in ``tree_core``, and every edit here is a
 scan and a few slices of it, or a few entries of a spine list.
 """
 
@@ -408,8 +409,8 @@ def enact(neg: str, move: Move) -> tuple[str, int]:
     created when that caret is common to both trees, else -1.  It grows
     the spine, then hangs a caret from the named leaf or checks it.  When
     the caret is common the caller cancels it with ``_cancel``, on the
-    spine list the move was made on, or, holding only the moved text,
-    takes the step again with ``apply_letter``."""
+    spine list the move was made on, or, holding only the moved texts,
+    hands them to ``reduce_text``."""
     grow, leaf, hang = move
     if grow:
         neg = _grow_spine(neg, grow)
@@ -571,13 +572,13 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     the positive tree's spine list, reading only the subtree it splits,
     and slices the negative tree's text, cancelling a common caret in
     place (``_cancel``), while ``_product`` walks both middle trees one
-    character at a time and reduces in rounds, so a step is the cheaper
-    way to take a letter while the block's texts are short.  The bound
-    ``_BLOCK`` keeps them short; its timings are there.  A run longer
-    than ``_FOLDED_RUN`` letters, or too long for the block's room, ends
-    the block and is written down by ``_run`` in time linear in i + |a|,
-    with no step and no product, so ``x0^k`` costs O(k); folding it would
-    cost a step per letter.
+    character at a time and reduces the whole product, so a step is the
+    cheaper way to take a letter while the block's texts are short.  The
+    bound ``_BLOCK`` keeps them short; its timings are there.  A run
+    longer than ``_FOLDED_RUN`` letters, or too long for the block's
+    room, ends the block and is written down by ``_run`` in time linear
+    in i + |a|, with no step and no product, so ``x0^k`` costs O(k);
+    folding it would cost a step per letter.
 
     The units' texts are multiplied by ``_product`` as a balanced
     product: the stack holds products of units, each covering fewer units

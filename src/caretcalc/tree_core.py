@@ -37,19 +37,21 @@ exposed in both trees over the same pair of leaf numbers, and every element
 of F has exactly one reduced pair (Cannon-Floyd-Parry 1996).  Every
 ``TreePairDiagram`` is that pair: its constructor refuses any other with
 MalformedPairError, after one linear pass over the two texts.
-``reduce_text`` reduces in rounds over the two texts: ``TreePairDiagram.of``
-runs it on outside input and ``group_ops`` on a product, and both wrap
-what it returns through ``_reduced``, which skips the constructor's pass,
-since ``reduce_text``'s last round has just made it.  A generator step
-cancels the one caret it can make common where it stands
-(``group_ops._cancel``), with no round over the pair.  So no operation
-checks reducedness twice.
+``reduce_text`` reduces in one pass over the two texts: it finds the
+common carets once, cancels each with the carets that this exposes in
+both trees in turn, and cuts each text once, in time linear in the
+texts.  ``TreePairDiagram.of`` runs it on outside input, ``group_ops`` on
+a product and ``cayley`` on a step that made a caret common, and the
+first two wrap what it returns through ``_reduced``, which skips the
+constructor's pass.  A generator step on a spine list cancels the one
+caret it can make common where it stands (``group_ops._cancel``), with
+no pass over the pair.  So no operation checks reducedness twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import MalformedPairError
 
@@ -222,7 +224,8 @@ class TreePairDiagram:
 def _reduced(neg: str, pos: str) -> TreePairDiagram:
     """The pair of two texts that ``reduce_text`` has just returned, built
     without the constructor's check: its one pass over the texts would
-    repeat ``reduce_text``'s last round, which found no common caret."""
+    find no common caret, since ``reduce_text`` cancelled every caret
+    that was common or became common."""
     pair = object.__new__(TreePairDiagram)
     object.__setattr__(pair, "negative", CaretTree(neg))
     object.__setattr__(pair, "positive", CaretTree(pos))
@@ -252,12 +255,10 @@ def _common_exposed(neg: str, pos: str) -> list[int]:
     return leaves
 
 
-def _collapse(tree: str, leaves: list[int]) -> str:
-    """``tree`` with the exposed caret over each of ``leaves`` (left-leaf
-    numbers, ascending) made a leaf.  The scan goes from one ".." to the
-    next, counting the dots it passes; each "(..)" to go is overwritten
-    with a "." between marks, and the marks are dropped at the end."""
-    text = bytearray(tree, "ascii")
+def _caret_spans(tree: str, leaves: list[int]) -> Iterator[tuple[int, int]]:
+    """The span of the text "(..)" of the exposed caret over each of
+    ``leaves``, left-leaf numbers in ascending order.  The scan goes from
+    one ".." to the next, counting the dots it passes."""
     # the last ".." passed and the dots before it, starting from a virtual
     # ".." just before the text
     at = dots = -2
@@ -266,23 +267,58 @@ def _collapse(tree: str, leaves: list[int]) -> str:
             after = tree.find("..", at + 2)
             dots += 2 + tree.count(".", at + 2, after)
             at = after
-        text[at - 1 : at + 3] = b"x.xx"
-    return text.translate(None, b"x").decode("ascii")
+        yield at - 1, at + 3
+
+
+def _cut(tree: str, cuts: dict[int, int]) -> str:
+    """``tree`` with each span ``cuts[end] .. end - 1`` made a leaf; the
+    spans are disjoint and in ascending order."""
+    out, done = [], 0
+    for end, start in cuts.items():
+        out += (tree[done:start], ".")
+        done = end
+    out.append(tree[done:])
+    return "".join(out)
 
 
 def reduce_text(neg: str, pos: str) -> tuple[str, str]:
-    """The texts of the reduced pair of the element ``neg | pos``.
+    """The texts of the reduced pair of the element ``neg | pos``, in one
+    pass over the carets common to both trees.
 
-    Each round collapses every caret exposed in both trees over the same
-    leaves, and the rounds go on until there is none.  Cancelling exposed
-    carets one at a time, in any order, ends in the same pair.  Raises
-    MalformedPairError when the caret counts differ.
+    Each common caret, from the first to the last, collapses to a leaf,
+    and then its parent does, for as long as the parent is exposed in
+    both trees over the same leaves: both trees have a leaf on the same
+    side of the collapsed one.  A collapse can expose no caret but the
+    parent of what collapsed.  The texts stay as they are until the end,
+    with each collapsed subtree kept as a span of the text, so the later
+    common carets are found where they stand, and the leaf before a
+    collapsing subtree may be a span collapsed earlier, which the parent
+    takes in.  Each text is then cut once, so the pass is linear in the
+    texts.  Cancelling common carets one at a time, in any order, ends in
+    the same pair.  Raises MalformedPairError when the caret counts
+    differ.
     """
-    while True:
-        common = _common_exposed(neg, pos)
-        if not common:
-            return neg, pos
-        neg, pos = _collapse(neg, common), _collapse(pos, common)
+    common = _common_exposed(neg, pos)
+    # the spans cut from each text, as cuts[end] = start
+    cuts, other_cuts = {}, {}
+    for (start, end), (other, other_end) in zip(
+            _caret_spans(neg, common), _caret_spans(pos, common)):
+        while True:
+            # the parent is exposed over the same leaves in both trees when
+            # both have a leaf before the subtree, which may be a span cut
+            # before, or both have one after it; it spans its brackets, the
+            # subtree and that leaf
+            if (start in cuts or neg[start - 1] == ".") and (
+                    other in other_cuts or pos[other - 1] == "."):
+                start, end = cuts.pop(start, start - 1) - 1, end + 1
+                other, other_end = other_cuts.pop(other, other - 1) - 1, other_end + 1
+            elif neg.startswith(".", end) and pos.startswith(".", other_end):
+                start, end, other, other_end = start - 1, end + 2, other - 1, other_end + 2
+            else:
+                break
+        cuts[end] = start
+        other_cuts[other_end] = other
+    return _cut(neg, cuts), _cut(pos, other_cuts)
 
 
 def reduce(pair: TreePairDiagram) -> TreePairDiagram:

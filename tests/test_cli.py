@@ -538,19 +538,43 @@ def test_kept_parser_answers_as_a_fresh_one(monkeypatch):
     assert [code for code, _, _ in kept] == [2, 0, 0, 0]
 
 
-def test_module_entry_point():
-    # the child imports the package under test, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the package under test,
+    installed or not."""
     env = dict(os.environ)
     source = str(Path(caretcalc.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "caretcalc", "eval", "x0"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "((..).)|(.(..))" in proc.stdout
+
+
+def test_stdout_closed_by_its_reader():
+    # the reader takes one line of a ~370 KB ball and closes the pipe;
+    # the rest cannot fit a pipe's 64 KiB buffer, so a write fails, and
+    # the run ends with EXIT_PIPE and nothing on stderr, not as an
+    # internal error or a refuted probe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "caretcalc", "ball", "--gens", "0,1,2", "--radius", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline() == b".|.\t0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (cli.EXIT_PIPE, b"")
+    assert cli.EXIT_PIPE == 141
 
 
 # Argv drawn from the grammars of FORMATS.md, valid or not: each run must end

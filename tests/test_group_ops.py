@@ -203,8 +203,8 @@ def test_fold_reduces_on_long_spines(monkeypatch):
 def test_step_matches_product_with_generator():
     # every reduced pair of up to 5 carets and every letter x_i^+-1 with
     # i <= carets + 2: the step (move, enact, _cancel) against the product
-    # with the generator's diagram, which reduces in rounds.  The CI runs
-    # the same check up to 6 carets
+    # with the generator's diagram, which reduces the whole product.  The
+    # CI runs the same check up to 6 carets
     cases = 0
     for carets in range(6):
         trees = list(all_trees(carets))

@@ -7,17 +7,17 @@ from pathlib import Path
 import pytest
 
 import caretcalc
-from caretcalc import generator_diagram, group_ops, multiply, tree_core
+from caretcalc import generator_diagram, multiply, tree_core
 from caretcalc.errors import MalformedPairError
 from caretcalc.tree_core import (
     CaretTree,
     TreePairDiagram,
-    _collapse,
     _common_exposed,
     canonical_encode,
     count_carets,
     graft,
     reduce,
+    reduce_text,
     serialize_node,
     spine,
 )
@@ -74,18 +74,28 @@ def test_exposed_leaf_starts():
 
 
 def test_remove_exposed_at():
+    # reduce_text removes the carets exposed in both trees over the same
+    # leaves, and no other exposed caret
     two_hats = serialize_node(((None, None), (None, None)))
-    assert _collapse(two_hats, [0]) == serialize_node((None, (None, None)))
-    assert _collapse(two_hats, [2]) == serialize_node(((None, None), None))
+    assert reduce_text(two_hats, two_hats) == (".", ".")
+    # common at leaf 2 only
+    assert reduce_text(two_hats, spine(3)) == (
+        serialize_node(((None, None), None)), spine(2))
+    # common at leaf 0 only
+    assert reduce_text(two_hats, "(((..).).)") == (
+        serialize_node((None, (None, None))), "((..).)")
 
 
 def test_remove_inverts_add():
+    # a caret hung from the same leaf of both trees of a reduced pair is
+    # common, and reduce_text removes it again
     rng = random.Random(11)
     for _ in range(200):
-        node = random_tree(rng, rng.randrange(1, 12))
-        leaf = rng.choice(_common_exposed(node, node))
-        shrunk = _collapse(node, [leaf])
-        assert graft(shrunk, {leaf: "(..)"}) == node
+        g = random_element(rng)
+        neg, pos = g.negative.root, g.positive.root
+        leaf = rng.randrange(neg.count("."))
+        grown = graft(neg, {leaf: "(..)"}), graft(pos, {leaf: "(..)"})
+        assert reduce_text(*grown) == (neg, pos)
 
 
 def test_infix_numbering_right_spine():
@@ -155,20 +165,17 @@ def test_constructor_refuses_unreduced_trees():
 
 
 def test_of_and_multiply_check_reducedness_once(monkeypatch):
-    # reduce_text's last round finds no common caret, and that is the
-    # check: ``of`` and ``multiply`` wrap its texts with no second pass of
-    # _common_exposed in the constructor
+    # reduce_text's one pass of _common_exposed finds every common caret,
+    # and that is the check: ``of`` and ``multiply`` wrap its texts with
+    # no second pass in the constructor
     passes = counted_calls(monkeypatch, tree_core, "_common_exposed")
     rng = random.Random(29)
     for _ in range(200):
         neg = random_tree(rng, 8)
         pos = random_tree(rng, 8)
         passes.clear()
-        tree_core.reduce_text(neg, pos)
-        rounds = len(passes)
-        passes.clear()
         pair = TreePairDiagram.of(CaretTree(neg), CaretTree(pos))
-        assert len(passes) == rounds
+        assert len(passes) == 1
         assert pair.reduced
     # a reduced input takes the one pass
     passes.clear()
@@ -177,17 +184,39 @@ def test_of_and_multiply_check_reducedness_once(monkeypatch):
     for _ in range(200):
         g, h = random_element(rng), random_element(rng)
         passes.clear()
-        group_ops._product((g.negative.root, g.positive.root),
-                           (h.negative.root, h.positive.root))
-        rounds = len(passes)
-        passes.clear()
         assert multiply(g, h).reduced
-        assert len(passes) == rounds + 1  # the last for ``reduced`` above
+        assert len(passes) == 2  # the second for ``reduced`` above
     # x0 x1 cancels nothing: one pass
     x0, x1 = generator_diagram(0, 1), generator_diagram(1, 1)
     passes.clear()
     multiply(x0, x1)
     assert len(passes) == 1
+
+
+def test_reduce_text_finds_the_common_carets_once(monkeypatch):
+    # one pass: each reduce_text call runs _common_exposed once, however
+    # deep the cancellation goes.  A left comb against itself has one
+    # common caret, and cancelling it exposes the caret above it in both
+    # trees, and so on up to the root: 100,000 levels from that one pass,
+    # where a round per level took 100,000 passes
+    rng = random.Random(31)
+    cases = []
+    for _ in range(300):
+        g = random_element(rng)
+        neg, pos = g.negative.root, g.positive.root
+        for _ in range(rng.randrange(0, 4)):
+            leaf, seed = rng.randrange(neg.count(".")), rng.random()
+            sub = random_tree(random.Random(seed), rng.randrange(1, 9))
+            neg, pos = graft(neg, {leaf: sub}), graft(pos, {leaf: sub})
+        cases.append((g, neg, pos))
+    passes = counted_calls(monkeypatch, tree_core, "_common_exposed")
+    calls = counted_calls(monkeypatch, tree_core, "reduce_text")
+    for g, neg, pos in cases:
+        assert tree_core.reduce_text(neg, pos) == (g.negative.root, g.positive.root)
+    comb = "(" * 100_000 + "." + ".)" * 100_000
+    assert canonical_encode(parse_pair(f"{comb}|{comb}")) == ".|."
+    assert canonical_encode(parse_pair(f"{spine(100_000)}|{spine(100_000)}")) == ".|."
+    assert len(calls) == len(passes) == 302
 
 
 def test_canonical_encode_of_parsed_unreduced_text():
