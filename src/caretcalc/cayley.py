@@ -22,9 +22,9 @@ layout that is smaller for it:
   ~68 B in place of ~137 B per element of that ball.  A step by a letter
   moves subtrees of the positive tree only, so ``_grow`` splits each
   positive tree into its spine list once (``group_ops._spine``), makes
-  each ``group_ops.plan`` once per tree and letter, and enacts its move
+  each ``group_ops.plan`` once per tree and letter, and enacts the plan
   on the negative tree of every element of the group
-  (``group_ops.enact``).
+  (``group_ops.enact``), which also cancels a caret the step made common.
 * A single length (``bfs_length``) and a shortest path inside a ball
   (``in_ball_geodesic``) are searched from both ends at once
   (``_meet``): the side with the smaller frontier grows by one shell
@@ -79,7 +79,7 @@ from .group_ops import (
     plan,
 )
 from .metrics import length_consecutive
-from .tree_core import CaretTree, TreePairDiagram, canonical_encode, reduce_text
+from .tree_core import CaretTree, TreePairDiagram, canonical_encode
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -196,8 +196,8 @@ def _grow(
     in the group, enacts it on every member, and clears the group's list
     once it is done, so the frontier's memory falls while the table
     grows.  Where the move made a caret common (536 of the 38,766 steps
-    of ``ball({0,1,2}, 7)``) the moved texts go to ``reduce_text``, which
-    cancels that caret and the carets it exposes in turn.  A shell
+    of ``ball({0,1,2}, 7)``) ``enact`` cancels that caret and the carets
+    it exposes in turn, on a copy of the plan's spine list.  A shell
     never applies an entry's back letter, the inverse of the letter that
     reached it: that neighbour is already seen.  Every new element's two
     texts pass through one dict, ``names``, so equal trees share one
@@ -235,10 +235,7 @@ def _grow(
                     step = plans.get(letter)
                     if step is None:
                         step = plans[letter] = plan(spine, *letter)
-                    move, p = step
-                    n, dot = enact(neg, move)
-                    if dot >= 0:
-                        n, p = reduce_text(n, p)
+                    n, p = enact(neg, step)
                     row = table.get(p)
                     if row is not None and n in row:
                         continue
@@ -348,10 +345,7 @@ def _meet(
             for letter, undo in steps:
                 if letter is back:
                     continue
-                move, p = plan(spine, *letter)
-                n, dot = enact(neg, move)
-                if dot >= 0:
-                    n, p = reduce_text(n, p)
+                n, p = enact(neg, plan(spine, *letter))
                 key = f"{n}|{p}"
                 if key in mine:
                     continue

@@ -17,18 +17,22 @@ the list x_i splits entry i into its two subtrees and x_i^-1 merges
 entries i and i + 1, so a letter costs the subtree it moves, not the
 subtrees above it.  ``_move`` makes that move in place and says what the
 negative tree needs: growth at its last leaf, and then a caret hung from
-a leaf, or a check of a leaf for a common caret, which ``enact`` does.
+a leaf, or a check of a leaf for a common caret, which ``_enact`` does.
 A common caret is cancelled where it stands by ``_cancel``: it pops the
 spine list's last entries and cuts one subtree out of the negative
-text, so a step never reduces the whole pair.  Every caller steps with
-these: ``apply_letter`` splits, moves, enacts, cancels and joins;
-``plan`` moves a copy of a list and joins it, so ball growth splits each
-positive tree once and plans a letter once per tree, and enacts the plan
-on every element of its frontier that shares the tree, handing the
-rare step that cancels to ``reduce_text``; and a block of
-``evaluate_word`` keeps its positive tree as one list from its first
-move to its last.  Multiplying by the generator's diagram must give the
-identical result (both routes are kept and tested against each other).
+text, so a step never reduces the whole pair.  Every step is finished
+here, in one of two ways.  ``plan`` moves a copy of a list and keeps it,
+the letter and its join, and ``enact`` finishes the planned step on a
+negative tree, running ``_cancel`` on a copy of the planned list when
+the created caret is common, so one plan serves every negative tree of
+its positive tree: ball growth splits each positive tree once, plans a
+letter once per tree, and enacts the plan on every element of its
+frontier that shares the tree, and ``apply_letter`` enacts the plan of
+one letter.  A block of ``evaluate_word`` instead keeps its positive
+tree as one list from its first move to its last, with ``_enact`` and
+``_cancel`` in place on it.  Multiplying by the generator's diagram
+must give the identical result (both routes are kept and tested
+against each other).
 ``apply_generator`` is the step on a ``TreePairDiagram``: it checks the
 letter, calls ``apply_letter`` and wraps the result once.
 
@@ -40,7 +44,7 @@ writes the texts of its reduced pair down, a right spine of i carets
 over a left comb of a + 1 carets against a right spine of i + a + 1
 carets (the standard pair of x_i, Cannon-Floyd-Parry 1996, with its
 left caret grown into a comb).  Letters and runs of up to 4 letters are
-folded by ``_move``, ``enact`` and ``_cancel`` into blocks of at most
+folded by ``_move``, ``_enact`` and ``_cancel`` into blocks of at most
 1024 letters, each started from its first run written down, and a
 longer run is written down.  The blocks and the written runs are
 multiplied as a balanced product, so each takes part in O(log L)
@@ -96,12 +100,12 @@ def _check_letter(index: int, sign: int) -> None:
 
 def _checked_key(run: Run) -> tuple[int, bool]:
     """The index and sign of a run, which ``groupby`` merges on;
-    ValueError for a negative index or an exponent that is 0 or not an
-    int."""
+    ValueError for an index that is negative or not an int, or an
+    exponent that is 0 or not an int (a bool is not an int here)."""
     index, exponent = run
-    if not isinstance(index, int) or index < 0:
+    if type(index) is not int or index < 0:
         raise ValueError(f"generator index must be an int >= 0, got {index!r}")
-    if not isinstance(exponent, int) or exponent == 0:
+    if type(exponent) is not int or exponent == 0:
         raise ValueError(f"exponent must be a nonzero int, got {exponent!r}")
     return index, exponent > 0
 
@@ -125,8 +129,8 @@ class GeneratorWord:
     built, so each word has one tuple of runs and ``==`` compares words.
     ``letters`` and iteration spell the word out as (index, +1 or -1)
     letters, one shared tuple per run; nothing in the package reads them.
-    ValueError for a negative index or an exponent that is 0 or not an
-    int.
+    ValueError for an index that is negative or not an int, or an
+    exponent that is 0 or not an int; a bool is not an int here.
     """
 
     runs: tuple[Run, ...] = ()
@@ -147,11 +151,13 @@ class GeneratorWord:
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Distinct generator indices, sorted ascending; must contain 0."""
+    """Distinct int generator indices, sorted ascending; must contain 0."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(i) is not int for i in self.indices):
+            raise ValueError(f"generator indices must be ints, got {self.indices!r}")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("generator indices must be distinct")
         if tuple(sorted(self.indices)) != self.indices:
@@ -315,9 +321,6 @@ def _spine(tree: str) -> Spine:
             end = _subtree_end(tree, at + 1)
             spine.append(tree[at + 1 : end])
             at = end
-        elif tree[at + 2] != "(" or tree[at + 3] != ".":
-            spine.append(".")
-            at += 2
         else:
             leaves = tree.count("(", at, _STRETCH_END.search(tree, at).start())
             spine += repeat(".", leaves)
@@ -331,7 +334,7 @@ def _join(spine: Spine) -> str:
 
 
 # What a generator step does to the negative tree, read off the positive
-# tree alone, for ``enact``: carets to grow at its last leaf, and the leaf
+# tree alone, for ``_enact``: carets to grow at its last leaf, and the leaf
 # that needs more (None when nothing does): a caret hung from it when the
 # last field is True, else a check whether the created caret is common
 # there.
@@ -388,29 +391,27 @@ def _move(spine: Spine, index: int, sign: int) -> Move:
     return grow, (len("".join(spine[:named])) + 2 * named) // 3, hang
 
 
-# A generator step planned on a positive tree: the ``Move`` and the text
-# of the new positive tree.
-Plan = tuple[Move, str]
+# A generator step planned on a positive tree: the ``Move``, the moved
+# spine list, the letter, and the text of the new positive tree.
+Plan = tuple[Move, Spine, Letter, str]
 
 
 def plan(spine: Spine, index: int, sign: int) -> Plan:
     """The first half of the step by x_index^sign, the half that reads
     only the positive tree of a reduced pair, given as its spine list:
     ``_move`` on a copy of the list, which is then joined.  ``enact``
-    applies the move to any negative tree of such a pair.  index must be
+    finishes the step on any negative tree of such a pair.  index must be
     >= 0 and sign +1 or -1."""
     moved = spine.copy()
-    return _move(moved, index, sign), _join(moved)
+    return _move(moved, index, sign), moved, (index, sign), _join(moved)
 
 
-def enact(neg: str, move: Move) -> tuple[str, int]:
-    """The second half of the step: the negative tree that ``move`` makes
-    of ``neg``, and the dot of the left leaf of the caret the move
-    created when that caret is common to both trees, else -1.  It grows
-    the spine, then hangs a caret from the named leaf or checks it.  When
-    the caret is common the caller cancels it with ``_cancel``, on the
-    spine list the move was made on, or, holding only the moved texts,
-    hands them to ``reduce_text``."""
+def _enact(neg: str, move: Move) -> tuple[str, int]:
+    """The negative tree that ``move`` makes of ``neg``, and the dot of
+    the left leaf of the caret the move created when that caret is common
+    to both trees, else -1.  It grows the spine, then hangs a caret from
+    the named leaf or checks it.  When the caret is common the caller
+    cancels it with ``_cancel``, on the spine list the move was made on."""
     grow, leaf, hang = move
     if grow:
         neg = _grow_spine(neg, grow)
@@ -426,7 +427,7 @@ def _cancel(spine: Spine, neg: str, dot: int, index: int, sign: int) -> str:
     """Cancel the common caret that the step by x_index^sign created, and
     every caret that this exposes in both trees in turn: the spine list
     is changed in place and the negative tree is returned.  ``dot`` is
-    the one ``enact`` returned, the dot of the caret's left leaf in
+    the one ``_enact`` returned, the dot of the caret's left leaf in
     ``neg``.
 
     From a reduced pair only the created caret is common, and once a
@@ -459,17 +460,27 @@ def _cancel(spine: Spine, neg: str, dot: int, index: int, sign: int) -> str:
     return f"{neg[:start]}.{neg[end:]}"
 
 
+def enact(neg: str, step: Plan) -> Texts:
+    """The second half of the step: the texts of the reduced pair that
+    the planned ``step`` makes of ``neg`` and the planned positive tree.
+    ``_enact`` changes ``neg``, and when the created caret is common
+    ``_cancel`` cancels it on a copy of the planned list, which is then
+    joined; the plan itself is left as it was, so one plan serves every
+    negative tree of its positive tree."""
+    move, moved, letter, pos = step
+    neg, dot = _enact(neg, move)
+    if dot < 0:
+        return neg, pos
+    moved = moved.copy()
+    return _cancel(moved, neg, dot, *letter), _join(moved)
+
+
 def apply_letter(neg: str, pos: str, index: int, sign: int) -> Texts:
     """The texts of the reduced pair of ``neg | pos`` times x_index^sign,
-    by direct subtree surgery: ``pos`` split into its spine list, the
-    ``_move`` on it, ``enact`` on ``neg``, ``_cancel`` when the created
-    caret is common, and the list joined.  ``neg | pos`` must be the
-    texts of a reduced pair, index must be >= 0 and sign +1 or -1."""
-    spine = _spine(pos)
-    neg, dot = enact(neg, _move(spine, index, sign))
-    if dot >= 0:
-        neg = _cancel(spine, neg, dot, index, sign)
-    return neg, _join(spine)
+    by direct subtree surgery: ``enact`` of the ``plan`` on the spine
+    list of ``pos``.  ``neg | pos`` must be the texts of a reduced pair,
+    index must be >= 0 and sign +1 or -1."""
+    return enact(neg, plan(_spine(pos), index, sign))
 
 
 def apply_generator(pair: TreePairDiagram, index: int, sign: int) -> TreePairDiagram:
@@ -519,7 +530,7 @@ def _signed(exponent: int) -> tuple[int, int]:
 def _fold(block: list[Run]) -> Texts:
     """The texts of a block of runs: its first run written down by
     ``_run``, and each later letter a ``_move`` on the spine list of the
-    positive tree, with ``enact`` on the negative tree and ``_cancel``
+    positive tree, with ``_enact`` on the negative tree and ``_cancel``
     where the created caret is common.  The list is split once, before
     the first move, and joined once, at the end."""
     index, exponent = block[0]
@@ -530,7 +541,7 @@ def _fold(block: list[Run]) -> Texts:
     for index, exponent in islice(block, 1, None):
         sign, count = _signed(exponent)
         for _ in range(count):
-            neg, dot = enact(neg, _move(spine, index, sign))
+            neg, dot = _enact(neg, _move(spine, index, sign))
             if dot >= 0:
                 neg = _cancel(spine, neg, dot, index, sign)
     return neg, _join(spine)
@@ -591,8 +602,8 @@ def evaluate_word(word: Iterable[Run]) -> TreePairDiagram:
     word would instead slice the whole product at every step, which is
     quadratic.  Units and partial products stay texts, and the result is
     the one pair built, so the constructor's check runs once per word.
-    The empty word is the identity; ValueError for a negative index or an
-    exponent that is 0 or not an int.
+    The empty word is the identity; ValueError for an index that is
+    negative or not an int, or an exponent that is 0 or not an int.
     """
     stack: list[tuple[int, Texts]] = []
     for product in _units(_merged(word)):

@@ -330,8 +330,7 @@ def penalty_weight(
             best_parents = tuple((c, parent[c]) for c in order)
         if best_weight > floor:
             best_weight, best_parents = _program(
-                n, top, preds, succs, required, best_weight, best_parents,
-                cap, top)
+                n, top, preds, succs, required, best_weight, best_parents, cap)
     witness = PenaltyTree(best_parents, adjacency=adj, required=required)
     return best_weight, witness
 
@@ -345,7 +344,6 @@ def _program(
     best_weight: int,
     best_parents: tuple[tuple[int, int], ...],
     cap: int,
-    states: int,
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The least weight by a program over caret index, and the first tree
     of that weight in the search order.  It runs only at n >= 2: at n = 1
@@ -362,15 +360,15 @@ def _program(
 
     A forward pass finds the states at each cut that a tree lighter than
     ``best_weight`` passes through, counting them against ``cap`` after
-    ``states``, and links each state to the states before it that reach
-    it at its least cost.  If none reaches the end, ``best_parents`` is
-    the answer.  Otherwise a backward pass follows the links from the end
-    to mark the states on some least-cost path, expanding no state again,
-    and a walk decides carets 1 .. top in the search order, taking the
-    first option an optimal tree can go on from: one that lands on a
-    marked state at that state's least cost.  One tree can come from
-    several decision sequences, so the walk carries every state the tree
-    so far can be in.
+    the ``top`` carets of the first tree, and links each state to the
+    states before it that reach it at its least cost.  If none reaches
+    the end, ``best_parents`` is the answer.  Otherwise a backward pass
+    follows the links from the end to mark the states on some least-cost
+    path, expanding no state again, and a walk decides carets 1 .. top
+    in the search order, taking the first option an optimal tree can go
+    on from: one that lands on a marked state at that state's least cost.
+    One tree can come from several decision sequences, so the walk
+    carries every state the tree so far can be in.
     """
     # A placed caret's field: the levels that may still hang below it
     # (n standing for no limit) in its low bits, then whether it is
@@ -439,6 +437,7 @@ def _program(
     # cost: one as a bare int, several (a tie) as a list.
     cuts: list[dict[int, int]] = [{}, {0: 0}]
     links: list[dict[int, int | list[int]]] = [{}, {}]
+    states = top
     for c in range(1, top + 1):
         cut: dict[int, int] = {}
         link: dict[int, int | list[int]] = {}

@@ -40,12 +40,14 @@ MalformedPairError, after one linear pass over the two texts.
 ``reduce_text`` reduces in one pass over the two texts: it finds the
 common carets once, cancels each with the carets that this exposes in
 both trees in turn, and cuts each text once, in time linear in the
-texts.  ``TreePairDiagram.of`` runs it on outside input, ``group_ops`` on
-a product and ``cayley`` on a step that made a caret common, and the
-first two wrap what it returns through ``_reduced``, which skips the
-constructor's pass.  A generator step on a spine list cancels the one
-caret it can make common where it stands (``group_ops._cancel``), with
-no pass over the pair.  So no operation checks reducedness twice.
+texts.  Only two callers run it: ``TreePairDiagram.of`` on outside input
+and ``group_ops._product`` on a product, and ``of`` and ``multiply`` wrap
+what it returns through ``_reduced``, which skips the constructor's
+pass.  A generator step on a spine list, in ``cayley``'s searches as in
+``evaluate_word``, cancels the one caret it can make common where it
+stands (``group_ops._cancel``, run by ``group_ops.enact`` or by a block
+of ``evaluate_word``), with no pass over the pair.  So no operation
+checks reducedness twice.
 """
 
 from __future__ import annotations

@@ -20,7 +20,14 @@ from caretcalc import (
 )
 from caretcalc.tree_core import graft, spine
 from conftest import X3, counted_calls
-from helpers import all_trees, balanced_product, fold_letters, random_element, raw_pair
+from helpers import (
+    all_trees,
+    balanced_product,
+    fold_letters,
+    random_element,
+    random_tree,
+    raw_pair,
+)
 
 X0_ENCODING = "((..).)|(.(..))"
 X2_ENCODING = "(.(.((..).)))|(.(.(.(..))))"
@@ -151,12 +158,15 @@ def test_apply_letter_on_long_spines():
 
 
 def test_spine_list_round_trip():
-    # a tree is "(" + "(".join(its spine list) + "." + ")" * len(list)
-    for carets in range(7):
-        for tree in all_trees(carets):
-            entries = group_ops._spine(tree)
-            assert group_ops._join(entries) == tree
-            assert len(entries) == len(tree) - len(tree.rstrip(")"))
+    # a tree is "(" + "(".join(its spine list) + "." + ")" * len(list):
+    # every tree of up to 6 carets, and 200 random trees of up to 300
+    rng = random.Random(15)
+    trees = [tree for carets in range(7) for tree in all_trees(carets)]
+    trees += [random_tree(rng, rng.randrange(301)) for _ in range(200)]
+    for tree in trees:
+        entries = group_ops._spine(tree)
+        assert group_ops._join(entries) == tree
+        assert len(entries) == len(tree) - len(tree.rstrip(")"))
 
 
 def test_fold_reduces_on_long_spines(monkeypatch):
@@ -220,6 +230,35 @@ def test_step_matches_product_with_generator():
                         assert "|".join(step) == encode(product), (neg, pos, index, sign)
                         cases += 1
     assert cases == 16_586
+
+
+def test_shared_plans_match_the_product(monkeypatch):
+    # every tree of up to 5 carets as a positive tree, with one plan per
+    # letter x_i^+-1, i <= carets + 2, enacted on every negative tree that
+    # forms a reduced pair with it, as ball growth shares a plan across
+    # the elements of one positive tree: each result is the product with
+    # the generator's diagram, and enacting, even where it cancels, leaves
+    # the plan's list as it was.  The CI runs the same check up to 6 carets
+    cancels = counted_calls(monkeypatch, group_ops, "_cancel")
+    cases = 0
+    for carets in range(6):
+        trees = list(all_trees(carets))
+        for pos in trees:
+            negs = [neg for neg in trees if raw_pair(neg, pos).reduced]
+            spine = group_ops._spine(pos)
+            for index in range(carets + 3):
+                for sign in (1, -1):
+                    step = group_ops.plan(spine, index, sign)
+                    moved = step[1].copy()
+                    for neg in negs:
+                        pair = TreePairDiagram(CaretTree(neg), CaretTree(pos))
+                        product = multiply(pair, generator_diagram(index, sign))
+                        texts = group_ops.enact(neg, step)
+                        assert "|".join(texts) == encode(product), (neg, pos, index, sign)
+                        cases += 1
+                    assert step[1] == moved, (pos, index, sign)
+    assert cases == 16_586
+    assert len(cancels) > 100
 
 
 def test_a_step_cancels_a_deep_cascade_in_place(monkeypatch):
@@ -446,6 +485,29 @@ def test_word_type():
     # the first bad run is the one reported
     with pytest.raises(ValueError, match="got -2"):
         GeneratorWord(((0, 1), (-2, 1), (0, 3), (-1, 1)))
+
+
+def test_word_refuses_a_bool_or_float_index():
+    # True is an int to isinstance, and a word holding it would print as
+    # "xTrue", which does not parse
+    for index in (True, False, 1.0, 1.5):
+        with pytest.raises(ValueError, match="generator index must be an int"):
+            GeneratorWord(((0, 1), (index, 1)))
+
+
+def test_word_refuses_a_bool_exponent():
+    for exponent in (True, False):
+        with pytest.raises(ValueError, match="exponent must be a nonzero int"):
+            GeneratorWord(((2, exponent),))
+
+
+def test_generating_set_refuses_bool_and_float_indices():
+    # {0, 1.5} would be accepted and fail later, inside a step
+    for indices in ([0, 1.5], [0, 2.0], [0, True], [False, 1], (0.0, 1)):
+        with pytest.raises(ValueError, match="must be ints"):
+            GeneratingSet.of(indices)
+    with pytest.raises(ValueError, match="must be ints"):
+        GeneratingSet((0, True))
 
 
 def test_generating_set():
