@@ -13,17 +13,21 @@ layout that is smaller for it:
 * ``ball`` and ``lengths_for`` grow one ball from the identity
   (``_grow``).  A ball shares its trees widely: the 28,631 elements of
   ``ball({0,1,2}, 7)`` hold 3,871 distinct positive and 3,871 distinct
-  negative trees, 7.4 elements per positive tree, and since a ball is
-  closed under inversion the two sets of trees are the same texts.  So
-  their table is ``table[positive][negative] = length``, each tree text
-  kept once for the whole search, and the frontier is carried from
-  radius to radius already grouped the same way.  An element costs a
-  slot in its row instead of its own ~50-character key: a traced peak of
-  ~68 B in place of ~137 B per element of that ball.  A step by a letter
-  moves subtrees of the positive tree only, so ``_grow`` splits each
-  positive tree into its spine list once (``group_ops._spine``), makes
-  each ``group_ops.plan`` once per tree and letter, and enacts the plan
-  on the negative tree of every element of the group
+  negative trees, 7.4 elements per positive tree.  A ball is also
+  closed under inversion, which swaps the two trees, and F has no
+  element of order 2, so every element but the identity has its own
+  inverse, of the same length.  So their table keeps one slot per pair
+  {u, u^-1}: ``table[high][low] = length``, where low <= high are the
+  two tree texts, each kept once for the whole search.  That ball's
+  table has 14,316 slots in 1,152 rows, and an element costs half a slot
+  instead of its own ~50-character key: a traced peak of ~45 B in place
+  of ~68 B with a slot per element and ~137 B with a key per element.
+  The frontier holds every element of a sphere, u and u^-1 alike,
+  carried from radius to radius grouped by positive tree.  A step by a
+  letter moves subtrees of the positive tree only, so ``_grow`` splits
+  each positive tree into its spine list once (``group_ops._spine``),
+  makes each ``group_ops.plan`` once per tree and letter, and enacts the
+  plan on the negative tree of every element of the group
   (``group_ops.enact``), which also cancels a caret the step made common.
 * A single length (``bfs_length``) and a shortest path inside a ball
   (``in_ball_geodesic``) are searched from both ends at once
@@ -97,23 +101,29 @@ def _texts(item) -> tuple[str, str]:
 
 def _lookup(table: dict, item) -> Optional[int]:
     """The length that a table in the layout of ``BallIndex.table`` holds
-    for a pair or an encoding; None when it holds none."""
+    for a pair or an encoding, read from the slot of its inverse pair, in
+    the row of the larger text; None when it holds none."""
     neg, pos = _texts(item)
+    if neg > pos:
+        neg, pos = pos, neg
     row = table.get(pos)
     return None if row is None else row.get(neg)
 
 
 @dataclass(frozen=True)
 class BallIndex:
-    """All elements with l_X <= radius, grouped by positive tree:
-    ``table[positive][negative]`` is the length of the element with those
-    two trees.
+    """All elements with l_X <= radius, one slot per element and its
+    inverse: for tree texts low <= high, ``table[high][low]`` is the
+    length of both ``low|high`` and ``high|low``.  Only the identity,
+    ".|.", is its own inverse, so the ball holds ``2 * slots - 1``
+    elements.
 
-    A ball shares its trees widely (see the module docstring), so a row
-    per positive tree, whose keys are negative texts each kept once, costs
-    half the bytes of one "negative|positive" key per element.
-    ``items`` makes the encodings, one at a time, for a reader that wants
-    them; ``pair_of`` parses nothing.
+    A ball shares its trees widely and is closed under inversion (see
+    the module docstring), so a row per tree text, whose keys are texts
+    each kept once, costs a third of the bytes of one
+    "negative|positive" key per element.  ``items`` makes the encodings
+    of both orientations, one at a time, for a reader that wants them;
+    ``pair_of`` parses nothing.
     """
 
     gens: GeneratingSet
@@ -122,7 +132,7 @@ class BallIndex:
 
     @property
     def size(self) -> int:
-        return sum(map(len, self.table.values()))
+        return 2 * sum(map(len, self.table.values())) - 1
 
     def __contains__(self, item) -> bool:
         return _lookup(self.table, item) is not None
@@ -141,17 +151,21 @@ class BallIndex:
         return TreePairDiagram(CaretTree(neg), CaretTree(pos))
 
     def items(self) -> Iterator[tuple[str, int]]:
-        """Each element's encoding and length, row by row."""
+        """Each element's encoding and length, row by row: a slot gives
+        ``low|high`` and then ``high|low``, which for the identity is the
+        same element, given once."""
         for pos, row in self.table.items():
-            tail = "|" + pos
             for neg, length in row.items():
-                yield neg + tail, length
+                yield f"{neg}|{pos}", length
+                if neg != pos:
+                    yield f"{pos}|{neg}", length
 
     def sphere_sizes(self) -> list[int]:
         counts = [0] * (self.radius + 1)
         for row in self.table.values():
             for length in row.values():
-                counts[length] += 1
+                counts[length] += 2
+        counts[0] = 1
         return counts
 
     def export_lines(self) -> Iterator[str]:
@@ -189,33 +203,47 @@ def _grow(
     (without end when it is None): one table, yielded after each shell
     and grown in place.
 
-    The frontier is ``{positive: [(negative, back letter)]}``, grouped as
-    the table is, so a shell reads its groups as they stand.  It takes the
-    groups in the order their trees were first reached, splits a group's
-    tree into its spine list, plans a letter on the list at its first use
-    in the group, enacts it on every member, and clears the group's list
-    once it is done, so the frontier's memory falls while the table
-    grows.  Where the move made a caret common (536 of the 38,766 steps
-    of ``ball({0,1,2}, 7)``) ``enact`` cancels that caret and the carets
-    it exposes in turn, on a copy of the plan's spine list.  A shell
-    never applies an entry's back letter, the inverse of the letter that
-    reached it: that neighbour is already seen.  Every new element's two
-    texts pass through one dict, ``names``, so equal trees share one
-    string for the whole search, whether they stand as negative or
-    positive trees.  The last shell of a ball keeps no frontier.
-    Recording an element beyond ``cap`` raises SearchCapExceededError with
-    ``overflow`` and the radius.
+    The frontier is ``{positive: [(negative, back, front)]}``, grouped by
+    positive tree, so a shell reads its groups as they stand.  It takes
+    the groups in the order their trees were first reached, splits a
+    group's tree into its spine list, plans a letter on the list at its
+    first use in the group, enacts it on every member, and clears the
+    group's list once it is done, so the frontier's memory falls while
+    the table grows.  Where the move made a caret common (863 of the
+    38,766 steps of ``ball({0,1,2}, 7)``) ``enact`` cancels that caret
+    and the carets it exposes in turn, on a copy of the plan's spine
+    list.  A shell never applies an entry's back letter: that neighbour
+    is already seen.
+
+    A neighbour w = u x is new when the slot of {w, w^-1} is, and then
+    both go to the frontier: w to its positive tree's group with back
+    letter x^-1, and w^-1 to the group of w's negative tree.  The back
+    letter of w^-1 is the first letter a of w's path, since w^-1 a is
+    one shorter, and needs no lookup: it is the ``front`` that every
+    entry carries, the back letter of its inverse, which w takes from u,
+    whose path starts with the same letter (at radius 1, it is x).
+    Every new element's two texts pass through one dict, ``names``, so
+    equal trees share one string for the whole search.  The last shell
+    of a ball keeps no frontier.  A slot adds two elements, so one that
+    would take the count beyond ``cap`` raises SearchCapExceededError
+    with ``overflow`` and the radius; every sphere is even, and every
+    ball odd, so a cap trips at the radius it would trip at with a slot
+    per element.
 
     The order of expansion decides only which letter first reaches an
     element, and so its back letter; no answer reads it, and
     ``BallIndex.export_lines`` sorts each sphere.  On ``ball({0,1,2}, 7)``
     taking the groups last in first out cut the traced peak by ~4 % but
-    ran 3-6 % slower, and keeping the expanded lists raised it by ~17 %.
+    ran 3-6 % slower, and keeping the expanded lists raised it by ~17 %
+    (both measured with a slot per element).  Packing back and front into
+    one small int, so that an entry is a 2-tuple, cut the traced peak from
+    44.8 to 42.9 B per element and left the max RSS of ``probe-mac --gens
+    0,1,2 --k 5`` at 186 MiB (2-core Xeon, Python 3.11.7), so the entry
+    keeps the two letters.
     """
-    start = identity()
-    neg, pos = start.negative.root, start.positive.root
-    table = {pos: {neg: 0}}
-    frontier = {pos: [(neg, None)]}
+    start = identity().negative.root
+    table = {start: {start: 0}}
+    frontier = {start: [(start, None, None)]}
     names: dict[str, str] = {}
     size = 1
     steps = _steps(letters)
@@ -228,7 +256,7 @@ def _grow(
         for pos, members in frontier.items():
             spine = _spine(pos)
             plans: dict = {}
-            for neg, back in members:
+            for neg, back, front in members:
                 for letter, undo in steps:
                     if letter is back:
                         continue
@@ -236,19 +264,24 @@ def _grow(
                     if step is None:
                         step = plans[letter] = plan(spine, *letter)
                     n, p = enact(neg, step)
-                    row = table.get(p)
-                    if row is not None and n in row:
+                    flip = n > p
+                    hi, lo = (n, p) if flip else (p, n)
+                    row = table.get(hi)
+                    if row is not None and lo in row:
                         continue
-                    if size >= cap:
+                    if size + 2 > cap:
                         raise SearchCapExceededError(f"{overflow} at radius {r}", size)
-                    p = names.setdefault(p, p)
+                    hi = names.setdefault(hi, hi)
                     if row is None:
-                        row = table[p] = {}
-                    n = names.setdefault(n, n)
-                    row[n] = r
-                    size += 1
+                        row = table[hi] = {}
+                    lo = names.setdefault(lo, lo)
+                    row[lo] = r
+                    size += 2
                     if keep:
-                        new.setdefault(p, []).append((n, undo))
+                        n, p = (hi, lo) if flip else (lo, hi)
+                        first = letter if front is None else front
+                        new.setdefault(p, []).append((n, undo, first))
+                        new.setdefault(n, []).append((p, first, undo))
             members.clear()
         frontier = new
         yield table
@@ -419,6 +452,8 @@ def in_ball_geodesic(
     letters = gens.letters()
 
     def inner(neg: str, pos: str) -> bool:
+        if neg > pos:
+            neg, pos = pos, neg
         row = table.get(pos)
         return row is not None and row.get(neg, radius) < radius
 
@@ -661,7 +696,10 @@ def probe_subset_monotonicity(
         )
     ball_small = ball(small, radius, cap=cap)
     ball_large = ball(large, radius, cap=cap)
-    for enc, length in ball_small.items():
-        if enc not in ball_large or ball_large.length_of(enc) > length:
-            return False
+    large = ball_large.table
+    for pos, row in ball_small.table.items():
+        large_row = large.get(pos, {})
+        for neg, length in row.items():
+            if large_row.get(neg, length + 1) > length:
+                return False
     return True

@@ -149,6 +149,15 @@ class GeneratorWord:
         )
 
 
+def _int_indices(indices) -> tuple[int, ...]:
+    """``indices`` as a tuple; ValueError unless each one is an int (a
+    bool is not)."""
+    indices = tuple(indices)
+    if any(type(i) is not int for i in indices):
+        raise ValueError(f"generator indices must be ints, got {indices!r}")
+    return indices
+
+
 @dataclass(frozen=True)
 class GeneratingSet:
     """Distinct int generator indices, sorted ascending; must contain 0."""
@@ -156,8 +165,7 @@ class GeneratingSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if any(type(i) is not int for i in self.indices):
-            raise ValueError(f"generator indices must be ints, got {self.indices!r}")
+        _int_indices(self.indices)
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("generator indices must be distinct")
         if tuple(sorted(self.indices)) != self.indices:
@@ -170,7 +178,8 @@ class GeneratingSet:
 
     @classmethod
     def of(cls, indices) -> "GeneratingSet":
-        return cls(tuple(sorted(set(indices))))
+        # checked first: sorting a str or None among ints raises TypeError
+        return cls(tuple(sorted(set(_int_indices(indices)))))
 
     @property
     def max_index(self) -> int:

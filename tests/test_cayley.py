@@ -93,17 +93,36 @@ def test_ball_rows_hold_no_trees_and_pairs_rebuild():
         assert pair.reduced and canonical_encode(pair) == enc
 
 
-def test_ball_costs_at_most_100_bytes_per_element():
-    # the table keeps a row per positive tree and each tree text once, so
-    # one ball({0,1,2}, 7), traced from start to end, peaks at ~68 B per
-    # element; one "negative|positive" key per element read ~137 B
+def test_ball_costs_at_most_50_bytes_per_element():
+    # the table keeps one slot per element and its inverse, in rows by
+    # the larger tree text, and each tree text once, so one
+    # ball({0,1,2}, 7), traced from start to end, peaks at ~45 B per
+    # element; a slot per element read ~68 B, and one "negative|positive"
+    # key per element ~137 B
     tracemalloc.start()
     try:
         index = ball(X2, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / index.size <= 100
+    assert peak / index.size <= 50
+
+
+@pytest.mark.parametrize("gens, radius", [((0, 1), 8), ((0, 2), 6), ((0, 1, 3), 5),
+                                          ((0,), 6)])
+def test_ball_holds_each_inverse_pair_once(gens, radius):
+    # F has no element of order 2, so each element but the identity has
+    # its own inverse, of the same length, and one entry stands for both
+    index = ball(GeneratingSet.of(gens), radius)
+    entries = sum(map(len, index.table.values()))
+    assert entries == (index.size + 1) // 2
+    lengths = dict(index.items())
+    assert len(lengths) == index.size
+    for enc, length in lengths.items():
+        neg, _, pos = enc.partition("|")
+        assert lengths[f"{pos}|{neg}"] == length
+        low, high = sorted((neg, pos))
+        assert index.table[high][low] == length
 
 
 def test_pair_of_non_member():
@@ -118,20 +137,24 @@ def test_ball_never_applies_the_parent_letter(monkeypatch):
     # each element past the identity skips the inverse of the letter that
     # reached it: 6 + 5 * (6 + 26 + 104) steps, not 6 * (1 + 6 + 26 + 104);
     # a step is planned once per positive tree a shell holds and letter
-    # some element of that tree takes, 444 plans for the 686 steps
+    # some element of that tree takes, 446 plans for the 686 steps.  The
+    # plans follow the letters each group skips: an inverse's back letter
+    # is the first letter of the element's path, not the letter that
+    # would first have reached the inverse itself
     steps = counted_calls(monkeypatch, cayley, "enact")
     plans = counted_calls(monkeypatch, cayley, "plan")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
-    assert (len(steps), len(plans)) == (686, 444)
+    assert (len(steps), len(plans)) == (686, 446)
 
 
 def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     # a step from a reduced pair can make common only the caret it
-    # creates, so 12 of the 686 steps cancel, not each: ``enact`` cancels
+    # creates, so 16 of the 686 steps cancel, not each: ``enact`` cancels
     # the caret where it stands, on a copy of the plan's spine list, no
     # step is taken again and no pair is reduced whole.  Which steps
     # cancel depends on the letter each element was reached by, which
-    # follows the order of expansion inside a shell: the count is that of
+    # follows the order of expansion inside a shell, or, for an inverse,
+    # is the first letter of the element's path: the count is that of
     # expanding a shell by positive tree, in the order the trees first
     # appear in the frontier
     steps = counted_calls(monkeypatch, cayley, "apply_letter")
@@ -139,7 +162,7 @@ def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     products = counted_calls(monkeypatch, group_ops, "reduce_text")
     parses = counted_calls(monkeypatch, tree_core, "reduce_text")
     assert ball(X2, 4).sphere_sizes() == [1, 6, 26, 104, 404]
-    assert (len(steps), len(cancels), len(products) + len(parses)) == (0, 12, 0)
+    assert (len(steps), len(cancels), len(products) + len(parses)) == (0, 16, 0)
 
 
 @pytest.mark.parametrize("gens, radius", [((0, 1), 8), ((0, 2), 6), ((0, 1, 2), 6),
@@ -489,6 +512,26 @@ def test_subset_monotonicity():
     assert probe_subset_monotonicity(X1, GeneratingSet.of([0, 1, 5]), 5)
     with pytest.raises(ValueError):
         probe_subset_monotonicity(GeneratingSet.of([0, 2]), X1, 3)
+
+
+def test_subset_monotonicity_refuted_by_a_missing_or_longer_element(monkeypatch):
+    # the probe reads each slot of the small ball in the large ball's
+    # table: a slot the large ball lacks, or holds at a greater length,
+    # refutes it
+    real = cayley.ball
+
+    def short(gens, radius, cap):
+        return real(gens, radius - 1 if gens == X2 else radius, cap=cap)
+
+    def longer(gens, radius, cap):
+        index = real(gens, radius, cap=cap)
+        if gens == X2:
+            index.table["."]["."] += 1
+        return index
+
+    for fake in (short, longer):
+        monkeypatch.setattr(cayley, "ball", fake)
+        assert not probe_subset_monotonicity(X1, X2, 3)
 
 
 def test_ball_membership_accepts_pairs_and_strings():

@@ -215,6 +215,18 @@ def test_ball_export_pinned(capsys, gens, radius, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_ball_cap_counts_elements(capsys):
+    # the ball of radius 4 over {x0, x1, x2} holds 541 elements: a cap of
+    # 541 lets it through, and 540 stops it in its last shell
+    code, out, err = run(capsys, "ball", "--gens", "0,1,2", "--radius", "4",
+                         "--cap", "541")
+    assert (code, err, len(out.splitlines())) == (0, "", 541)
+    code, out, err = run(capsys, "ball", "--gens", "0,1,2", "--radius", "4",
+                         "--cap", "540")
+    assert (code, out) == (3, "")
+    assert err.endswith("state cap of 540 elements at radius 4\n")
+
+
 def test_ball_requires_zero_in_gens(capsys):
     code, _, err = run(capsys, "ball", "--gens", "1,2", "--radius", "1")
     assert code == 2

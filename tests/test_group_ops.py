@@ -510,6 +510,14 @@ def test_generating_set_refuses_bool_and_float_indices():
         GeneratingSet((0, True))
 
 
+def test_generating_set_refuses_indices_that_do_not_sort_with_ints():
+    # sorting them among ints would raise TypeError, not the ValueError
+    # that every other index that is no int raises
+    for indices in ([0, "a"], [0, None], ["0", "1"], [0, [1]]):
+        with pytest.raises(ValueError, match="must be ints"):
+            GeneratingSet.of(indices)
+
+
 def test_generating_set():
     x = GeneratingSet.of([2, 0, 1, 2])
     assert x.indices == (0, 1, 2)
