@@ -33,7 +33,8 @@ cost exactly its weight, so a placed caret needs only a few small fields
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .errors import InvalidPenaltyTreeError, SearchCapExceededError
 from .tree_core import TreePairDiagram, TreeSurvey, right_spine_carets
@@ -55,7 +56,7 @@ def l_infinity(pair: TreePairDiagram) -> int:
     return 2 * pair.carets - right_spine_carets(neg) - right_spine_carets(pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyRelation:
     """Caret order: (p, q) present when the space of caret p touches the
     space of caret q along a shared edge in either tree.  Vertex 0 stands
@@ -65,10 +66,33 @@ class AdjacencyRelation:
     comes after the caret numbered by the leaf its interval starts at
     (vertex 0 for leaf 0), and before the caret numbered by the leaf just
     past its interval, when there is one.
+
+    It holds the two trees' surveys and builds ``edges``, a frozenset of
+    (p, q) tuples, the first time it is read.  Two relations are equal
+    when their caret counts and edge sets are.
     """
 
-    carets: int
-    edges: frozenset[tuple[int, int]]
+    negative: TreeSurvey
+    positive: TreeSurvey
+
+    @property
+    def carets(self) -> int:
+        return self.negative.carets
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        edges: set[tuple[int, int]] = set()
+        _tree_edges(self.negative, edges)
+        _tree_edges(self.positive, edges)
+        return frozenset(edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AdjacencyRelation):
+            return NotImplemented
+        return self.carets == other.carets and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.carets, self.edges))
 
 
 def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
@@ -80,15 +104,13 @@ def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
 
 
 def _adjacency(neg: TreeSurvey, pos: TreeSurvey) -> AdjacencyRelation:
-    edges: set[tuple[int, int]] = set()
-    _tree_edges(neg, edges)
-    _tree_edges(pos, edges)
-    return AdjacencyRelation(carets=neg.carets, edges=frozenset(edges))
+    return AdjacencyRelation(neg, pos)
 
 
 def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
-    """The caret order of a pair: the public form of what ``penalty_weight``
-    builds from the two surveys it shares with the penalty flags."""
+    """The caret order of a pair: the public form of the relation that
+    ``penalty_weight``'s witness holds on the two surveys it shares with
+    the penalty flags."""
     return _adjacency(pair.negative.survey(), pair.positive.survey())
 
 
@@ -108,26 +130,30 @@ def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
 
     A caret p is flagged when the next caret p + 1 is interior and hangs
     inside p's right subtree (in either tree), or when p is a right caret
-    in both trees and is not the final caret.  The public form of what
-    ``penalty_weight`` builds from the two surveys it shares with the
-    caret order.
+    in both trees and is not the final caret.  The public form of the
+    rules that ``penalty_weight`` reads off the two surveys it shares with
+    the caret order.
     """
     return _penalty_carets(pair.negative.survey(), pair.positive.survey())
 
 
 def _penalty_carets(neg: TreeSurvey, pos: TreeSurvey) -> PenaltyCaretSet:
+    return PenaltyCaretSet(flags=tuple(_flags(neg, pos)))
+
+
+def _flags(neg: TreeSurvey, pos: TreeSurvey) -> Iterator[tuple[int, str]]:
+    """(p, rule) for each rule that flags caret p, by increasing p."""
     n = neg.carets
-    flags: list[tuple[int, str]] = []
+    nlo, nhi, plo, phi = neg.lo, neg.hi, pos.lo, pos.hi
     # p + 1 hangs inside p's right subtree when its interval starts at leaf
     # p, which is not leaf 0, so it is interior unless it reaches leaf n.
     for p in range(1, n):
-        if neg.lo[p + 1] == p and neg.hi[p + 1] <= n:
-            flags.append((p, TYPE_N_NEGATIVE))
-        if pos.lo[p + 1] == p and pos.hi[p + 1] <= n:
-            flags.append((p, TYPE_N_POSITIVE))
-        if neg.hi[p] == pos.hi[p] == n + 1:
-            flags.append((p, RIGHT_IN_BOTH))
-    return PenaltyCaretSet(flags=tuple(flags))
+        if nlo[p + 1] == p and nhi[p + 1] <= n:
+            yield p, TYPE_N_NEGATIVE
+        if plo[p + 1] == p and phi[p + 1] <= n:
+            yield p, TYPE_N_POSITIVE
+        if nhi[p] == phi[p] == n + 1:
+            yield p, RIGHT_IN_BOTH
 
 
 @dataclass(frozen=True)
@@ -268,70 +294,92 @@ def penalty_weight(
     the first tree meets it, the n = 1 weight is that count, and
     ``_program`` runs only at n >= 2.
 
+    The flags, least depths, floor, chain and first tree are all read off
+    the two surveys' lo/hi lists, with unsorted predecessor lists up to
+    the top penalty caret; only ``_program`` sorts those lists and builds
+    successor lists.  The witness holds both surveys in its
+    ``AdjacencyRelation``, whose edge set is built on first read, which
+    this function never does.
+
     Raises SearchCapExceededError, not a possibly wrong minimum, at the
     cap of ``cap`` states: one per caret of the first tree, plus one per
     state of each cut of the program.
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
-    # one survey per tree, shared by the caret order and the penalty flags
-    # and dropped before the search
+    # one survey per tree: the flags and the predecessors are read off
+    # their lo/hi lists, and the witness keeps both as its caret order
     neg, pos = pair.negative.survey(), pair.positive.survey()
+    required = sorted({p for p, _ in _flags(neg, pos)})
+    flagged = frozenset(required)
     adj = _adjacency(neg, pos)
-    required = _penalty_carets(neg, pos).indices
-    del neg, pos
     if not required:
-        return 0, PenaltyTree((), adjacency=adj, required=required)
+        return 0, PenaltyTree((), adjacency=adj, required=flagged)
 
-    top = max(required)
+    top = required[-1]
+    # preds[q]: the predecessors of caret q in the caret order, unsorted
+    # and with repeats.  They are lo[q] in each tree and each caret whose
+    # interval ends at leaf q - 1, so all come before q.  least[q] is the
+    # least depth caret q can have in any penalty tree, and a required
+    # caret at depth d counts its ancestors at depths 2 .. d - n + 1, so
+    # no tree weighs less than the floor.  At n = 1 every vertex at depth
+    # >= 2 counts, so so does every required caret that cannot hang at
+    # depth 1.
+    nlo, nhi, plo, phi = neg.lo, neg.hi, pos.lo, pos.hi
     preds: list[list[int]] = [[] for _ in range(top + 1)]
-    succs: list[list[int]] = [[] for _ in range(top + 1)]
-    for p, q in adj.edges:
-        if q <= top:
-            preds[q].append(p)
-            if p >= 1:
-                succs[p].append(q)
-    for lst in preds:
-        lst.sort()
-    # least[q] is the least depth caret q can have in any penalty tree, and
-    # a required caret at depth d counts its ancestors at depths 2 ..
-    # d - n + 1, so no tree weighs less than the floor.  At n = 1 every
-    # vertex at depth >= 2 counts, so so does every required caret that
-    # cannot hang at depth 1.
     least = [0] * (top + 1)
     for q in range(1, top + 1):
-        least[q] = 1 + min(least[p] for p in preds[q])
-    floor = max(max(least[q] for q in required) - n, 0)
+        ps = preds[q]
+        ps += nlo[q], plo[q]
+        d = top
+        for p in ps:
+            if least[p] < d:
+                d = least[p]
+        least[q] = d + 1
+        h = nhi[q]
+        if h <= top:
+            preds[h].append(q)
+        h = phi[q]
+        if h <= top:
+            preds[h].append(q)
+    floor = max(max([least[q] for q in required]) - n, 0)
     if n == 1:
-        floor = max(floor, sum(least[q] > 1 for q in required))
+        floor = max(floor, sum([least[q] > 1 for q in required]))
 
     best_weight = max(top - n, 0)  # the chain's weight
-    best_parents = tuple((c, c - 1) for c in range(1, top + 1))
+    best_parents = None  # the chain, written out below if it stays best
     if best_weight > floor:
         if top > cap:
             raise SearchCapExceededError(
                 f"penalty search exceeded {cap} states", cap + 1)
-        # the first tree, which always exists (see above); depth -1 marks a
-        # caret left out of it
-        order = sorted(required)
+        # the first tree, which always exists (see above): each required
+        # caret hangs from its shallowest placed predecessor, the lower
+        # index on a tie; depth -1 marks a caret left out of it
         depth = [0] + [-1] * top
         parent = [-1] * (top + 1)
-        for c in order:
-            parent[c] = p = min((p for p in preds[c] if depth[p] >= 0),
-                                key=depth.__getitem__)
-            depth[c] = depth[p] + 1
+        for c in required:
+            hang, low = -1, top
+            for p in preds[c]:
+                d = depth[p]
+                if 0 <= d < low or d == low and p < hang:
+                    hang, low = p, d
+            parent[c] = hang
+            depth[c] = low + 1
         height = [0] * (top + 1)
-        for c in range(top, 0, -1):
-            if parent[c] >= 0:
-                height[parent[c]] = max(height[parent[c]], height[c] + 1)
-        weight = sum(depth[c] >= 2 and height[c] >= n - 1 for c in required)
+        for c in reversed(required):
+            p = parent[c]
+            if height[p] <= height[c]:
+                height[p] = height[c] + 1
+        weight = sum([depth[c] >= 2 and height[c] >= n - 1 for c in required])
         if weight < best_weight:
             best_weight = weight
-            best_parents = tuple((c, parent[c]) for c in order)
+            best_parents = tuple((c, parent[c]) for c in required)
         if best_weight > floor:
             best_weight, best_parents = _program(
-                n, top, preds, succs, required, best_weight, best_parents, cap)
-    witness = PenaltyTree(best_parents, adjacency=adj, required=required)
+                n, top, preds, flagged, best_weight, best_parents, cap)
+    if best_parents is None:
+        best_parents = tuple((c, c - 1) for c in range(1, top + 1))
+    witness = PenaltyTree(best_parents, adjacency=adj, required=flagged)
     return best_weight, witness
 
 
@@ -339,15 +387,17 @@ def _program(
     n: int,
     top: int,
     preds: list[list[int]],
-    succs: list[list[int]],
     required: frozenset[int],
     best_weight: int,
-    best_parents: tuple[tuple[int, int], ...],
+    best_parents: Optional[tuple[tuple[int, int], ...]],
     cap: int,
-) -> tuple[int, tuple[tuple[int, int], ...]]:
+) -> tuple[int, Optional[tuple[tuple[int, int], ...]]]:
     """The least weight by a program over caret index, and the first tree
     of that weight in the search order.  It runs only at n >= 2: at n = 1
     the first tree always meets the floor (see ``penalty_weight``).
+    ``preds`` holds each caret's predecessors, unsorted and with repeats,
+    as ``penalty_weight`` read them off the surveys; the program sorts
+    them and builds the successor lists itself, and reads no edge set.
 
     Building a tree caret by caret, a caret at depth >= 2 decides whether
     it counts when it takes its first child.  Counting costs 1; not
@@ -362,14 +412,23 @@ def _program(
     ``best_weight`` passes through, counting them against ``cap`` after
     the ``top`` carets of the first tree, and links each state to the
     states before it that reach it at its least cost.  If none reaches
-    the end, ``best_parents`` is the answer.  Otherwise a backward pass
-    follows the links from the end to mark the states on some least-cost
-    path, expanding no state again, and a walk decides carets 1 .. top
-    in the search order, taking the first option an optimal tree can go
-    on from: one that lands on a marked state at that state's least cost.
+    the end, ``best_parents`` (None for the chain) is the answer.
+    Otherwise a backward pass follows the links from the end to mark the
+    states on some least-cost path, expanding no state again, and a walk
+    decides carets 1 .. top in the search order, taking the first option
+    an optimal tree can go on from: one that lands on a marked state at
+    that state's least cost.
     One tree can come from several decision sequences, so the walk
     carries every state the tree so far can be in.
     """
+    # predecessors in increasing order, the order of the search's options,
+    # and the successors up to top
+    preds = [sorted(set(ps)) for ps in preds]
+    succs: list[list[int]] = [[] for _ in range(top + 1)]
+    for q in range(1, top + 1):
+        for p in preds[q]:
+            if p:
+                succs[p].append(q)
     # A placed caret's field: the levels that may still hang below it
     # (n standing for no limit) in its low bits, then whether it is
     # undecided (depth >= 2, no child, no limit) and whether it owes a

@@ -270,6 +270,11 @@ def test_penalty_weight_witness_revalidates():
             assert witness.adjacency is not None and witness.required is not None
             assert penalty_weight_of_tree(witness, n) == weight
             assert naive_tree_weight(witness.parents, n) == weight
+            # the witness holds the pair's own flags and caret order, and
+            # the caret order, built on first read, compares by value
+            assert witness.required == penalty_carets(g).indices
+            assert witness.adjacency.edges == interval_adjacency(g)
+            assert adjacency(g) == adjacency(g)
 
 
 def test_penalty_weight_matches_brute_force():
@@ -456,6 +461,31 @@ def test_penalty_search_long_pair_at_n_3():
     with pytest.raises(SearchCapExceededError):
         penalty_weight(pair, 3, cap=6_716)
     assert length_consecutive(pair, 3, cap=20_000).length == 115
+
+
+def test_lengths_build_no_edge_set(monkeypatch, program_calls):
+    # penalty_weight reads the flags and the predecessors off the two
+    # surveys: it builds no PenaltyCaretSet, and the witness builds its
+    # edge set only when something reads it, here the revalidation after
+    # the patches are gone.  Pairs of 6-22 carets at n = 1, 2, 3, some of
+    # which reach the program over caret index at n = 2 and 3.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built while finding a length")
+
+    monkeypatch.setattr(metrics, "_tree_edges", refuse)
+    monkeypatch.setattr(metrics, "PenaltyCaretSet", refuse)
+    rng = random.Random(1601)
+    reports = []
+    for _ in range(60):
+        k = rng.randint(6, 22)
+        pair = parse_pair(f"{random_tree(rng, k)}|{random_tree(rng, k)}")
+        for n in (1, 2, 3):
+            reports.append(length_consecutive(pair, n))
+    assert (program_calls.count(2), program_calls.count(3)) == (14, 2)
+    monkeypatch.undo()
+    for report in reports:
+        assert penalty_weight_of_tree(report.witness, report.n) == (
+            report.penalty_weight)
 
 
 def test_program_cases_match_the_search_oracle(monkeypatch):
