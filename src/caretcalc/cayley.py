@@ -41,16 +41,21 @@ layout that is smaller for it:
 The Cayley graph is bipartite.  Every relator x_i^-1 x_n x_i x_{n+1}^-1
 has exponent sum 0, so the exponent sum is a homomorphism F -> Z, every
 edge changes its parity, and the lengths of two neighbours differ by
-exactly 1.  So the ball of radius R - 1 decides membership in the ball of
-radius R: a neighbour v of a vertex u of the ball lies in it exactly when
-l(u) <= R - 1 or l(v) <= R - 1, and a vertex lies in it exactly when it,
-or (for R >= 1) one of its neighbours, is within R - 1.  The in-ball
-search therefore never enumerates the outer sphere, which is most of the
-ball.  On top of the ball index sit three probes:
+exactly 1.  So a ball decides membership in the ball one radius larger:
+an element lies in it exactly when it, or one of its neighbours, lies in
+the smaller ball.  An edge from u to v stays in the ball of radius R
+exactly when l(u) <= R - 1 or l(v) <= R - 1, and that test takes the
+ball of radius R - 2 and one step (``_ball_tests``), so the in-ball
+search never enumerates the two outer spheres, which are most of the
+ball.  The parity also makes a bound exact: a path between a and b
+through the identity stays in the ball and is l(a) + l(b) long, and the
+distance has the parity of that sum, so a search that has ruled out
+every path of length l(a) + l(b) - 2 or less has its answer.  On top of
+the ball index sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
-  defining properties by search, on the ball one radius smaller;
+  defining properties by search, on the ball two radii smaller;
 * ``coarse_isometry_check`` measures the largest observed additive gap
   between two word metrics and compares it against the claimed constant
   when one set is a shifted copy of the other;
@@ -99,11 +104,10 @@ def _texts(item) -> tuple[str, str]:
     return neg, pos
 
 
-def _lookup(table: dict, item) -> Optional[int]:
+def _lookup(table: dict, neg: str, pos: str) -> Optional[int]:
     """The length that a table in the layout of ``BallIndex.table`` holds
-    for a pair or an encoding, read from the slot of its inverse pair, in
-    the row of the larger text; None when it holds none."""
-    neg, pos = _texts(item)
+    for the element with these texts, read from the slot of its inverse
+    pair, in the row of the larger text; None when it holds none."""
     if neg > pos:
         neg, pos = pos, neg
     row = table.get(pos)
@@ -135,10 +139,10 @@ class BallIndex:
         return 2 * sum(map(len, self.table.values())) - 1
 
     def __contains__(self, item) -> bool:
-        return _lookup(self.table, item) is not None
+        return _lookup(self.table, *_texts(item)) is not None
 
     def length_of(self, item) -> int:
-        length = _lookup(self.table, item)
+        length = _lookup(self.table, *_texts(item))
         if length is None:
             raise KeyError(item if isinstance(item, str) else canonical_encode(item))
         return length
@@ -329,7 +333,7 @@ def lengths_for(
     for table in _grow(
         gens.letters(), cap, f"length search exceeded the state cap of {cap} states"
     ):
-        found = {enc: _lookup(table, enc) for enc in wanted}
+        found = {enc: _lookup(table, *_texts(enc)) for enc in wanted}
         if None not in found.values():
             break
     return found
@@ -342,6 +346,7 @@ def _meet(
     cap: int,
     what: str,
     inner: Optional[Callable[[str, str], bool]] = None,
+    bound: Optional[int] = None,
 ) -> Optional[int]:
     """Distance from a to b by breadth-first search from both ends.
 
@@ -356,8 +361,13 @@ def _meet(
     search with exactly that sum, whichever neighbour it is.  With
     ``inner`` (a test of an element's two texts for length <= R - 1) the
     search stays in the ball of radius R: an entry that fails it keeps
-    only the neighbours that pass it.  The cap counts the states of both
-    sides together.  None means one side ran out of vertices.
+    only the neighbours that pass it.  With ``bound``, the length U of a
+    path from a to b that the search may take, it stops as soon as its two
+    depths sum to U - 2 with the seen sets still disjoint: the distance
+    then exceeds U - 2, is at most U, and has the parity of U (the graph
+    is bipartite), so it is U, and the last two half-shells are never
+    grown.  The cap counts the states of both sides together.  None means
+    one side ran out of vertices.
     """
     steps = _steps(letters)
     seen = ({canonical_encode(a): None}, {canonical_encode(b): None})
@@ -366,6 +376,8 @@ def _meet(
     frontiers = [list(seen[0]), list(seen[1])]
     depths = [0, 0]
     while frontiers[0] and frontiers[1]:
+        if bound is not None and depths[0] + depths[1] >= bound - 2:
+            return bound
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         depths[side] += 1
         mine, other = seen[side], seen[1 - side]
@@ -414,13 +426,58 @@ def _covering_ball(
     gens: GeneratingSet, radius: int, ball_index: Optional[BallIndex], cap: int
 ) -> BallIndex:
     """The index an in-ball search of ``radius`` reads: ``ball_index`` if
-    it is over ``gens`` and reaches radius - 1, else ValueError; without
-    one, the ball of radius - 1 is enumerated."""
+    it is over ``gens`` and reaches radius - 2, else ValueError; without
+    one, the ball of radius - 2 is enumerated."""
     if ball_index is None:
-        return ball(gens, max(radius - 1, 0), cap=cap)
-    if ball_index.gens != gens or ball_index.radius < radius - 1:
+        return ball(gens, max(radius - 2, 0), cap=cap)
+    if ball_index.gens != gens or ball_index.radius < radius - 2:
         raise ValueError("ball index does not cover the requested ball")
     return ball_index
+
+
+def _ball_tests(
+    index: BallIndex, radius: int
+) -> tuple[Callable[[str, str], bool], Callable[[TreePairDiagram], Optional[int]]]:
+    """Two exact tests of the ball of ``radius``, read off an index that
+    reaches radius - 2: ``inner(neg, pos)``, whether the element with
+    those texts has length <= radius - 1, and ``reach(pair)``, the pair's
+    length if it is <= radius, else None.
+
+    Neighbours' lengths differ by exactly 1 (see the module docstring),
+    and an element the index does not hold is longer than its radius.  So
+    when the index stops at radius - 2, such an element has length
+    radius - 1 exactly when one of its neighbours is in the index; an
+    index of radius - 1 or more decides it alone.  An element beyond
+    radius - 1 has length radius exactly when a neighbour passes
+    ``inner``.
+    """
+    table = index.table
+    letters = index.gens.letters()
+    one_step = index.radius < radius - 1
+
+    def near(neg: str, pos: str, test: Callable[[str, str], bool]) -> bool:
+        spine = _spine(pos)
+        return any(test(*enact(neg, plan(spine, *letter))) for letter in letters)
+
+    def indexed(neg: str, pos: str) -> bool:
+        return _lookup(table, neg, pos) is not None
+
+    def inner(neg: str, pos: str) -> bool:
+        length = _lookup(table, neg, pos)
+        if length is not None:
+            return length < radius
+        return one_step and near(neg, pos, indexed)
+
+    def reach(pair: TreePairDiagram) -> Optional[int]:
+        neg, pos = pair.negative.root, pair.positive.root
+        length = _lookup(table, neg, pos)
+        if length is not None:
+            return length if length <= radius else None
+        if inner(neg, pos):
+            return radius - 1
+        return radius if near(neg, pos, inner) else None
+
+    return inner, reach
 
 
 def in_ball_geodesic(
@@ -441,34 +498,24 @@ def in_ball_geodesic(
     through the identity) but is reported rather than asserted.
 
     Neighbours' lengths differ by exactly 1 (see the module docstring),
-    so the search reads only rows of length <= radius - 1: an edge from
-    u to v stays in the ball exactly when u or v has such a row, and an
-    endpoint lies in it exactly when it or one of its neighbours does (for
-    radius 0, when it is the identity).  Without ``ball_index`` it
-    enumerates the ball of radius ``radius - 1``; a given index must have
-    at least that radius, and its longer rows are never read.
+    so an edge from u to v stays in the ball exactly when u or v has
+    length <= radius - 1, which ``_ball_tests`` decides from the ball of
+    radius - 2 and one step.  Without ``ball_index`` the search enumerates
+    that ball; a given index must have at least that radius.  The same
+    tests give each endpoint's exact length, and the path through the
+    identity, l(a) + l(b) long, stays in the ball, so ``_meet`` takes that
+    sum as its bound.  Some pairs meet it, the MAC witnesses among them
+    (F is maximally nonconvex: J. Belk, K.-U. Bux, 2005), and for those
+    the search stops two half-shells before its sides would meet.
     """
-    table = _covering_ball(gens, radius, ball_index, cap).table
-    letters = gens.letters()
-
-    def inner(neg: str, pos: str) -> bool:
-        if neg > pos:
-            neg, pos = pos, neg
-        row = table.get(pos)
-        return row is not None and row.get(neg, radius) < radius
-
-    def within(p: TreePairDiagram) -> bool:
-        if radius <= 0:
-            return radius == 0 and p.is_identity
-        neg, pos = p.negative.root, p.positive.root
-        return inner(neg, pos) or any(
-            inner(*apply_letter(neg, pos, *letter)) for letter in letters
-        )
-
+    inner, reach = _ball_tests(_covering_ball(gens, radius, ball_index, cap), radius)
+    bound = 0
     for name, p in (("a", a), ("b", b)):
-        if not within(p):
+        length = reach(p)
+        if length is None:
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")
-    return _meet(a, b, letters, cap, "in-ball search", inner)
+        bound += length
+    return _meet(a, b, gens.letters(), cap, "in-ball search", inner, bound)
 
 
 @dataclass(frozen=True)
@@ -543,24 +590,29 @@ def probe_mac(
     """Check the witness pair: both on the sphere of radius 2k+2, at
     distance 2 from each other, yet at in-ball distance >= 4k+4.
 
-    The in-ball search needs only the ball of radius 2k+1 (see
+    The in-ball search needs only the ball of radius 2k (see
     ``in_ball_geodesic``), so that is the ball enumerated when
-    ``ball_index`` is None; a given index must have radius >= 2k+1.  The
-    lengths of g and h, which lie beyond it, come from ``bfs_length``.
-    The witness pairs, whose trees grow with k, are built last.
+    ``ball_index`` is None; a given index must have radius >= 2k.  The
+    same one-step tests read |g| and |h| off it: a witness in the ball of
+    radius 2k+2 but not in that of radius 2k+1 has length 2k+2, and only
+    a length they cannot give (beyond 2k+2, so a refuted witness) comes
+    from ``bfs_length``, as |g^-1 h| always does.  The witness pairs,
+    whose trees grow with k, are built after the ball.
     """
     _check_witness_family(gens, k)
     radius = 2 * k + 2
-    ball_index = _covering_ball(gens, radius, ball_index, cap)
+    index = _covering_ball(gens, radius, ball_index, cap)
+    _, reach = _ball_tests(index, radius)
     g, h = mac_witness_pair(gens, k)
-    g_length = bfs_length(g, gens, cap=cap)
-    h_length = bfs_length(h, gens, cap=cap)
+    g_length, h_length = reach(g), reach(h)
+    if g_length is None:
+        g_length = bfs_length(g, gens, cap=cap)
+    if h_length is None:
+        h_length = bfs_length(h, gens, cap=cap)
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)
     min_path: Optional[int] = None
     if g_length <= radius and h_length <= radius:
-        min_path = in_ball_geodesic(
-            g, h, gens, radius, ball_index=ball_index, cap=cap
-        )
+        min_path = in_ball_geodesic(g, h, gens, radius, ball_index=index, cap=cap)
     formula_g = formula_h = None
     if gens.is_consecutive:
         n = gens.max_index

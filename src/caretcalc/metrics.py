@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import InvalidPenaltyTreeError, SearchCapExceededError
 from .tree_core import TreePairDiagram, TreeSurvey, right_spine_carets
@@ -168,11 +169,14 @@ class PenaltyTree:
     adjacency: Optional[AdjacencyRelation] = None
     required: Optional[frozenset] = None
 
-    @property
-    def parent_map(self) -> dict[int, int]:
-        return dict(self.parents)
+    # Built on first read and kept: the tree is frozen, and one
+    # revalidation reads each of these two several times.
+    @cached_property
+    def parent_map(self) -> Mapping[int, int]:
+        """child -> parent, read-only."""
+        return MappingProxyType(dict(self.parents))
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
         return frozenset({0} | {c for c, _ in self.parents})
 

@@ -1,0 +1,111 @@
+"""Mutation gate: each entry is a small wrong change to the program, and
+the tests it names must fail on it.
+
+An entry is (file, old text, new text, tests).  The old text must occur
+exactly once in the file.  Each entry is applied to its own temporary
+copy of ``src/``, ``tests/`` and ``pyproject.toml`` and the tests are run
+there with ``pytest -x``; the mutant is killed when pytest reports a
+failing test (exit 1).  The unchanged copy must first pass every test
+subset the entries name, so an environment in which the tests cannot run
+kills nothing.
+
+A mutant that survives points at missing tests, which are then added,
+or at code that does no work, which is then deleted.  An entry leaves
+the list only with its reason recorded; it is never edited so that it
+dies more easily.  Standard library only; run from anywhere:
+
+    python tests/mutants.py
+
+It prints one line per entry and exits 1 if any mutant survived.  This
+file is not a test module, so the tier-1 run does not collect it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+METRICS = "src/caretcalc/metrics.py"
+CAYLEY = "src/caretcalc/cayley.py"
+METRICS_TESTS = "tests/test_metrics.py tests/test_acceptance.py"
+CAYLEY_TESTS = "tests/test_cayley.py"
+
+MUTANTS = [
+    # penalty_weight's survey path: the first tree's tie-break
+    (METRICS, "d == low and p < hang", "d == low and p > hang", METRICS_TESTS),
+    # the positive tree's lo[q] dropped from the predecessors
+    (METRICS, "ps += nlo[q], plo[q]", "ps.append(nlo[q])", METRICS_TESTS),
+    # a successor at the top caret left out, in each tree's line
+    (METRICS, "h = nhi[q]\n        if h <= top:", "h = nhi[q]\n        if h < top:",
+     METRICS_TESTS),
+    (METRICS, "h = phi[q]\n        if h <= top:", "h = phi[q]\n        if h < top:",
+     METRICS_TESTS),
+    # _flags: a positive-tree caret reaching leaf n not flagged
+    (METRICS, "plo[p + 1] == p and phi[p + 1] <= n", "plo[p + 1] == p and phi[p + 1] < n",
+     METRICS_TESTS),
+    # the in-ball search stops one half-shell too early
+    (CAYLEY, ">= bound - 2:", ">= bound - 3:", CAYLEY_TESTS),
+    # an endpoint that fails the one-step test read as radius - 1
+    (CAYLEY, "return radius if near(neg, pos, inner) else None",
+     "return radius - 1 if near(neg, pos, inner) else None", CAYLEY_TESTS),
+    # the covering ball enumerated three radii short
+    (CAYLEY, "ball(gens, max(radius - 2, 0), cap=cap)",
+     "ball(gens, max(radius - 3, 0), cap=cap)", CAYLEY_TESTS),
+    # an indexed element of length radius let into the inner ball
+    (CAYLEY, "            return length < radius\n",
+     "            return length <= radius\n", CAYLEY_TESTS),
+]
+
+
+def _copy(to: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, to / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", to / "pyproject.toml")
+
+
+def _pytest(where: Path, tests: str) -> int:
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    return subprocess.run(
+        command + tests.split(), cwd=where,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def _killed(file: str, old: str, new: str, tests: str) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        _copy(where)
+        target = where / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: {old!r} occurs {text.count(old)} times, not once")
+        target.write_text(text.replace(old, new))
+        return _pytest(where, tests) == 1
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(Path(tmp))
+        for tests in dict.fromkeys(entry[3] for entry in MUTANTS):
+            code = _pytest(Path(tmp), tests)
+            if code != 0:
+                print(f"the unchanged tests fail: {tests} exits {code}")
+                return 1
+    survived = 0
+    for file, old, new, tests in MUTANTS:
+        killed = _killed(file, old, new, tests)
+        survived += not killed
+        change = f"{old.strip()!r} -> {new.strip()!r}"
+        print(f"{'killed' if killed else 'SURVIVED'}\t{file}\t{change}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -257,14 +257,47 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     cases = [(g1, 4, [h1]), (g2, 6, [h2] + seeded(8)), (seeded(1)[0], 6, seeded(8))]
     for a, radius, targets in cases:
         oracle = in_ball_distances(ball_x2_r6, canonical_encode(a), radius)
-        # the ball one radius smaller decides membership just as well
-        for index in (ball_x2_r6, restricted(ball_x2_r6, radius - 1)):
+        # the balls one and two radii smaller decide membership just as well
+        for index in (ball_x2_r6, restricted(ball_x2_r6, radius - 1),
+                      restricted(ball_x2_r6, radius - 2)):
             for b in targets:
                 got = in_ball_geodesic(a, b, X2, radius, ball_index=index)
                 assert got == oracle[canonical_encode(b)]
     # the MAC witnesses' in-ball distances, exactly
     assert in_ball_geodesic(g1, h1, X2, 4, ball_index=ball_x2_r6) == 8
     assert in_ball_geodesic(g2, h2, X2, 6, ball_index=ball_x2_r6) == 12
+
+
+@pytest.mark.parametrize("gens, radius", [
+    (X2, 5), (GeneratingSet.of([0, 1, 3]), 5), (X1, 7),
+])
+def test_in_ball_geodesic_from_the_rim(gens, radius, ball_x1_r8, ball_x2_r6):
+    # endpoints at lengths R - 2, R - 1 and R, where the lengths come from
+    # the one-step tests, against the one-sided oracle: pairs whose in-ball
+    # distance is l(a) + l(b), where the search stops early, and pairs 2
+    # and 4 or more below it, where the sides must meet
+    full = {X1: ball_x1_r8, X2: ball_x2_r6}.get(gens) or ball(gens, radius)
+    index = restricted(full, radius)
+    rng = random.Random(131)
+    rim = sorted(
+        (length, enc) for enc, length in index.items() if length >= radius - 2
+    )
+    gaps = set()
+    for length in (radius - 2, radius - 1, radius):
+        a = rng.choice([enc for l, enc in rim if l == length])
+        oracle = in_ball_distances(index, a, radius)
+        by_gap: dict = {}
+        for l, enc in rim:
+            gap = min(length + l - oracle[enc], 4)
+            by_gap.setdefault(gap, []).append(enc)
+        targets = [b for gap in sorted(by_gap) for b in rng.sample(by_gap[gap], 2)]
+        gaps |= by_gap.keys()
+        for cover in (None, index, restricted(index, radius - 2)):
+            for b in targets:
+                got = in_ball_geodesic(index.pair_of(a), index.pair_of(b), gens,
+                                       radius, ball_index=cover)
+                assert got == oracle[b], (a, b)
+    assert gaps == {0, 2, 4}
 
 
 def test_search_outside_x0_subgroup_rejected():
@@ -341,7 +374,7 @@ def test_in_ball_geodesic_basics():
     with pytest.raises(ValueError):
         in_ball_geodesic(x0, outside, X2, 3, ball_index=index)
     with pytest.raises(ValueError):
-        in_ball_geodesic(x0, x0, X2, 5, ball_index=index)  # index too small
+        in_ball_geodesic(x0, x0, X2, 6, ball_index=index)  # index too small
 
 
 def test_every_edge_flips_length_parity(ball_x2_r7):
@@ -358,16 +391,40 @@ def test_every_edge_flips_length_parity(ball_x2_r7):
 
 
 def test_probe_mac_same_report_for_any_covering_index(ball_x2_r7):
-    # radius 2k+1 is enough; larger indexes give the same report
+    # radius 2k is enough; larger indexes give the same report
     x013 = GeneratingSet.of([0, 1, 3])
     for gens, k, index in ((X2, 2, ball_x2_r7), (x013, 1, ball(x013, 5))):
         reports = [probe_mac(gens, k).to_dict()]
-        for radius in (2 * k + 1, 2 * k + 2, 2 * k + 3):
+        for radius in (2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3):
             reports.append(
                 probe_mac(gens, k, ball_index=restricted(index, radius)).to_dict()
             )
         assert all(report == reports[0] for report in reports)
         assert reports[0]["verdict"] == "witness-confirmed"
+
+
+def test_probe_mac_reads_witness_lengths_off_the_ball(monkeypatch, ball_x2_r6):
+    # |g| and |h| come from the covering ball and one or two steps up to
+    # 2k + 2, and from bfs_length beyond it; a witness off the sphere is
+    # refuted, with the lengths and paths that the searches give
+    rng = random.Random(137)
+    witness = mac_witness_pair(X2, 1)
+    inside = restricted(ball_x2_r6, 4)
+    for length in range(2, 7):
+        enc = rng.choice(sorted(e for e, l in ball_x2_r6.items() if l == length))
+        other = ball_x2_r6.pair_of(enc)
+        for pair in ((other, witness[1]), (witness[0], other)):
+            monkeypatch.setattr(cayley, "mac_witness_pair", lambda gens, k: pair)
+            report = probe_mac(X2, 1)
+            g, h = pair
+            assert report.g_length == bfs_length(g, X2)
+            assert report.h_length == bfs_length(h, X2)
+            assert report.distance == bfs_length(multiply(invert(g), h), X2)
+            path = None
+            if length <= 4:
+                path = in_ball_distances(inside, canonical_encode(g), 4)[canonical_encode(h)]
+            assert report.min_in_ball_path == path
+            assert report.confirmed == (length == 4 and path >= 8 and report.distance == 2)
 
 
 def test_in_ball_geodesic_radius_zero_and_one():
@@ -395,18 +452,18 @@ def test_in_ball_path_through_the_outer_sphere():
     assert in_ball_geodesic(a, b, X2, 4) == 3
 
 
-def test_index_two_radii_short_is_refused():
+def test_index_three_radii_short_is_refused():
     g, h = mac_witness_pair(X2, 1)
-    # two radii short, or deep enough but over other generators
+    # three radii short, or deep enough but over other generators
     other = ball(GeneratingSet.of([0, 1, 3]), 3)
-    for index in (ball(X2, 2), other):
+    for index in (ball(X2, 1), other):
         with pytest.raises(ValueError, match="does not cover"):
             probe_mac(X2, 1, ball_index=index)
         with pytest.raises(ValueError, match="does not cover"):
             in_ball_geodesic(g, h, X2, 4, ball_index=index)
 
 
-def test_probe_mac_enumerates_radius_2k_plus_1_once(monkeypatch):
+def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
     radii = []
     real = cayley.ball
 
@@ -418,7 +475,7 @@ def test_probe_mac_enumerates_radius_2k_plus_1_once(monkeypatch):
     for k in (1, 2):
         radii.clear()
         assert probe_mac(X2, k).confirmed
-        assert radii == [2 * k + 1]
+        assert radii == [2 * k]
 
 
 def test_in_ball_geodesic_witness_detour():

@@ -355,13 +355,13 @@ def test_probe_mac_goldens(capsys, argv, expected):
 
 
 def test_probe_mac_cap_names_the_radius(capsys):
-    # the probe enumerates the ball of radius 2k+1 = 5, which holds 2067
+    # the probe enumerates the ball of radius 2k = 4, which holds 541
     # elements
     code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "2",
-                         "--cap", "1000")
+                         "--cap", "500")
     assert code == 3
     assert out == ""
-    assert "state cap of 1000" in err and "at radius 5" in err
+    assert "state cap of 500" in err and "at radius 4" in err
 
 
 def test_check_ci_cli(capsys):

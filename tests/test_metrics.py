@@ -208,6 +208,20 @@ def test_weight_matches_naive_evaluator():
             ), (edges, n)
 
 
+def test_tree_views_are_built_once_and_read_only():
+    # one revalidation reads the parent map and the vertex set several
+    # times; each is built on the first read, and the map a caller gets
+    # cannot change the tree's answers
+    tree = PenaltyTree(((1, 0), (2, 1), (3, 1)))
+    assert tree.vertices is tree.vertices == {0, 1, 2, 3}
+    assert tree.parent_map is tree.parent_map
+    with pytest.raises(TypeError):
+        tree.parent_map[4] = 3
+    assert dict(tree.parent_map) == {1: 0, 2: 1, 3: 1}
+    assert penalty_weight_of_tree(tree, 1) == 2
+    assert tree == PenaltyTree(((1, 0), (2, 1), (3, 1)))
+
+
 def test_weight_validation_errors():
     with pytest.raises(ValueError):
         penalty_weight_of_tree(PenaltyTree(()), 0)
