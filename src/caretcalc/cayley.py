@@ -47,7 +47,12 @@ the smaller ball.  An edge from u to v stays in the ball of radius R
 exactly when l(u) <= R - 1 or l(v) <= R - 1, and that test takes the
 ball of radius R - 2 and one step (``_ball_tests``), so the in-ball
 search never enumerates the two outer spheres, which are most of the
-ball.  The parity also makes a bound exact: a path between a and b
+ball.  Most elements that test meets lie outside the ball, and most of
+those are ruled out without the step by l_infinity, the length over the
+whole infinite set {x_i}, which two texts give at once: every length
+here is over a subset of that set, so none is below l_infinity, and
+both have the parity of the exponent sum, since every x_i^+-1 moves it
+by one.  The parity also makes a bound exact: a path between a and b
 through the identity stays in the ball and is l(a) + l(b) long, and the
 distance has the parity of that sum, so a search that has ruled out
 every path of length l(a) + l(b) - 2 or less has its answer.  On top of
@@ -78,7 +83,6 @@ from .group_ops import (
     GeneratingSet,
     Letter,
     _spine,
-    apply_letter,
     enact,
     evaluate_word,
     identity,
@@ -87,7 +91,7 @@ from .group_ops import (
     normal_form,
     plan,
 )
-from .metrics import length_consecutive
+from .metrics import _l_infinity, length_consecutive
 from .tree_core import CaretTree, TreePairDiagram, canonical_encode
 
 DEFAULT_STATE_CAP = 5_000_000
@@ -450,6 +454,16 @@ def _ball_tests(
     index of radius - 1 or more decides it alone.  An element beyond
     radius - 1 has length radius exactly when a neighbour passes
     ``inner``.
+
+    Before that step, both tests screen an element the index lacks by
+    its l_infinity (``metrics._l_infinity``, read off the two texts).
+    The generators are a subset of the infinite set {x_i}, so l_X >=
+    l_infinity, and the screen is exact: ``inner`` fails at l_infinity
+    >= radius and ``reach`` gives None at l_infinity > radius.  The two
+    also share the parity of the exponent sum, so for an element of
+    length radius + 1, the most common miss of the in-ball search,
+    l_infinity is either radius + 1, and the step is skipped, or at most
+    radius - 1.
     """
     table = index.table
     letters = index.gens.letters()
@@ -466,13 +480,17 @@ def _ball_tests(
         length = _lookup(table, neg, pos)
         if length is not None:
             return length < radius
-        return one_step and near(neg, pos, indexed)
+        if not one_step or _l_infinity(neg, pos) >= radius:
+            return False
+        return near(neg, pos, indexed)
 
     def reach(pair: TreePairDiagram) -> Optional[int]:
         neg, pos = pair.negative.root, pair.positive.root
         length = _lookup(table, neg, pos)
         if length is not None:
             return length if length <= radius else None
+        if _l_infinity(neg, pos) > radius:
+            return None
         if inner(neg, pos):
             return radius - 1
         return radius if near(neg, pos, inner) else None

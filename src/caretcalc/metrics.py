@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 from .errors import InvalidPenaltyTreeError, SearchCapExceededError
-from .tree_core import TreePairDiagram, TreeSurvey, right_spine_carets
+from .tree_core import TreePairDiagram, TreeSurvey, count_carets, right_spine_carets
 
 DEFAULT_PENALTY_CAP = 10_000_000
 
@@ -53,8 +53,13 @@ def l_infinity(pair: TreePairDiagram) -> int:
     The top caret counts as a right caret.  This is the word length with
     respect to the full infinite generating set.
     """
-    neg, pos = pair.negative.root, pair.positive.root
-    return 2 * pair.carets - right_spine_carets(neg) - right_spine_carets(pos)
+    return _l_infinity(pair.negative.root, pair.positive.root)
+
+
+def _l_infinity(neg: str, pos: str) -> int:
+    """``l_infinity`` of the pair with these two texts, which need not be
+    reduced: twice the carets of one tree, less each tree's right spine."""
+    return 2 * count_carets(neg) - right_spine_carets(neg) - right_spine_carets(pos)
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,6 +59,14 @@ MUTANTS = [
     # an indexed element of length radius let into the inner ball
     (CAYLEY, "            return length < radius\n",
      "            return length <= radius\n", CAYLEY_TESTS),
+    # the inner test's l_infinity screen one short: an element whose
+    # l_infinity is radius - 1 refused without its one step
+    (CAYLEY, "_l_infinity(neg, pos) >= radius:", "_l_infinity(neg, pos) >= radius - 1:",
+     CAYLEY_TESTS),
+    # the reach test's screen refuses l_infinity = radius, which the MAC
+    # witnesses have
+    (CAYLEY, "_l_infinity(neg, pos) > radius:", "_l_infinity(neg, pos) >= radius:",
+     CAYLEY_TESTS),
 ]
 
 

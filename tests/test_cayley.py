@@ -15,6 +15,7 @@ from caretcalc import (
     identity,
     in_ball_geodesic,
     invert,
+    l_infinity,
     lengths_for,
     mac_witness_pair,
     multiply,
@@ -157,7 +158,7 @@ def test_ball_reduces_only_where_the_step_creates_a_common_caret(monkeypatch):
     # is the first letter of the element's path: the count is that of
     # expanding a shell by positive tree, in the order the trees first
     # appear in the frontier
-    steps = counted_calls(monkeypatch, cayley, "apply_letter")
+    steps = counted_calls(monkeypatch, group_ops, "apply_letter")
     cancels = counted_calls(monkeypatch, group_ops, "_cancel")
     products = counted_calls(monkeypatch, group_ops, "reduce_text")
     parses = counted_calls(monkeypatch, tree_core, "reduce_text")
@@ -388,6 +389,46 @@ def test_every_edge_flips_length_parity(ball_x2_r7):
             assert _exponent_sum(stepped) == _exponent_sum(pair) + sign
     for enc, length in ball_x2_r7.items():
         assert (length - _exponent_sum(ball_x2_r7.pair_of(enc))) % 2 == 0
+
+
+def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
+    # every set of generators x_i is a subset of the infinite one, so no
+    # length is below l_infinity, and both have the exponent sum's parity:
+    # the premise of the in-ball tests' screen, over consecutive and
+    # non-consecutive sets alike
+    others = [ball(GeneratingSet.of([0, 2]), 6), ball(GeneratingSet.of([0, 1, 3]), 5)]
+    for index in [ball_x1_r8, ball_x2_r7, ball_x3_r6] + others:
+        for enc, length in index.items():
+            flat = l_infinity(index.pair_of(enc))
+            assert flat <= length and (length - flat) % 2 == 0, (index.gens, enc)
+
+
+@pytest.mark.parametrize("gens, radius", [
+    ((0, 1, 2), 5), ((0, 1, 3), 5), ((0, 1), 7), ((0, 2), 6), ((0, 1, 2, 3), 4),
+])
+def test_ball_tests_on_every_element_one_radius_out(gens, radius):
+    # the one-step tests read off the ball of radius R - 2, with their
+    # l_infinity screen, against the lengths of every element of the ball
+    # of radius R + 1: inner is l <= R - 1 exactly, and reach gives l up
+    # to R and None beyond it
+    gens = GeneratingSet.of(gens)
+    full = ball(gens, radius + 1)
+    inner, reach = cayley._ball_tests(restricted(full, radius - 2), radius)
+    for enc, length in full.items():
+        pair = full.pair_of(enc)
+        assert inner(*cayley._texts(enc)) == (length <= radius - 1), enc
+        assert reach(pair) == (length if length <= radius else None), enc
+
+
+def test_in_ball_search_screens_by_l_infinity(monkeypatch):
+    # an element that the index lacks and whose l_infinity is R or more
+    # fails the inner test without a step: the k = 2 witness search took
+    # 1,636 steps when each such element planned and enacted every letter
+    g, h = mac_witness_pair(X2, 2)
+    index = ball(X2, 4)
+    steps = counted_calls(monkeypatch, cayley, "enact")
+    assert in_ball_geodesic(g, h, X2, 6, ball_index=index) == 12
+    assert len(steps) == 466
 
 
 def test_probe_mac_same_report_for_any_covering_index(ball_x2_r7):
