@@ -45,18 +45,18 @@ exactly 1.  So a ball decides membership in the ball one radius larger:
 an element lies in it exactly when it, or one of its neighbours, lies in
 the smaller ball.  An edge from u to v stays in the ball of radius R
 exactly when l(u) <= R - 1 or l(v) <= R - 1, and that test takes the
-ball of radius R - 2 and one step (``_ball_tests``), so the in-ball
-search never enumerates the two outer spheres, which are most of the
-ball.  Most elements that test meets lie outside the ball, and most of
-those are ruled out without the step by l_infinity, the length over the
-whole infinite set {x_i}, which two texts give at once: every length
-here is over a subset of that set, so none is below l_infinity, and
-both have the parity of the exponent sum, since every x_i^+-1 moves it
-by one.  The parity also makes a bound exact: a path between a and b
-through the identity stays in the ball and is l(a) + l(b) long, and the
-distance has the parity of that sum, so a search that has ruled out
-every path of length l(a) + l(b) - 2 or less has its answer.  On top of
-the ball index sit three probes:
+ball of radius R - 2, which ``_ball_tests`` enumerates itself, and one
+step, so the in-ball search never enumerates the two outer spheres,
+which are most of the ball.  Most elements that test meets lie outside
+the ball, and most of those are ruled out without the step by
+l_infinity, the length over the whole infinite set {x_i}, which two
+texts give at once: every length here is over a subset of that set, so
+none is below l_infinity, and both have the parity of the exponent sum,
+since every x_i^+-1 moves it by one.  The parity also makes a bound
+exact: a path between a and b through the identity stays in the ball and
+is l(a) + l(b) long, and the distance has the parity of that sum, so a
+search that has ruled out every path of length l(a) + l(b) - 2 or less
+has its answer.  On top of the ball sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
@@ -426,38 +426,28 @@ def bfs_length(
     return _meet(identity(), pair, gens.letters(), cap, "length search")
 
 
-def _covering_ball(
-    gens: GeneratingSet, radius: int, ball_index: Optional[BallIndex], cap: int
-) -> BallIndex:
-    """The index an in-ball search of ``radius`` reads: ``ball_index`` if
-    it is over ``gens`` and reaches radius - 2, else ValueError; without
-    one, the ball of radius - 2 is enumerated."""
-    if ball_index is None:
-        return ball(gens, max(radius - 2, 0), cap=cap)
-    if ball_index.gens != gens or ball_index.radius < radius - 2:
-        raise ValueError("ball index does not cover the requested ball")
-    return ball_index
-
-
 def _ball_tests(
-    index: BallIndex, radius: int
+    gens: GeneratingSet, radius: int, cap: int
 ) -> tuple[Callable[[str, str], bool], Callable[[TreePairDiagram], Optional[int]]]:
-    """Two exact tests of the ball of ``radius``, read off an index that
-    reaches radius - 2: ``inner(neg, pos)``, whether the element with
-    those texts has length <= radius - 1, and ``reach(pair)``, the pair's
-    length if it is <= radius, else None.
+    """Two exact tests of the ball of ``radius`` over ``gens``:
+    ``inner(neg, pos)``, whether the element with those texts has length
+    <= radius - 1, and ``reach(pair)``, the pair's length if it is <=
+    radius, else None.  They read the ball of radius max(radius - 2, 0),
+    which is enumerated first, under ``cap``.
 
-    Neighbours' lengths differ by exactly 1 (see the module docstring),
-    and an element the index does not hold is longer than its radius.  So
-    when the index stops at radius - 2, such an element has length
-    radius - 1 exactly when one of its neighbours is in the index; an
-    index of radius - 1 or more decides it alone.  An element beyond
-    radius - 1 has length radius exactly when a neighbour passes
-    ``inner``.
+    Every element of that ball lies in the ball of radius - 1, so both
+    tests read its length off the table with no comparison.  Neighbours'
+    lengths differ by exactly 1 (see the module docstring), and an
+    element the ball does not hold is longer than its radius.  So from
+    radius 2 on, such an element has length radius - 1 exactly when one
+    of its neighbours is in that ball; below radius 2 that ball is the
+    identity, the whole of the ball of radius - 1, and decides ``inner``
+    alone.  An element beyond radius - 1 has length radius exactly when a
+    neighbour passes ``inner``.
 
-    Before that step, both tests screen an element the index lacks by
-    its l_infinity (``metrics._l_infinity``, read off the two texts).
-    The generators are a subset of the infinite set {x_i}, so l_X >=
+    Before that step, both tests screen an element the ball lacks by its
+    l_infinity (``metrics._l_infinity``, read off the two texts).  The
+    generators are a subset of the infinite set {x_i}, so l_X >=
     l_infinity, and the screen is exact: ``inner`` fails at l_infinity
     >= radius and ``reach`` gives None at l_infinity > radius.  The two
     also share the parity of the exponent sum, so for an element of
@@ -465,9 +455,8 @@ def _ball_tests(
     l_infinity is either radius + 1, and the step is skipped, or at most
     radius - 1.
     """
-    table = index.table
-    letters = index.gens.letters()
-    one_step = index.radius < radius - 1
+    table = ball(gens, max(radius - 2, 0), cap=cap).table
+    letters = gens.letters()
 
     def near(neg: str, pos: str, test: Callable[[str, str], bool]) -> bool:
         spine = _spine(pos)
@@ -477,10 +466,9 @@ def _ball_tests(
         return _lookup(table, neg, pos) is not None
 
     def inner(neg: str, pos: str) -> bool:
-        length = _lookup(table, neg, pos)
-        if length is not None:
-            return length < radius
-        if not one_step or _l_infinity(neg, pos) >= radius:
+        if indexed(neg, pos):
+            return True
+        if radius < 2 or _l_infinity(neg, pos) >= radius:
             return False
         return near(neg, pos, indexed)
 
@@ -488,7 +476,7 @@ def _ball_tests(
         neg, pos = pair.negative.root, pair.positive.root
         length = _lookup(table, neg, pos)
         if length is not None:
-            return length if length <= radius else None
+            return length
         if _l_infinity(neg, pos) > radius:
             return None
         if inner(neg, pos):
@@ -503,7 +491,6 @@ def in_ball_geodesic(
     b: TreePairDiagram,
     gens: GeneratingSet,
     radius: int,
-    ball_index: Optional[BallIndex] = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> Optional[int]:
     """Length of the shortest path from a to b that never leaves the ball.
@@ -518,15 +505,14 @@ def in_ball_geodesic(
     Neighbours' lengths differ by exactly 1 (see the module docstring),
     so an edge from u to v stays in the ball exactly when u or v has
     length <= radius - 1, which ``_ball_tests`` decides from the ball of
-    radius - 2 and one step.  Without ``ball_index`` the search enumerates
-    that ball; a given index must have at least that radius.  The same
-    tests give each endpoint's exact length, and the path through the
-    identity, l(a) + l(b) long, stays in the ball, so ``_meet`` takes that
-    sum as its bound.  Some pairs meet it, the MAC witnesses among them
-    (F is maximally nonconvex: J. Belk, K.-U. Bux, 2005), and for those
-    the search stops two half-shells before its sides would meet.
+    radius - 2, which it enumerates, and one step.  The same tests give
+    each endpoint's exact length, and the path through the identity,
+    l(a) + l(b) long, stays in the ball, so ``_meet`` takes that sum as
+    its bound.  Some pairs meet it, the MAC witnesses among them (F is
+    maximally nonconvex: J. Belk, K.-U. Bux, 2005), and for those the
+    search stops two half-shells before its sides would meet.
     """
-    inner, reach = _ball_tests(_covering_ball(gens, radius, ball_index, cap), radius)
+    inner, reach = _ball_tests(gens, radius, cap)
     bound = 0
     for name, p in (("a", a), ("b", b)):
         length = reach(p)
@@ -600,27 +586,23 @@ def mac_witness_pair(
 
 
 def probe_mac(
-    gens: GeneratingSet,
-    k: int,
-    cap: int = DEFAULT_STATE_CAP,
-    ball_index: Optional[BallIndex] = None,
+    gens: GeneratingSet, k: int, cap: int = DEFAULT_STATE_CAP
 ) -> MacProbeReport:
     """Check the witness pair: both on the sphere of radius 2k+2, at
     distance 2 from each other, yet at in-ball distance >= 4k+4.
 
-    The in-ball search needs only the ball of radius 2k (see
-    ``in_ball_geodesic``), so that is the ball enumerated when
-    ``ball_index`` is None; a given index must have radius >= 2k.  The
-    same one-step tests read |g| and |h| off it: a witness in the ball of
-    radius 2k+2 but not in that of radius 2k+1 has length 2k+2, and only
-    a length they cannot give (beyond 2k+2, so a refuted witness) comes
-    from ``bfs_length``, as |g^-1 h| always does.  The witness pairs,
-    whose trees grow with k, are built after the ball.
+    The in-ball tests (``_ball_tests``) enumerate the ball of radius 2k
+    first, and the witness pairs, whose trees grow with k, are built after
+    it.  The same one-step tests read |g| and |h| off it, once: a witness
+    in the ball of radius 2k+2 but not in that of radius 2k+1 has length
+    2k+2, and only a length they cannot give (beyond 2k+2, so a refuted
+    witness) comes from ``bfs_length``, as |g^-1 h| always does.  Then
+    the in-ball search runs as in ``in_ball_geodesic``, with |g| + |h| as
+    its bound.
     """
     _check_witness_family(gens, k)
     radius = 2 * k + 2
-    index = _covering_ball(gens, radius, ball_index, cap)
-    _, reach = _ball_tests(index, radius)
+    inner, reach = _ball_tests(gens, radius, cap)
     g, h = mac_witness_pair(gens, k)
     g_length, h_length = reach(g), reach(h)
     if g_length is None:
@@ -630,7 +612,8 @@ def probe_mac(
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)
     min_path: Optional[int] = None
     if g_length <= radius and h_length <= radius:
-        min_path = in_ball_geodesic(g, h, gens, radius, ball_index=index, cap=cap)
+        min_path = _meet(g, h, gens.letters(), cap, "in-ball search", inner,
+                         g_length + h_length)
     formula_g = formula_h = None
     if gens.is_consecutive:
         n = gens.max_index

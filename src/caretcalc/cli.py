@@ -228,8 +228,8 @@ def cmd_probe_mac(args) -> int:
     report = cayley.probe_mac(
         args.gens, args.k, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
     )
-    # the formula fields exist only for a consecutive set
-    omit = () if args.gens.is_consecutive else ("formula_g_length", "formula_h_length")
+    # probe_mac fills the formula fields only for a consecutive set
+    omit = ("formula_g_length", "formula_h_length") if report.formula_g_length is None else ()
     _emit_record(args, report.to_dict(), omit)
     return EXIT_OK if report.confirmed else EXIT_REFUTED
 

@@ -215,8 +215,9 @@ class TreePairDiagram:
 
     @property
     def is_identity(self) -> bool:
-        """Both trees bare: the identity, as a reduced pair.  The in-ball
-        test of radius 0 reads it."""
+        """Both trees bare: the identity, as a reduced pair.  Nothing in
+        the package reads it; the tests use it to check that a word or a
+        product is trivial."""
         return self.negative.root == "." and self.positive.root == "."
 
     def serialize(self) -> str:

@@ -30,12 +30,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+TREE_CORE = "src/caretcalc/tree_core.py"
+GROUP_OPS = "src/caretcalc/group_ops.py"
 METRICS = "src/caretcalc/metrics.py"
 CAYLEY = "src/caretcalc/cayley.py"
+KERNEL_TESTS = "tests/test_tree_core.py tests/test_group_ops.py"
 METRICS_TESTS = "tests/test_metrics.py tests/test_acceptance.py"
 CAYLEY_TESTS = "tests/test_cayley.py"
 
 MUTANTS = [
+    # reduce_text: the parent of a collapsed caret climbed when only one
+    # tree has a leaf after it
+    (TREE_CORE, 'neg.startswith(".", end) and pos.startswith(".", other_end)',
+     'neg.startswith(".", end) or pos.startswith(".", other_end)', KERNEL_TESTS),
+    # reduce_text: the climb over the leaf before the subtree takes one
+    # character too many
+    (TREE_CORE, "start, end = cuts.pop(start, start - 1) - 1, end + 1",
+     "start, end = cuts.pop(start, start - 1) - 1, end + 2", KERNEL_TESTS),
+    # _cancel: the cascade climbs the negative tree without its leaf
+    # before the collapsed subtree
+    (GROUP_OPS, 'while spine and spine[-1] == "." and neg[start - 1] == ".":',
+     'while spine and spine[-1] == ".":', KERNEL_TESTS),
+    # _cancel: a merged entry X ^ Y second to last taken for the last
+    (GROUP_OPS, "if index + 1 < len(spine) or", "if index + 2 < len(spine) or",
+     KERNEL_TESTS),
+    # _move: B ^ C read as exposed one entry too early
+    (GROUP_OPS, "index + 2 == len(spine)", "index + 1 == len(spine)", KERNEL_TESTS),
+    # _move: a merge at the end grows the spines one entry short
+    (GROUP_OPS, "(1 if sign == 1 else 2)", "(1 if sign == 1 else 1)", KERNEL_TESTS),
+    # _enact: a created caret taken as common when only its left leaf is
+    (GROUP_OPS, 'neg.startswith("..", dot)', 'neg.startswith(".", dot)', KERNEL_TESTS),
+    # _l_infinity: the negative tree's right spine counted twice
+    (METRICS, "right_spine_carets(neg) - right_spine_carets(pos)",
+     "right_spine_carets(neg) - right_spine_carets(neg)", METRICS_TESTS),
     # penalty_weight's survey path: the first tree's tie-break
     (METRICS, "d == low and p < hang", "d == low and p > hang", METRICS_TESTS),
     # the positive tree's lo[q] dropped from the predecessors
@@ -53,12 +80,14 @@ MUTANTS = [
     # an endpoint that fails the one-step test read as radius - 1
     (CAYLEY, "return radius if near(neg, pos, inner) else None",
      "return radius - 1 if near(neg, pos, inner) else None", CAYLEY_TESTS),
-    # the covering ball enumerated three radii short
+    # the in-ball tests' ball enumerated three radii short
     (CAYLEY, "ball(gens, max(radius - 2, 0), cap=cap)",
      "ball(gens, max(radius - 3, 0), cap=cap)", CAYLEY_TESTS),
-    # an indexed element of length radius let into the inner ball
-    (CAYLEY, "            return length < radius\n",
-     "            return length <= radius\n", CAYLEY_TESTS),
+    # the inner test takes no step at radius 2, where its ball is the
+    # identity and an element of length 1 is found only by a step (one
+    # radius lower instead, radius < 1, is equivalent: below radius 2
+    # the l_infinity screen refuses every element but the identity)
+    (CAYLEY, "if radius < 2 or", "if radius < 3 or", CAYLEY_TESTS),
     # the inner test's l_infinity screen one short: an element whose
     # l_infinity is radius - 1 refused without its one step
     (CAYLEY, "_l_infinity(neg, pos) >= radius:", "_l_infinity(neg, pos) >= radius - 1:",

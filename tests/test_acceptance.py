@@ -51,15 +51,15 @@ def test_criterion_1_formula_equals_bfs(ball_x2_r7, ball_x3_r6, ball_x1_r8):
     )
 
 
-def test_criterion_2_mac_witnesses(ball_x2_r7):
-    r1 = probe_mac(X2, 1, ball_index=ball_x2_r7)
+def test_criterion_2_mac_witnesses():
+    r1 = probe_mac(X2, 1)
     ok = (
         r1.g_length == r1.h_length == 4
         and r1.distance == 2
         and r1.min_in_ball_path == 8
         and r1.confirmed
     )
-    r2 = probe_mac(X2, 2, ball_index=ball_x2_r7)
+    r2 = probe_mac(X2, 2)
     ok = ok and r2.g_length == r2.h_length == 6 and r2.distance == 2
     ok = ok and r2.min_in_ball_path is not None and r2.min_in_ball_path >= 12
     r3 = probe_mac(GeneratingSet.of([0, 1, 3]), 1)

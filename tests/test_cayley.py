@@ -258,15 +258,11 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     cases = [(g1, 4, [h1]), (g2, 6, [h2] + seeded(8)), (seeded(1)[0], 6, seeded(8))]
     for a, radius, targets in cases:
         oracle = in_ball_distances(ball_x2_r6, canonical_encode(a), radius)
-        # the balls one and two radii smaller decide membership just as well
-        for index in (ball_x2_r6, restricted(ball_x2_r6, radius - 1),
-                      restricted(ball_x2_r6, radius - 2)):
-            for b in targets:
-                got = in_ball_geodesic(a, b, X2, radius, ball_index=index)
-                assert got == oracle[canonical_encode(b)]
+        for b in targets:
+            assert in_ball_geodesic(a, b, X2, radius) == oracle[canonical_encode(b)]
     # the MAC witnesses' in-ball distances, exactly
-    assert in_ball_geodesic(g1, h1, X2, 4, ball_index=ball_x2_r6) == 8
-    assert in_ball_geodesic(g2, h2, X2, 6, ball_index=ball_x2_r6) == 12
+    assert in_ball_geodesic(g1, h1, X2, 4) == 8
+    assert in_ball_geodesic(g2, h2, X2, 6) == 12
 
 
 @pytest.mark.parametrize("gens, radius", [
@@ -293,11 +289,9 @@ def test_in_ball_geodesic_from_the_rim(gens, radius, ball_x1_r8, ball_x2_r6):
             by_gap.setdefault(gap, []).append(enc)
         targets = [b for gap in sorted(by_gap) for b in rng.sample(by_gap[gap], 2)]
         gaps |= by_gap.keys()
-        for cover in (None, index, restricted(index, radius - 2)):
-            for b in targets:
-                got = in_ball_geodesic(index.pair_of(a), index.pair_of(b), gens,
-                                       radius, ball_index=cover)
-                assert got == oracle[b], (a, b)
+        for b in targets:
+            got = in_ball_geodesic(index.pair_of(a), index.pair_of(b), gens, radius)
+            assert got == oracle[b], (a, b)
     assert gaps == {0, 2, 4}
 
 
@@ -323,10 +317,13 @@ def test_cap_errors_say_how_far_the_search_got():
         lengths_for([h2], X2, cap=20)
     with pytest.raises(SearchCapExceededError, match="at radius 2"):
         ball(X2, 3, cap=20)
+    # ball(X2, 2), which the in-ball tests of radius 4 enumerate first,
+    # holds 33 elements, and the search answers (8) from a cap of 40 up
     g, h = mac_witness_pair(X2, 1)
-    with pytest.raises(SearchCapExceededError, match=r"at depth \d+ from the "
-                       r"start and \d+ from the goal"):
-        in_ball_geodesic(g, h, X2, 4, ball_index=ball(X2, 4), cap=20)
+    with pytest.raises(SearchCapExceededError, match="in-ball search .* at depth 4 "
+                       "from the start and 2 from the goal") as err:
+        in_ball_geodesic(g, h, X2, 4, cap=33)
+    assert err.value.states == 33
 
 
 def test_lengths_for_matches_bfs_length(ball_x2_r7):
@@ -366,16 +363,13 @@ def test_triangle_inequality_sampled(ball_x2_r7):
 
 
 def test_in_ball_geodesic_basics():
-    index = ball(X2, 3)
     x0 = generator_diagram(0, 1)
-    assert in_ball_geodesic(x0, x0, X2, 3, ball_index=index) == 0
+    assert in_ball_geodesic(x0, x0, X2, 3) == 0
     neighbour = multiply(x0, generator_diagram(1, 1))
-    assert in_ball_geodesic(x0, neighbour, X2, 3, ball_index=index) == 1
+    assert in_ball_geodesic(x0, neighbour, X2, 3) == 1
     outside = evaluate_word([(1, 1)] * 5)
     with pytest.raises(ValueError):
-        in_ball_geodesic(x0, outside, X2, 3, ball_index=index)
-    with pytest.raises(ValueError):
-        in_ball_geodesic(x0, x0, X2, 6, ball_index=index)  # index too small
+        in_ball_geodesic(x0, outside, X2, 3)
 
 
 def test_every_edge_flips_length_parity(ball_x2_r7):
@@ -405,15 +399,16 @@ def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
 
 @pytest.mark.parametrize("gens, radius", [
     ((0, 1, 2), 5), ((0, 1, 3), 5), ((0, 1), 7), ((0, 2), 6), ((0, 1, 2, 3), 4),
+    ((0, 1, 2), 2), ((0, 1, 2), 1),
 ])
 def test_ball_tests_on_every_element_one_radius_out(gens, radius):
-    # the one-step tests read off the ball of radius R - 2, with their
-    # l_infinity screen, against the lengths of every element of the ball
-    # of radius R + 1: inner is l <= R - 1 exactly, and reach gives l up
-    # to R and None beyond it
+    # the one-step tests read off the ball of radius max(R - 2, 0), with
+    # their l_infinity screen, against the lengths of every element of the
+    # ball of radius R + 1: inner is l <= R - 1 exactly, and reach gives l
+    # up to R and None beyond it
     gens = GeneratingSet.of(gens)
     full = ball(gens, radius + 1)
-    inner, reach = cayley._ball_tests(restricted(full, radius - 2), radius)
+    inner, reach = cayley._ball_tests(gens, radius, cayley.DEFAULT_STATE_CAP)
     for enc, length in full.items():
         pair = full.pair_of(enc)
         assert inner(*cayley._texts(enc)) == (length <= radius - 1), enc
@@ -421,27 +416,16 @@ def test_ball_tests_on_every_element_one_radius_out(gens, radius):
 
 
 def test_in_ball_search_screens_by_l_infinity(monkeypatch):
-    # an element that the index lacks and whose l_infinity is R or more
-    # fails the inner test without a step: the k = 2 witness search took
-    # 1,636 steps when each such element planned and enacted every letter
+    # an element that the ball of radius R - 2 lacks and whose l_infinity
+    # is R or more fails the inner test without a step: the k = 2 witness
+    # search took 1,636 steps when each such element planned and enacted
+    # every letter.  The count starts with the 686 steps that grow
+    # ball(X2, 4) (see test_ball_never_applies_the_parent_letter); the
+    # endpoints' lengths and the search take the other 466
     g, h = mac_witness_pair(X2, 2)
-    index = ball(X2, 4)
     steps = counted_calls(monkeypatch, cayley, "enact")
-    assert in_ball_geodesic(g, h, X2, 6, ball_index=index) == 12
-    assert len(steps) == 466
-
-
-def test_probe_mac_same_report_for_any_covering_index(ball_x2_r7):
-    # radius 2k is enough; larger indexes give the same report
-    x013 = GeneratingSet.of([0, 1, 3])
-    for gens, k, index in ((X2, 2, ball_x2_r7), (x013, 1, ball(x013, 5))):
-        reports = [probe_mac(gens, k).to_dict()]
-        for radius in (2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3):
-            reports.append(
-                probe_mac(gens, k, ball_index=restricted(index, radius)).to_dict()
-            )
-        assert all(report == reports[0] for report in reports)
-        assert reports[0]["verdict"] == "witness-confirmed"
+    assert in_ball_geodesic(g, h, X2, 6) == 12
+    assert len(steps) == 686 + 466
 
 
 def test_probe_mac_reads_witness_lengths_off_the_ball(monkeypatch, ball_x2_r6):
@@ -472,39 +456,27 @@ def test_in_ball_geodesic_radius_zero_and_one():
     one = identity()
     x0, x1 = generator_diagram(0, 1), generator_diagram(1, 1)
     assert in_ball_geodesic(one, one, X1, 0) == 0
-    assert in_ball_geodesic(one, one, X1, 0, ball_index=ball(X1, 0)) == 0
     with pytest.raises(ValueError, match="outside the ball of radius 0"):
         in_ball_geodesic(one, x0, X1, 0)
     # radius 1: the only path between two generators runs through 1
-    for index in (None, ball(X1, 0), ball(X1, 2)):
-        assert in_ball_geodesic(x0, x1, X1, 1, ball_index=index) == 2
-        assert in_ball_geodesic(one, x1, X1, 1, ball_index=index) == 1
-        with pytest.raises(ValueError, match="outside the ball of radius 1"):
-            in_ball_geodesic(x0, multiply(x0, x1), X1, 1, ball_index=index)
+    assert in_ball_geodesic(x0, x1, X1, 1) == 2
+    assert in_ball_geodesic(one, x1, X1, 1) == 1
+    with pytest.raises(ValueError, match="outside the ball of radius 1"):
+        in_ball_geodesic(x0, multiply(x0, x1), X1, 1)
 
 
 def test_in_ball_path_through_the_outer_sphere():
-    # the only in-ball path of length 3 runs through sphere 3, which the
-    # radius-2 index does not hold; kept inside radius 2 it needs 5 steps
+    # the only in-ball path of length 3 runs through sphere 3, two spheres
+    # beyond the ball of radius 1 that the in-ball tests enumerate; kept
+    # inside radius 2 it needs 5 steps
     a = parse_pair("(.((..)(.(..))))|(.(.((.(..)).)))")
     b = parse_pair("(.((..).))|((..)(..))")
-    for index in (None, ball(X2, 2), ball(X2, 3)):
-        assert in_ball_geodesic(a, b, X2, 3, ball_index=index) == 3
+    assert in_ball_geodesic(a, b, X2, 3) == 3
     assert in_ball_geodesic(a, b, X2, 4) == 3
 
 
-def test_index_three_radii_short_is_refused():
-    g, h = mac_witness_pair(X2, 1)
-    # three radii short, or deep enough but over other generators
-    other = ball(GeneratingSet.of([0, 1, 3]), 3)
-    for index in (ball(X2, 1), other):
-        with pytest.raises(ValueError, match="does not cover"):
-            probe_mac(X2, 1, ball_index=index)
-        with pytest.raises(ValueError, match="does not cover"):
-            in_ball_geodesic(g, h, X2, 4, ball_index=index)
-
-
-def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
+def _ball_radii(monkeypatch):
+    """The radius of each ball that ``cayley`` enumerates from now on."""
     radii = []
     real = cayley.ball
 
@@ -513,10 +485,28 @@ def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
         return real(gens, radius, cap=cap)
 
     monkeypatch.setattr(cayley, "ball", recorded)
+    return radii
+
+
+def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
+    radii = _ball_radii(monkeypatch)
     for k in (1, 2):
         radii.clear()
         assert probe_mac(X2, k).confirmed
         assert radii == [2 * k]
+
+
+def test_in_ball_geodesic_enumerates_radius_r_minus_2_once(monkeypatch):
+    # one ball per search, of radius max(R - 2, 0), read for both
+    # endpoints' lengths and for the search
+    radii = _ball_radii(monkeypatch)
+    one, x0, x1 = identity(), generator_diagram(0, 1), generator_diagram(1, 1)
+    g, h = mac_witness_pair(X2, 1)
+    for a, b, gens, radius, path in ((one, one, X1, 0, 0), (x0, x1, X1, 1, 2),
+                                     (g, h, X2, 4, 8)):
+        radii.clear()
+        assert in_ball_geodesic(a, b, gens, radius) == path
+        assert radii == [max(radius - 2, 0)]
 
 
 def test_in_ball_geodesic_witness_detour():
@@ -548,8 +538,8 @@ def test_mac_witness_two_step_identity():
         assert canonical_encode(other) != canonical_encode(h)
 
 
-def test_probe_mac_confirms_consecutive(ball_x2_r7):
-    report = probe_mac(X2, 1, ball_index=ball_x2_r7)
+def test_probe_mac_confirms_consecutive():
+    report = probe_mac(X2, 1)
     assert report.confirmed
     assert report.g_length == report.h_length == 4
     assert report.distance == 2
@@ -557,14 +547,10 @@ def test_probe_mac_confirms_consecutive(ball_x2_r7):
     assert report.formula_g_length == 4 and report.formula_h_length == 4
 
 
-def test_probe_mac_family(ball_x2_r7, ball_x3_r6):
+def test_probe_mac_family():
     # every consecutive set in {X2, X3} with k in {1, 2} confirms
-    for gens, index, k in (
-        (X2, ball_x2_r7, 2),
-        (X3, ball_x3_r6, 1),
-        (X3, ball_x3_r6, 2),
-    ):
-        report = probe_mac(gens, k, ball_index=index)
+    for gens, k in ((X2, 2), (X3, 1), (X3, 2)):
+        report = probe_mac(gens, k)
         assert report.confirmed, (list(gens), k, report.to_dict())
         assert report.min_in_ball_path >= 4 * k + 4
 
