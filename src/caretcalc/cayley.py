@@ -10,15 +10,15 @@ the independent oracle for the closed-form machinery in
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
 
-* ``ball`` and ``lengths_for`` grow one ball from the identity
-  (``_grow``).  A ball shares its trees widely: the 28,631 elements of
-  ``ball({0,1,2}, 7)`` hold 3,871 distinct positive and 3,871 distinct
-  negative trees, 7.4 elements per positive tree.  A ball is also
-  closed under inversion, which swaps the two trees, and F has no
-  element of order 2, so every element but the identity has its own
-  inverse, of the same length.  So their table keeps one slot per pair
-  {u, u^-1}: ``table[high][low] = length``, where low <= high are the
-  two tree texts, each kept once for the whole search.  That ball's
+* ``ball``, ``lengths_for`` and ``coarse_isometry_check`` grow balls
+  from the identity (``_grow``).  A ball shares its trees widely: the
+  28,631 elements of ``ball({0,1,2}, 7)`` hold 3,871 distinct positive
+  and 3,871 distinct negative trees, 7.4 elements per positive tree.  A
+  ball is also closed under inversion, which swaps the two trees, and F
+  has no element of order 2, so every element but the identity has its
+  own inverse, of the same length.  So their table keeps one slot per
+  pair {u, u^-1}: ``table[high][low] = length``, where low <= high are
+  the two tree texts, each kept once for the whole search.  That ball's
   table has 14,316 slots in 1,152 rows, and an element costs half a slot
   instead of its own ~50-character key: a traced peak of ~45 B in place
   of ~68 B with a slot per element and ~137 B with a key per element.
@@ -61,9 +61,11 @@ has its answer.  On top of the ball sit three probes:
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
   defining properties by search, on the ball two radii smaller;
-* ``coarse_isometry_check`` measures the largest observed additive gap
-  between two word metrics and compares it against the claimed constant
-  when one set is a shifted copy of the other;
+* ``coarse_isometry_check`` grows each set's ball once, to the radius
+  and then on until it holds the other ball too, measures the largest
+  additive gap between the two word metrics on both balls, and compares
+  it against the claimed constant when one set is a shifted copy of the
+  other;
 * ``probe_subset_monotonicity`` confirms that enlarging the generating
   set never increases word length.
 
@@ -76,6 +78,7 @@ sides against one cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import SearchCapExceededError
@@ -92,20 +95,12 @@ from .group_ops import (
     plan,
 )
 from .metrics import _l_infinity, length_consecutive
-from .tree_core import CaretTree, TreePairDiagram, canonical_encode
+from .tree_core import TreePairDiagram, canonical_encode
 
 DEFAULT_STATE_CAP = 5_000_000
 
 CONFIRMED = "witness-confirmed"
 REFUTED = "refuted"
-
-
-def _texts(item) -> tuple[str, str]:
-    """The negative and positive texts of a pair or of its encoding."""
-    if isinstance(item, TreePairDiagram):
-        return item.negative.root, item.positive.root
-    neg, _, pos = item.partition("|")
-    return neg, pos
 
 
 def _lookup(table: dict, neg: str, pos: str) -> Optional[int]:
@@ -130,8 +125,7 @@ class BallIndex:
     the module docstring), so a row per tree text, whose keys are texts
     each kept once, costs a third of the bytes of one
     "negative|positive" key per element.  ``items`` makes the encodings
-    of both orientations, one at a time, for a reader that wants them;
-    ``pair_of`` parses nothing.
+    of both orientations, one at a time, for a reader that wants them.
     """
 
     gens: GeneratingSet
@@ -141,22 +135,6 @@ class BallIndex:
     @property
     def size(self) -> int:
         return 2 * sum(map(len, self.table.values())) - 1
-
-    def __contains__(self, item) -> bool:
-        return _lookup(self.table, *_texts(item)) is not None
-
-    def length_of(self, item) -> int:
-        length = _lookup(self.table, *_texts(item))
-        if length is None:
-            raise KeyError(item if isinstance(item, str) else canonical_encode(item))
-        return length
-
-    def pair_of(self, encoding: str) -> TreePairDiagram:
-        """The reduced pair of a member; KeyError for anything else."""
-        if encoding not in self:
-            raise KeyError(encoding)
-        neg, pos = _texts(encoding)
-        return TreePairDiagram(CaretTree(neg), CaretTree(pos))
 
     def items(self) -> Iterator[tuple[str, int]]:
         """Each element's encoding and length, row by row: a slot gives
@@ -318,29 +296,38 @@ def _check_reachable(pair: TreePairDiagram, gens: GeneratingSet) -> None:
         )
 
 
+def _cover(tables: Iterable[dict], wanted: Iterable[tuple[str, str]]) -> dict:
+    """The first of ``tables`` that holds a length for every element in
+    ``wanted``, each given by its two texts in either order.  Each table
+    is searched only for the elements the one before lacked, so the
+    tables must be one table grown in place, as ``_grow`` yields it, and
+    must not run out first: ``_grow`` with no radius never does."""
+    for table in tables:
+        wanted = [texts for texts in wanted if _lookup(table, *texts) is None]
+        if not wanted:
+            return table
+
+
 def lengths_for(
     targets: Iterable[TreePairDiagram],
     gens: GeneratingSet,
     cap: int = DEFAULT_STATE_CAP,
 ) -> dict[str, int]:
-    """Exact lengths of several elements at once, by a single expanding
-    search from the identity that stops when every target has been seen.
+    """Exact lengths of several elements at once, by their encodings: one
+    ball grows from the identity (``_grow``) until it holds every target
+    (``_cover``).
 
     Every target is reached at some radius: ``_check_reachable`` keeps a
     target of the set {x0} inside <x0>, any other set generates F, and no
     sphere of F, or of the infinite cyclic <x0>, is empty, so the search
     ends by seeing every target or at the cap."""
-    wanted = set()
+    wanted = {}
     for t in targets:
         _check_reachable(t, gens)
-        wanted.add(canonical_encode(t))
-    for table in _grow(
-        gens.letters(), cap, f"length search exceeded the state cap of {cap} states"
-    ):
-        found = {enc: _lookup(table, *_texts(enc)) for enc in wanted}
-        if None not in found.values():
-            break
-    return found
+        wanted[canonical_encode(t)] = t.negative.root, t.positive.root
+    overflow = f"length search exceeded the state cap of {cap} states"
+    table = _cover(_grow(gens.letters(), cap, overflow), wanted.values())
+    return {enc: _lookup(table, *texts) for enc, texts in wanted.items()}
 
 
 def _meet(
@@ -387,7 +374,7 @@ def _meet(
         mine, other = seen[side], seen[1 - side]
         new: list[str] = []
         for enc in frontiers[side]:
-            neg, pos = _texts(enc)
+            neg, _, pos = enc.partition("|")
             spine = _spine(pos)
             back = mine[enc]
             free = inner is None or inner(neg, pos)
@@ -702,7 +689,17 @@ def coarse_isometry_check(
     radius: int,
     cap: int = DEFAULT_STATE_CAP,
 ) -> CoarseIsometryReport:
-    """Sweep both balls of the given radius and measure max |l_X - l_Y|.
+    """Measure max |l_X - l_Y| over the union of both balls of the given
+    radius.
+
+    Each set's ball grows once, in one ``_grow``: X's to the radius, then
+    Y's.  An element of one ball that the other lacks is longer than the
+    radius in the other, so each set's growth then goes on, X's first,
+    until its table holds every slot of the union (``_cover``), and is
+    closed, which frees its frontier.  An element and its inverse share a
+    slot and a length, so the gap and the 2 * slots - 1 elements checked
+    are read off the slots.  A cap met past the radius reads "ball
+    enumeration exceeded ... at radius r", as one met within it does.
 
     With {x0} on exactly one side and radius >= 1, the other ball holds
     the other set's smallest nonzero generator, which lies outside <x0>,
@@ -712,25 +709,23 @@ def coarse_isometry_check(
     if radius >= 1 and alone[0] != alone[1]:
         other = y_gens if alone[0] else x_gens
         raise ValueError(f"x{other.indices[1]} is not in the subgroup generated by x0")
-    ball_x = ball(x_gens, radius, cap=cap)
-    ball_y = ball(y_gens, radius, cap=cap)
-    lengths_x = dict(ball_x.items())
-    lengths_y = dict(ball_y.items())
-    only_y = [ball_y.pair_of(e) for e in lengths_y.keys() - lengths_x.keys()]
-    only_x = [ball_x.pair_of(e) for e in lengths_x.keys() - lengths_y.keys()]
-    if only_y:
-        lengths_x.update(lengths_for(only_y, x_gens, cap=cap))
-    if only_x:
-        lengths_y.update(lengths_for(only_x, y_gens, cap=cap))
-    universe = set(lengths_x) | set(lengths_y)
-    max_diff = max(
-        (abs(lengths_x[e] - lengths_y[e]) for e in universe), default=0
-    )
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    overflow = f"ball enumeration exceeded the state cap of {cap} elements"
+    grows = [_grow(gens.letters(), cap, overflow) for gens in (x_gens, y_gens)]
+    # a growth yields the ball of radius 0 first, so item R is that of R
+    tables = [next(islice(grow, radius, None)) for grow in grows]
+    slots = {(high, low) for table in tables for high, row in table.items() for low in row}
+    for grow, table in zip(grows, tables):
+        _cover(chain([table], grow), slots)
+        grow.close()
+    table_x, table_y = tables
+    max_diff = max(abs(table_x[high][low] - table_y[high][low]) for high, low in slots)
     return CoarseIsometryReport(
         x_gens=x_gens,
         y_gens=y_gens,
         radius=radius,
-        elements_checked=len(universe),
+        elements_checked=2 * len(slots) - 1,
         max_difference=max_diff,
         claimed_bound=claimed_additive_bound(x_gens, y_gens),
     )

@@ -109,15 +109,11 @@ def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
             edges.add((q, hi[q]))
 
 
-def _adjacency(neg: TreeSurvey, pos: TreeSurvey) -> AdjacencyRelation:
-    return AdjacencyRelation(neg, pos)
-
-
 def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
     """The caret order of a pair: the public form of the relation that
     ``penalty_weight``'s witness holds on the two surveys it shares with
     the penalty flags."""
-    return _adjacency(pair.negative.survey(), pair.positive.survey())
+    return AdjacencyRelation(pair.negative.survey(), pair.positive.survey())
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,7 @@ def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
     rules that ``penalty_weight`` reads off the two surveys it shares with
     the caret order.
     """
-    return _penalty_carets(pair.negative.survey(), pair.positive.survey())
-
-
-def _penalty_carets(neg: TreeSurvey, pos: TreeSurvey) -> PenaltyCaretSet:
-    return PenaltyCaretSet(flags=tuple(_flags(neg, pos)))
+    return PenaltyCaretSet(tuple(_flags(pair.negative.survey(), pair.positive.survey())))
 
 
 def _flags(neg: TreeSurvey, pos: TreeSurvey) -> Iterator[tuple[int, str]]:
@@ -174,8 +166,7 @@ class PenaltyTree:
     adjacency: Optional[AdjacencyRelation] = None
     required: Optional[frozenset] = None
 
-    # Built on first read and kept: the tree is frozen, and one
-    # revalidation reads each of these two several times.
+    # Built on first read and kept: the tree is frozen.
     @cached_property
     def parent_map(self) -> Mapping[int, int]:
         """child -> parent, read-only."""
@@ -185,38 +176,34 @@ class PenaltyTree:
     def vertices(self) -> frozenset:
         return frozenset({0} | {c for c, _ in self.parents})
 
-    @property
-    def leaves(self) -> frozenset:
-        used = {p for _, p in self.parents}
-        return frozenset(v for v in self.vertices if v not in used)
-
-    def depths(self) -> dict[int, int]:
-        pm = self.parent_map
-        depth = {0: 0}
-        for v in sorted(pm):
-            depth[v] = depth[pm[v]] + 1
-        return depth
-
-    def heights(self) -> dict[int, int]:
-        pm = self.parent_map
-        height = {v: 0 for v in self.vertices}
-        for v in sorted(pm, reverse=True):
-            height[pm[v]] = max(height[pm[v]], height[v] + 1)
-        return height
-
     def serialize(self) -> str:
         """Comma-separated "parent>child" edges, or "-" for the bare root."""
         return ",".join(f"{p}>{c}" for c, p in self.parents) or "-"
 
 
-def _validate_penalty_tree(tree: PenaltyTree) -> None:
-    pm = tree.parent_map
+def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
+    """Vertices at depth >= 2 whose subtree still reaches down n - 1 steps,
+    once the tree is checked against its construction rules
+    (InvalidPenaltyTreeError when it breaks one).
+
+    Every edge raises the caret index, so one pass over the children in
+    increasing order meets each parent before its children: it checks
+    each edge, against the caret order when the tree carries one, and
+    gives each depth.  One pass back meets each vertex after its
+    children, so its height is then final, and height 0 marks a leaf,
+    which must be a penalty caret; the weight is counted on the way."""
+    if n < 1:
+        raise ValueError(f"generating-set index n must be >= 1, got {n}")
+    pm, vertices = tree.parent_map, tree.vertices
     if len(pm) != len(tree.parents):
         raise InvalidPenaltyTreeError("a vertex appears with two parents")
     if 0 in pm:
         raise InvalidPenaltyTreeError("vertex 0 is the root and has no parent")
-    vertices = tree.vertices
-    for child, parent in pm.items():
+    adj, required = tree.adjacency, tree.required
+    order = sorted(pm)
+    depth = {0: 0}
+    for child in order:
+        parent = pm[child]
         if child < 1:
             raise InvalidPenaltyTreeError(f"bad vertex index {child}")
         if parent not in vertices:
@@ -225,36 +212,31 @@ def _validate_penalty_tree(tree: PenaltyTree) -> None:
             raise InvalidPenaltyTreeError(
                 f"edge {parent} -> {child} does not increase the caret index"
             )
-    if tree.adjacency is not None:
-        for child, parent in pm.items():
-            if child > tree.adjacency.carets:
+        if adj is not None:
+            if child > adj.carets:
                 raise InvalidPenaltyTreeError(f"vertex {child} is not a caret")
-            if (parent, child) not in tree.adjacency.edges:
+            if (parent, child) not in adj.edges:
                 raise InvalidPenaltyTreeError(
                     f"edge {parent} -> {child} not allowed by the caret order"
                 )
-    if tree.required is not None:
-        missing = set(tree.required) - set(vertices)
+        depth[child] = depth[parent] + 1
+    if required is not None:
+        missing = set(required) - vertices
         if missing:
             raise InvalidPenaltyTreeError(
                 f"penalty carets {sorted(missing)} missing from the tree"
             )
-        if vertices != {0}:
-            for leaf in tree.leaves:
-                if leaf not in tree.required:
-                    raise InvalidPenaltyTreeError(
-                        f"leaf {leaf} is not a penalty caret"
-                    )
-
-
-def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
-    """Vertices at depth >= 2 whose subtree still reaches down n - 1 steps."""
-    if n < 1:
-        raise ValueError(f"generating-set index n must be >= 1, got {n}")
-    _validate_penalty_tree(tree)
-    depth = tree.depths()
-    height = tree.heights()
-    return sum(1 for v in depth if depth[v] >= 2 and height[v] >= n - 1)
+    height = dict.fromkeys(depth, 0)
+    weight = 0
+    for child in reversed(order):
+        h = height[child]
+        if h == 0 and required is not None and child not in required:
+            raise InvalidPenaltyTreeError(f"leaf {child} is not a penalty caret")
+        weight += depth[child] >= 2 and h >= n - 1
+        parent = pm[child]
+        if height[parent] <= h:
+            height[parent] = h + 1
+    return weight
 
 
 def penalty_weight(
@@ -321,7 +303,7 @@ def penalty_weight(
     neg, pos = pair.negative.survey(), pair.positive.survey()
     required = sorted({p for p, _ in _flags(neg, pos)})
     flagged = frozenset(required)
-    adj = _adjacency(neg, pos)
+    adj = AdjacencyRelation(neg, pos)
     if not required:
         return 0, PenaltyTree((), adjacency=adj, required=flagged)
 

@@ -416,7 +416,7 @@ def in_ball_distances(index, source: str, radius: int) -> dict:
     queue = deque([source])
     while queue:
         enc = queue.popleft()
-        pair = index.pair_of(enc)
+        pair = raw_pair(*enc.split("|"))
         for letter in index.gens.letters():
             nxt = canonical_encode(apply_generator(pair, *letter))
             if nxt in inside and nxt not in dist:

@@ -96,6 +96,19 @@ MUTANTS = [
     # witnesses have
     (CAYLEY, "_l_infinity(neg, pos) > radius:", "_l_infinity(neg, pos) >= radius:",
      CAYLEY_TESTS),
+    # _cover keeps the elements the table holds in place of those it lacks
+    (CAYLEY, "if _lookup(table, *texts) is None]", "if _lookup(table, *texts) is not None]",
+     CAYLEY_TESTS),
+    # the coarse check counts the identity twice
+    (CAYLEY, "elements_checked=2 * len(slots) - 1", "elements_checked=2 * len(slots)",
+     CAYLEY_TESTS),
+    # the coarse check grows only X's table past the radius
+    (CAYLEY, "for grow, table in zip(grows, tables):",
+     "for grow, table in zip(grows[:1], tables):", CAYLEY_TESTS),
+    # the witness check lets an edge from a vertex to itself through
+    (METRICS, "if parent >= child:", "if parent > child:", METRICS_TESTS),
+    # the witness check's leaf test one level up
+    (METRICS, "if h == 0 and required", "if h == 1 and required", METRICS_TESTS),
 ]
 
 

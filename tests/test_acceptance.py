@@ -39,7 +39,7 @@ def test_criterion_1_formula_equals_bfs(ball_x2_r7, ball_x3_r6, ball_x1_r8):
     total = 0
     for index, n in ((ball_x2_r7, 2), (ball_x3_r6, 3), (ball_x1_r8, 1)):
         for enc, length in index.items():
-            pair = index.pair_of(enc)
+            pair = raw_pair(*enc.split("|"))
             total += 1
             if length_consecutive(pair, n).length != length:
                 mismatches += 1
@@ -165,7 +165,7 @@ def test_criterion_7_penalty_weight_invariants(ball_x2_r6):
     ok = True
     checked = 0
     for enc, _ in ball_x2_r6.items():
-        pair = ball_x2_r6.pair_of(enc)
+        pair = raw_pair(*enc.split("|"))
         checked += 1
         carets = pair.carets
         weights = [penalty_weight(pair, n)[0] for n in range(1, carets + 2)]

@@ -28,7 +28,7 @@ from caretcalc import cayley, group_ops, tree_core
 from caretcalc.cayley import claimed_additive_bound
 from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3, counted_calls
-from helpers import in_ball_distances, oracle_ball, restricted
+from helpers import in_ball_distances, oracle_ball, raw_pair, restricted
 
 
 def _exponent_sum(pair):
@@ -37,7 +37,7 @@ def _exponent_sum(pair):
 
 def test_ball_radius_zero_and_one():
     b0 = ball(X1, 0)
-    assert b0.size == 1 and ".|." in b0
+    assert b0.size == 1 and dict(b0.items()) == {".|.": 0}
     b1 = ball(X1, 1)
     assert b1.size == 5
     assert b1.sphere_sizes() == [1, 4]
@@ -77,12 +77,13 @@ def test_ball_export_lines_deterministic():
 def test_ball_descent_via_some_letter():
     # every element of length L >= 1 has a neighbour of length L - 1
     index = ball(X2, 3)
-    for enc, length in index.items():
+    lengths = dict(index.items())
+    for enc, length in lengths.items():
         if length == 0:
             continue
-        pair = index.pair_of(enc)
+        pair = raw_pair(*enc.split("|"))
         steps = (apply_generator(pair, *letter) for letter in index.gens.letters())
-        assert any(step in index and index.length_of(step) == length - 1
+        assert any(lengths.get(canonical_encode(step)) == length - 1
                    for step in steps), enc
 
 
@@ -90,7 +91,7 @@ def test_ball_rows_hold_no_trees_and_pairs_rebuild():
     index = ball(X2, 4)
     for enc, row in index.items():
         assert type(row) is int
-        pair = index.pair_of(enc)
+        pair = raw_pair(*enc.split("|"))
         assert pair.reduced and canonical_encode(pair) == enc
 
 
@@ -124,14 +125,6 @@ def test_ball_holds_each_inverse_pair_once(gens, radius):
         assert lengths[f"{pos}|{neg}"] == length
         low, high = sorted((neg, pos))
         assert index.table[high][low] == length
-
-
-def test_pair_of_non_member():
-    index = ball(X2, 2)
-    outside = canonical_encode(evaluate_word([(1, 1)] * 3))
-    assert outside not in index
-    with pytest.raises(KeyError):
-        index.pair_of(outside)
 
 
 def test_ball_never_applies_the_parent_letter(monkeypatch):
@@ -231,7 +224,7 @@ def test_sphere_size_goldens(ball_x1_r8):
 def _sample_with_outer_sphere(index, rng, count, outer):
     """Seeded encodings of the index, plus ``outer`` from its last sphere."""
     encs = sorted(enc for enc, _ in index.items())
-    last = [e for e in encs if index.length_of(e) == index.radius]
+    last = sorted(enc for enc, length in index.items() if length == index.radius)
     return rng.sample(encs, count) + rng.sample(last, outer)
 
 
@@ -241,9 +234,10 @@ def test_bfs_length_matches_ball(ball_x1_r8, ball_x2_r7, ball_x3_r6):
     small = [ball(GeneratingSet.of([0, 2]), 5),
              ball(GeneratingSet.of([0, 1, 3]), 4)]
     for index in [ball_x1_r8, ball_x2_r7, ball_x3_r6] + small:
+        lengths = dict(index.items())
         for enc in _sample_with_outer_sphere(index, rng, 10, 4):
-            pair = index.pair_of(enc)
-            assert bfs_length(pair, index.gens) == index.length_of(enc), enc
+            pair = raw_pair(*enc.split("|"))
+            assert bfs_length(pair, index.gens) == lengths[enc], enc
 
 
 def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
@@ -251,7 +245,7 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
     encs = sorted(enc for enc, _ in ball_x2_r6.items())
 
     def seeded(count):
-        return [ball_x2_r6.pair_of(enc) for enc in rng.sample(encs, count)]
+        return [raw_pair(*enc.split("|")) for enc in rng.sample(encs, count)]
 
     g1, h1 = mac_witness_pair(X2, 1)
     g2, h2 = mac_witness_pair(X2, 2)
@@ -290,7 +284,8 @@ def test_in_ball_geodesic_from_the_rim(gens, radius, ball_x1_r8, ball_x2_r6):
         targets = [b for gap in sorted(by_gap) for b in rng.sample(by_gap[gap], 2)]
         gaps |= by_gap.keys()
         for b in targets:
-            got = in_ball_geodesic(index.pair_of(a), index.pair_of(b), gens, radius)
+            got = in_ball_geodesic(raw_pair(*a.split("|")), raw_pair(*b.split("|")),
+                                   gens, radius)
             assert got == oracle[b], (a, b)
     assert gaps == {0, 2, 4}
 
@@ -328,38 +323,35 @@ def test_cap_errors_say_how_far_the_search_got():
 
 def test_lengths_for_matches_bfs_length(ball_x2_r7):
     rng = random.Random(97)
-    sample = rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 30)
-    pairs = [ball_x2_r7.pair_of(enc) for enc in sample]
+    lengths = dict(ball_x2_r7.items())
+    sample = rng.sample(sorted(lengths), 30)
+    pairs = [raw_pair(*enc.split("|")) for enc in sample]
     batched = lengths_for(pairs, X2)
-    for enc, pair in zip(sample, pairs):
-        assert batched[enc] == ball_x2_r7.length_of(enc)
+    assert batched == {enc: lengths[enc] for enc in sample}
 
 
 def test_length_symmetry_and_letter_step(ball_x2_r7):
     rng = random.Random(103)
-    chosen = rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 60)
-    for enc in chosen:
-        pair = ball_x2_r7.pair_of(enc)
-        length = ball_x2_r7.length_of(enc)
-        inv = invert(pair)
-        if inv in ball_x2_r7:
-            assert ball_x2_r7.length_of(inv) == length
+    lengths = dict(ball_x2_r7.items())
+    for enc in rng.sample(sorted(lengths), 60):
+        pair = raw_pair(*enc.split("|"))
+        length = lengths[enc]
+        assert lengths.get(canonical_encode(invert(pair)), length) == length
         for letter in X2.letters():
-            stepped = apply_generator(pair, *letter)
-            if stepped in ball_x2_r7:
-                assert abs(ball_x2_r7.length_of(stepped) - length) <= 1
+            stepped = lengths.get(canonical_encode(apply_generator(pair, *letter)))
+            if stepped is not None:
+                assert abs(stepped - length) <= 1
 
 
 def test_triangle_inequality_sampled(ball_x2_r7):
     rng = random.Random(107)
-    encs = sorted(enc for enc, _ in ball_x2_r7.items())
+    lengths = dict(ball_x2_r7.items())
+    encs = sorted(lengths)
     for _ in range(50):
-        a = ball_x2_r7.pair_of(rng.choice(encs))
-        b = ball_x2_r7.pair_of(rng.choice(encs))
-        product = multiply(a, b)
-        bound = ball_x2_r7.length_of(a) + ball_x2_r7.length_of(b)
-        if product in ball_x2_r7:
-            assert ball_x2_r7.length_of(product) <= bound
+        a, b = rng.choice(encs), rng.choice(encs)
+        product = multiply(raw_pair(*a.split("|")), raw_pair(*b.split("|")))
+        bound = lengths[a] + lengths[b]
+        assert lengths.get(canonical_encode(product), bound) <= bound
 
 
 def test_in_ball_geodesic_basics():
@@ -377,12 +369,12 @@ def test_every_edge_flips_length_parity(ball_x2_r7):
     # by one, and the length of each element has its parity
     rng = random.Random(127)
     for enc in rng.sample(sorted(enc for enc, _ in ball_x2_r7.items()), 40):
-        pair = ball_x2_r7.pair_of(enc)
+        pair = raw_pair(*enc.split("|"))
         for index, sign in X3.letters():
             stepped = apply_generator(pair, index, sign)
             assert _exponent_sum(stepped) == _exponent_sum(pair) + sign
     for enc, length in ball_x2_r7.items():
-        assert (length - _exponent_sum(ball_x2_r7.pair_of(enc))) % 2 == 0
+        assert (length - _exponent_sum(raw_pair(*enc.split("|")))) % 2 == 0
 
 
 def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
@@ -393,7 +385,7 @@ def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
     others = [ball(GeneratingSet.of([0, 2]), 6), ball(GeneratingSet.of([0, 1, 3]), 5)]
     for index in [ball_x1_r8, ball_x2_r7, ball_x3_r6] + others:
         for enc, length in index.items():
-            flat = l_infinity(index.pair_of(enc))
+            flat = l_infinity(raw_pair(*enc.split("|")))
             assert flat <= length and (length - flat) % 2 == 0, (index.gens, enc)
 
 
@@ -410,8 +402,8 @@ def test_ball_tests_on_every_element_one_radius_out(gens, radius):
     full = ball(gens, radius + 1)
     inner, reach = cayley._ball_tests(gens, radius, cayley.DEFAULT_STATE_CAP)
     for enc, length in full.items():
-        pair = full.pair_of(enc)
-        assert inner(*cayley._texts(enc)) == (length <= radius - 1), enc
+        pair = raw_pair(*enc.split("|"))
+        assert inner(*enc.split("|")) == (length <= radius - 1), enc
         assert reach(pair) == (length if length <= radius else None), enc
 
 
@@ -437,7 +429,7 @@ def test_probe_mac_reads_witness_lengths_off_the_ball(monkeypatch, ball_x2_r6):
     inside = restricted(ball_x2_r6, 4)
     for length in range(2, 7):
         enc = rng.choice(sorted(e for e, l in ball_x2_r6.items() if l == length))
-        other = ball_x2_r6.pair_of(enc)
+        other = raw_pair(*enc.split("|"))
         for pair in ((other, witness[1]), (witness[0], other)):
             monkeypatch.setattr(cayley, "mac_witness_pair", lambda gens, k: pair)
             report = probe_mac(X2, 1)
@@ -584,6 +576,45 @@ def test_coarse_isometry_shifted_pair():
     assert report.elements_checked > 0
 
 
+@pytest.mark.parametrize("gens_a, gens_b, radius, checked, gap", [
+    ((0, 2), (0, 1), 6, 2061, 2), ((0, 2, 3), (0, 1, 2), 5, 3269, 2),
+    ((0, 1), (0, 3), 5, 841, 4),
+])
+def test_coarse_isometry_pinned(gens_a, gens_b, radius, checked, gap):
+    # the elements of both balls and the largest gap, exactly: the two
+    # shifted pairs meet their claimed bound of 2 and 4
+    report = coarse_isometry_check(GeneratingSet.of(gens_a), GeneratingSet.of(gens_b),
+                                   radius)
+    assert (report.elements_checked, report.max_difference) == (checked, gap)
+    assert report.within_bound is True
+
+
+@pytest.mark.parametrize("gens_a, gens_b, radius", [
+    ((0, 2), (0, 1), 4), ((0, 1, 3), (0, 1, 2), 3),
+])
+def test_coarse_isometry_matches_balls_and_bfs(monkeypatch, gens_a, gens_b, radius):
+    # the union of both balls, each element's length over each set read
+    # off that set's ball or, when the ball lacks it, searched by
+    # bfs_length; the check itself grows each set's table once and calls
+    # neither ball nor lengths_for
+    sets = GeneratingSet.of(gens_a), GeneratingSet.of(gens_b)
+    found = [dict(ball(gens, radius).items()) for gens in sets]
+    gaps = []
+    for enc in found[0].keys() | found[1].keys():
+        pair = raw_pair(*enc.split("|"))
+        a, b = (lengths[enc] if enc in lengths else bfs_length(pair, gens)
+                for lengths, gens in zip(found, sets))
+        gaps.append(abs(a - b))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the check grew a second ball")
+
+    for name in ("ball", "lengths_for"):
+        monkeypatch.setattr(cayley, name, refused)
+    report = coarse_isometry_check(*sets, radius)
+    assert (report.elements_checked, report.max_difference) == (len(gaps), max(gaps))
+
+
 def test_coarse_isometry_no_claim():
     report = coarse_isometry_check(X2, GeneratingSet.of([0, 1, 3]), 2)
     assert report.claimed_bound is None
@@ -618,12 +649,8 @@ def test_subset_monotonicity_refuted_by_a_missing_or_longer_element(monkeypatch)
         assert not probe_subset_monotonicity(X1, X2, 3)
 
 
-def test_ball_membership_accepts_pairs_and_strings():
-    index = ball(X1, 2)
-    x0 = generator_diagram(0, 1)
-    assert x0 in index
-    assert canonical_encode(x0) in index
-    assert index.length_of(x0) == 1
+def test_ball_lengths_read_by_encoding():
+    lengths = dict(ball(X1, 2).items())
+    assert lengths[canonical_encode(generator_diagram(0, 1))] == 1
     # parsed text of an unreduced pair is its reduced pair, the identity
-    parsed = parse_pair("(..)|(..)")
-    assert parsed in index and index.length_of(parsed) == 0
+    assert lengths[canonical_encode(parse_pair("(..)|(..)"))] == 0

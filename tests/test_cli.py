@@ -137,12 +137,12 @@ def test_len_x0_alone_auto_uses_bfs(capsys):
 def test_check_ci_with_x0_alone(capsys, monkeypatch):
     # the other set's smallest nonzero generator is in its ball from
     # radius 1 and outside <x0>, which no {x0} search reaches, so {x0} on
-    # one side exits 2 naming it, before either ball is built
+    # one side exits 2 naming it, before either ball is grown
     def refused(*args, **kwargs):
-        raise AssertionError("check-ci built a ball")
+        raise AssertionError("check-ci grew a ball")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cayley, "ball", refused)
+        patch.setattr(cayley, "_grow", refused)
         for gens_a, gens_b, named in (("0", "0,1", "x1"), ("0,1", "0", "x1"),
                                       ("0,3,5", "0", "x3")):
             code, out, err = run(capsys, "check-ci", "--gens-a", gens_a,
@@ -370,6 +370,13 @@ def test_check_ci_cli(capsys):
     assert code == 0
     assert "claimed_bound\t2" in out
     assert "within_bound\ttrue" in out
+
+
+def test_check_ci_negative_radius(capsys):
+    code, out, err = run(capsys, "check-ci", "--gens-a", "0,2", "--gens-b", "0,1",
+                         "--radius", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: radius must be >= 0, got -1\n"
 
 
 def test_probe_monotone_cli(capsys):

@@ -130,8 +130,8 @@ def test_apply_letter_on_every_ball_element():
     index = ball(X3, 4)
     assert index.size == 1229
     for enc, _ in index.items():
-        pair = index.pair_of(enc)
         neg, pos = enc.split("|")
+        pair = raw_pair(neg, pos)
         for i in range(6):
             for sign in (1, -1):
                 step = group_ops.apply_letter(neg, pos, i, sign)

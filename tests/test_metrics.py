@@ -209,9 +209,8 @@ def test_weight_matches_naive_evaluator():
 
 
 def test_tree_views_are_built_once_and_read_only():
-    # one revalidation reads the parent map and the vertex set several
-    # times; each is built on the first read, and the map a caller gets
-    # cannot change the tree's answers
+    # the parent map and the vertex set are each built on the first read
+    # and kept, and the map a caller gets cannot change the tree's answers
     tree = PenaltyTree(((1, 0), (2, 1), (3, 1)))
     assert tree.vertices is tree.vertices == {0, 1, 2, 3}
     assert tree.parent_map is tree.parent_map
@@ -229,6 +228,9 @@ def test_weight_validation_errors():
         penalty_weight_of_tree(PenaltyTree(((2, 1),)), 2)  # parent absent
     with pytest.raises(InvalidPenaltyTreeError):
         penalty_weight_of_tree(PenaltyTree(((1, 0), (1, 0))), 2)  # dup child
+    for edges in (((1, 0), (2, 3), (3, 1)), ((1, 0), (2, 2))):
+        with pytest.raises(InvalidPenaltyTreeError, match="does not increase"):
+            penalty_weight_of_tree(PenaltyTree(edges), 2)
     spine_pair = raw_pair(spine(4), spine(4))
     rel = adjacency(spine_pair)
     with pytest.raises(InvalidPenaltyTreeError):
@@ -373,8 +375,8 @@ def first_tree_lemma(pair):
     with lo[q] != 0 in both surveys: the n = 1 weight, by the proof in the
     ``penalty_weight`` docstring."""
     neg, pos = pair.negative.survey(), pair.positive.survey()
-    required = metrics._penalty_carets(neg, pos).indices
-    hung = {q for p, q in metrics._adjacency(neg, pos).edges
+    required = {p for p, _ in metrics._flags(neg, pos)}
+    hung = {q for p, q in metrics.AdjacencyRelation(neg, pos).edges
             if p == 0 or p in required}
     missing = set(range(1, pair.carets + 1)) - hung
     assert not missing, (pair.serialize(), sorted(missing))

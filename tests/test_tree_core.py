@@ -350,6 +350,5 @@ def test_public_names_pinned():
     # operations act on diagrams
     assert not {"__len__", "__mul__"} & set(vars(caretcalc.GeneratorWord))
     assert public(caretcalc.BallIndex) == [
-        "export_lines", "gens", "items", "length_of", "pair_of", "radius",
-        "size", "sphere_sizes", "table",
+        "export_lines", "gens", "items", "radius", "size", "sphere_sizes", "table",
     ]
