@@ -31,9 +31,7 @@ from .group_ops import (
     normal_form,
 )
 from .metrics import (
-    AdjacencyRelation,
     LengthReport,
-    PenaltyCaretSet,
     PenaltyTree,
     adjacency,
     l_infinity,
@@ -60,7 +58,6 @@ from .wordlang import format_word, parse_pair, parse_tree, parse_word
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyRelation",
     "BallIndex",
     "CaretCalcError",
     "CaretTree",
@@ -72,7 +69,6 @@ __all__ = [
     "MacProbeReport",
     "MalformedPairError",
     "ParseError",
-    "PenaltyCaretSet",
     "PenaltyTree",
     "SearchCapExceededError",
     "TreePairDiagram",

@@ -181,7 +181,6 @@ def _steps(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]:
 def _grow(
     letters: tuple[Letter, ...],
     cap: int,
-    overflow: str,
     radius: Optional[int] = None,
 ) -> Iterator[dict]:
     """The table of the ball of radius r about the identity, in the
@@ -212,7 +211,7 @@ def _grow(
     equal trees share one string for the whole search.  The last shell
     of a ball keeps no frontier.  A slot adds two elements, so one that
     would take the count beyond ``cap`` raises SearchCapExceededError
-    with ``overflow`` and the radius; every sphere is even, and every
+    naming the cap and the radius; every sphere is even, and every
     ball odd, so a cap trips at the radius it would trip at with a slot
     per element.
 
@@ -256,7 +255,9 @@ def _grow(
                     if row is not None and lo in row:
                         continue
                     if size + 2 > cap:
-                        raise SearchCapExceededError(f"{overflow} at radius {r}", size)
+                        raise SearchCapExceededError(
+                            f"ball enumeration exceeded the state cap of {cap} "
+                            f"elements at radius {r}", size)
                     hi = names.setdefault(hi, hi)
                     if row is None:
                         row = table[hi] = {}
@@ -277,10 +278,7 @@ def ball(gens: GeneratingSet, radius: int, cap: int = DEFAULT_STATE_CAP) -> Ball
     """Exact breadth-first enumeration of the ball of the given radius."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    for table in _grow(
-        gens.letters(), cap,
-        f"ball enumeration exceeded the state cap of {cap} elements", radius,
-    ):
+    for table in _grow(gens.letters(), cap, radius):
         pass
     return BallIndex(gens=gens, radius=radius, table=table)
 
@@ -325,8 +323,7 @@ def lengths_for(
     for t in targets:
         _check_reachable(t, gens)
         wanted[canonical_encode(t)] = t.negative.root, t.positive.root
-    overflow = f"length search exceeded the state cap of {cap} states"
-    table = _cover(_grow(gens.letters(), cap, overflow), wanted.values())
+    table = _cover(_grow(gens.letters(), cap), wanted.values())
     return {enc: _lookup(table, *texts) for enc, texts in wanted.items()}
 
 
@@ -422,25 +419,26 @@ def _ball_tests(
     radius, else None.  They read the ball of radius max(radius - 2, 0),
     which is enumerated first, under ``cap``.
 
-    Every element of that ball lies in the ball of radius - 1, so both
-    tests read its length off the table with no comparison.  Neighbours'
-    lengths differ by exactly 1 (see the module docstring), and an
-    element the ball does not hold is longer than its radius.  So from
-    radius 2 on, such an element has length radius - 1 exactly when one
-    of its neighbours is in that ball; below radius 2 that ball is the
-    identity, the whole of the ball of radius - 1, and decides ``inner``
-    alone.  An element beyond radius - 1 has length radius exactly when a
-    neighbour passes ``inner``.
+    An element of that ball has its length in the table, and from radius
+    1 on lies in the ball of radius - 1.  Neighbours' lengths differ by
+    exactly 1 (see the module docstring), and an element the ball does
+    not hold is longer than its radius.  So from radius 2 on, such an
+    element has length radius - 1 exactly when one of its neighbours is
+    in that ball, and an element beyond radius - 1 has length radius
+    exactly when a neighbour passes ``inner``.
 
-    Before that step, both tests screen an element the ball lacks by its
-    l_infinity (``metrics._l_infinity``, read off the two texts).  The
-    generators are a subset of the infinite set {x_i}, so l_X >=
-    l_infinity, and the screen is exact: ``inner`` fails at l_infinity
-    >= radius and ``reach`` gives None at l_infinity > radius.  The two
-    also share the parity of the exponent sum, so for an element of
-    length radius + 1, the most common miss of the in-ball search,
-    l_infinity is either radius + 1, and the step is skipped, or at most
-    radius - 1.
+    Before the table and the step, ``inner`` screens every element by its
+    l_infinity (``metrics._l_infinity``, read off the two texts), and
+    ``reach`` every element the table lacks.  The generators are a subset
+    of the infinite set {x_i}, so l_X >= l_infinity, and the screen is
+    exact: ``inner`` fails at l_infinity >= radius and ``reach`` gives
+    None at l_infinity > radius.  Every element but the identity has
+    l_infinity >= 1, so below radius 2, where the table is the identity,
+    the screen alone decides ``inner``: it passes the identity at radius
+    1 and nothing at radius 0.  The two also share the parity of the
+    exponent sum, so for an element of length radius + 1, the most common
+    miss of the in-ball search, l_infinity is either radius + 1, and the
+    step is skipped, or at most radius - 1.
     """
     table = ball(gens, max(radius - 2, 0), cap=cap).table
     letters = gens.letters()
@@ -453,11 +451,9 @@ def _ball_tests(
         return _lookup(table, neg, pos) is not None
 
     def inner(neg: str, pos: str) -> bool:
-        if indexed(neg, pos):
-            return True
-        if radius < 2 or _l_infinity(neg, pos) >= radius:
+        if _l_infinity(neg, pos) >= radius:
             return False
-        return near(neg, pos, indexed)
+        return indexed(neg, pos) or near(neg, pos, indexed)
 
     def reach(pair: TreePairDiagram) -> Optional[int]:
         neg, pos = pair.negative.root, pair.positive.root
@@ -711,8 +707,7 @@ def coarse_isometry_check(
         raise ValueError(f"x{other.indices[1]} is not in the subgroup generated by x0")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    overflow = f"ball enumeration exceeded the state cap of {cap} elements"
-    grows = [_grow(gens.letters(), cap, overflow) for gens in (x_gens, y_gens)]
+    grows = [_grow(gens.letters(), cap) for gens in (x_gens, y_gens)]
     # a growth yields the ball of radius 0 first, so item R is that of R
     tables = [next(islice(grow, radius, None)) for grow in grows]
     slots = {(high, low) for table in tables for high, row in table.items() for low in row}

@@ -62,81 +62,40 @@ def _l_infinity(neg: str, pos: str) -> int:
     return 2 * count_carets(neg) - right_spine_carets(neg) - right_spine_carets(pos)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyRelation:
-    """Caret order: (p, q) present when the space of caret p touches the
-    space of caret q along a shared edge in either tree.  Vertex 0 stands
-    for the space left of the trees and precedes every left-boundary caret.
+def adjacency(pair: TreePairDiagram) -> frozenset[tuple[int, int]]:
+    """The caret order of a pair, as a frozenset of (p, q) edges: (p, q)
+    is present when the space of caret p touches the space of caret q
+    along a shared edge in either tree.  Vertex 0 stands for the space
+    left of the trees and precedes every left-boundary caret.
 
     In leaf intervals (see ``tree_core``): in each tree, every caret q
     comes after the caret numbered by the leaf its interval starts at
     (vertex 0 for leaf 0), and before the caret numbered by the leaf just
-    past its interval, when there is one.
-
-    It holds the two trees' surveys and builds ``edges``, a frozenset of
-    (p, q) tuples, the first time it is read.  Two relations are equal
-    when their caret counts and edge sets are.
-    """
-
-    negative: TreeSurvey
-    positive: TreeSurvey
-
-    @property
-    def carets(self) -> int:
-        return self.negative.carets
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        edges: set[tuple[int, int]] = set()
-        _tree_edges(self.negative, edges)
-        _tree_edges(self.positive, edges)
-        return frozenset(edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdjacencyRelation):
-            return NotImplemented
-        return self.carets == other.carets and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.carets, self.edges))
+    past its interval, when there is one.  ``penalty_weight`` reads the
+    same intervals straight off the surveys and builds no edge set."""
+    return _edges(pair.negative.survey(), pair.positive.survey())
 
 
-def _tree_edges(sv: TreeSurvey, edges: set[tuple[int, int]]) -> None:
-    n, lo, hi = sv.carets, sv.lo, sv.hi
-    for q in range(1, n + 1):
-        edges.add((lo[q], q))
-        if hi[q] <= n:
-            edges.add((q, hi[q]))
+def _edges(neg: TreeSurvey, pos: TreeSurvey) -> frozenset[tuple[int, int]]:
+    edges: set[tuple[int, int]] = set()
+    for sv in (neg, pos):
+        n, lo, hi = sv.carets, sv.lo, sv.hi
+        for q in range(1, n + 1):
+            edges.add((lo[q], q))
+            if hi[q] <= n:
+                edges.add((q, hi[q]))
+    return frozenset(edges)
 
 
-def adjacency(pair: TreePairDiagram) -> AdjacencyRelation:
-    """The caret order of a pair: the public form of the relation that
-    ``penalty_weight``'s witness holds on the two surveys it shares with
-    the penalty flags."""
-    return AdjacencyRelation(pair.negative.survey(), pair.positive.survey())
-
-
-@dataclass(frozen=True)
-class PenaltyCaretSet:
-    """Caret indexes flagged as penalty carets, with the rule that fired."""
-
-    flags: tuple[tuple[int, str], ...]
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.flags)
-
-
-def penalty_carets(pair: TreePairDiagram) -> PenaltyCaretSet:
-    """Flag carets that force detours for consecutive generating sets.
+def penalty_carets(pair: TreePairDiagram) -> tuple[tuple[int, str], ...]:
+    """The carets that force detours for consecutive generating sets, as
+    a tuple of (caret, rule), by increasing caret.
 
     A caret p is flagged when the next caret p + 1 is interior and hangs
     inside p's right subtree (in either tree), or when p is a right caret
-    in both trees and is not the final caret.  The public form of the
-    rules that ``penalty_weight`` reads off the two surveys it shares with
-    the caret order.
-    """
-    return PenaltyCaretSet(tuple(_flags(pair.negative.survey(), pair.positive.survey())))
+    in both trees and is not the final caret.  ``penalty_weight`` reads
+    the same rules off the two surveys and builds no tuple."""
+    return tuple(_flags(pair.negative.survey(), pair.positive.survey()))
 
 
 def _flags(neg: TreeSurvey, pos: TreeSurvey) -> Iterator[tuple[int, str]]:
@@ -158,13 +117,14 @@ def _flags(neg: TreeSurvey, pos: TreeSurvey) -> Iterator[tuple[int, str]]:
 class PenaltyTree:
     """Oriented tree rooted at vertex 0, stored as (child, parent) edges.
 
-    ``adjacency`` and ``required`` carry the context the tree was built
-    against, so that its construction rules can be revalidated later.
+    ``pair`` is the element the tree was built for, when there is one:
+    ``penalty_weight_of_tree`` then checks the tree against that pair's
+    caret order and penalty carets.  Two trees are equal when their edges
+    and their pairs are.
     """
 
     parents: tuple[tuple[int, int], ...]
-    adjacency: Optional[AdjacencyRelation] = None
-    required: Optional[frozenset] = None
+    pair: Optional[TreePairDiagram] = None
 
     # Built on first read and kept: the tree is frozen.
     @cached_property
@@ -186,12 +146,17 @@ def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
     once the tree is checked against its construction rules
     (InvalidPenaltyTreeError when it breaks one).
 
+    A tree that carries its pair is checked against that pair alone: one
+    survey per tree gives the caret count, the caret order and the
+    penalty carets, so the check shares no list with the search that
+    built the tree.  A tree without a pair is checked only as a tree.
+
     Every edge raises the caret index, so one pass over the children in
     increasing order meets each parent before its children: it checks
-    each edge, against the caret order when the tree carries one, and
-    gives each depth.  One pass back meets each vertex after its
-    children, so its height is then final, and height 0 marks a leaf,
-    which must be a penalty caret; the weight is counted on the way."""
+    each edge and gives each depth.  One pass back meets each vertex
+    after its children, so its height is then final, and height 0 marks
+    a leaf, which must be a penalty caret; the weight is counted on the
+    way."""
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
     pm, vertices = tree.parent_map, tree.vertices
@@ -199,7 +164,15 @@ def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
         raise InvalidPenaltyTreeError("a vertex appears with two parents")
     if 0 in pm:
         raise InvalidPenaltyTreeError("vertex 0 is the root and has no parent")
-    adj, required = tree.adjacency, tree.required
+    if tree.pair is None:
+        # no pair to check against: the tree's own vertices, edges and
+        # leaves are all allowed
+        carets, edges = max(vertices), {(p, c) for c, p in tree.parents}
+        required = vertices
+    else:
+        neg, pos = tree.pair.negative.survey(), tree.pair.positive.survey()
+        carets, edges = neg.carets, _edges(neg, pos)
+        required = {p for p, _ in _flags(neg, pos)}
     order = sorted(pm)
     depth = {0: 0}
     for child in order:
@@ -212,25 +185,23 @@ def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
             raise InvalidPenaltyTreeError(
                 f"edge {parent} -> {child} does not increase the caret index"
             )
-        if adj is not None:
-            if child > adj.carets:
-                raise InvalidPenaltyTreeError(f"vertex {child} is not a caret")
-            if (parent, child) not in adj.edges:
-                raise InvalidPenaltyTreeError(
-                    f"edge {parent} -> {child} not allowed by the caret order"
-                )
-        depth[child] = depth[parent] + 1
-    if required is not None:
-        missing = set(required) - vertices
-        if missing:
+        if child > carets:
+            raise InvalidPenaltyTreeError(f"vertex {child} is not a caret")
+        if (parent, child) not in edges:
             raise InvalidPenaltyTreeError(
-                f"penalty carets {sorted(missing)} missing from the tree"
+                f"edge {parent} -> {child} not allowed by the caret order"
             )
+        depth[child] = depth[parent] + 1
+    missing = required - vertices
+    if missing:
+        raise InvalidPenaltyTreeError(
+            f"penalty carets {sorted(missing)} missing from the tree"
+        )
     height = dict.fromkeys(depth, 0)
     weight = 0
     for child in reversed(order):
         h = height[child]
-        if h == 0 and required is not None and child not in required:
+        if h == 0 and child not in required:
             raise InvalidPenaltyTreeError(f"leaf {child} is not a penalty caret")
         weight += depth[child] >= 2 and h >= n - 1
         parent = pm[child]
@@ -288,9 +259,9 @@ def penalty_weight(
     The flags, least depths, floor, chain and first tree are all read off
     the two surveys' lo/hi lists, with unsorted predecessor lists up to
     the top penalty caret; only ``_program`` sorts those lists and builds
-    successor lists.  The witness holds both surveys in its
-    ``AdjacencyRelation``, whose edge set is built on first read, which
-    this function never does.
+    successor lists.  No edge set is built.  The witness carries ``pair``
+    and nothing of the search, so ``penalty_weight_of_tree`` checks it
+    against the pair's own surveys.
 
     Raises SearchCapExceededError, not a possibly wrong minimum, at the
     cap of ``cap`` states: one per caret of the first tree, plus one per
@@ -299,13 +270,11 @@ def penalty_weight(
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
     # one survey per tree: the flags and the predecessors are read off
-    # their lo/hi lists, and the witness keeps both as its caret order
+    # their lo/hi lists
     neg, pos = pair.negative.survey(), pair.positive.survey()
     required = sorted({p for p, _ in _flags(neg, pos)})
-    flagged = frozenset(required)
-    adj = AdjacencyRelation(neg, pos)
     if not required:
-        return 0, PenaltyTree((), adjacency=adj, required=flagged)
+        return 0, PenaltyTree((), pair)
 
     top = required[-1]
     # preds[q]: the predecessors of caret q in the caret order, unsorted
@@ -367,11 +336,10 @@ def penalty_weight(
             best_parents = tuple((c, parent[c]) for c in required)
         if best_weight > floor:
             best_weight, best_parents = _program(
-                n, top, preds, flagged, best_weight, best_parents, cap)
+                n, top, preds, frozenset(required), best_weight, best_parents, cap)
     if best_parents is None:
         best_parents = tuple((c, c - 1) for c in range(1, top + 1))
-    witness = PenaltyTree(best_parents, adjacency=adj, required=flagged)
-    return best_weight, witness
+    return best_weight, PenaltyTree(best_parents, pair)
 
 
 def _program(

@@ -158,7 +158,8 @@ def _parse_tree_text(padded: str, start: int) -> tuple[str, int]:
 def parse_tree(text: str) -> CaretTree:
     """Parse dot-parenthesis tree notation into a tree whose ``root`` is
     the text with its spaces dropped.  A library entry point for one
-    tree: the CLI reads pairs, through ``parse_pair``."""
+    tree, as ``parse_pair`` is for a pair: the CLI reads only words,
+    through ``parse_word``."""
     padded = text + _END
     tree, at = _parse_tree_text(padded, _skip_spaces(padded, 0))
     at = _skip_spaces(padded, at)

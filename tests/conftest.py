@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import Phase, settings
 
 from caretcalc import GeneratingSet, ball
 from helpers import restricted
+
+# The mutation gate (tests/mutants.py) runs with --hypothesis-profile=mutants:
+# a failing example is reported as drawn, not shrunk, since the gate reads
+# only whether a test fails, and shrinking one took minutes.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 X1 = GeneratingSet.of([0, 1])
 X2 = GeneratingSet.of([0, 1, 2])

@@ -234,7 +234,7 @@ def brute_force_min_weight(pair: TreePairDiagram, n: int):
     from caretcalc import penalty_carets
 
     edges = interval_adjacency(pair)
-    required = penalty_carets(pair).indices
+    required = {p for p, _ in penalty_carets(pair)}
     if not required:
         return 0
     top = max(required)
@@ -282,7 +282,7 @@ def search_min_weight(pair: TreePairDiagram, n: int):
     from caretcalc import penalty_carets
 
     edges = interval_adjacency(pair)
-    required = penalty_carets(pair).indices
+    required = {p for p, _ in penalty_carets(pair)}
     if not required:
         return 0, ()
     top = max(required)

@@ -4,7 +4,8 @@ the tests it names must fail on it.
 An entry is (file, old text, new text, tests).  The old text must occur
 exactly once in the file.  Each entry is applied to its own temporary
 copy of ``src/``, ``tests/`` and ``pyproject.toml`` and the tests are run
-there with ``pytest -x``; the mutant is killed when pytest reports a
+there with ``pytest -x`` under the ``mutants`` hypothesis profile (see
+``conftest.py``: no shrinking); the mutant is killed when pytest reports a
 failing test (exit 1).  The unchanged copy must first pass every test
 subset the entries name, so an environment in which the tests cannot run
 kills nothing.
@@ -34,7 +35,7 @@ TREE_CORE = "src/caretcalc/tree_core.py"
 GROUP_OPS = "src/caretcalc/group_ops.py"
 METRICS = "src/caretcalc/metrics.py"
 CAYLEY = "src/caretcalc/cayley.py"
-KERNEL_TESTS = "tests/test_tree_core.py tests/test_group_ops.py"
+KERNEL_TESTS = "tests/test_tree_core.py tests/test_group_ops.py tests/test_properties.py"
 METRICS_TESTS = "tests/test_metrics.py tests/test_acceptance.py"
 CAYLEY_TESTS = "tests/test_cayley.py"
 
@@ -60,6 +61,20 @@ MUTANTS = [
     (GROUP_OPS, "(1 if sign == 1 else 2)", "(1 if sign == 1 else 1)", KERNEL_TESTS),
     # _enact: a created caret taken as common when only its left leaf is
     (GROUP_OPS, 'neg.startswith("..", dot)', 'neg.startswith(".", dot)', KERNEL_TESTS),
+    # _spine: a subtree hanging off the spine cut one character long
+    (GROUP_OPS, "spine.append(tree[at + 1 : end])", "spine.append(tree[at + 1 : end + 1])",
+     KERNEL_TESTS),
+    # _grow_spine: the grown spine keeps the leaf it replaces
+    (GROUP_OPS, "tree[last + 1 :]", "tree[last:]", KERNEL_TESTS),
+    # _leaf_dot: the dot of the leaf after the one asked for
+    (GROUP_OPS, 'tree.replace(".", ",", leaf)', 'tree.replace(".", ",", leaf + 1)',
+     KERNEL_TESTS),
+    # _common_exposed: the common marks written one leaf short, so every
+    # common caret but one at leaf 0 is read one leaf to the left
+    (TREE_CORE, 'format(both, f"0{len(marks)}b")', 'format(both, f"0{len(marks) - 1}b")',
+     KERNEL_TESTS),
+    # _caret_spans: an exposed caret's span stops short of its ")"
+    (TREE_CORE, "yield at - 1, at + 3", "yield at - 1, at + 2", KERNEL_TESTS),
     # _l_infinity: the negative tree's right spine counted twice
     (METRICS, "right_spine_carets(neg) - right_spine_carets(pos)",
      "right_spine_carets(neg) - right_spine_carets(neg)", METRICS_TESTS),
@@ -83,11 +98,6 @@ MUTANTS = [
     # the in-ball tests' ball enumerated three radii short
     (CAYLEY, "ball(gens, max(radius - 2, 0), cap=cap)",
      "ball(gens, max(radius - 3, 0), cap=cap)", CAYLEY_TESTS),
-    # the inner test takes no step at radius 2, where its ball is the
-    # identity and an element of length 1 is found only by a step (one
-    # radius lower instead, radius < 1, is equivalent: below radius 2
-    # the l_infinity screen refuses every element but the identity)
-    (CAYLEY, "if radius < 2 or", "if radius < 3 or", CAYLEY_TESTS),
     # the inner test's l_infinity screen one short: an element whose
     # l_infinity is radius - 1 refused without its one step
     (CAYLEY, "_l_infinity(neg, pos) >= radius:", "_l_infinity(neg, pos) >= radius - 1:",
@@ -108,7 +118,17 @@ MUTANTS = [
     # the witness check lets an edge from a vertex to itself through
     (METRICS, "if parent >= child:", "if parent > child:", METRICS_TESTS),
     # the witness check's leaf test one level up
-    (METRICS, "if h == 0 and required", "if h == 1 and required", METRICS_TESTS),
+    (METRICS, "if h == 0 and child not in required", "if h == 1 and child not in required",
+     METRICS_TESTS),
+    # the witness check reads the pair's penalty carets as none
+    (METRICS, "required = {p for p, _ in _flags(neg, pos)}", "required = set()",
+     METRICS_TESTS),
+    # the witness check refuses the pair's last caret as a vertex
+    (METRICS, "if child > carets:", "if child >= carets:", METRICS_TESTS),
+    # penalty_weight's witness built without its pair, so checked as a
+    # bare tree
+    (METRICS, "return best_weight, PenaltyTree(best_parents, pair)",
+     "return best_weight, PenaltyTree(best_parents)", METRICS_TESTS),
 ]
 
 
@@ -120,7 +140,8 @@ def _copy(to: Path) -> None:
 
 
 def _pytest(where: Path, tests: str) -> int:
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-profile=mutants"]
     return subprocess.run(
         command + tests.split(), cwd=where,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

@@ -152,7 +152,7 @@ def test_criterion_6_structural_properties():
         | {(1, 3), (5, 10), (6, 10), (6, 9), (7, 9)}
         | {(0, 1), (0, 3), (0, 4)}
     )
-    ok = ok and adjacency(pair).edges == frozenset(expected)
+    ok = ok and adjacency(pair) == frozenset(expected)
     _verdict(
         6,
         "group axioms and reduction confluence (500 random cases each), "

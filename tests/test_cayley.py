@@ -391,7 +391,7 @@ def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
 
 @pytest.mark.parametrize("gens, radius", [
     ((0, 1, 2), 5), ((0, 1, 3), 5), ((0, 1), 7), ((0, 2), 6), ((0, 1, 2, 3), 4),
-    ((0, 1, 2), 2), ((0, 1, 2), 1),
+    ((0, 1, 2), 2), ((0, 1, 2), 1), ((0, 1, 2), 0),
 ])
 def test_ball_tests_on_every_element_one_radius_out(gens, radius):
     # the one-step tests read off the ball of radius max(R - 2, 0), with

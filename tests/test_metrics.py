@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -82,12 +83,12 @@ def test_l_infinity_inversion_symmetric():
 
 def test_adjacency_single_caret():
     pair = raw_pair("(..)", "(..)")
-    assert adjacency(pair).edges == frozenset({(0, 1)})
+    assert adjacency(pair) == frozenset({(0, 1)})
 
 
 def test_adjacency_right_spine():
     pair = raw_pair(spine(4), spine(4))
-    assert adjacency(pair).edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+    assert adjacency(pair) == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
 
 
 def test_adjacency_bushy_tree():
@@ -97,14 +98,14 @@ def test_adjacency_bushy_tree():
     consecutive = {(p, p + 1) for p in range(1, 11)}
     extras = {(1, 3), (5, 10), (6, 10), (6, 9), (7, 9)}
     from_v0 = {(0, 1), (0, 3), (0, 4)}
-    assert adjacency(pair).edges == frozenset(consecutive | extras | from_v0)
+    assert adjacency(pair) == frozenset(consecutive | extras | from_v0)
 
 
 def test_adjacency_contains_consecutive_edges():
     rng = random.Random(13)
     for _ in range(100):
         g = random_element(rng)
-        edges = adjacency(g).edges
+        edges = adjacency(g)
         for p in range(0, g.carets):
             assert (p, p + 1) in edges
 
@@ -113,28 +114,26 @@ def test_adjacency_matches_interval_oracle():
     rng = random.Random(29)
     for _ in range(250):
         g = random_element(rng, max_index=4, max_len=12)
-        assert adjacency(g).edges == interval_adjacency(g), canonical_encode(g)
+        assert adjacency(g) == interval_adjacency(g), canonical_encode(g)
 
 
 def test_adjacency_helpers():
     pair = raw_pair(spine(3), spine(3))
-    rel = adjacency(pair)
-    assert sorted(p for p, q in rel.edges if q == 2) == [1]
-    assert sorted(q for p, q in rel.edges if p == 0) == [1]
+    edges = adjacency(pair)
+    assert sorted(p for p, q in edges if q == 2) == [1]
+    assert sorted(q for p, q in edges if p == 0) == [1]
 
 
 # --- penalty carets -------------------------------------------------------
 
 
 def test_penalty_carets_identity_empty():
-    assert penalty_carets(identity()).indices == frozenset()
+    assert penalty_carets(identity()) == ()
 
 
 def test_penalty_carets_right_spine_pair():
     pair = raw_pair(spine(4), spine(4))
-    flagged = penalty_carets(pair)
-    assert flagged.indices == frozenset({1, 2, 3})
-    assert flagged.flags == tuple((p, RIGHT_IN_BOTH) for p in (1, 2, 3))
+    assert penalty_carets(pair) == tuple((p, RIGHT_IN_BOTH) for p in (1, 2, 3))
 
 
 def test_penalty_flags_honour_their_definitions():
@@ -156,14 +155,14 @@ def test_penalty_flags_honour_their_definitions():
                         expected.append((p, reason))
             if p != n and neg[p][2] and pos[p][2]:
                 expected.append((p, RIGHT_IN_BOTH))
-        assert penalty_carets(g).flags == tuple(expected), canonical_encode(g)
+        assert penalty_carets(g) == tuple(expected), canonical_encode(g)
 
 
 def test_penalty_carets_of_witness_family():
     # the h_k family must admit a weight-0 tree over its penalty carets
     for k in range(1, 5):
         h = h_element(k)
-        flagged = penalty_carets(h).indices
+        flagged = {p for p, _ in penalty_carets(h)}
         weight, witness = penalty_weight(h, 2)
         assert weight == 0
         assert flagged <= witness.vertices
@@ -231,28 +230,25 @@ def test_weight_validation_errors():
     for edges in (((1, 0), (2, 3), (3, 1)), ((1, 0), (2, 2))):
         with pytest.raises(InvalidPenaltyTreeError, match="does not increase"):
             penalty_weight_of_tree(PenaltyTree(edges), 2)
+    # checked against a pair: a right spine of 4 carets on both sides,
+    # whose penalty carets are 1, 2 and 3
     spine_pair = raw_pair(spine(4), spine(4))
-    rel = adjacency(spine_pair)
-    with pytest.raises(InvalidPenaltyTreeError):
-        # (1,3) is not an allowed edge on a right spine
-        penalty_weight_of_tree(
-            PenaltyTree(((1, 0), (3, 1)), adjacency=rel, required=frozenset({1, 3})), 2
-        )
-    with pytest.raises(InvalidPenaltyTreeError):
-        # penalty caret 3 missing
-        penalty_weight_of_tree(
-            PenaltyTree(((1, 0), (2, 1)), adjacency=rel, required=frozenset({1, 2, 3})), 2
-        )
-    with pytest.raises(InvalidPenaltyTreeError):
-        # leaf 4 is not a penalty caret
-        penalty_weight_of_tree(
-            PenaltyTree(
-                ((1, 0), (2, 1), (3, 2), (4, 3)),
-                adjacency=rel,
-                required=frozenset({1, 2, 3}),
-            ),
-            2,
-        )
+    for edges, error in (
+        (((1, 0), (3, 1)), "edge 1 -> 3 not allowed by the caret order"),
+        (((1, 0), (2, 1)), r"penalty carets \[3\] missing from the tree"),
+        # caret 4 passes the caret bound and fails only as a leaf
+        (((1, 0), (2, 1), (3, 2), (4, 3)), "leaf 4 is not a penalty caret"),
+        (((1, 0), (2, 1), (3, 2), (4, 3), (5, 4)), "vertex 5 is not a caret"),
+    ):
+        with pytest.raises(InvalidPenaltyTreeError, match=error):
+            penalty_weight_of_tree(PenaltyTree(edges, spine_pair), 2)
+    # a witness is checked against the pair it carries: pointed at the
+    # identity, which has no caret, it fails at its first vertex
+    weight, witness = penalty_weight(spine_pair, 2)
+    assert (weight, witness.serialize()) == (1, "0>1,1>2,2>3")
+    assert penalty_weight_of_tree(witness, 2) == 1
+    with pytest.raises(InvalidPenaltyTreeError, match="vertex 1 is not a caret"):
+        penalty_weight_of_tree(dataclasses.replace(witness, pair=identity()), 2)
 
 
 # --- penalty_weight (minimization) ---------------------------------------
@@ -283,14 +279,12 @@ def test_penalty_weight_witness_revalidates():
         g = random_element(rng, max_index=3, max_len=9)
         for n in (1, 2, 3):
             weight, witness = penalty_weight(g, n)
-            assert witness.adjacency is not None and witness.required is not None
+            # the witness carries its pair, holds every penalty caret and
+            # revalidates against the pair's own surveys
+            assert witness.pair == g
+            assert {p for p, _ in penalty_carets(g)} <= witness.vertices
             assert penalty_weight_of_tree(witness, n) == weight
             assert naive_tree_weight(witness.parents, n) == weight
-            # the witness holds the pair's own flags and caret order, and
-            # the caret order, built on first read, compares by value
-            assert witness.required == penalty_carets(g).indices
-            assert witness.adjacency.edges == interval_adjacency(g)
-            assert adjacency(g) == adjacency(g)
 
 
 def test_penalty_weight_matches_brute_force():
@@ -376,8 +370,7 @@ def first_tree_lemma(pair):
     ``penalty_weight`` docstring."""
     neg, pos = pair.negative.survey(), pair.positive.survey()
     required = {p for p, _ in metrics._flags(neg, pos)}
-    hung = {q for p, q in metrics.AdjacencyRelation(neg, pos).edges
-            if p == 0 or p in required}
+    hung = {q for p, q in metrics._edges(neg, pos) if p == 0 or p in required}
     missing = set(range(1, pair.carets + 1)) - hung
     assert not missing, (pair.serialize(), sorted(missing))
     return sum(neg.lo[q] != 0 and pos.lo[q] != 0 for q in required)
@@ -481,15 +474,15 @@ def test_penalty_search_long_pair_at_n_3():
 
 def test_lengths_build_no_edge_set(monkeypatch, program_calls):
     # penalty_weight reads the flags and the predecessors off the two
-    # surveys: it builds no PenaltyCaretSet, and the witness builds its
-    # edge set only when something reads it, here the revalidation after
-    # the patches are gone.  Pairs of 6-22 carets at n = 1, 2, 3, some of
-    # which reach the program over caret index at n = 2 and 3.
+    # surveys: it calls neither public form and builds no edge set, which
+    # only the revalidation after the patches are gone does.  Pairs of
+    # 6-22 carets at n = 1, 2, 3, some of which reach the program over
+    # caret index at n = 2 and 3.
     def refuse(*args, **kwargs):
         raise AssertionError("built while finding a length")
 
-    monkeypatch.setattr(metrics, "_tree_edges", refuse)
-    monkeypatch.setattr(metrics, "PenaltyCaretSet", refuse)
+    for name in ("adjacency", "penalty_carets", "_edges"):
+        monkeypatch.setattr(metrics, name, refuse)
     rng = random.Random(1601)
     reports = []
     for _ in range(60):

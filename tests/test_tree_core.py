@@ -318,10 +318,10 @@ def test_public_names_pinned():
     # The library's public surface, spelled out, so that a change to it
     # shows up as an edit here.
     assert sorted(caretcalc.__all__) == [
-        "AdjacencyRelation", "BallIndex", "CaretCalcError", "CaretTree",
+        "BallIndex", "CaretCalcError", "CaretTree",
         "CoarseIsometryReport", "GeneratingSet", "GeneratorWord",
         "InvalidPenaltyTreeError", "LengthReport", "MacProbeReport",
-        "MalformedPairError", "ParseError", "PenaltyCaretSet", "PenaltyTree",
+        "MalformedPairError", "ParseError", "PenaltyTree",
         "SearchCapExceededError", "TreePairDiagram",
         "adjacency", "apply_generator", "ball", "bfs_length",
         "canonical_encode", "coarse_isometry_check", "evaluate_word",
@@ -352,3 +352,8 @@ def test_public_names_pinned():
     assert public(caretcalc.BallIndex) == [
         "export_lines", "gens", "items", "radius", "size", "sphere_sizes", "table",
     ]
+    # a witness is its edges and the pair it was built for
+    assert [f.name for f in dataclasses.fields(caretcalc.PenaltyTree)] == [
+        "parents", "pair"]
+    assert public(caretcalc.PenaltyTree) == [
+        "pair", "parent_map", "parents", "serialize", "vertices"]
