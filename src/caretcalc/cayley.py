@@ -5,7 +5,9 @@ Everything here is breadth-first search over elements held as texts: the
 canonical encoding "negative|positive" of a reduced pair is the element,
 so a search makes no tree pair at all.  The lengths are exact and serve as
 the independent oracle for the closed-form machinery in
-:mod:`caretcalc.metrics`.
+:mod:`caretcalc.metrics`.  The one place that reads the closed form is the
+in-ball tests over a consecutive set (``_ball_tests``), which the ball
+route and the tests check.
 
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
@@ -44,13 +46,15 @@ edge changes its parity, and the lengths of two neighbours differ by
 exactly 1.  So a ball decides membership in the ball one radius larger:
 an element lies in it exactly when it, or one of its neighbours, lies in
 the smaller ball.  An edge from u to v stays in the ball of radius R
-exactly when l(u) <= R - 1 or l(v) <= R - 1, and that test takes the
-ball of radius R - 2, which ``_ball_tests`` enumerates itself, and one
-step, so the in-ball search never enumerates the two outer spheres,
-which are most of the ball.  Most elements that test meets lie outside
-the ball, and most of those are ruled out without the step by
-l_infinity, the length over the whole infinite set {x_i}, which two
-texts give at once: every length here is over a subset of that set, so
+exactly when l(u) <= R - 1 or l(v) <= R - 1.  Over {x0, ..., xn} with
+n >= 1 ``_ball_tests`` reads that off the closed form and enumerates no
+ball.  Over any other set the test takes the ball of radius R - 2, which
+``_ball_tests`` enumerates itself, and one step, so the in-ball search
+never enumerates the two outer spheres, which are most of the ball.
+Most elements that test meets lie outside the ball, and most of those
+are ruled out without the closed form or the step by l_infinity, the
+length over the whole infinite set {x_i}, which two texts give at once:
+every length here is over a subset of that set, so
 none is below l_infinity, and both have the parity of the exponent sum,
 since every x_i^+-1 moves it by one.  The parity also makes a bound
 exact: a path between a and b through the identity stays in the ball and
@@ -60,7 +64,7 @@ has its answer.  On top of the ball sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
-  defining properties by search, on the ball two radii smaller;
+  defining properties by search, with those in-ball tests;
 * ``coarse_isometry_check`` grows each set's ball once, to the radius
   and then on until it holds the other ball too, measures the largest
   additive gap between the two word metrics on both balls, and compares
@@ -94,8 +98,8 @@ from .group_ops import (
     normal_form,
     plan,
 )
-from .metrics import _l_infinity, length_consecutive
-from .tree_core import TreePairDiagram, canonical_encode
+from .metrics import _l_infinity, _weight, length_consecutive
+from .tree_core import TreePairDiagram, TreeSurvey, canonical_encode
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -416,30 +420,59 @@ def _ball_tests(
     """Two exact tests of the ball of ``radius`` over ``gens``:
     ``inner(neg, pos)``, whether the element with those texts has length
     <= radius - 1, and ``reach(pair)``, the pair's length if it is <=
-    radius, else None.  They read the ball of radius max(radius - 2, 0),
-    which is enumerated first, under ``cap``.
+    radius, else None.
 
-    An element of that ball has its length in the table, and from radius
-    1 on lies in the ball of radius - 1.  Neighbours' lengths differ by
-    exactly 1 (see the module docstring), and an element the ball does
-    not hold is longer than its radius.  So from radius 2 on, such an
-    element has length radius - 1 exactly when one of its neighbours is
-    in that ball, and an element beyond radius - 1 has length radius
-    exactly when a neighbour passes ``inner``.
+    Both screen first by l_infinity (``metrics._l_infinity``, read off
+    the two texts).  The generators are a subset of the infinite set
+    {x_i}, so l_X >= l_infinity, and the screen is exact: ``inner`` fails
+    at l_infinity >= radius and ``reach`` gives None at l_infinity >
+    radius.  The two also share the parity of the exponent sum, so for an
+    element of length radius + 1, the most common miss of the in-ball
+    search, l_infinity is either radius + 1, and the element is refused
+    at once, or at most radius - 1.
 
-    Before the table and the step, ``inner`` screens every element by its
-    l_infinity (``metrics._l_infinity``, read off the two texts), and
-    ``reach`` every element the table lacks.  The generators are a subset
-    of the infinite set {x_i}, so l_X >= l_infinity, and the screen is
-    exact: ``inner`` fails at l_infinity >= radius and ``reach`` gives
-    None at l_infinity > radius.  Every element but the identity has
-    l_infinity >= 1, so below radius 2, where the table is the identity,
-    the screen alone decides ``inner``: it passes the identity at radius
-    1 and nothing at radius 0.  The two also share the parity of the
-    exponent sum, so for an element of length radius + 1, the most common
-    miss of the in-ball search, l_infinity is either radius + 1, and the
-    step is skipped, or at most radius - 1.
+    Over a consecutive set {x0, ..., xn} with n >= 1, an element that
+    passes the screen gets its length from the closed form: l_infinity
+    plus twice ``metrics._weight`` on the two texts' surveys, each call
+    under ``cap``.  No ball is enumerated.  The k = 2 witness search over
+    {x0, x1, x2} runs the closed form for 48 of its 241 inner tests, and
+    ``probe-mac --gens 0,1,2 --k 5`` takes ~0.7 s at ~22 MiB, against
+    ~3 s at ~65 MiB on the ball of radius 10 (2-core Xeon, Python 3.11).
+
+    Every other set, {x0} and those that are not consecutive, has no
+    closed form here and reads the ball of radius max(radius - 2, 0),
+    which is enumerated first, under ``cap``.  An element of that ball
+    has its length in the table, and from radius 1 on lies in the ball
+    of radius - 1.  Neighbours' lengths differ by exactly 1 (see the
+    module docstring), and an element the ball does not hold is longer
+    than its radius.  So from radius 2 on, such an element has length
+    radius - 1 exactly when one of its neighbours is in that ball, and an
+    element beyond radius - 1 has length radius exactly when a neighbour
+    passes ``inner``.  ``reach`` screens only the elements the table
+    lacks.  Every element but the identity has l_infinity >= 1, so below
+    radius 2, where the table is the identity, the screen alone decides
+    ``inner``: it passes the identity at radius 1 and nothing at radius 0.
     """
+    n = gens.max_index
+    if gens.is_consecutive and n:
+
+        def formula(neg: str, pos: str, flat: int) -> int:
+            return flat + 2 * _weight(TreeSurvey(neg), TreeSurvey(pos), n, cap)[0]
+
+        def inner(neg: str, pos: str) -> bool:
+            flat = _l_infinity(neg, pos)
+            return flat < radius and formula(neg, pos, flat) <= radius - 1
+
+        def reach(pair: TreePairDiagram) -> Optional[int]:
+            neg, pos = pair.negative.root, pair.positive.root
+            flat = _l_infinity(neg, pos)
+            if flat > radius:
+                return None
+            length = formula(neg, pos, flat)
+            return length if length <= radius else None
+
+        return inner, reach
+
     table = ball(gens, max(radius - 2, 0), cap=cap).table
     letters = gens.letters()
 
@@ -487,7 +520,8 @@ def in_ball_geodesic(
 
     Neighbours' lengths differ by exactly 1 (see the module docstring),
     so an edge from u to v stays in the ball exactly when u or v has
-    length <= radius - 1, which ``_ball_tests`` decides from the ball of
+    length <= radius - 1, which ``_ball_tests`` decides: by the closed
+    form over {x0, ..., xn} with n >= 1, and otherwise from the ball of
     radius - 2, which it enumerates, and one step.  The same tests give
     each endpoint's exact length, and the path through the identity,
     l(a) + l(b) long, stays in the ball, so ``_meet`` takes that sum as
@@ -574,16 +608,31 @@ def probe_mac(
     """Check the witness pair: both on the sphere of radius 2k+2, at
     distance 2 from each other, yet at in-ball distance >= 4k+4.
 
-    The in-ball tests (``_ball_tests``) enumerate the ball of radius 2k
-    first, and the witness pairs, whose trees grow with k, are built after
-    it.  The same one-step tests read |g| and |h| off it, once: a witness
+    The witness words have 2k + 2 letters and use x_{k+m+1}, so a k for
+    which either exceeds ``cap`` is refused first, with
+    SearchCapExceededError, as ``len`` refuses such a word: before any
+    ball or witness is built.  Then the in-ball tests (``_ball_tests``)
+    are made, which over a set that is not consecutive enumerate the ball
+    of radius 2k, and the witness pairs, whose trees grow with k, are
+    built after them.  The same tests give |g| and |h|, once: a witness
     in the ball of radius 2k+2 but not in that of radius 2k+1 has length
     2k+2, and only a length they cannot give (beyond 2k+2, so a refuted
     witness) comes from ``bfs_length``, as |g^-1 h| always does.  Then
     the in-ball search runs as in ``in_ball_geodesic``, with |g| + |h| as
     its bound.
+
+    Over {x0, ..., xn} the tests read the closed form, so |g|, |h| and the
+    ``formula_*`` fields come from one formula there.  What checks that
+    formula independently is the ball route: the CI hashes of the probe's
+    output were taken when the tests read a ball, and a test compares both
+    tests with breadth-first lengths on every element one radius out.
     """
     _check_witness_family(gens, k)
+    letters, top = 2 * k + 2, k + gens.max_index + 1
+    if letters > cap or top > cap:
+        raise SearchCapExceededError(
+            f"the witness words of k = {k} have {letters} letters and use x{top}, "
+            f"beyond the cap of {cap}", max(letters, top))
     radius = 2 * k + 2
     inner, reach = _ball_tests(gens, radius, cap)
     g, h = mac_witness_pair(gens, k)

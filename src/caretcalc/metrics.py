@@ -257,11 +257,11 @@ def penalty_weight(
     ``_program`` runs only at n >= 2.
 
     The flags, least depths, floor, chain and first tree are all read off
-    the two surveys' lo/hi lists, with unsorted predecessor lists up to
-    the top penalty caret; only ``_program`` sorts those lists and builds
-    successor lists.  No edge set is built.  The witness carries ``pair``
-    and nothing of the search, so ``penalty_weight_of_tree`` checks it
-    against the pair's own surveys.
+    the two surveys' lo/hi lists (by ``_weight``, which this wraps), with
+    unsorted predecessor lists up to the top penalty caret; only
+    ``_program`` sorts those lists and builds successor lists.  No edge
+    set is built.  The witness carries ``pair`` and nothing of the search,
+    so ``penalty_weight_of_tree`` checks it against the pair's own surveys.
 
     Raises SearchCapExceededError, not a possibly wrong minimum, at the
     cap of ``cap`` states: one per caret of the first tree, plus one per
@@ -269,12 +269,22 @@ def penalty_weight(
     """
     if n < 1:
         raise ValueError(f"generating-set index n must be >= 1, got {n}")
-    # one survey per tree: the flags and the predecessors are read off
-    # their lo/hi lists
-    neg, pos = pair.negative.survey(), pair.positive.survey()
+    weight, parents = _weight(pair.negative.survey(), pair.positive.survey(), n, cap)
+    return weight, PenaltyTree(parents, pair)
+
+
+def _weight(
+    neg: TreeSurvey, pos: TreeSurvey, n: int, cap: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The least weight, at n >= 1, of the pair with these two surveys,
+    and the witness's (child, parent) edges: ``penalty_weight`` without
+    the pair.  A search that wants only a length calls it on the surveys
+    of two texts (``cayley._ball_tests``), and builds no pair, witness or
+    report.  The flags and the predecessors are read off the surveys'
+    lo/hi lists."""
     required = sorted({p for p, _ in _flags(neg, pos)})
     if not required:
-        return 0, PenaltyTree((), pair)
+        return 0, ()
 
     top = required[-1]
     # preds[q]: the predecessors of caret q in the caret order, unsorted
@@ -339,7 +349,7 @@ def penalty_weight(
                 n, top, preds, frozenset(required), best_weight, best_parents, cap)
     if best_parents is None:
         best_parents = tuple((c, c - 1) for c in range(1, top + 1))
-    return best_weight, PenaltyTree(best_parents, pair)
+    return best_weight, best_parents
 
 
 def _program(

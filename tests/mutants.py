@@ -127,8 +127,23 @@ MUTANTS = [
     (METRICS, "if child > carets:", "if child >= carets:", METRICS_TESTS),
     # penalty_weight's witness built without its pair, so checked as a
     # bare tree
-    (METRICS, "return best_weight, PenaltyTree(best_parents, pair)",
-     "return best_weight, PenaltyTree(best_parents)", METRICS_TESTS),
+    (METRICS, "return weight, PenaltyTree(parents, pair)",
+     "return weight, PenaltyTree(parents)", METRICS_TESTS),
+    # penalty_weight returns one less than the weight _weight found
+    (METRICS, "return weight, PenaltyTree", "return max(weight - 1, 0), PenaltyTree",
+     METRICS_TESTS),
+    # the closed-form in-ball test lets length R through
+    (CAYLEY, "formula(neg, pos, flat) <= radius - 1", "formula(neg, pos, flat) <= radius",
+     CAYLEY_TESTS),
+    # the closed-form reach gives length R + 1 as in the ball
+    (CAYLEY, "return length if length <= radius else None",
+     "return length if length <= radius + 1 else None", CAYLEY_TESTS),
+    # the closed-form inner test's l_infinity screen one short
+    (CAYLEY, "flat < radius and", "flat < radius - 1 and", CAYLEY_TESTS),
+    # the witness-size guard lets 2k + 2 letters pass one over the cap
+    (CAYLEY, "if letters > cap or", "if letters > cap + 1 or", CAYLEY_TESTS),
+    # the witness-size guard lets index k + m + 1 pass one over the cap
+    (CAYLEY, "or top > cap:", "or top > cap + 1:", CAYLEY_TESTS),
 ]
 
 

@@ -30,6 +30,9 @@ from caretcalc.errors import SearchCapExceededError
 from conftest import X1, X2, X3, counted_calls
 from helpers import in_ball_distances, oracle_ball, raw_pair, restricted
 
+X0 = GeneratingSet.of([0])
+X013 = GeneratingSet.of([0, 1, 3])
+
 
 def _exponent_sum(pair):
     return sum(sign for _, sign in normal_form(pair))
@@ -408,22 +411,30 @@ def test_ball_tests_on_every_element_one_radius_out(gens, radius):
 
 
 def test_in_ball_search_screens_by_l_infinity(monkeypatch):
-    # an element that the ball of radius R - 2 lacks and whose l_infinity
-    # is R or more fails the inner test without a step: the k = 2 witness
-    # search took 1,636 steps when each such element planned and enacted
-    # every letter.  The count starts with the 686 steps that grow
-    # ball(X2, 4) (see test_ball_never_applies_the_parent_letter); the
-    # endpoints' lengths and the search take the other 466
+    # an element whose l_infinity is R or more fails the inner test at
+    # once.  On the ball route, an element that the ball of radius R - 2
+    # lacks then takes no step: over {x0, x1, x3} the k = 2 witness search
+    # takes 826 steps to grow ball({0,1,3}, 4) and 665 for the endpoints'
+    # lengths and the search.  Over {x0, x1, x2} the tests read the closed
+    # form and take no step, so all 382 steps are the search's own, and the
+    # closed form runs for the two endpoints and 48 of the search's 241
+    # inner tests
     g, h = mac_witness_pair(X2, 2)
     steps = counted_calls(monkeypatch, cayley, "enact")
+    formulas = counted_calls(monkeypatch, cayley, "_weight")
     assert in_ball_geodesic(g, h, X2, 6) == 12
-    assert len(steps) == 686 + 466
+    assert (len(steps), len(formulas)) == (382, 2 + 48)
+    steps.clear()
+    g, h = mac_witness_pair(X013, 2)
+    assert in_ball_geodesic(g, h, X013, 6) == 12
+    assert (len(steps), len(formulas)) == (826 + 665, 50)
 
 
 def test_probe_mac_reads_witness_lengths_off_the_ball(monkeypatch, ball_x2_r6):
-    # |g| and |h| come from the covering ball and one or two steps up to
-    # 2k + 2, and from bfs_length beyond it; a witness off the sphere is
-    # refuted, with the lengths and paths that the searches give
+    # |g| and |h| come from the in-ball tests up to 2k + 2 (over {x0, x1,
+    # x2} the closed form), and from bfs_length beyond it; a witness off
+    # the sphere is refuted, with the lengths and paths that the searches
+    # give
     rng = random.Random(137)
     witness = mac_witness_pair(X2, 1)
     inside = restricted(ball_x2_r6, 4)
@@ -481,24 +492,62 @@ def _ball_radii(monkeypatch):
 
 
 def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
+    # the ball route, which {x0, x1, x3} takes: no closed form covers it
     radii = _ball_radii(monkeypatch)
     for k in (1, 2):
         radii.clear()
-        assert probe_mac(X2, k).confirmed
+        assert probe_mac(X013, k).confirmed
         assert radii == [2 * k]
 
 
 def test_in_ball_geodesic_enumerates_radius_r_minus_2_once(monkeypatch):
-    # one ball per search, of radius max(R - 2, 0), read for both
-    # endpoints' lengths and for the search
+    # on the ball route ({x0} and {x0, x1, x3}), one ball per search, of
+    # radius max(R - 2, 0), read for both endpoints' lengths and for the
+    # search
     radii = _ball_radii(monkeypatch)
-    one, x0, x1 = identity(), generator_diagram(0, 1), generator_diagram(1, 1)
-    g, h = mac_witness_pair(X2, 1)
-    for a, b, gens, radius, path in ((one, one, X1, 0, 0), (x0, x1, X1, 1, 2),
-                                     (g, h, X2, 4, 8)):
+    one, x0 = identity(), generator_diagram(0, 1)
+    x0_2, x0_m3 = evaluate_word([(0, 2)]), evaluate_word([(0, -3)])
+    g, h = mac_witness_pair(X013, 1)
+    for a, b, gens, radius, path in ((one, one, X0, 0, 0), (x0, invert(x0), X0, 1, 2),
+                                     (x0_2, x0_m3, X0, 4, 5), (g, h, X013, 4, 8)):
         radii.clear()
         assert in_ball_geodesic(a, b, gens, radius) == path
         assert radii == [max(radius - 2, 0)]
+
+
+def test_consecutive_sets_build_no_ball(monkeypatch):
+    # over {x0, ..., xn}, n >= 1, the in-ball tests read the closed form
+    radii = _ball_radii(monkeypatch)
+    one, x0, x1 = identity(), generator_diagram(0, 1), generator_diagram(1, 1)
+    assert in_ball_geodesic(one, one, X1, 0) == 0
+    assert in_ball_geodesic(x0, x1, X1, 1) == 2
+    assert in_ball_geodesic(x0, multiply(x1, x1), X1, 3) == 3
+    for gens in (X2, X3):
+        for k in (1, 2):
+            assert probe_mac(gens, k).confirmed
+        g, h = mac_witness_pair(gens, 1)
+        assert in_ball_geodesic(g, h, gens, 4) == 8
+    assert radii == []
+
+
+class _Passed(Exception):
+    """Raised in place of the in-ball tests: the probe got past its checks."""
+
+
+def test_probe_mac_refuses_witness_words_over_the_cap(monkeypatch):
+    # the witness words of k have 2k + 2 letters and use x_{k+m+1}: a cap
+    # below either is refused before any ball or witness, on both routes,
+    # and a cap that holds both is not
+    def passed(*args):
+        raise _Passed
+
+    monkeypatch.setattr(cayley, "_ball_tests", passed)
+    monkeypatch.setattr(cayley, "mac_witness_pair", passed)
+    for gens, k, need in ((X2, 2, 6), (X013, 2, 6), (GeneratingSet.of([0, 1, 6]), 1, 8)):
+        with pytest.raises(SearchCapExceededError, match=f"beyond the cap of {need - 1}$"):
+            probe_mac(gens, k, cap=need - 1)
+        with pytest.raises(_Passed):
+            probe_mac(gens, k, cap=need)
 
 
 def test_in_ball_geodesic_witness_detour():

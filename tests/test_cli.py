@@ -355,9 +355,9 @@ def test_probe_mac_goldens(capsys, argv, expected):
 
 
 def test_probe_mac_cap_names_the_radius(capsys):
-    # the probe enumerates the ball of radius 2k = 4, which holds 541
-    # elements
-    code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "2",
+    # over {x0, x1, x3}, which no closed form covers, the probe enumerates
+    # the ball of radius 2k = 4, which holds 685 elements
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,1,3", "--k", "2",
                          "--cap", "500")
     assert code == 3
     assert out == ""
@@ -487,13 +487,14 @@ def test_gens_cap_flag(capsys):
 
 
 def test_probe_mac_meets_the_cap_before_building_the_witness(capsys, monkeypatch):
-    # k = 10^9 would need witness words of 10^9 letters; the covering ball
-    # meets the cap first
+    # k = 10^9 would need witness words of 2 * 10^9 + 2 letters; the probe
+    # refuses them against the cap before any ball or witness is built
     monkeypatch.setattr("caretcalc.cayley.mac_witness_pair", _never)
     code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2",
                          "--k", "1000000000", "--cap", "1000")
     assert (code, out) == (3, "")
-    assert "at radius" in err
+    assert err == ("resource limit: the witness words of k = 1000000000 have "
+                   "2000000002 letters and use x1000000003, beyond the cap of 1000\n")
 
 
 def test_probe_mac_checks_the_set_before_the_ball(capsys):
