@@ -6,8 +6,8 @@ canonical encoding "negative|positive" of a reduced pair is the element,
 so a search makes no tree pair at all.  The lengths are exact and serve as
 the independent oracle for the closed-form machinery in
 :mod:`caretcalc.metrics`.  The one place that reads the closed form is the
-in-ball tests over a consecutive set (``_ball_tests``), which the ball
-route and the tests check.
+in-ball length function over a consecutive set (``_ball_tests``), which
+the ball route and the tests check.
 
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
@@ -46,13 +46,16 @@ edge changes its parity, and the lengths of two neighbours differ by
 exactly 1.  So a ball decides membership in the ball one radius larger:
 an element lies in it exactly when it, or one of its neighbours, lies in
 the smaller ball.  An edge from u to v stays in the ball of radius R
-exactly when l(u) <= R - 1 or l(v) <= R - 1.  Over {x0, ..., xn} with
-n >= 1 ``_ball_tests`` reads that off the closed form and enumerates no
-ball.  Over any other set the test takes the ball of radius R - 2, which
-``_ball_tests`` enumerates itself, and one step, so the in-ball search
-never enumerates the two outer spheres, which are most of the ball.
-Most elements that test meets lie outside the ball, and most of those
-are ruled out without the closed form or the step by l_infinity, the
+exactly when l(u) <= R - 1 or l(v) <= R - 1.  ``_ball_tests`` makes one
+function, ``length(neg, pos, limit)``, the exact length of an element
+when it is at most the limit, which decides that test (at R - 1) and
+gives the endpoints' lengths (at R).  Over {x0, ..., xn} with n >= 1 it
+reads the closed form and enumerates no ball.  Over any other set it
+takes the ball of radius R - 2, which ``_ball_tests`` enumerates
+itself, and one or two steps, so the in-ball search never enumerates
+the two outer spheres, which are most of the ball.  Most elements that
+search meets lie outside the ball, and most of those are ruled out
+without the closed form or a step by l_infinity, the
 length over the whole infinite set {x_i}, which two texts give at once:
 every length here is over a subset of that set, so
 none is below l_infinity, and both have the parity of the exponent sum,
@@ -64,7 +67,8 @@ has its answer.  On top of the ball sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
   (the obstruction to minimal almost convexity) and checks its three
-  defining properties by search, with those in-ball tests;
+  defining properties by search, with that length function and the
+  in-ball search that ``in_ball_geodesic`` runs too (``_in_ball``);
 * ``coarse_isometry_check`` grows each set's ball once, to the radius
   and then on until it holds the other ball too, measures the largest
   additive gap between the two word metrics on both balls, and compares
@@ -98,10 +102,8 @@ from .group_ops import (
     normal_form,
     plan,
 )
-from .metrics import _l_infinity, _weight, length_consecutive
+from .metrics import DEFAULT_STATE_CAP, _l_infinity, _weight, length_consecutive
 from .tree_core import TreePairDiagram, TreeSurvey, canonical_encode
-
-DEFAULT_STATE_CAP = 5_000_000
 
 CONFIRMED = "witness-confirmed"
 REFUTED = "refuted"
@@ -351,7 +353,8 @@ def _meet(
     the two seen sets are disjoint the distance exceeds the sum of the two
     depths, so the first neighbour that the other side has seen ends the
     search with exactly that sum, whichever neighbour it is.  With
-    ``inner`` (a test of an element's two texts for length <= R - 1) the
+    ``inner`` (a test of an element's two texts for length <= R - 1,
+    which ``_in_ball`` reads off ``_ball_tests``' length function) the
     search stays in the ball of radius R: an entry that fails it keeps
     only the neighbours that pass it.  With ``bound``, the length U of a
     path from a to b that the search may take, it stops as soon as its two
@@ -416,20 +419,20 @@ def bfs_length(
 
 def _ball_tests(
     gens: GeneratingSet, radius: int, cap: int
-) -> tuple[Callable[[str, str], bool], Callable[[TreePairDiagram], Optional[int]]]:
-    """Two exact tests of the ball of ``radius`` over ``gens``:
-    ``inner(neg, pos)``, whether the element with those texts has length
-    <= radius - 1, and ``reach(pair)``, the pair's length if it is <=
-    radius, else None.
+) -> Callable[[str, str, int], Optional[int]]:
+    """The length function of the ball of ``radius`` over ``gens``:
+    ``length(neg, pos, limit)``, for ``limit`` <= radius, is the exact
+    length of the element with those texts when it is <= limit, and None
+    otherwise.  The in-ball search asks it at radius - 1 (``_in_ball``)
+    and of its endpoints at radius.
 
-    Both screen first by l_infinity (``metrics._l_infinity``, read off
-    the two texts).  The generators are a subset of the infinite set
-    {x_i}, so l_X >= l_infinity, and the screen is exact: ``inner`` fails
-    at l_infinity >= radius and ``reach`` gives None at l_infinity >
-    radius.  The two also share the parity of the exponent sum, so for an
-    element of length radius + 1, the most common miss of the in-ball
-    search, l_infinity is either radius + 1, and the element is refused
-    at once, or at most radius - 1.
+    It screens first by l_infinity (``metrics._l_infinity``, read off the
+    two texts).  The generators are a subset of the infinite set {x_i},
+    so l_X >= l_infinity, and the screen is exact: an element with
+    l_infinity > limit gets None at once.  The two also share the parity
+    of the exponent sum, so for an element of length radius + 1, the most
+    common miss of the in-ball search, l_infinity is either radius + 1,
+    and the element is refused at once, or at most radius - 1.
 
     Over a consecutive set {x0, ..., xn} with n >= 1, an element that
     passes the screen gets its length from the closed form: l_infinity
@@ -440,66 +443,71 @@ def _ball_tests(
     ~3 s at ~65 MiB on the ball of radius 10 (2-core Xeon, Python 3.11).
 
     Every other set, {x0} and those that are not consecutive, has no
-    closed form here and reads the ball of radius max(radius - 2, 0),
-    which is enumerated first, under ``cap``.  An element of that ball
-    has its length in the table, and from radius 1 on lies in the ball
-    of radius - 1.  Neighbours' lengths differ by exactly 1 (see the
-    module docstring), and an element the ball does not hold is longer
-    than its radius.  So from radius 2 on, such an element has length
-    radius - 1 exactly when one of its neighbours is in that ball, and an
-    element beyond radius - 1 has length radius exactly when a neighbour
-    passes ``inner``.  ``reach`` screens only the elements the table
-    lacks.  Every element but the identity has l_infinity >= 1, so below
-    radius 2, where the table is the identity, the screen alone decides
-    ``inner``: it passes the identity at radius 1 and nothing at radius 0.
+    closed form here and reads the ball of radius ``inside`` =
+    max(radius - 2, 0), which is enumerated first, under ``cap``: below
+    radius 2 it holds only the identity.  An element of that ball has its
+    length in the table, and one it lacks is longer than ``inside``.
+    Neighbours' lengths differ by exactly 1 (see the module docstring),
+    so such an element has length inside + 1 exactly when one of its
+    neighbours is in the table, which only an element with l_infinity <=
+    inside + 1 can have, and otherwise length inside + 2 exactly when one
+    of its neighbours has length inside + 1.  No limit exceeds radius <=
+    inside + 2, so an element that is neither is beyond every limit; each
+    step is tried only when its length is within the limit.
     """
     n = gens.max_index
     if gens.is_consecutive and n:
 
-        def formula(neg: str, pos: str, flat: int) -> int:
-            return flat + 2 * _weight(TreeSurvey(neg), TreeSurvey(pos), n, cap)[0]
-
-        def inner(neg: str, pos: str) -> bool:
+        def length(neg: str, pos: str, limit: int) -> Optional[int]:
             flat = _l_infinity(neg, pos)
-            return flat < radius and formula(neg, pos, flat) <= radius - 1
-
-        def reach(pair: TreePairDiagram) -> Optional[int]:
-            neg, pos = pair.negative.root, pair.positive.root
-            flat = _l_infinity(neg, pos)
-            if flat > radius:
+            if flat > limit:
                 return None
-            length = formula(neg, pos, flat)
-            return length if length <= radius else None
+            exact = flat + 2 * _weight(TreeSurvey(neg), TreeSurvey(pos), n, cap)[0]
+            return exact if exact <= limit else None
 
-        return inner, reach
+        return length
 
-    table = ball(gens, max(radius - 2, 0), cap=cap).table
+    inside = max(radius - 2, 0)
+    table = ball(gens, inside, cap=cap).table
     letters = gens.letters()
 
     def near(neg: str, pos: str, test: Callable[[str, str], bool]) -> bool:
         spine = _spine(pos)
         return any(test(*enact(neg, plan(spine, *letter))) for letter in letters)
 
-    def indexed(neg: str, pos: str) -> bool:
+    def held(neg: str, pos: str) -> bool:
         return _lookup(table, neg, pos) is not None
 
-    def inner(neg: str, pos: str) -> bool:
-        if _l_infinity(neg, pos) >= radius:
-            return False
-        return indexed(neg, pos) or near(neg, pos, indexed)
+    def rim(neg: str, pos: str) -> bool:
+        """Whether an element the table lacks has length inside + 1."""
+        return _l_infinity(neg, pos) <= inside + 1 and near(neg, pos, held)
 
-    def reach(pair: TreePairDiagram) -> Optional[int]:
-        neg, pos = pair.negative.root, pair.positive.root
-        length = _lookup(table, neg, pos)
-        if length is not None:
-            return length
-        if _l_infinity(neg, pos) > radius:
+    def length(neg: str, pos: str, limit: int) -> Optional[int]:
+        flat = _l_infinity(neg, pos)
+        if flat > limit:
             return None
-        if inner(neg, pos):
-            return radius - 1
-        return radius if near(neg, pos, inner) else None
+        found = _lookup(table, neg, pos)
+        if found is not None:
+            return found if found <= limit else None
+        if flat <= inside + 1 <= limit and near(neg, pos, held):
+            return inside + 1
+        if inside + 2 <= limit and near(neg, pos, rim):
+            return inside + 2
+        return None
 
-    return inner, reach
+    return length
+
+
+def _in_ball(
+    a: TreePairDiagram, b: TreePairDiagram, gens: GeneratingSet, radius: int, cap: int,
+    length: Callable[[str, str, int], Optional[int]], bound: int,
+) -> Optional[int]:
+    """The in-ball search of ``in_ball_geodesic`` and ``probe_mac``:
+    ``_meet`` from a to b, whose inner test is ``length`` (from
+    ``_ball_tests``) at radius - 1, with ``bound``, the sum of the two
+    endpoints' lengths."""
+    return _meet(a, b, gens.letters(), cap, "in-ball search",
+                 lambda n, p: length(n, p, radius - 1) is not None, bound)
 
 
 def in_ball_geodesic(
@@ -520,23 +528,25 @@ def in_ball_geodesic(
 
     Neighbours' lengths differ by exactly 1 (see the module docstring),
     so an edge from u to v stays in the ball exactly when u or v has
-    length <= radius - 1, which ``_ball_tests`` decides: by the closed
-    form over {x0, ..., xn} with n >= 1, and otherwise from the ball of
-    radius - 2, which it enumerates, and one step.  The same tests give
-    each endpoint's exact length, and the path through the identity,
-    l(a) + l(b) long, stays in the ball, so ``_meet`` takes that sum as
-    its bound.  Some pairs meet it, the MAC witnesses among them (F is
-    maximally nonconvex: J. Belk, K.-U. Bux, 2005), and for those the
-    search stops two half-shells before its sides would meet.
+    length <= radius - 1, which ``_ball_tests``' length function decides:
+    by the closed form over {x0, ..., xn} with n >= 1, and otherwise from
+    the ball of radius - 2, which it enumerates, and one or two steps.
+    The same function gives each endpoint's exact length, and the path
+    through the identity, l(a) + l(b) long, stays in the ball, so the
+    search (``_in_ball``) takes that sum as its bound.  Some pairs meet
+    it, the MAC witnesses among them (F is maximally nonconvex: J. Belk,
+    K.-U. Bux, 2005), and for those the search stops two half-shells
+    before its sides would meet.  At a radius below 0 the ball is empty,
+    so every endpoint lies outside it.
     """
-    inner, reach = _ball_tests(gens, radius, cap)
+    length = _ball_tests(gens, radius, cap)
     bound = 0
     for name, p in (("a", a), ("b", b)):
-        length = reach(p)
-        if length is None:
+        found = length(p.negative.root, p.positive.root, radius)
+        if found is None:
             raise ValueError(f"endpoint {name} lies outside the ball of radius {radius}")
-        bound += length
-    return _meet(a, b, gens.letters(), cap, "in-ball search", inner, bound)
+        bound += found
+    return _in_ball(a, b, gens, radius, cap, length, bound)
 
 
 @dataclass(frozen=True)
@@ -611,21 +621,21 @@ def probe_mac(
     The witness words have 2k + 2 letters and use x_{k+m+1}, so a k for
     which either exceeds ``cap`` is refused first, with
     SearchCapExceededError, as ``len`` refuses such a word: before any
-    ball or witness is built.  Then the in-ball tests (``_ball_tests``)
-    are made, which over a set that is not consecutive enumerate the ball
-    of radius 2k, and the witness pairs, whose trees grow with k, are
-    built after them.  The same tests give |g| and |h|, once: a witness
-    in the ball of radius 2k+2 but not in that of radius 2k+1 has length
-    2k+2, and only a length they cannot give (beyond 2k+2, so a refuted
-    witness) comes from ``bfs_length``, as |g^-1 h| always does.  Then
-    the in-ball search runs as in ``in_ball_geodesic``, with |g| + |h| as
-    its bound.
+    ball or witness is built.  Then the in-ball length function
+    (``_ball_tests``) is made, which over a set that is not consecutive
+    enumerates the ball of radius 2k, and the witness pairs, whose trees
+    grow with k, are built after it.  The same function gives |g| and |h|
+    at limit 2k+2, once, and only a length it cannot give (beyond 2k+2,
+    so a refuted witness) comes from ``bfs_length``, as |g^-1 h| always
+    does.  Then the in-ball search (``_in_ball``) runs as in
+    ``in_ball_geodesic``, with |g| + |h| as its bound.
 
-    Over {x0, ..., xn} the tests read the closed form, so |g|, |h| and the
-    ``formula_*`` fields come from one formula there.  What checks that
-    formula independently is the ball route: the CI hashes of the probe's
-    output were taken when the tests read a ball, and a test compares both
-    tests with breadth-first lengths on every element one radius out.
+    Over {x0, ..., xn} the function reads the closed form, so |g|, |h| and
+    the ``formula_*`` fields come from one formula there.  What checks
+    that formula independently is the ball route: the CI hashes of the
+    probe's output were taken when the in-ball tests read a ball, and a test
+    compares both routes with breadth-first lengths on every element one
+    radius out.
     """
     _check_witness_family(gens, k)
     letters, top = 2 * k + 2, k + gens.max_index + 1
@@ -634,9 +644,9 @@ def probe_mac(
             f"the witness words of k = {k} have {letters} letters and use x{top}, "
             f"beyond the cap of {cap}", max(letters, top))
     radius = 2 * k + 2
-    inner, reach = _ball_tests(gens, radius, cap)
+    length = _ball_tests(gens, radius, cap)
     g, h = mac_witness_pair(gens, k)
-    g_length, h_length = reach(g), reach(h)
+    g_length, h_length = (length(p.negative.root, p.positive.root, radius) for p in (g, h))
     if g_length is None:
         g_length = bfs_length(g, gens, cap=cap)
     if h_length is None:
@@ -644,8 +654,7 @@ def probe_mac(
     distance = bfs_length(multiply(invert(g), h), gens, cap=cap)
     min_path: Optional[int] = None
     if g_length <= radius and h_length <= radius:
-        min_path = _meet(g, h, gens.letters(), cap, "in-ball search", inner,
-                         g_length + h_length)
+        min_path = _in_ball(g, h, gens, radius, cap, length, g_length + h_length)
     formula_g = formula_h = None
     if gens.is_consecutive:
         n = gens.max_index

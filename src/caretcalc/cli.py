@@ -52,7 +52,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cap(args, fallback: int) -> int:
+def _cap(args) -> int:
+    """The state cap of every search and budget: --cap, else CARETCALC_CAP,
+    else the default, one value for all of them."""
     if args.cap is not None:
         return args.cap
     env = os.environ.get(ENV_CAP)
@@ -64,7 +66,7 @@ def _cap(args, fallback: int) -> int:
         if value <= 0:
             raise ParseError(f"{ENV_CAP} must be positive, got {value}")
         return value
-    return fallback
+    return cayley.DEFAULT_STATE_CAP
 
 
 def _word(args) -> GeneratorWord:
@@ -73,7 +75,7 @@ def _word(args) -> GeneratorWord:
     its cost grows with both.  The letters are counted from the run
     exponents, never spelled out."""
     word = parse_word(args.word)
-    budget = _cap(args, cayley.DEFAULT_STATE_CAP)
+    budget = _cap(args)
     letters = sum(abs(exponent) for _, exponent in word.runs)
     if letters > budget:
         raise SearchCapExceededError(
@@ -94,7 +96,7 @@ def _check_gens(args) -> None:
     for name in ("gens", "gens_a", "gens_b"):
         if hasattr(args, name):
             top = getattr(args, name).max_index
-            budget = _cap(args, cayley.DEFAULT_STATE_CAP)
+            budget = _cap(args)
             if top > budget:
                 raise SearchCapExceededError(
                     f"the generating set uses x{top}, beyond the cap of {budget}", top
@@ -187,24 +189,18 @@ def cmd_len(args) -> int:
         "l_infinity": metrics.l_infinity(pair),
     }
     if method == "formula":
-        report = metrics.length_consecutive(
-            pair, gens.max_index, cap=_cap(args, metrics.DEFAULT_PENALTY_CAP)
-        )
+        report = metrics.length_consecutive(pair, gens.max_index, cap=_cap(args))
         record["penalty_weight"] = report.penalty_weight
         record["length"] = report.length
         record["witness"] = report.witness.serialize()
     else:
-        record["length"] = cayley.bfs_length(
-            pair, gens, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
-        )
+        record["length"] = cayley.bfs_length(pair, gens, cap=_cap(args))
     _emit_record(args, record)
     return EXIT_OK
 
 
 def cmd_ball(args) -> int:
-    index = cayley.ball(
-        args.gens, args.radius, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
-    )
+    index = cayley.ball(args.gens, args.radius, cap=_cap(args))
     if args.format == "structured":
         record = {
             "gens": list(args.gens),
@@ -225,9 +221,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_probe_mac(args) -> int:
-    report = cayley.probe_mac(
-        args.gens, args.k, cap=_cap(args, cayley.DEFAULT_STATE_CAP)
-    )
+    report = cayley.probe_mac(args.gens, args.k, cap=_cap(args))
     # probe_mac fills the formula fields only for a consecutive set
     omit = ("formula_g_length", "formula_h_length") if report.formula_g_length is None else ()
     _emit_record(args, report.to_dict(), omit)
@@ -236,18 +230,14 @@ def cmd_probe_mac(args) -> int:
 
 def cmd_check_ci(args) -> int:
     report = cayley.coarse_isometry_check(
-        args.gens_a, args.gens_b, args.radius,
-        cap=_cap(args, cayley.DEFAULT_STATE_CAP),
-    )
+        args.gens_a, args.gens_b, args.radius, cap=_cap(args))
     _emit_record(args, report.to_dict())
     return EXIT_REFUTED if report.within_bound is False else EXIT_OK
 
 
 def cmd_probe_monotone(args) -> int:
     ok = cayley.probe_subset_monotonicity(
-        args.gens_a, args.gens_b, args.radius,
-        cap=_cap(args, cayley.DEFAULT_STATE_CAP),
-    )
+        args.gens_a, args.gens_b, args.radius, cap=_cap(args))
     record = {
         "gens_a": list(args.gens_a),
         "gens_b": list(args.gens_b),

@@ -40,7 +40,8 @@ from typing import Iterator, Mapping, Optional
 from .errors import InvalidPenaltyTreeError, SearchCapExceededError
 from .tree_core import TreePairDiagram, TreeSurvey, count_carets, right_spine_carets
 
-DEFAULT_PENALTY_CAP = 10_000_000
+# the default of every search's state cap, here and in ``cayley``
+DEFAULT_STATE_CAP = 5_000_000
 
 TYPE_N_NEGATIVE = "TypeN-negative"
 TYPE_N_POSITIVE = "TypeN-positive"
@@ -211,7 +212,7 @@ def penalty_weight_of_tree(tree: PenaltyTree, n: int) -> int:
 
 
 def penalty_weight(
-    pair: TreePairDiagram, n: int, cap: int = DEFAULT_PENALTY_CAP
+    pair: TreePairDiagram, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> tuple[int, PenaltyTree]:
     """Exact minimum weight over all penalty trees, with a witness.
 
@@ -279,8 +280,8 @@ def _weight(
     """The least weight, at n >= 1, of the pair with these two surveys,
     and the witness's (child, parent) edges: ``penalty_weight`` without
     the pair.  A search that wants only a length calls it on the surveys
-    of two texts (``cayley._ball_tests``), and builds no pair, witness or
-    report.  The flags and the predecessors are read off the surveys'
+    of two texts (the length function of ``cayley._ball_tests``), and
+    builds no pair, witness or report.  The flags and the predecessors are read off the surveys'
     lo/hi lists."""
     required = sorted({p for p, _ in _flags(neg, pos)})
     if not required:
@@ -549,7 +550,7 @@ class LengthReport:
 
 
 def length_consecutive(
-    pair: TreePairDiagram, n: int, cap: int = DEFAULT_PENALTY_CAP
+    pair: TreePairDiagram, n: int, cap: int = DEFAULT_STATE_CAP
 ) -> LengthReport:
     """Exact word length for the consecutive generating set {x_0, ..., x_n}."""
     flat = l_infinity(pair)

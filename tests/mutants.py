@@ -92,19 +92,29 @@ MUTANTS = [
      METRICS_TESTS),
     # the in-ball search stops one half-shell too early
     (CAYLEY, ">= bound - 2:", ">= bound - 3:", CAYLEY_TESTS),
-    # an endpoint that fails the one-step test read as radius - 1
-    (CAYLEY, "return radius if near(neg, pos, inner) else None",
-     "return radius - 1 if near(neg, pos, inner) else None", CAYLEY_TESTS),
+    # an element that fails the one-step test read as one step out, not two
+    (CAYLEY, "return inside + 2", "return inside + 1", CAYLEY_TESTS),
     # the in-ball tests' ball enumerated three radii short
-    (CAYLEY, "ball(gens, max(radius - 2, 0), cap=cap)",
-     "ball(gens, max(radius - 3, 0), cap=cap)", CAYLEY_TESTS),
-    # the inner test's l_infinity screen one short: an element whose
-    # l_infinity is radius - 1 refused without its one step
-    (CAYLEY, "_l_infinity(neg, pos) >= radius:", "_l_infinity(neg, pos) >= radius - 1:",
+    (CAYLEY, "inside = max(radius - 2, 0)", "inside = max(radius - 3, 0)", CAYLEY_TESTS),
+    # the ball route's l_infinity screen one short: an element whose
+    # l_infinity is the limit, as the MAC witnesses' is at radius R,
+    # refused without its steps
+    (CAYLEY, "\n        if flat > limit:", "\n        if flat >= limit:", CAYLEY_TESTS),
+    # a length the table holds given past the limit
+    (CAYLEY, "return found if found <= limit else None", "return found", CAYLEY_TESTS),
+    # a neighbour in the table read as length radius - 1, which it is only
+    # from radius 2 on, where the table reaches radius - 2
+    (CAYLEY, "return inside + 1", "return radius - 1", CAYLEY_TESTS),
+    # the one-step test tried at any l_infinity: the same lengths, but the
+    # steps of the elements that l_infinity rules out
+    (CAYLEY, "if flat <= inside + 1 <= limit and", "if inside + 1 <= limit and",
      CAYLEY_TESTS),
-    # the reach test's screen refuses l_infinity = radius, which the MAC
-    # witnesses have
-    (CAYLEY, "_l_infinity(neg, pos) > radius:", "_l_infinity(neg, pos) >= radius:",
+    # the two-step test tried at radius - 1, where its length is past the
+    # limit
+    (CAYLEY, "if inside + 2 <= limit and", "if inside + 2 <= limit + 1 and", CAYLEY_TESTS),
+    # the in-ball search's inner test asked at radius, so its paths may
+    # leave the ball
+    (CAYLEY, "length(n, p, radius - 1) is not None", "length(n, p, radius) is not None",
      CAYLEY_TESTS),
     # _cover keeps the elements the table holds in place of those it lacks
     (CAYLEY, "if _lookup(table, *texts) is None]", "if _lookup(table, *texts) is not None]",
@@ -132,14 +142,12 @@ MUTANTS = [
     # penalty_weight returns one less than the weight _weight found
     (METRICS, "return weight, PenaltyTree", "return max(weight - 1, 0), PenaltyTree",
      METRICS_TESTS),
-    # the closed-form in-ball test lets length R through
-    (CAYLEY, "formula(neg, pos, flat) <= radius - 1", "formula(neg, pos, flat) <= radius",
+    # the closed form lets a length one past the limit through
+    (CAYLEY, "return exact if exact <= limit else None",
+     "return exact if exact <= limit + 1 else None", CAYLEY_TESTS),
+    # the closed form's l_infinity screen one short
+    (CAYLEY, "\n            if flat > limit:", "\n            if flat >= limit:",
      CAYLEY_TESTS),
-    # the closed-form reach gives length R + 1 as in the ball
-    (CAYLEY, "return length if length <= radius else None",
-     "return length if length <= radius + 1 else None", CAYLEY_TESTS),
-    # the closed-form inner test's l_infinity screen one short
-    (CAYLEY, "flat < radius and", "flat < radius - 1 and", CAYLEY_TESTS),
     # the witness-size guard lets 2k + 2 letters pass one over the cap
     (CAYLEY, "if letters > cap or", "if letters > cap + 1 or", CAYLEY_TESTS),
     # the witness-size guard lets index k + m + 1 pass one over the cap

@@ -395,19 +395,22 @@ def test_l_infinity_bounds_every_length(ball_x1_r8, ball_x2_r7, ball_x3_r6):
 @pytest.mark.parametrize("gens, radius", [
     ((0, 1, 2), 5), ((0, 1, 3), 5), ((0, 1), 7), ((0, 2), 6), ((0, 1, 2, 3), 4),
     ((0, 1, 2), 2), ((0, 1, 2), 1), ((0, 1, 2), 0),
+    # the ball route where its table is the identity alone
+    ((0, 1, 3), 0), ((0, 1, 3), 1), ((0, 1, 3), 2), ((0,), 0), ((0,), 1), ((0,), 2),
+    ((0,), 3), ((0, 1, 2, 4), 3),
 ])
 def test_ball_tests_on_every_element_one_radius_out(gens, radius):
-    # the one-step tests read off the ball of radius max(R - 2, 0), with
-    # their l_infinity screen, against the lengths of every element of the
-    # ball of radius R + 1: inner is l <= R - 1 exactly, and reach gives l
-    # up to R and None beyond it
+    # the length function, read off the closed form or off the ball of
+    # radius max(R - 2, 0) with one or two steps, behind its l_infinity
+    # screen, against the lengths of every element of the ball of radius
+    # R + 1: at each limit up to R it gives l when l <= limit, else None
     gens = GeneratingSet.of(gens)
     full = ball(gens, radius + 1)
-    inner, reach = cayley._ball_tests(gens, radius, cayley.DEFAULT_STATE_CAP)
-    for enc, length in full.items():
-        pair = raw_pair(*enc.split("|"))
-        assert inner(*enc.split("|")) == (length <= radius - 1), enc
-        assert reach(pair) == (length if length <= radius else None), enc
+    length = cayley._ball_tests(gens, radius, cayley.DEFAULT_STATE_CAP)
+    for enc, exact in full.items():
+        for limit in range(-1, radius + 1):
+            assert length(*enc.split("|"), limit) == (exact if exact <= limit else None), \
+                (enc, limit)
 
 
 def test_in_ball_search_screens_by_l_infinity(monkeypatch):
@@ -466,6 +469,16 @@ def test_in_ball_geodesic_radius_zero_and_one():
     assert in_ball_geodesic(one, x1, X1, 1) == 1
     with pytest.raises(ValueError, match="outside the ball of radius 1"):
         in_ball_geodesic(x0, multiply(x0, x1), X1, 1)
+
+
+@pytest.mark.parametrize("gens", [X0, X2, X013])
+def test_in_ball_geodesic_below_radius_0(gens):
+    # the ball of a negative radius is empty, on either route
+    one = identity()
+    for radius in (-1, -2):
+        with pytest.raises(ValueError, match=f"endpoint a lies outside the ball of "
+                           f"radius {radius}$"):
+            in_ball_geodesic(one, one, gens, radius)
 
 
 def test_in_ball_path_through_the_outer_sphere():
