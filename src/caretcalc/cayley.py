@@ -5,9 +5,10 @@ Everything here is breadth-first search over elements held as texts: the
 canonical encoding "negative|positive" of a reduced pair is the element,
 so a search makes no tree pair at all.  The lengths are exact and serve as
 the independent oracle for the closed-form machinery in
-:mod:`caretcalc.metrics`.  The one place that reads the closed form is the
-in-ball length function over a consecutive set (``_ball_tests``), which
-the ball route and the tests check.
+:mod:`caretcalc.metrics`.  Two places read the closed form: the in-ball
+length function over a consecutive set (``_ball_tests``), which the ball
+route and the tests check, and the ``formula_*`` fields of ``probe_mac``,
+which the probe checks against the lengths its witness's words certify.
 
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
@@ -66,9 +67,10 @@ search that has ruled out every path of length l(a) + l(b) - 2 or less
 has its answer.  On top of the ball sit three probes:
 
 * ``probe_mac`` builds the witness pair whose in-ball distance blows up
-  (the obstruction to minimal almost convexity) and checks its three
-  defining properties by search, with that length function and the
-  in-ball search that ``in_ball_geodesic`` runs too (``_in_ball``);
+  (the obstruction to minimal almost convexity), certifies the pair's
+  lengths and their distance from its own words and l_infinity, and
+  searches only for its in-ball distance, with that length function and
+  the in-ball search that ``in_ball_geodesic`` runs too (``_in_ball``);
 * ``coarse_isometry_check`` grows each set's ball once, to the radius
   and then on until it holds the other ball too, measures the largest
   additive gap between the two word metrics on both balls, and compares
@@ -97,7 +99,6 @@ from .group_ops import (
     enact,
     evaluate_word,
     identity,
-    invert,
     multiply,
     normal_form,
     plan,
@@ -601,6 +602,11 @@ def mac_witness_pair(
     """The two elements whose in-ball distance defeats minimal almost
     convexity: g = x_1^{k+1} x_{k+m+1} x_0^{-k} with m = max(X), which
     equals x_m x_1^{k+1} x_0^{-k}, and h = x_1^{k+1} x_0^{-(k+1)}.
+
+    On return g is the value of the word x_m x_1^{k+1} x_0^{-k}, checked
+    against the first spelling (AssertionError when the two disagree), and
+    h that of x_1^{k+1} x_0^{-(k+1)}: both are words of 2k + 2 letters
+    over X, so neither is longer than 2k + 2.
     """
     _check_witness_family(gens, k)
     m = gens.max_index
@@ -624,18 +630,19 @@ def probe_mac(
     ball or witness is built.  Then the in-ball length function
     (``_ball_tests``) is made, which over a set that is not consecutive
     enumerates the ball of radius 2k, and the witness pairs, whose trees
-    grow with k, are built after it.  The same function gives |g| and |h|
-    at limit 2k+2, once, and only a length it cannot give (beyond 2k+2,
-    so a refuted witness) comes from ``bfs_length``, as |g^-1 h| always
-    does.  Then the in-ball search (``_in_ball``) runs as in
-    ``in_ball_geodesic``, with |g| + |h| as its bound.
+    grow with k, are built after it.
 
-    Over {x0, ..., xn} the function reads the closed form, so |g|, |h| and
-    the ``formula_*`` fields come from one formula there.  What checks
-    that formula independently is the ball route: the CI hashes of the
-    probe's output were taken when the in-ball tests read a ball, and a test
-    compares both routes with breadth-first lengths on every element one
-    radius out.
+    The first two properties are certified by the witness's own words,
+    with no search.  g and h are words of 2k + 2 letters over X
+    (``mac_witness_pair``), and no length over a subset of {x_i} is below
+    l_infinity, so l_infinity(g) = l_infinity(h) = 2k + 2 gives |g| = |h|
+    = 2k + 2.  And g x_0^-1 x_m^-1 = h gives |g^-1 h| <= 2; the word has
+    exponent sum -2, so g^-1 h is not the identity and its length is even:
+    it is 2.  A witness that fails either check is a construction bug, not
+    a refuted claim, and raises AssertionError.  Then the in-ball search
+    (``_in_ball``) runs as in ``in_ball_geodesic``, with |g| + |h| as its
+    bound.  Over {x0, ..., xn} the ``formula_*`` fields read the closed
+    form, which the verdict checks against the certified 2k + 2.
     """
     _check_witness_family(gens, k)
     letters, top = 2 * k + 2, k + gens.max_index + 1
@@ -646,25 +653,18 @@ def probe_mac(
     radius = 2 * k + 2
     length = _ball_tests(gens, radius, cap)
     g, h = mac_witness_pair(gens, k)
-    g_length, h_length = (length(p.negative.root, p.positive.root, radius) for p in (g, h))
-    if g_length is None:
-        g_length = bfs_length(g, gens, cap=cap)
-    if h_length is None:
-        h_length = bfs_length(h, gens, cap=cap)
-    distance = bfs_length(multiply(invert(g), h), gens, cap=cap)
-    min_path: Optional[int] = None
-    if g_length <= radius and h_length <= radius:
-        min_path = _in_ball(g, h, gens, radius, cap, length, g_length + h_length)
+    step = evaluate_word([(0, -1), (gens.max_index, -1)])
+    flat = tuple(_l_infinity(p.negative.root, p.positive.root) for p in (g, h))
+    if flat != (radius, radius) or canonical_encode(multiply(g, step)) != canonical_encode(h):
+        raise AssertionError("the witness's words do not certify its lengths")
+    min_path = _in_ball(g, h, gens, radius, cap, length, 2 * radius)
     formula_g = formula_h = None
     if gens.is_consecutive:
         n = gens.max_index
         formula_g = length_consecutive(g, n).length
         formula_h = length_consecutive(h, n).length
     ok = (
-        g_length == radius
-        and h_length == radius
-        and distance == 2
-        and min_path is not None
+        min_path is not None
         and min_path >= 4 * k + 4
         and formula_g in (None, radius)
         and formula_h in (None, radius)
@@ -674,9 +674,9 @@ def probe_mac(
         k=k,
         g_encoding=canonical_encode(g),
         h_encoding=canonical_encode(h),
-        g_length=g_length,
-        h_length=h_length,
-        distance=distance,
+        g_length=radius,
+        h_length=radius,
+        distance=2,
         min_in_ball_path=min_path,
         formula_g_length=formula_g,
         formula_h_length=formula_h,

@@ -152,6 +152,14 @@ MUTANTS = [
     (CAYLEY, "if letters > cap or", "if letters > cap + 1 or", CAYLEY_TESTS),
     # the witness-size guard lets index k + m + 1 pass one over the cap
     (CAYLEY, "or top > cap:", "or top > cap + 1:", CAYLEY_TESTS),
+    # the witness's certificate refuses only a pair that fails both its
+    # l_infinity check and its step check
+    (CAYLEY, "!= (radius, radius) or", "!= (radius, radius) and", CAYLEY_TESTS),
+    # the certificate's l_infinity check lets a witness below the sphere
+    # through
+    (CAYLEY, "flat != (radius, radius)", "flat > (radius, radius)", CAYLEY_TESTS),
+    # the certificate's step word built with the generator after x_m
+    (CAYLEY, "(gens.max_index, -1)", "(gens.max_index + 1, -1)", CAYLEY_TESTS),
 ]
 
 

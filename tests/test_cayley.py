@@ -32,6 +32,7 @@ from helpers import in_ball_distances, oracle_ball, raw_pair, restricted
 
 X0 = GeneratingSet.of([0])
 X013 = GeneratingSet.of([0, 1, 3])
+X0124 = GeneratingSet.of([0, 1, 2, 4])
 
 
 def _exponent_sum(pair):
@@ -172,15 +173,20 @@ def test_ball_matches_the_oracle_search(gens, radius):
     assert dict(ball(gens, radius).items()) == oracle_ball(gens, radius)
 
 
-@pytest.mark.parametrize("gens", [X2, GeneratingSet.of([0, 1, 3])])
+@pytest.mark.parametrize("gens", [X2, X013, X3, X0124])
 def test_witness_searches_pinned(gens):
     # the witness pairs at k = 1, 2: both of length 2k + 2, at distance 2,
-    # and 4k + 4 apart inside the ball of radius 2k + 2
+    # and 4k + 4 apart inside the ball of radius 2k + 2.  At k = 3-5, the
+    # k whose probe-mac output CI pins, breadth-first search confirms the
+    # lengths that probe_mac reads off the witness's words
     for k, (length, detour) in ((1, (4, 8)), (2, (6, 12))):
         g, h = mac_witness_pair(gens, k)
         assert bfs_length(g, gens) == bfs_length(h, gens) == length
         assert bfs_length(multiply(invert(g), h), gens) == 2
         assert in_ball_geodesic(g, h, gens, 2 * k + 2) == detour
+    for k in (3, 4, 5):
+        g, h = mac_witness_pair(gens, k)
+        assert bfs_length(g, gens) == bfs_length(h, gens) == 2 * k + 2, k
 
 
 def test_search_steps_on_text_and_builds_no_diagram(monkeypatch):
@@ -431,31 +437,32 @@ def test_in_ball_search_screens_by_l_infinity(monkeypatch):
     g, h = mac_witness_pair(X013, 2)
     assert in_ball_geodesic(g, h, X013, 6) == 12
     assert (len(steps), len(formulas)) == (826 + 665, 50)
+    # probe_mac reads |g|, |h| and |g^-1 h| off the witness's words, so
+    # its one search is the in-ball one, whose endpoints take no test
+    searches = counted_calls(monkeypatch, cayley, "bfs_length")
+    steps.clear()
+    formulas.clear()
+    assert probe_mac(X2, 2).min_in_ball_path == 12
+    assert (len(steps), len(formulas), len(searches)) == (382, 48, 0)
+    steps.clear()
+    assert probe_mac(X013, 2).min_in_ball_path == 12
+    assert (len(steps), len(searches)) == (1487, 0)
 
 
-def test_probe_mac_reads_witness_lengths_off_the_ball(monkeypatch, ball_x2_r6):
-    # |g| and |h| come from the in-ball tests up to 2k + 2 (over {x0, x1,
-    # x2} the closed form), and from bfs_length beyond it; a witness off
-    # the sphere is refuted, with the lengths and paths that the searches
-    # give
-    rng = random.Random(137)
-    witness = mac_witness_pair(X2, 1)
-    inside = restricted(ball_x2_r6, 4)
-    for length in range(2, 7):
-        enc = rng.choice(sorted(e for e, l in ball_x2_r6.items() if l == length))
-        other = raw_pair(*enc.split("|"))
-        for pair in ((other, witness[1]), (witness[0], other)):
-            monkeypatch.setattr(cayley, "mac_witness_pair", lambda gens, k: pair)
-            report = probe_mac(X2, 1)
-            g, h = pair
-            assert report.g_length == bfs_length(g, X2)
-            assert report.h_length == bfs_length(h, X2)
-            assert report.distance == bfs_length(multiply(invert(g), h), X2)
-            path = None
-            if length <= 4:
-                path = in_ball_distances(inside, canonical_encode(g), 4)[canonical_encode(h)]
-            assert report.min_in_ball_path == path
-            assert report.confirmed == (length == 4 and path >= 8 and report.distance == 2)
+def test_probe_mac_refuses_a_witness_its_words_do_not_certify(monkeypatch):
+    # |g| = |h| = 2k + 2 and |g^-1 h| = 2 come from the witness's words and
+    # l_infinity, so a pair that fails either check is a construction bug,
+    # which raises, and no search stands in for the certificate: (h, g) has
+    # l_infinity 4 but g^-1 h is not x0^-1 x2^-1; (u, u x0^-1 x2^-1) is one
+    # such step apart, with u off the sphere; and u in place of either
+    g, h = mac_witness_pair(X2, 1)
+    u = evaluate_word([(1, 1), (0, -1)])
+    assert l_infinity(u) == 2
+    stepped = multiply(u, evaluate_word([(0, -1), (2, -1)]))
+    for pair in ((h, g), (u, stepped), (u, h), (g, u)):
+        monkeypatch.setattr(cayley, "mac_witness_pair", lambda gens, k: pair)
+        with pytest.raises(AssertionError, match="do not certify its lengths"):
+            probe_mac(X2, 1)
 
 
 def test_in_ball_geodesic_radius_zero_and_one():
@@ -580,16 +587,19 @@ def test_mac_witness_pair_validation():
 
 def test_mac_witness_two_step_identity():
     # h is exactly g shifted by x0^-1 then xm^-1 -- this ordering (and not
-    # the reverse) is what pins the left-to-right product convention
-    for gens, k in ((X2, 1), (X2, 2), (X3, 1), (GeneratingSet.of([0, 1, 3]), 1)):
-        g, h = mac_witness_pair(gens, k)
+    # the reverse) is what pins the left-to-right product convention -- and
+    # both have l_infinity 2k + 2: the facts probe_mac's certificate reads
+    for gens in (X2, X3, X013, X0124):
         m = max(gens)
-        step = multiply(multiply(g, generator_diagram(0, -1)),
-                        generator_diagram(m, -1))
-        assert canonical_encode(step) == canonical_encode(h)
-        other = multiply(multiply(g, generator_diagram(m, -1)),
-                         generator_diagram(0, -1))
-        assert canonical_encode(other) != canonical_encode(h)
+        for k in range(1, 9):
+            g, h = mac_witness_pair(gens, k)
+            step = multiply(multiply(g, generator_diagram(0, -1)),
+                            generator_diagram(m, -1))
+            assert canonical_encode(step) == canonical_encode(h), (gens, k)
+            other = multiply(multiply(g, generator_diagram(m, -1)),
+                             generator_diagram(0, -1))
+            assert canonical_encode(other) != canonical_encode(h), (gens, k)
+            assert l_infinity(g) == l_infinity(h) == 2 * k + 2, (gens, k)
 
 
 def test_probe_mac_confirms_consecutive():

@@ -505,6 +505,18 @@ def test_probe_mac_checks_the_set_before_the_ball(capsys):
     assert "the witness family needs x_0, x_1" in err
 
 
+def test_probe_mac_uncertified_witness_is_an_internal_error(capsys, monkeypatch):
+    # a witness whose own words do not certify its lengths (here g and h
+    # swapped, so g^-1 h is not x0^-1 x2^-1) is a construction bug, not a
+    # refuted claim: exit 4, not 1
+    g, h = cayley.mac_witness_pair(caretcalc.GeneratingSet.of([0, 1, 2]), 1)
+    monkeypatch.setattr("caretcalc.cayley.mac_witness_pair", lambda gens, k: (h, g))
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,1,2", "--k", "1")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: AssertionError: the witness's words do not "
+                   "certify its lengths\n")
+
+
 def test_len_penalty_search_deeper_than_the_interpreter_stack(capsys):
     code, out, err = run(capsys, "len", "x1200", "--gens", "0,1")
     assert (code, err) == (0, "")
