@@ -52,6 +52,7 @@ from .cayley import (
     mac_witness_pair,
     probe_mac,
     probe_subset_monotonicity,
+    word_length,
 )
 from .wordlang import format_word, parse_pair, parse_tree, parse_word
 
@@ -99,4 +100,5 @@ __all__ = [
     "probe_mac",
     "probe_subset_monotonicity",
     "reduce",
+    "word_length",
 ]

@@ -7,8 +7,22 @@ so a search makes no tree pair at all.  The lengths are exact and serve as
 the independent oracle for the closed-form machinery in
 :mod:`caretcalc.metrics`.  Two places read the closed form: the in-ball
 length function over a consecutive set (``_ball_tests``), which the ball
-route and the tests check, and the ``formula_*`` fields of ``probe_mac``,
-which the probe checks against the lengths its witness's words certify.
+route and the tests check, and ``word_length``, the one place that picks
+the route of a single length, which ``len`` and the ``formula_*`` fields
+of ``probe_mac`` go through, and which the probe checks against the
+lengths its witness's words certify.
+
+Every set but {x0} is a shifted copy of a set that holds x1.  Let phi fix
+x0 and raise every other index by one: x0^-1 x_n x0 = x_{n+1} for
+n >= 1, so phi(g) = x0^-1 g x0.  A set whose smallest nonzero index is
+j = s + 1 is phi^s(S) for its base S, which holds x0 and x1
+(``_shift_down``), and conjugation by x0^s maps the Cayley graph over it
+onto the one over S as labelled graphs, fixing the identity
+(``_conjugate``).  So lengths, balls and in-ball distances carry over
+exactly: ``word_length``, ``in_ball_geodesic`` and ``probe_mac`` answer a
+shifted set on the conjugates over its base, and at s = 0 the map is the
+identity and makes no product.  ``bfs_length`` and the ball growths
+search the set they are given.
 
 The searches come in two kinds, and each stores what it has seen in the
 layout that is smaller for it:
@@ -50,9 +64,10 @@ the smaller ball.  An edge from u to v stays in the ball of radius R
 exactly when l(u) <= R - 1 or l(v) <= R - 1.  ``_ball_tests`` makes one
 function, ``length(neg, pos, limit)``, the exact length of an element
 when it is at most the limit, which decides that test (at R - 1) and
-gives the endpoints' lengths (at R).  Over {x0, ..., xn} with n >= 1 it
-reads the closed form and enumerates no ball.  Over any other set it
-takes the ball of radius R - 2, which ``_ball_tests`` enumerates
+gives the endpoints' lengths (at R).  Over {x0, ..., xn} with n >= 1,
+the base of every shifted copy of it, it reads the closed form and
+enumerates no ball.  Over any other base it takes the ball of radius
+R - 2, which ``_ball_tests`` enumerates
 itself, and one or two steps, so the in-ball search never enumerates
 the two outer spheres, which are most of the ball.  Most elements that
 search meets lie outside the ball, and most of those are ruled out
@@ -70,7 +85,8 @@ has its answer.  On top of the ball sit three probes:
   (the obstruction to minimal almost convexity), certifies the pair's
   lengths and their distance from its own words and l_infinity, and
   searches only for its in-ball distance, with that length function and
-  the in-ball search that ``in_ball_geodesic`` runs too (``_in_ball``);
+  the in-ball search that ``in_ball_geodesic`` runs too (``_in_ball``),
+  over the base set between the conjugated witnesses;
 * ``coarse_isometry_check`` grows each set's ball once, to the radius
   and then on until it holds the other ball too, measures the largest
   additive gap between the two word metrics on both balls, and compares
@@ -99,11 +115,12 @@ from .group_ops import (
     enact,
     evaluate_word,
     identity,
+    invert,
     multiply,
     normal_form,
     plan,
 )
-from .metrics import DEFAULT_STATE_CAP, _l_infinity, _weight, length_consecutive
+from .metrics import DEFAULT_STATE_CAP, LengthReport, _l_infinity, _weight, length_consecutive
 from .tree_core import TreePairDiagram, TreeSurvey, canonical_encode
 
 CONFIRMED = "witness-confirmed"
@@ -418,6 +435,59 @@ def bfs_length(
     return _meet(identity(), pair, gens.letters(), cap, "length search")
 
 
+def _shift_down(gens: GeneratingSet) -> tuple[int, GeneratingSet]:
+    """The base (s, S) of ``gens``: S holds x0 and x1, and gens = phi^s(S),
+    where phi fixes x0 and raises every other index by one; (0, gens) for
+    {x0}.  Every other set holds some x_j, and s = j - 1."""
+    s = gens.indices[1] - 1 if len(gens.indices) > 1 else 0
+    return s, GeneratingSet(tuple(0 if i == 0 else i - s for i in gens))
+
+
+def _conjugate(pair: TreePairDiagram, s: int) -> TreePairDiagram:
+    """x0^s g x0^-s, the element that stands for g over the base of a set
+    shifted by s; g itself at s = 0, with no product.
+
+    phi(g) = x0^-1 g x0, since x0^-1 x_n x0 = x_{n+1} for n >= 1, so the
+    conjugation maps the Cayley graph over phi^s(S) onto the one over S as
+    labelled graphs and fixes the identity: lengths, balls and in-ball
+    distances carry over exactly."""
+    if not s:
+        return pair
+    x0 = evaluate_word([(0, s)])
+    return multiply(multiply(x0, pair), invert(x0))
+
+
+def word_length(
+    pair: TreePairDiagram,
+    gens: GeneratingSet,
+    method: str = "auto",
+    cap: int = DEFAULT_STATE_CAP,
+) -> tuple[str, int, Optional[LengthReport]]:
+    """The exact length of ``pair`` over ``gens``, as (method, length,
+    report): the one place that picks a length route.
+
+    ``gens`` maps to its base (s, S) (``_shift_down``).  When S is
+    consecutive, {x0, ..., xn} with n >= 1, the length is the closed form
+    over S of x0^s g x0^-s (``_conjugate``): method "formula" at s = 0,
+    which returns the closed form's report, and "conjugate" at s >= 1,
+    which returns none.  Otherwise, and always under method "bfs", it is
+    ``bfs_length`` over ``gens``, method "bfs", the route that stays
+    independent of the closed form.  Method "formula" on a set with no
+    closed form, {x0} or one whose nonzero indices have a gap, raises
+    ValueError naming the set, before any work."""
+    if method not in ("auto", "formula", "bfs"):
+        raise ValueError(f"method must be auto, formula or bfs, got {method!r}")
+    s, base = _shift_down(gens)
+    closed = base.max_index >= 1 and base.is_consecutive
+    if method == "formula" and not closed:
+        raise ValueError(f"the closed form needs x0 and one or more consecutive "
+                         f"indices after it, got {list(gens)}")
+    if method == "bfs" or not closed:
+        return "bfs", bfs_length(pair, gens, cap), None
+    report = length_consecutive(_conjugate(pair, s), base.max_index, cap)
+    return ("conjugate", report.length, None) if s else ("formula", report.length, report)
+
+
 def _ball_tests(
     gens: GeneratingSet, radius: int, cap: int
 ) -> Callable[[str, str, int], Optional[int]]:
@@ -435,16 +505,19 @@ def _ball_tests(
     common miss of the in-ball search, l_infinity is either radius + 1,
     and the element is refused at once, or at most radius - 1.
 
-    Over a consecutive set {x0, ..., xn} with n >= 1, an element that
-    passes the screen gets its length from the closed form: l_infinity
+    Its callers, ``in_ball_geodesic`` and ``probe_mac``, hand it the base
+    set of theirs (``_shift_down``) and search between conjugates, so a
+    shifted copy of a consecutive set reads the closed form too.  Over a
+    consecutive set {x0, ..., xn} with n >= 1, an element that passes the
+    screen gets its length from the closed form: l_infinity
     plus twice ``metrics._weight`` on the two texts' surveys, each call
     under ``cap``.  No ball is enumerated.  The k = 2 witness search over
     {x0, x1, x2} runs the closed form for 48 of its 241 inner tests, and
     ``probe-mac --gens 0,1,2 --k 5`` takes ~0.7 s at ~22 MiB, against
     ~3 s at ~65 MiB on the ball of radius 10 (2-core Xeon, Python 3.11).
 
-    Every other set, {x0} and those that are not consecutive, has no
-    closed form here and reads the ball of radius ``inside`` =
+    Every other set, {x0} and those whose nonzero indices have a gap, has
+    no closed form here and reads the ball of radius ``inside`` =
     max(radius - 2, 0), which is enumerated first, under ``cap``: below
     radius 2 it holds only the identity.  An element of that ball has its
     length in the table, and one it lacks is longer than ``inside``.
@@ -534,12 +607,16 @@ def in_ball_geodesic(
     the ball of radius - 2, which it enumerates, and one or two steps.
     The same function gives each endpoint's exact length, and the path
     through the identity, l(a) + l(b) long, stays in the ball, so the
-    search (``_in_ball``) takes that sum as its bound.  Some pairs meet
+    search (``_in_ball``) takes that sum as its bound.  Over a shifted set
+    the search runs over its base between the conjugated endpoints, which
+    gives the same distance (see ``_conjugate``).  Some pairs meet
     it, the MAC witnesses among them (F is maximally nonconvex: J. Belk,
     K.-U. Bux, 2005), and for those the search stops two half-shells
     before its sides would meet.  At a radius below 0 the ball is empty,
     so every endpoint lies outside it.
     """
+    s, gens = _shift_down(gens)
+    a, b = _conjugate(a, s), _conjugate(b, s)
     length = _ball_tests(gens, radius, cap)
     bound = 0
     for name, p in (("a", a), ("b", b)):
@@ -589,10 +666,11 @@ class MacProbeReport:
 def _check_witness_family(gens: GeneratingSet, k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if 1 not in gens or gens.max_index < 2:
+    if len(gens.indices) < 3:
+        # named by x_j, the smallest nonzero index, or x_1 for {x0}
         raise ValueError(
-            "the witness family needs x_0, x_1 and one more generator: "
-            f"got indices {list(gens)}"
+            f"the witness family needs x_0, x_{max(gens.max_index, 1)} and one more "
+            f"generator: got indices {list(gens)}"
         )
 
 
@@ -600,21 +678,24 @@ def mac_witness_pair(
     gens: GeneratingSet, k: int
 ) -> tuple[TreePairDiagram, TreePairDiagram]:
     """The two elements whose in-ball distance defeats minimal almost
-    convexity: g = x_1^{k+1} x_{k+m+1} x_0^{-k} with m = max(X), which
-    equals x_m x_1^{k+1} x_0^{-k}, and h = x_1^{k+1} x_0^{-(k+1)}.
+    convexity: g = x_j^{k+1} x_{k+m+1} x_0^{-k} with j the smallest
+    nonzero index of X and m = max(X) > j, which equals
+    x_m x_j^{k+1} x_0^{-k}, and h = x_j^{k+1} x_0^{-(k+1)}.  Over a set
+    holding x1 (j = 1) this is the paper's pair; over phi^s(S) it is phi^s of
+    the pair over S (see ``_conjugate``).
 
-    On return g is the value of the word x_m x_1^{k+1} x_0^{-k}, checked
+    On return g is the value of the word x_m x_j^{k+1} x_0^{-k}, checked
     against the first spelling (AssertionError when the two disagree), and
-    h that of x_1^{k+1} x_0^{-(k+1)}: both are words of 2k + 2 letters
+    h that of x_j^{k+1} x_0^{-(k+1)}: both are words of 2k + 2 letters
     over X, so neither is longer than 2k + 2.
     """
     _check_witness_family(gens, k)
-    m = gens.max_index
-    g = evaluate_word([(1, k + 1), (k + m + 1, 1), (0, -k)])
-    g_alt = evaluate_word([(m, 1), (1, k + 1), (0, -k)])
+    j, m = gens.indices[1], gens.max_index
+    g = evaluate_word([(j, k + 1), (k + m + 1, 1), (0, -k)])
+    g_alt = evaluate_word([(m, 1), (j, k + 1), (0, -k)])
     if canonical_encode(g) != canonical_encode(g_alt):
         raise AssertionError("the two spellings of the witness disagree")
-    h = evaluate_word([(1, k + 1), (0, -(k + 1))])
+    h = evaluate_word([(j, k + 1), (0, -(k + 1))])
     return g, h
 
 
@@ -628,9 +709,9 @@ def probe_mac(
     which either exceeds ``cap`` is refused first, with
     SearchCapExceededError, as ``len`` refuses such a word: before any
     ball or witness is built.  Then the in-ball length function
-    (``_ball_tests``) is made, which over a set that is not consecutive
-    enumerates the ball of radius 2k, and the witness pairs, whose trees
-    grow with k, are built after it.
+    (``_ball_tests``) is made over the base set (``_shift_down``), which
+    over a base that is not consecutive enumerates the ball of radius 2k,
+    and the witness pairs, whose trees grow with k, are built after it.
 
     The first two properties are certified by the witness's own words,
     with no search.  g and h are words of 2k + 2 letters over X
@@ -640,9 +721,11 @@ def probe_mac(
     exponent sum -2, so g^-1 h is not the identity and its length is even:
     it is 2.  A witness that fails either check is a construction bug, not
     a refuted claim, and raises AssertionError.  Then the in-ball search
-    (``_in_ball``) runs as in ``in_ball_geodesic``, with |g| + |h| as its
-    bound.  Over {x0, ..., xn} the ``formula_*`` fields read the closed
-    form, which the verdict checks against the certified 2k + 2.
+    (``_in_ball``) runs as in ``in_ball_geodesic``, over the base between
+    the conjugated witnesses, with |g| + |h| as its bound.  When the base
+    is consecutive the ``formula_*`` fields read the closed form through
+    ``word_length``, which the verdict checks against the certified
+    2k + 2.
     """
     _check_witness_family(gens, k)
     letters, top = 2 * k + 2, k + gens.max_index + 1
@@ -651,18 +734,18 @@ def probe_mac(
             f"the witness words of k = {k} have {letters} letters and use x{top}, "
             f"beyond the cap of {cap}", max(letters, top))
     radius = 2 * k + 2
-    length = _ball_tests(gens, radius, cap)
+    s, base = _shift_down(gens)
+    length = _ball_tests(base, radius, cap)
     g, h = mac_witness_pair(gens, k)
     step = evaluate_word([(0, -1), (gens.max_index, -1)])
     flat = tuple(_l_infinity(p.negative.root, p.positive.root) for p in (g, h))
     if flat != (radius, radius) or canonical_encode(multiply(g, step)) != canonical_encode(h):
         raise AssertionError("the witness's words do not certify its lengths")
-    min_path = _in_ball(g, h, gens, radius, cap, length, 2 * radius)
+    ends = _conjugate(g, s), _conjugate(h, s)
+    min_path = _in_ball(*ends, base, radius, cap, length, 2 * radius)
     formula_g = formula_h = None
-    if gens.is_consecutive:
-        n = gens.max_index
-        formula_g = length_consecutive(g, n).length
-        formula_h = length_consecutive(h, n).length
+    if base.is_consecutive:
+        formula_g, formula_h = (word_length(p, base, "formula", cap)[1] for p in ends)
     ok = (
         min_path is not None
         and min_path >= 4 * k + 4
@@ -713,27 +796,19 @@ class CoarseIsometryReport:
         }
 
 
-def _shift_down(gens: GeneratingSet) -> Optional[tuple[int, GeneratingSet]]:
-    """Slide the nonzero indices so the smallest becomes 1; the additive
-    constant 2*(smallest - 1) relates the two word metrics."""
-    nonzero = [i for i in gens if i != 0]
-    if not nonzero:
-        return None
-    first = nonzero[0]
-    return first, GeneratingSet.of([0] + [i - first + 1 for i in nonzero])
-
-
 def claimed_additive_bound(
     x_gens: GeneratingSet, y_gens: GeneratingSet
 ) -> Optional[int]:
+    """The claimed constant between the two word metrics: 0 for equal
+    sets, and 2s when one set is phi^s(S) for the other set S, its base
+    (``_shift_down``); None otherwise.  Under that map 2s is a theorem:
+    the length of g over phi^s(S) is the length over S of x0^s g x0^-s,
+    and conjugating by x0^s changes an S-length by at most 2s."""
     if x_gens == y_gens:
         return 0
-    down_x = _shift_down(x_gens)
-    if down_x is not None and down_x[1] == y_gens:
-        return 2 * (down_x[0] - 1)
-    down_y = _shift_down(y_gens)
-    if down_y is not None and down_y[1] == x_gens:
-        return 2 * (down_y[0] - 1)
+    (s_x, base_x), (s_y, base_y) = _shift_down(x_gens), _shift_down(y_gens)
+    if base_x == base_y and 0 in (s_x, s_y):
+        return 2 * (s_x + s_y)
     return None
 
 

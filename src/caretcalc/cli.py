@@ -171,30 +171,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_len(args) -> int:
-    word = _word(args)
-    pair = evaluate_word(word.runs)
-    gens = args.gens
-    method = args.method
-    if method == "auto":
-        # the closed form needs x1; {x0} alone is searched
-        method = "formula" if gens.is_consecutive and 1 in gens else "bfs"
-    if method == "formula" and not gens.is_consecutive:
-        raise ParseError(
-            f"--method formula needs a consecutive generating set, got {list(gens)}"
-        )
+    pair = evaluate_word(_word(args).runs)
+    method, length, report = cayley.word_length(pair, args.gens, args.method, _cap(args))
     record = {
         "pair": canonical_encode(pair),
-        "gens": list(gens),
+        "gens": list(args.gens),
         "method": method,
         "l_infinity": metrics.l_infinity(pair),
     }
-    if method == "formula":
-        report = metrics.length_consecutive(pair, gens.max_index, cap=_cap(args))
+    if report is not None:
         record["penalty_weight"] = report.penalty_weight
-        record["length"] = report.length
+    record["length"] = length
+    if report is not None:
         record["witness"] = report.witness.serialize()
-    else:
-        record["length"] = cayley.bfs_length(pair, gens, cap=_cap(args))
     _emit_record(args, record)
     return EXIT_OK
 

@@ -160,6 +160,23 @@ MUTANTS = [
     (CAYLEY, "flat != (radius, radius)", "flat > (radius, radius)", CAYLEY_TESTS),
     # the certificate's step word built with the generator after x_m
     (CAYLEY, "(gens.max_index, -1)", "(gens.max_index + 1, -1)", CAYLEY_TESTS),
+    # a shifted set conjugated by x0^(s+1)
+    (CAYLEY, "x0 = evaluate_word([(0, s)])", "x0 = evaluate_word([(0, s + 1)])", CAYLEY_TESTS),
+    # the conjugation's signs swapped: x0^-s g x0^s
+    (CAYLEY, "multiply(multiply(x0, pair), invert(x0))",
+     "multiply(multiply(invert(x0), pair), x0)", CAYLEY_TESTS),
+    # the router takes the closed form of the pair it did not conjugate
+    (CAYLEY, "length_consecutive(_conjugate(pair, s),", "length_consecutive(pair,",
+     CAYLEY_TESTS),
+    # {x0} alone read as a consecutive set with a closed form
+    (CAYLEY, "closed = base.max_index >= 1 and base.is_consecutive",
+     "closed = base.is_consecutive", CAYLEY_TESTS),
+    # the in-ball search over the base set on endpoints not conjugated
+    (CAYLEY, "    a, b = _conjugate(a, s), _conjugate(b, s)\n", "", CAYLEY_TESTS),
+    # the probe's formula fields left out over a shifted consecutive set
+    (CAYLEY, "if base.is_consecutive:", "if gens.is_consecutive:", CAYLEY_TESTS),
+    # the witness family refuses only sets of fewer than two generators
+    (CAYLEY, "if len(gens.indices) < 3:", "if len(gens.indices) < 2:", CAYLEY_TESTS),
 ]
 
 

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caretcalc import (
     GeneratingSet,
@@ -23,6 +25,7 @@ from caretcalc import (
     parse_pair,
     probe_mac,
     probe_subset_monotonicity,
+    word_length,
 )
 from caretcalc import cayley, group_ops, tree_core
 from caretcalc.cayley import claimed_additive_bound
@@ -33,6 +36,12 @@ from helpers import in_ball_distances, oracle_ball, raw_pair, restricted
 X0 = GeneratingSet.of([0])
 X013 = GeneratingSet.of([0, 1, 3])
 X0124 = GeneratingSet.of([0, 1, 2, 4])
+# sets without x1: {x0, x2} and {x0, x2, x4} are {x0, x1} and {x0, x1, x3}
+# conjugated by x0, {x0, x3, x4} is {x0, x1, x2} conjugated by x0^2
+X02 = GeneratingSet.of([0, 2])
+X023 = GeneratingSet.of([0, 2, 3])
+X024 = GeneratingSet.of([0, 2, 4])
+X034 = GeneratingSet.of([0, 3, 4])
 
 
 def _exponent_sum(pair):
@@ -173,7 +182,7 @@ def test_ball_matches_the_oracle_search(gens, radius):
     assert dict(ball(gens, radius).items()) == oracle_ball(gens, radius)
 
 
-@pytest.mark.parametrize("gens", [X2, X013, X3, X0124])
+@pytest.mark.parametrize("gens", [X2, X013, X3, X0124, X023, X024])
 def test_witness_searches_pinned(gens):
     # the witness pairs at k = 1, 2: both of length 2k + 2, at distance 2,
     # and 4k + 4 apart inside the ball of radius 2k + 2.  At k = 3-5, the
@@ -269,7 +278,7 @@ def test_in_ball_geodesic_matches_one_sided_oracle(ball_x2_r6):
 
 
 @pytest.mark.parametrize("gens, radius", [
-    (X2, 5), (GeneratingSet.of([0, 1, 3]), 5), (X1, 7),
+    (X2, 5), (GeneratingSet.of([0, 1, 3]), 5), (X1, 7), (X02, 6), (X024, 4),
 ])
 def test_in_ball_geodesic_from_the_rim(gens, radius, ball_x1_r8, ball_x2_r6):
     # endpoints at lengths R - 2, R - 1 and R, where the lengths come from
@@ -512,12 +521,14 @@ def _ball_radii(monkeypatch):
 
 
 def test_probe_mac_enumerates_radius_2k_once(monkeypatch):
-    # the ball route, which {x0, x1, x3} takes: no closed form covers it
+    # the ball route, which {x0, x1, x3} takes, and {x0, x2, x4} over its
+    # base {x0, x1, x3}: no closed form covers them
     radii = _ball_radii(monkeypatch)
-    for k in (1, 2):
-        radii.clear()
-        assert probe_mac(X013, k).confirmed
-        assert radii == [2 * k]
+    for gens in (X013, X024):
+        for k in (1, 2):
+            radii.clear()
+            assert probe_mac(gens, k).confirmed
+            assert radii == [2 * k]
 
 
 def test_in_ball_geodesic_enumerates_radius_r_minus_2_once(monkeypatch):
@@ -542,7 +553,7 @@ def test_consecutive_sets_build_no_ball(monkeypatch):
     assert in_ball_geodesic(one, one, X1, 0) == 0
     assert in_ball_geodesic(x0, x1, X1, 1) == 2
     assert in_ball_geodesic(x0, multiply(x1, x1), X1, 3) == 3
-    for gens in (X2, X3):
+    for gens in (X2, X3, X023, X034):
         for k in (1, 2):
             assert probe_mac(gens, k).confirmed
         g, h = mac_witness_pair(gens, 1)
@@ -578,8 +589,13 @@ def test_in_ball_geodesic_witness_detour():
 def test_mac_witness_pair_validation():
     with pytest.raises(ValueError):
         mac_witness_pair(X2, 0)
-    with pytest.raises(ValueError):
-        mac_witness_pair(X1, 1)  # needs an index beyond 0 and 1
+    # two generators are too few, with or without x1
+    for gens, j in ((X1, 1), (X02, 2), (X0, 1)):
+        with pytest.raises(ValueError, match=f"needs x_0, x_{j} and one more generator: "
+                           rf"got indices \[{', '.join(map(str, gens))}\]$"):
+            mac_witness_pair(gens, 1)
+        with pytest.raises(ValueError, match="the witness family needs"):
+            probe_mac(gens, 1)
     g, h = mac_witness_pair(GeneratingSet.of([0, 1, 3]), 2)
     assert g.reduced and h.reduced
     assert canonical_encode(multiply(invert(g), h)) != ".|."
@@ -589,7 +605,7 @@ def test_mac_witness_two_step_identity():
     # h is exactly g shifted by x0^-1 then xm^-1 -- this ordering (and not
     # the reverse) is what pins the left-to-right product convention -- and
     # both have l_infinity 2k + 2: the facts probe_mac's certificate reads
-    for gens in (X2, X3, X013, X0124):
+    for gens in (X2, X3, X013, X0124, X023, X024, X034):
         m = max(gens)
         for k in range(1, 9):
             g, h = mac_witness_pair(gens, k)
@@ -623,6 +639,115 @@ def test_probe_mac_nonconsecutive():
     report = probe_mac(GeneratingSet.of([0, 1, 3]), 1)
     assert report.confirmed
     assert report.formula_g_length is None
+
+
+def test_probe_mac_over_shifted_sets():
+    # the witness over a set without x1 uses x_j, its smallest nonzero
+    # index, where the paper's uses x1: g = x_m x_j^{k+1} x0^-k and
+    # h = x_j^{k+1} x0^-(k+1).  Its base is consecutive, so the formula
+    # fields appear, read on the conjugates
+    for gens, j, m in ((X023, 2, 3), (X034, 3, 4)):
+        for k in (1, 2, 3):
+            report = probe_mac(gens, k)
+            assert report.confirmed, (list(gens), k, report.to_dict())
+            assert report.min_in_ball_path == 4 * k + 4
+            assert report.formula_g_length == report.formula_h_length == 2 * k + 2
+            g = evaluate_word([(m, 1), (j, k + 1), (0, -k)])
+            h = evaluate_word([(j, k + 1), (0, -(k + 1))])
+            assert (report.g_encoding, report.h_encoding) == (canonical_encode(g),
+                                                              canonical_encode(h))
+    # a base with a gap has no closed form, so no formula field
+    report = probe_mac(X024, 1)
+    assert report.confirmed and report.formula_g_length is None
+
+
+def _conjugated(pair, s):
+    """x0^s pair x0^-s, multiplied out here."""
+    return multiply(multiply(evaluate_word([(0, s)]), pair), evaluate_word([(0, -s)]))
+
+
+def test_word_length_picks_one_route(monkeypatch):
+    # the closed form over a consecutive set holding x1, with its report;
+    # the closed form on the conjugate over a shifted copy of one, with
+    # none; plain BFS over every other set, and under "bfs"
+    x0_100, x0_3 = evaluate_word([(0, 100)]), evaluate_word([(0, 3)])
+    method, length, report = word_length(x0_100, X1)
+    assert (method, length, report.length, report.n) == ("formula", 100, 100, 1)
+    for method in ("auto", "formula"):
+        assert word_length(x0_100, X02, method) == ("conjugate", 100, None)
+        assert word_length(generator_diagram(4, -1), X034, method) == ("conjugate", 1, None)
+    for gens in (X0, X013, X024):
+        assert word_length(x0_3, gens) == ("bfs", 3, None)
+    for gens in (X1, X02):
+        assert word_length(x0_3, gens, "bfs") == ("bfs", 3, None)
+    # no closed form: one refusal, naming the set
+    for gens in (X0, X013, X024):
+        with pytest.raises(ValueError, match="the closed form needs x0 and one or more "
+                           rf"consecutive indices after it, got \[{', '.join(map(str, gens))}\]$"):
+            word_length(x0_3, gens, "formula")
+    with pytest.raises(ValueError, match="method must be auto, formula or bfs"):
+        word_length(x0_3, X1, "closed")
+    # at s = 0 the map makes no product; at s >= 1, one conjugation
+    products = counted_calls(monkeypatch, cayley, "multiply")
+    g, h = mac_witness_pair(X2, 1)
+    assert word_length(g, X2)[:2] == ("formula", 4)
+    assert in_ball_geodesic(g, h, X2, 4) == 8
+    assert len(products) == 0
+    assert word_length(g, X023)[0] == "conjugate"
+    assert len(products) == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from([X02, X023, GeneratingSet.of([0, 3, 4, 5])]).flatmap(
+    lambda gens: st.tuples(st.just(gens), st.lists(
+        st.tuples(st.sampled_from(gens.indices), st.sampled_from((1, -1))),
+        min_size=1, max_size=8))))
+def test_conjugated_closed_form_equals_bfs(case):
+    # a shifted set answers by the closed form on the conjugate, which
+    # plain BFS over the set itself confirms
+    gens, word = case
+    pair = evaluate_word(word)
+    method, length, _ = word_length(pair, gens)
+    assert (method, length) == ("conjugate", bfs_length(pair, gens))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(1, 6), max_size=3, unique=True).flatmap(
+    lambda rest: st.tuples(st.just(GeneratingSet.of([0] + rest)), st.lists(
+        st.tuples(st.sampled_from([0] + rest), st.sampled_from((1, -1))), max_size=8))))
+def test_every_route_between_l_infinity_and_the_word(case):
+    # each route's length lies between l_infinity, the length over every
+    # x_i, and the word's letter count, with the parity of both: over
+    # sets holding x1 by the closed form, over shifted copies of them by
+    # the conjugate, and by BFS over the rest
+    gens, word = case
+    pair = evaluate_word(word)
+    length = word_length(pair, gens)[1]
+    assert l_infinity(pair) <= length <= len(word)
+    assert (length - l_infinity(pair)) % 2 == 0 == (len(word) - length) % 2
+
+
+@pytest.mark.parametrize("gens, radius", [((0, 2), 6), ((0, 2, 3), 4), ((0, 3), 5),
+                                          ((0, 3, 4, 5), 3)])
+def test_word_length_on_every_element_of_shifted_balls(gens, radius):
+    # every element of the ball, by the closed form on its conjugate
+    gens = GeneratingSet.of(gens)
+    for enc, length in ball(gens, radius).items():
+        assert word_length(raw_pair(*enc.split("|")), gens) == ("conjugate", length, None), enc
+
+
+@pytest.mark.parametrize("gens, base, s", [(X02, X1, 1), (X024, X013, 1), (X034, X2, 2)])
+def test_in_ball_geodesic_over_a_shifted_set_is_the_base_search(gens, base, s):
+    # conjugation by x0^s maps the graph over the shifted set onto the one
+    # over its base and fixes the identity, so the in-ball distance
+    # between two elements is the base's between their conjugates
+    rng = random.Random(137)
+    radius = 4
+    encs = sorted(enc for enc, _ in ball(gens, radius).items())
+    for _ in range(6):
+        a, b = (raw_pair(*enc.split("|")) for enc in rng.sample(encs, 2))
+        assert in_ball_geodesic(a, b, gens, radius) == in_ball_geodesic(
+            _conjugated(a, s), _conjugated(b, s), base, radius)
 
 
 def test_claimed_additive_bound():

@@ -130,8 +130,9 @@ def test_len_x0_alone_auto_uses_bfs(capsys):
     assert code == 2 and out == ""
     assert "not in the subgroup generated by x0" in err
     code, out, err = run(capsys, "len", "x0", "--gens", "0", "--method", "formula")
-    assert code == 2 and out == ""
-    assert "must be >= 1" in err
+    assert (code, out) == (2, "")
+    assert err == ("error: the closed form needs x0 and one or more consecutive "
+                   "indices after it, got [0]\n")
 
 
 def test_check_ci_with_x0_alone(capsys, monkeypatch):
@@ -161,15 +162,24 @@ def test_check_ci_with_x0_alone(capsys, monkeypatch):
 
 
 def test_len_nonconsecutive_auto_uses_bfs(capsys):
+    # a set whose nonzero indices have a gap has no closed form; {x0, x2}
+    # is {x0, x1} conjugated by x0 and answers by the closed form on the
+    # conjugate
+    for gens, word in (("0,1,3", "x3"), ("0,2,4", "x4")):
+        code, out, _ = run(capsys, "len", word, "--gens", gens)
+        assert code == 0
+        assert "method\tbfs" in out and "length\t1" in out
     code, out, _ = run(capsys, "len", "x2", "--gens", "0,2")
     assert code == 0
-    assert "method\tbfs" in out and "length\t1" in out
+    assert "method\tconjugate" in out and "length\t1" in out
 
 
 def test_len_formula_rejected_for_gaps(capsys):
-    code, _, err = run(capsys, "len", "x2", "--gens", "0,2", "--method", "formula")
-    assert code == 2
-    assert "consecutive" in err
+    for gens in ("0,1,3", "0,2,4"):
+        code, out, err = run(capsys, "len", "x3", "--gens", gens, "--method", "formula")
+        assert (code, out) == (2, "")
+        assert err == ("error: the closed form needs x0 and one or more consecutive "
+                       f"indices after it, got [{gens.replace(',', ', ')}]\n")
 
 
 def test_ball_radius_zero(capsys):
@@ -499,10 +509,11 @@ def test_probe_mac_meets_the_cap_before_building_the_witness(capsys, monkeypatch
 
 def test_probe_mac_checks_the_set_before_the_ball(capsys):
     # a cap of 5 stops any ball at radius 1, so only the set check answers 2
-    code, out, err = run(capsys, "probe-mac", "--gens", "0,2,3", "--k", "3",
+    code, out, err = run(capsys, "probe-mac", "--gens", "0,2", "--k", "3",
                          "--cap", "5")
     assert (code, out) == (2, "")
-    assert "the witness family needs x_0, x_1" in err
+    assert err == ("error: the witness family needs x_0, x_2 and one more generator: "
+                   "got indices [0, 2]\n")
 
 
 def test_probe_mac_uncertified_witness_is_an_internal_error(capsys, monkeypatch):

@@ -330,7 +330,7 @@ def test_public_names_pinned():
         "lengths_for", "mac_witness_pair", "multiply", "normal_form",
         "parse_pair", "parse_tree", "parse_word", "penalty_carets",
         "penalty_weight", "penalty_weight_of_tree", "probe_mac",
-        "probe_subset_monotonicity", "reduce",
+        "probe_subset_monotonicity", "reduce", "word_length",
     ]
 
     def public(cls):
